@@ -11,21 +11,25 @@ Two instances are provided:
   jointly with the radius samples themselves, coupling them through the
   radial decay law and an initial-condition anchor.
 
-Descent runs in representer-coefficient coordinates with a fixed diagonal
-rescaling; in node-value coordinates the nearly singular node Gram makes
-plain gradient steps vanishingly small.
+Both solves run :func:`gpmaps.optim.gradient_descent` with a fixed diagonal
+rescaling. The first profiles ``a`` out in closed form and descends on the
+map's representer coefficients; in node-value coordinates the nearly
+singular node Gram makes plain gradient steps vanishingly small. Each
+problem builds its fixed matrices (the node Gram factor and cross blocks,
+or the quartic features of the trajectory) once, on first use, and keeps
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
-from .exceptions import DivergedError, InvalidInputError
+from .exceptions import InvalidInputError
 from .gp import Interpolant, LinearFunctional, default_nugget, _factor_with_escalation
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig, gradient_descent
@@ -64,10 +68,7 @@ class CgcPdeProblem:
 
     ``u_data`` is the fixed input column of the data array; the map's node
     set is ``u_data`` plus the anchor point u = 1. Weights left as None are
-    balanced against the initial term magnitudes when solving. ``free_z``
-    switches to the literal formulation in which the map output column and
-    derivative column are independent unknowns tied only by the data-fit
-    and equation losses.
+    balanced against the initial term magnitudes when solving.
     """
 
     u_data: np.ndarray
@@ -77,8 +78,6 @@ class CgcPdeProblem:
     lambda2: float | None = None
     lambda3: float | None = None
     nugget: float | None = None
-    l2_squared: bool = True
-    free_z: bool = False
 
     def __post_init__(self):
         u = np.asarray(self.u_data, dtype=float)
@@ -102,28 +101,23 @@ class CgcPdeProblem:
     def nodes(self):
         return np.concatenate([self.u_data, [self.anchor]])
 
+    @cached_property
+    def _context(self):
+        return _PdeContext(self)
+
 
 @dataclass(frozen=True)
 class CgcPdeState:
-    """Free variables: map values at the nodes (anchor last) and the coefficient a.
-
-    In ``free_z`` mode the output and derivative columns are free as well.
-    """
+    """Free variables: map values at the nodes (anchor last) and the coefficient a."""
 
     g_values: np.ndarray
     a: float
-    z1: np.ndarray | None = None
-    z2: np.ndarray | None = None
 
     def __post_init__(self):
         g = np.asarray(self.g_values, dtype=float)
         object.__setattr__(self, "g_values", g)
         if not np.all(np.isfinite(g)) or not np.isfinite(self.a):
             raise InvalidInputError("state entries must be finite")
-        for name in ("z1", "z2"):
-            z = getattr(self, name)
-            if z is not None:
-                object.__setattr__(self, name, np.asarray(z, dtype=float))
 
 
 class _PdeContext:
@@ -146,9 +140,6 @@ class _PdeContext:
     def beta_of_g(self, g):
         return cho_solve(self.cf, g)
 
-    def g_of_beta(self, beta):
-        return self.k_reg @ beta
-
     def weights(self, init_state):
         """Resolve (lambda1, lambda2, lambda3), balancing unset ones at the init."""
         p = self.problem
@@ -166,20 +157,12 @@ def _pde_terms(ctx, state):
     p = ctx.problem
     beta = ctx.beta_of_g(state.g_values)
     norm_g = float(state.g_values @ beta)
-    z1_map = ctx.k_data @ beta
-    z2_map = ctx.k_data_d1 @ beta
-    if p.free_z:
-        z1 = state.z1 if state.z1 is not None else z1_map
-        z2 = state.z2 if state.z2 is not None else z2_map
-        l1 = float(np.sum((z1_map - z1) ** 2))
-    else:
-        z1, z2 = z1_map, z2_map
-        l1 = 0.0
+    z1 = ctx.k_data @ beta
+    z2 = ctx.k_data_d1 @ beta
     resid = z1 + state.a * z2 * ctx.inv_u2
     return {
         "norm_g": norm_g,
         "a_prior": float((state.a / p.gamma) ** 2),
-        "l1": l1,
         "l2_raw": float(resid @ resid),
         "anchor": float((state.g_values[-1] - 1.0) ** 2),
         "_beta": beta,
@@ -189,16 +172,19 @@ def _pde_terms(ctx, state):
 
 
 def cgc_pde_loss_terms(problem, state, weights=None):
-    """Named weighted loss terms; their sum is :func:`cgc_pde_loss`."""
-    ctx = _PdeContext(problem)
+    """Named weighted loss terms; their sum is :func:`cgc_pde_loss`.
+
+    The data-fit term ``l1_weighted`` is identically zero: the output column
+    of the data array is the map itself evaluated at the data.
+    """
+    ctx = problem._context
     lam1, lam2, lam3 = weights if weights is not None else ctx.weights(state)
     t = _pde_terms(ctx, state)
-    l2 = t["l2_raw"] if problem.l2_squared else np.sqrt(t["l2_raw"])
     return {
         "norm_g": t["norm_g"],
         "a_prior": t["a_prior"],
-        "l1_weighted": lam1 * t["l1"],
-        "l2_weighted": lam2 * l2,
+        "l1_weighted": 0.0,
+        "l2_weighted": lam2 * t["l2_raw"],
         "anchor_weighted": lam3 * t["anchor"],
         "lambda1": lam1,
         "lambda2": lam2,
@@ -213,40 +199,23 @@ def cgc_pde_loss(problem, state, weights=None):
 
 
 def cgc_pde_grad(problem, state, weights=None):
-    """Hand-coded gradient of the loss w.r.t. (g_values, a) and, in free_z mode, (z1, z2)."""
-    ctx = _PdeContext(problem)
-    lam1, lam2, lam3 = weights if weights is not None else ctx.weights(state)
+    """Hand-coded gradient of the loss w.r.t. (g_values, a)."""
+    ctx = problem._context
+    _, lam2, lam3 = weights if weights is not None else ctx.weights(state)
     t = _pde_terms(ctx, state)
     beta, resid, z2 = t["_beta"], t["_resid"], t["_z2"]
-    p = ctx.problem
-    scale = 1.0 if p.l2_squared else 0.5 / max(np.sqrt(t["l2_raw"]), 1e-300)
-    # d resid / d beta, mapped back через the symmetric solve
-    w_z1 = lam2 * scale * 2.0 * resid
-    w_z2 = lam2 * scale * 2.0 * resid * state.a * ctx.inv_u2
-    grad_g = 2.0 * beta
-    grad_a = 2.0 * state.a / p.gamma**2 + lam2 * scale * 2.0 * float(resid @ (z2 * ctx.inv_u2))
-    grad_z1_free = None
-    grad_z2_free = None
-    if p.free_z:
-        z1 = state.z1 if state.z1 is not None else ctx.k_data @ beta
-        fit_resid = (ctx.k_data @ beta) - z1
-        grad_g = grad_g + cho_solve(ctx.cf, ctx.k_data.T @ (lam1 * 2.0 * fit_resid))
-        grad_z1_free = -lam1 * 2.0 * fit_resid + w_z1
-        grad_z2_free = w_z2
-    else:
-        grad_g = grad_g + cho_solve(ctx.cf, ctx.k_data.T @ w_z1 + ctx.k_data_d1.T @ w_z2)
+    # d resid / d g, mapped back through the symmetric solve
+    w_z1 = lam2 * 2.0 * resid
+    w_z2 = w_z1 * state.a * ctx.inv_u2
+    grad_g = 2.0 * beta + cho_solve(ctx.cf, ctx.k_data.T @ w_z1 + ctx.k_data_d1.T @ w_z2)
     grad_g[-1] += lam3 * 2.0 * (state.g_values[-1] - 1.0)
-    if p.free_z:
-        return grad_g, grad_a, grad_z1_free, grad_z2_free
+    grad_a = 2.0 * state.a / problem.gamma**2 + lam2 * 2.0 * float(resid @ (z2 * ctx.inv_u2))
     return grad_g, grad_a
 
 
 def cgc_pde_default_init(problem):
     """Zero coefficient and the identity map sampled at the nodes."""
-    nodes = problem.nodes
-    if problem.free_z:
-        return CgcPdeState(nodes.copy(), 0.0, z1=nodes[:-1].copy(), z2=np.ones(nodes.size - 1))
-    return CgcPdeState(nodes.copy(), 0.0)
+    return CgcPdeState(problem.nodes, 0.0)
 
 
 @dataclass
@@ -257,189 +226,67 @@ class CgcPdeResult:
     weights: tuple
     iterations: int
     converged: bool
+    reason: str
 
 
-def _pde_pack(state, ctx):
-    beta = ctx.beta_of_g(state.g_values)
-    parts = [beta, [state.a]]
-    if ctx.problem.free_z:
-        parts += [state.z1, state.z2]
-    return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+def _best_a(ctx, beta, lam2):
+    """Exact minimizer of the loss over ``a`` for the map with coefficients ``beta``.
 
-
-def _pde_unpack(vec, ctx):
-    n_nodes = ctx.x.size
-    n = ctx.problem.u_data.size
-    beta = vec[:n_nodes]
-    a = float(vec[n_nodes])
-    g = ctx.g_of_beta(beta)
-    if ctx.problem.free_z:
-        z1 = vec[n_nodes + 1 : n_nodes + 1 + n]
-        z2 = vec[n_nodes + 1 + n :]
-        return CgcPdeState(g, a, z1=z1, z2=z2), beta
-    return CgcPdeState(g, a), beta
-
-
-def _best_a(problem, ctx, z1, z2, lam2):
-    """Exact minimizer of the loss over ``a`` alone (the subproblem is scalar).
-
-    For the squared residual this is a closed-form quadratic minimum; the
-    unsquared variant is convex in ``a`` and solved by a short bisection on
-    its derivative.
+    With z = G'(u) / u^2 the ``a``-dependent part is
+    a^2 / gamma^2 + lam2 ||G(u) + a z||^2, a quadratic in ``a``.
     """
-    z = z2 * ctx.inv_u2
-    g2 = problem.gamma**2
-    if problem.l2_squared:
-        return float(-lam2 * (z1 @ z) / (1.0 / g2 + lam2 * (z @ z)))
-
-    def dfda(a):
-        resid = z1 + a * z
-        norm = np.sqrt(resid @ resid)
-        if norm == 0.0:
-            return 2.0 * a / g2
-        return 2.0 * a / g2 + lam2 * float(resid @ z) / norm
-
-    lo, hi = -1e8, 1e8
-    if dfda(lo) > 0 or dfda(hi) < 0:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dfda(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    z1 = ctx.k_data @ beta
+    z = (ctx.k_data_d1 @ beta) * ctx.inv_u2
+    return float(-lam2 * (z1 @ z) / (1.0 / ctx.problem.gamma**2 + lam2 * (z @ z)))
 
 
-def cgc_pde_solve(problem, init=None, config=None, method="descent"):
+def cgc_pde_solve(problem, init=None, config=None):
     """Minimize the joint loss from ``init`` (default: zero coefficient, identity map).
 
-    The coefficient subproblem is quadratic, so each iteration sets ``a`` to
-    its exact conditional minimizer and then takes one backtracking gradient
-    step on the map's representer coefficients. (A joint gradient flow
-    stalls: ``a`` creeps while the equation term flattens the map, after
-    which the descent settles in the mirrored decaying-map branch where the
-    learned coefficient has the wrong sign.) ``method="nelder-mead"``
-    switches to a derivative-free simplex for free_z audits on small data.
-    Returns the final state, the representer interpolant of the learned map,
-    and the accepted-step loss trace.
+    For a fixed map the loss is quadratic in ``a``, so ``a`` is profiled out
+    in closed form (variable projection) and the descent runs on the map's
+    representer coefficients alone. At the profiled ``a`` the loss is
+    stationary in ``a``, so the map part of the joint gradient is the exact
+    gradient of the profiled loss. (A joint gradient flow stalls: ``a``
+    creeps while the equation term flattens the map, after which the descent
+    settles in the mirrored decaying-map branch where the learned
+    coefficient has the wrong sign.) Returns the final state, the
+    representer interpolant of the learned map, and the accepted-step loss
+    trace, whose last entry is the loss at the returned state.
     """
-    ctx = _PdeContext(problem)
+    ctx = problem._context
     state0 = init if init is not None else cgc_pde_default_init(problem)
     weights = ctx.weights(state0)
-    cfg = config or DescentConfig()
+    lam2 = weights[1]
 
-    def loss_of(vec):
-        state, _ = _pde_unpack(vec, ctx)
-        return cgc_pde_loss(problem, state, weights)
+    def state_of(beta):
+        return CgcPdeState(ctx.k_reg @ beta, _best_a(ctx, beta, lam2))
 
-    if method == "nelder-mead":
-        x0 = _pde_pack(state0, ctx)
-        res = minimize(loss_of, x0, method="Nelder-Mead",
-                       options={"maxiter": cfg.max_iters, "xatol": 1e-10, "fatol": 1e-12})
-        state, beta = _pde_unpack(res.x, ctx)
-        trace, iters, conv = [float(res.fun)], int(res.nit), bool(res.success)
-    elif method == "descent":
-        state, beta, trace, iters, conv = _pde_block_descent(problem, ctx, state0, weights, cfg)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
+    def loss_of(beta):
+        return cgc_pde_loss(problem, state_of(beta), weights)
+
+    def grad_of(beta):
+        return ctx.k_reg @ cgc_pde_grad(problem, state_of(beta), weights)[0]
+
+    beta0 = ctx.beta_of_g(state0.g_values)
+    precond = _pde_precond(ctx, state0, weights)
+    out = gradient_descent(loss_of, grad_of, beta0, config or DescentConfig(), precond=precond)
     interp = Interpolant(
         problem.kernel,
         tuple(LinearFunctional.dirac(xi) for xi in ctx.x),
-        beta,
+        out.x,
         nugget=ctx.lam,
     )
-    return CgcPdeResult(state, interp, trace, weights, iters, conv)
-
-
-def _pde_block_descent(problem, ctx, state0, weights, cfg):
-    lam1, lam2, lam3 = weights
-    free_z = problem.free_z
-    beta = ctx.beta_of_g(state0.g_values)
-    a = state0.a
-    if free_z:
-        z1 = state0.z1 if state0.z1 is not None else ctx.k_data @ beta
-        z2 = state0.z2 if state0.z2 is not None else ctx.k_data_d1 @ beta
-        x = np.concatenate([beta, z1, z2])
-    else:
-        x = beta
-    n_nodes = beta.size
-    n = problem.u_data.size
-    full_precond = _pde_precond(ctx, state0, weights)
-    precond = np.concatenate([full_precond[:n_nodes], full_precond[n_nodes + 1 :]]) if free_z else full_precond[:n_nodes]
-
-    def split(vec):
-        if free_z:
-            return vec[:n_nodes], vec[n_nodes : n_nodes + n], vec[n_nodes + n :]
-        return vec, None, None
-
-    def state_of(vec, a_v):
-        b, zz1, zz2 = split(vec)
-        return CgcPdeState(ctx.g_of_beta(b), a_v, z1=zz1, z2=zz2)
-
-    def best_a_of(vec):
-        b, zz1, zz2 = split(vec)
-        if free_z:
-            return _best_a(problem, ctx, zz1, zz2, lam2)
-        return _best_a(problem, ctx, ctx.k_data @ b, ctx.k_data_d1 @ b, lam2)
-
-    def total(vec, a_v):
-        return cgc_pde_loss(problem, state_of(vec, a_v), weights)
-
-    f = total(x, a)
-    if not np.isfinite(f):
-        raise DivergedError("non-finite loss at the initial point", trace=[f])
-    trace = [f]
-    step = cfg.init_step
-    conv = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        a = best_a_of(x)
-        f = total(x, a)
-        grads = cgc_pde_grad(problem, state_of(x, a), weights)
-        grad = ctx.k_reg @ grads[0]
-        if free_z:
-            grad = np.concatenate([grad, grads[2], grads[3]])
-        if not np.all(np.isfinite(grad)):
-            raise DivergedError("non-finite gradient", trace=trace)
-        if np.max(np.abs(grad)) <= cfg.grad_tol:
-            conv = True
-            break
-        d = precond * grad
-        slope = float(grad @ d)
-        accepted = False
-        while step > cfg.step_tol:
-            x_new = x - step * d
-            f_new = total(x_new, a)
-            if np.isfinite(f_new) and f_new <= f - cfg.armijo * step * slope:
-                accepted = True
-                break
-            step *= cfg.shrink
-        if not accepted:
-            conv = True
-            break
-        x, f = x_new, f_new
-        trace.append(f)
-        step *= cfg.grow
-    a = best_a_of(x)
-    state = state_of(x, a)
-    return state, split(x)[0], trace, it, conv
+    return CgcPdeResult(state_of(out.x), interp, out.loss_trace, weights, out.iterations, out.converged,
+                        out.reason)
 
 
 def _pde_precond(ctx, state, weights):
-    """Inverse diagonal of the initial Hessian in packed coordinates."""
-    lam1, lam2, lam3 = weights
-    p = ctx.problem
+    """Inverse diagonal of the initial Hessian in representer coordinates."""
+    _, lam2, lam3 = weights
     m = ctx.k_data + state.a * ctx.inv_u2[:, None] * ctx.k_data_d1
-    diag_beta = 2.0 * np.diag(ctx.k_reg) + 2.0 * lam2 * np.sum(m * m, axis=0) \
+    diag = 2.0 * np.diag(ctx.k_reg) + 2.0 * lam2 * np.sum(m * m, axis=0) \
         + 2.0 * lam3 * ctx.k_reg[-1, :] ** 2
-    t = _pde_terms(ctx, state)
-    diag_a = 2.0 / p.gamma**2 + 2.0 * lam2 * float(np.sum((t["_z2"] * ctx.inv_u2) ** 2))
-    parts = [diag_beta, [diag_a]]
-    if p.free_z:
-        n = p.u_data.size
-        parts += [np.full(n, 2.0 * lam1 + 2.0 * lam2), np.full(n, 2.0 * lam2 * state.a**2 + 2.0)]
-    diag = np.concatenate([np.asarray(q, dtype=float).ravel() for q in parts])
     return 1.0 / np.maximum(diag, 1e-12)
 
 
@@ -449,7 +296,11 @@ def _pde_precond(ctx, state, weights):
 
 @dataclass(frozen=True)
 class NfProblem:
-    """Trajectory data and weights for the radius-map problem."""
+    """Trajectory data and weights for the radius-map problem.
+
+    The quartic features of the trajectory are built on first use and kept
+    with the problem, so the trajectory must not be modified afterwards.
+    """
 
     trajectory: object
     mu: float
@@ -475,6 +326,13 @@ class NfProblem:
     def r0_target(self):
         u0, v0 = self.init_point
         return float(np.hypot(u0, v0))
+
+    @cached_property
+    def _features(self):
+        """Quartic features of the trajectory states and of ``init_point``."""
+        phi = homogeneous_features(self.kernel, self.trajectory.states)
+        phi0 = homogeneous_features(self.kernel, np.asarray(self.init_point))[0]
+        return phi, phi0
 
 
 @dataclass(frozen=True)
@@ -515,13 +373,12 @@ def _fd_time_adjoint(w, dt):
 
 
 def _nf_terms(problem, state):
-    phi = homogeneous_features(problem.kernel, problem.trajectory.states)
+    phi, phi0 = problem._features
     h_vals = phi @ state.h_coeffs
     r = state.r_values
     fit_resid = h_vals - r
     z4 = _fd_time(r, problem.dt)
     ode_resid = z4 - (problem.mu - r**2) * r
-    phi0 = homogeneous_features(problem.kernel, np.asarray(problem.init_point))[0]
     h0 = float(phi0 @ state.h_coeffs)
     return {
         "norm_h": homogeneous_norm_sq(problem.kernel, state.h_coeffs),
@@ -600,8 +457,7 @@ def nf_default_init(problem):
     """Radius of the data as the radius guess; least-squares quartic through it."""
     states = problem.trajectory.states
     r = np.hypot(states[:, 0], states[:, 1])
-    phi = homogeneous_features(problem.kernel, states)
-    coeffs, *_ = np.linalg.lstsq(phi, r, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(problem._features[0], r, rcond=None)
     return NfState(coeffs, r)
 
 
@@ -613,6 +469,7 @@ class NfResult:
     weights: tuple
     iterations: int
     converged: bool
+    reason: str
     theta0: float = 0.0
 
 
@@ -648,7 +505,7 @@ def nf_solve(problem, init=None, config=None):
     theta0 = float(np.arctan2(problem.init_point[1], problem.init_point[0]))
     phase = problem.trajectory.times + theta0
     xy = np.stack([state.r_values * np.cos(phase), state.r_values * np.sin(phase)], axis=1)
-    return NfResult(state, xy, out.loss_trace, weights, out.iterations, out.converged, theta0)
+    return NfResult(state, xy, out.loss_trace, weights, out.iterations, out.converged, out.reason, theta0)
 
 
 def _nf_precond(problem, state, weights):

@@ -211,11 +211,9 @@ def _experiment_cgc_pde(cfg, out):
         lambda2=cfg.get("lambda2"),
         lambda3=cfg.get("lambda3"),
         nugget=cfg.get("lam"),
-        l2_squared=bool(cfg.get("l2_squared", True)),
-        free_z=bool(cfg.get("free_z", False)),
     )
     config = DescentConfig(max_iters=int(cfg.get("max_iters", 40000)))
-    result = cgc.cgc_pde_solve(problem, config=config, method=cfg.get("method", "descent"))
+    result = cgc.cgc_pde_solve(problem, config=config)
     g_learned = result.interpolant(u_data)
     g_truth = transforms.first_order_truth(u_data)
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
@@ -224,11 +222,11 @@ def _experiment_cgc_pde(cfg, out):
     with open(interp_path, "w") as fh:
         json.dump(interpolant_to_config(result.interpolant), fh)
         fh.write("\n")
-    params = {"N": n, "gamma": problem.gamma, "weights": list(result.weights),
-              "l2_squared": problem.l2_squared, "free_z": problem.free_z}
+    params = {"N": n, "gamma": problem.gamma, "weights": list(result.weights)}
     final_terms = cgc.cgc_pde_loss_terms(problem, result.state, result.weights)
     metrics = {"a_learned": float(result.state.a), "loss_final": float(result.loss_trace[-1]),
-               "iterations": int(result.iterations),
+               "iterations": int(result.iterations), "converged": bool(result.converged),
+               "stop_reason": result.reason,
                "loss_norm_g": float(final_terms["norm_g"]), "loss_a_prior": float(final_terms["a_prior"]),
                "loss_l1": float(final_terms["l1_weighted"]), "loss_l2": float(final_terms["l2_weighted"]),
                "loss_anchor": float(final_terms["anchor_weighted"])}
@@ -268,6 +266,7 @@ def _experiment_brusselator_nf(cfg, out):
     final_terms = cgc.nf_loss_terms(problem, result.state, result.weights)
     metrics = {"radius_learned": radius, "relative_l2": rel_late,
                "loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
+               "converged": bool(result.converged), "stop_reason": result.reason,
                "loss_norm_h": float(final_terms["norm_h"]), "loss_l1": float(final_terms["l1_weighted"]),
                "loss_l2": float(final_terms["l2_weighted"]), "loss_anchor": float(final_terms["anchor_weighted"])}
     return params, metrics, {"csv": csv_path}

@@ -2,8 +2,8 @@
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
 lines. Criterion 4 is known-failing: the coefficient-recovery loss does not
-have its minimum near the reported value (see the project notes); it is
-asserted as stated rather than weakened.
+have its minimum near the reported value (see the comment at its test); it
+is asserted as stated rather than weakened.
 """
 
 import time
@@ -75,10 +75,11 @@ def test_criterion_3_first_order():
 
 
 def test_criterion_4_cgc_coefficient_recovery(tmp_path):
-    # Known red: the stated loss's optimum is near a = -3, not a = -1; the
-    # reported paper value is reachable only as an under-converged iterate of
-    # a degenerate formulation. Asserted as stated; analysis in the project
-    # notes ledger.
+    # Known red: the descent stops at its 40,000-step cap at a = -1.8049
+    # (loss 9.3455). With the map minimized out exactly, the stated loss has
+    # a local minimum near a = -1.80 (loss 9.043) and its global minimum near
+    # a = +0.74 (loss 2.219), on the wrong-sign branch; the best map at
+    # a = -1 costs 10.460. Asserted as stated.
     start = time.perf_counter()
     summary = run_experiment({"experiment": "cgc-pde", "output_dir": str(tmp_path)})
     elapsed = time.perf_counter() - start
@@ -88,7 +89,7 @@ def test_criterion_4_cgc_coefficient_recovery(tmp_path):
     assert elapsed < 120.0, f"run took {elapsed:.0f}s"
     assert abs(a + 1.0) <= 0.05, (
         f"|a_learned + 1| = {abs(a + 1):.4f} > 0.05: the joint loss does not identify the "
-        "coefficient; see notes ledger for the blocking analysis"
+        "coefficient; its minima lie near a = -1.80 and a = +0.74"
     )
 
 

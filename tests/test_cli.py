@@ -165,10 +165,21 @@ class TestCgcExperiments:
         summary = run_experiment({
             "experiment": "cgc-pde", "N": 25, "max_iters": 400, "output_dir": str(out),
         })
-        assert "a_learned" in summary["metrics"]
+        metrics = summary["metrics"]
+        assert "a_learned" in metrics
+        assert metrics["stop_reason"] == "max_iters"
+        assert metrics["converged"] is False
+        assert metrics["iterations"] == 400
         lines = (out / "cgc_pde.csv").read_text().splitlines()
         assert lines[0] == "u,G_learned,G_truth"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("key, value", [("free_z", True), ("l2_squared", False), ("method", "nelder-mead")])
+    def test_cgc_pde_rejects_removed_options(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "cgc-pde", "N": 10, "max_iters": 5, "output_dir": str(tmp_path / "o"), key: value,
+        })
+        assert main(["run", cfg]) == 2
 
     def test_brusselator_nf_csv_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -179,3 +190,5 @@ class TestCgcExperiments:
         assert lines[0] == "t,u,v,r_learned,r_exact,x_rec,y_rec"
         assert len(lines) == 61
         assert np.isfinite(summary["metrics"]["radius_learned"])
+        assert summary["metrics"]["stop_reason"] in ("grad_tol", "step_tol", "max_iters")
+        assert summary["metrics"]["converged"] == (summary["metrics"]["stop_reason"] != "max_iters")
