@@ -38,5 +38,5 @@ print(f"from the exact map:     a = {res_t.state.a:+.5f}   loss {res_t.loss_trac
 print("\nloss along the solution family (equation term is zero on all of it):")
 for a in (-0.75, -1.0, -2.0, -3.0, -4.0):
     g = np.exp(-(problem.nodes**3 - 1.0) / (3.0 * a))
-    t = cgc_pde_loss_terms(problem, CgcPdeState(g, a), (1e8, 200.0, 20000.0))
+    t = cgc_pde_loss_terms(problem, CgcPdeState(g, a), (0.0, 200.0, 20000.0))
     print(f"  a={a:5.2f}: map norm {t['norm_g']:9.2f}  prior {a*a:5.2f}  total {t['norm_g'] + a*a:9.2f}")

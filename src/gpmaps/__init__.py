@@ -21,16 +21,12 @@ from .dynamics import (
     Burgers,
     Field1D,
     Grid1D,
-    Heat,
-    LinFirstOrder,
-    NonlinFirstOrder,
     Trajectory,
     antiderivative,
     brusselator_rhs,
     brusselator_trajectory,
     diff,
     get_initial_condition,
-    hopf_cartesian_rhs,
     hopf_polar_rhs,
     mu_from_AB,
     pde_step,
@@ -43,12 +39,11 @@ from .gp import (
     Interpolant,
     LinearFunctional,
     assemble_gram,
-    error_bound_sigma,
     fit,
     rkhs_norm_sq,
 )
-from .kernel_learning import ThetaSearchConfig, learn_theta, rho_kf, rho_loo
-from .kernels import Constant, HomogeneousPolynomial, Matern52, k_deriv, k_eval
+from .kernel_learning import ThetaSearchConfig, learn_theta, rho_loo
+from .kernels import HomogeneousPolynomial, Matern52, k_deriv, k_eval
 from .transforms import (
     build_cole_hopf_discrete,
     build_cole_hopf_multi,

@@ -74,7 +74,6 @@ class CgcPdeProblem:
     u_data: np.ndarray
     kernel: object = Matern52(1.0)
     gamma: float = 1.0
-    lambda1: float | None = None
     lambda2: float | None = None
     lambda3: float | None = None
     nugget: float | None = None
@@ -88,7 +87,7 @@ class CgcPdeProblem:
         object.__setattr__(self, "u_data", u)
         if not self.gamma > 0:
             raise InvalidInputError("gamma must be positive")
-        for name in ("lambda1", "lambda2", "lambda3"):
+        for name in ("lambda2", "lambda3"):
             w = getattr(self, name)
             if w is not None and w < 0:
                 raise InvalidInputError(f"{name} must be nonnegative when given")
@@ -141,15 +140,18 @@ class _PdeContext:
         return cho_solve(self.cf, g)
 
     def weights(self, init_state):
-        """Resolve (lambda1, lambda2, lambda3), balancing unset ones at the init."""
+        """Resolve (0.0, lambda2, lambda3), balancing unset ones at the init.
+
+        Slot 0 would weight a data-fit term, which is identically zero here;
+        it keeps the tuple in the solvers' common three-slot layout.
+        """
         p = self.problem
-        lam1 = p.lambda1 if p.lambda1 is not None else 1.0 / self.lam
         terms = _pde_terms(self, init_state)
         base = max(terms["norm_g"] + terms["a_prior"], 1e-8)
         lam2 = p.lambda2 if p.lambda2 is not None else BALANCE_FACTOR * base / max(terms["l2_raw"], 1e-12)
         # the anchor is a single sample; weight it like the whole equation block
         lam3 = p.lambda3 if p.lambda3 is not None else lam2 * p.u_data.size
-        return lam1, lam2, lam3
+        return 0.0, lam2, lam3
 
 
 def _pde_terms(ctx, state):
@@ -178,7 +180,7 @@ def cgc_pde_loss_terms(problem, state, weights=None):
     of the data array is the map itself evaluated at the data.
     """
     ctx = problem._context
-    lam1, lam2, lam3 = weights if weights is not None else ctx.weights(state)
+    _, lam2, lam3 = weights if weights is not None else ctx.weights(state)
     t = _pde_terms(ctx, state)
     return {
         "norm_g": t["norm_g"],
@@ -186,7 +188,6 @@ def cgc_pde_loss_terms(problem, state, weights=None):
         "l1_weighted": 0.0,
         "l2_weighted": lam2 * t["l2_raw"],
         "anchor_weighted": lam3 * t["anchor"],
-        "lambda1": lam1,
         "lambda2": lam2,
         "lambda3": lam3,
     }

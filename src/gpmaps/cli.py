@@ -43,16 +43,6 @@ from .kernel_learning import ThetaSearchConfig, learn_theta
 from .kernels import Matern52
 from .optim import DescentConfig
 
-EXPERIMENTS = (
-    "cole-hopf",
-    "cole-hopf-discrete",
-    "cole-hopf-multi",
-    "first-order",
-    "cgc-pde",
-    "brusselator-nf",
-    "diagnose-norm",
-)
-
 _NUMERICAL_ERRORS = (SingularSystemError, DivergedError, NumericalOverflowError, SingularityError)
 
 
@@ -105,14 +95,7 @@ def _require_positive(cfg, *names):
 def _maybe_learn_theta(cfg, problem):
     if not cfg.get("learn_kernel", False):
         return float(cfg.get("theta", 1.0)), None
-    grid = cfg.get("theta_grid")
-    search = ThetaSearchConfig(
-        grid=tuple(grid) if grid else None,
-        refine_iters=int(cfg.get("refine_iters", 20)),
-        nugget=float(cfg.get("rho_nugget", 1e-8)),
-    )
-    theta, rho = learn_theta(search, problem.system, problem.interior)
-    return theta, rho
+    return learn_theta(ThetaSearchConfig(), problem.system, problem.interior)
 
 
 def _run_transform_problem(cfg, out, problem, csv_name, extra_params):
@@ -148,14 +131,7 @@ def _experiment_cole_hopf(cfg, out):
         raise InvalidInputError(f"N must be >= 1, got {n}")
     nu = float(cfg.get("nu", 0.5))
     _require_positive(cfg, "nu", "lam")
-    problem = transforms.cole_hopf_problem(
-        n,
-        nu=nu,
-        ic_name=cfg.get("ic", "burgers-paper"),
-        ode_form=cfg.get("ode_form", "appendix"),
-        nugget=cfg.get("lam"),
-        eval_domain=cfg.get("eval_domain", "anchored"),
-    )
+    problem = transforms.cole_hopf_problem(n, nu=nu, ic_name=cfg.get("ic", "burgers-paper"), nugget=cfg.get("lam"))
     return _run_transform_problem(cfg, out, problem, "cole_hopf.csv", {"N": n, "nu": nu, "ic": problem.meta["ic"]})
 
 
@@ -168,7 +144,6 @@ def _experiment_cole_hopf_discrete(cfg, out):
         dx=dx, h=h, nu=nu,
         ic_name=cfg.get("ic", "burgers-paper"),
         nugget=cfg.get("lam"),
-        eval_domain=cfg.get("eval_domain", "anchored"),
     )
     return _run_transform_problem(cfg, out, problem, "cole_hopf_discrete.csv",
                                   {"nu": nu, "dx": dx, "h": h, "ic": problem.meta["ic"]})
@@ -202,12 +177,14 @@ def _experiment_cgc_pde(cfg, out):
     if n < 1:
         raise InvalidInputError(f"N must be >= 1, got {n}")
     _require_positive(cfg, "gamma", "lam")
+    if "lambda1" in cfg:
+        # no data-fit term to weight: the data's output column is the map itself
+        raise InvalidInputError("lambda1 does not apply to cgc-pde")
     ic = dynamics.get_initial_condition(cfg.get("ic", "firstorder-paper"))
     _, u_data = ic.sample(n)
     problem = cgc.CgcPdeProblem(
         u_data=u_data,
         gamma=float(cfg.get("gamma", 1.0)),
-        lambda1=cfg.get("lambda1"),
         lambda2=cfg.get("lambda2"),
         lambda3=cfg.get("lambda3"),
         nugget=cfg.get("lam"),
@@ -309,6 +286,8 @@ _RUNNERS = {
     "brusselator-nf": _experiment_brusselator_nf,
     "diagnose-norm": _experiment_diagnose_norm,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg):

@@ -1,11 +1,11 @@
 """Forward solvers and analytic oracles for the model equations.
 
 Contains the deterministic machinery every experiment builds on: spatial
-finite differences on uniform 1-D grids, single explicit Euler steps for the
-four model PDEs, the anchored antiderivative operator, classical RK4 for
-ODE trajectories, the Brusselator and Hopf normal-form right-hand sides,
-closed-form reference solutions, and a registry of built-in initial
-conditions with their exact antiderivatives.
+finite differences on uniform 1-D grids, a single explicit Euler step of
+viscous Burgers, the anchored antiderivative operator, classical RK4 for
+ODE trajectories, the Brusselator right-hand side and the radial law of its
+Hopf normal form, closed-form reference solutions, and a registry of
+built-in initial conditions with their exact antiderivatives.
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, NumericalOverflowError, SingularityError
+from .exceptions import InvalidInputError, NumericalOverflowError
 
 __all__ = [
     "Grid1D",
     "Field1D",
     "Trajectory",
     "Burgers",
-    "Heat",
-    "NonlinFirstOrder",
-    "LinFirstOrder",
     "CflWarning",
     "diff",
     "pde_step",
@@ -33,11 +30,9 @@ __all__ = [
     "brusselator_rhs",
     "brusselator_trajectory",
     "hopf_polar_rhs",
-    "hopf_cartesian_rhs",
     "mu_from_AB",
     "r_exact",
     "InitialCondition",
-    "trajectory_to_csv",
     "get_initial_condition",
     "list_initial_conditions",
 ]
@@ -112,25 +107,6 @@ class Burgers:
             raise InvalidInputError(f"viscosity must be positive, got {self.nu}")
 
 
-@dataclass(frozen=True)
-class Heat:
-    nu: float
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise InvalidInputError(f"diffusivity must be positive, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class NonlinFirstOrder:
-    """u_t = u_x - 1/u^2."""
-
-
-@dataclass(frozen=True)
-class LinFirstOrder:
-    """w_t = w_x - w."""
-
-
 def diff(field, order):
     """Spatial derivative of a gridded field, second order accurate.
 
@@ -158,31 +134,21 @@ def diff(field, order):
 
 
 def pde_step(kind, field, h):
-    """One explicit Euler step of the given model equation."""
+    """One explicit Euler step of viscous Burgers, v_t = nu v_xx - v v_x."""
+    if not isinstance(kind, Burgers):
+        raise InvalidInputError(f"unknown PDE kind {kind!r}")
     if not h > 0:
         raise InvalidInputError(f"time step must be positive, got {h}")
     v = field.values
-    if isinstance(kind, (Burgers, Heat)):
-        cfl = h * kind.nu / field.grid.dx**2
-        if cfl > 0.5:
-            warnings.warn(
-                f"diffusion number h*nu/dx^2 = {cfl:.3g} exceeds 0.5; explicit step may be unstable",
-                CflWarning,
-                stacklevel=2,
-            )
+    cfl = h * kind.nu / field.grid.dx**2
+    if cfl > 0.5:
+        warnings.warn(
+            f"diffusion number h*nu/dx^2 = {cfl:.3g} exceeds 0.5; explicit step may be unstable",
+            CflWarning,
+            stacklevel=2,
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(kind, Burgers):
-            out = v + h * (kind.nu * diff(field, 2).values - v * diff(field, 1).values)
-        elif isinstance(kind, Heat):
-            out = v + h * kind.nu * diff(field, 2).values
-        elif isinstance(kind, NonlinFirstOrder):
-            if np.any(np.abs(v) < 1e-6):
-                raise SingularityError("field touches u = 0; the 1/u^2 term is singular")
-            out = v + h * (diff(field, 1).values - 1.0 / v**2)
-        elif isinstance(kind, LinFirstOrder):
-            out = v + h * (diff(field, 1).values - v)
-        else:
-            raise InvalidInputError(f"unknown PDE kind {kind!r}")
+        out = v + h * (kind.nu * diff(field, 2).values - v * diff(field, 1).values)
     if not np.all(np.isfinite(out)):
         raise NumericalOverflowError("non-finite field after Euler step (CFL violation?)")
     return Field1D(field.grid, out)
@@ -271,17 +237,6 @@ def hopf_polar_rhs(mu):
     return rhs
 
 
-def hopf_cartesian_rhs(mu):
-    """dx/dt = (mu - x^2 - y^2) x - y, dy/dt = (mu - x^2 - y^2) y + x."""
-
-    def rhs(t, state):
-        x, y = state
-        s = mu - x * x - y * y
-        return np.array([s * x - y, s * y + x])
-
-    return rhs
-
-
 def mu_from_AB(A, B):
     """Bifurcation parameter of the normal form matching a Brusselator (A, B)."""
     radicand = 4.0 * A * A - (B - A * A - 1.0) ** 2
@@ -324,19 +279,6 @@ class InitialCondition:
         """n evenly spaced x-points spanning the interval, with u0 values."""
         xs = np.linspace(self.x_lo, self.x_hi, n)
         return xs, self.u0(xs)
-
-
-def trajectory_to_csv(trajectory, path, state_names=None):
-    """Write a trajectory as CSV with columns t, state... (full precision)."""
-    dim = trajectory.states.shape[1]
-    names = list(state_names) if state_names is not None else [f"state{i}" for i in range(dim)]
-    if len(names) != dim:
-        raise InvalidInputError(f"expected {dim} state names, got {len(names)}")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for t, row in zip(trajectory.times, trajectory.states):
-            fh.write("%.17g," % t + ",".join("%.17g" % v for v in row) + "\n")
-    return str(path)
 
 
 def _burgers_paper(nu):

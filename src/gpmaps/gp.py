@@ -30,7 +30,6 @@ __all__ = [
     "assemble_gram",
     "fit",
     "rkhs_norm_sq",
-    "error_bound_sigma",
     "default_nugget",
     "interpolant_to_config",
     "interpolant_from_config",
@@ -188,12 +187,11 @@ def _factor_with_escalation(gram, lam):
 
 
 def _solve(system, kernel):
-    """Shared solve path: returns (alpha, gram, lam_used, cho_factor)."""
+    """Shared solve path: returns (alpha, lam_used)."""
     gram = assemble_gram(system.functionals, kernel)
     lam = system.nugget if system.nugget is not None else default_nugget(gram)
     cf, lam_used = _factor_with_escalation(gram, lam)
-    alpha = cho_solve(cf, system.targets)
-    return alpha, gram, lam_used, cf
+    return cho_solve(cf, system.targets), lam_used
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ def fit(system, kernel):
     """Solve (G + lam I) alpha = Y and wrap the result as an :class:`Interpolant`."""
     if len(system) == 0:
         return Interpolant(kernel, (), np.zeros(0))
-    alpha, _, lam_used, _ = _solve(system, kernel)
+    alpha, lam_used = _solve(system, kernel)
     return Interpolant(kernel, system.functionals, alpha, nugget=lam_used)
 
 
@@ -242,26 +240,8 @@ def rkhs_norm_sq(system, kernel):
     """
     if len(system) == 0:
         return 0.0
-    alpha, _, _, _ = _solve(system, kernel)
+    alpha, _ = _solve(system, kernel)
     return float(max(system.targets @ alpha, 0.0))
-
-
-def error_bound_sigma(system, kernel, u):
-    """Pointwise posterior deviation sigma(u) = sqrt(K(u,u) - k(u)^T (G+lam I)^{-1} k(u)).
-
-    Multiplied by the RKHS norm of the unknown map this bounds the pointwise
-    recovery error; it vanishes (up to nugget scale) at pure Dirac constraints.
-    """
-    pts = np.atleast_1d(np.asarray(u, dtype=float))
-    prior = np.asarray(k_deriv(kernel, pts, pts, 0, 0), dtype=float)
-    if len(system) == 0:
-        out = np.sqrt(np.maximum(prior, 0.0))
-    else:
-        _, _, _, cf = _solve(system, kernel)
-        kvec = functional_cross(kernel, system.functionals, pts, 0)
-        reduction = np.einsum("pi,pi->p", kvec, cho_solve(cf, kvec.T).T)
-        out = np.sqrt(np.maximum(prior - reduction, 0.0))
-    return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
 
 
 def constraint_residuals(interp, system):

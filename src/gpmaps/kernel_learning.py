@@ -1,13 +1,10 @@
-"""Kernel hyperparameter selection by leave-one-out and subsample losses.
+"""Kernel hyperparameter selection by a leave-one-out loss.
 
 The leave-one-out loss rho measures, per removable constraint, how much the
 regularized interpolation norm drops when that constraint's row and column
 are deleted from the Gram matrix; a kernel is good when removal barely
 changes the solution. Only interior constraints are removable: deleting a
 uniqueness anchor would make the problem degenerate.
-
-The subsample variant compares nested random subsets of plain interpolation
-data instead and is retained for audits of the general method.
 """
 
 from __future__ import annotations
@@ -18,10 +15,10 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 from .gp import assemble_gram
-from .kernels import Matern52, k_eval
+from .kernels import Matern52
 from .optim import golden_section
 
-__all__ = ["ThetaSearchConfig", "rho_loo", "rho_loo_naive", "learn_theta", "rho_kf"]
+__all__ = ["ThetaSearchConfig", "rho_loo", "rho_loo_naive", "learn_theta"]
 
 
 def _default_grid():
@@ -67,20 +64,16 @@ def _check_removable(system, removable):
 def rho_loo(theta, system, removable, nugget=1e-8, kernel_family=Matern52):
     """Leave-one-out loss via block-inverse downdates of the full solve.
 
-    With B = (G + lam I)^{-1}, deleting row/column j of a zero-target
-    constraint changes the quadratic form by exactly (BY)_j^2 / B_jj, so the
-    whole sum costs one factorization. Matches :func:`rho_loo_naive` to
-    floating-point accuracy.
+    With B = (G + lam I)^{-1} and q = Y^T B Y, deleting row and column j
+    leaves the quadratic form q_{-j} with q - q_{-j} = (BY)_j^2 / B_jj for
+    any targets Y (a Schur-complement identity), so the whole sum costs one
+    inversion. Matches :func:`rho_loo_naive` to floating-point accuracy.
     """
     removable = _check_removable(system, removable)
     gram = assemble_gram(system.functionals, kernel_family(theta))
     m = gram.shape[0]
     b = np.linalg.inv(gram + nugget * np.eye(m))
     y = system.targets
-    if np.any(y[removable] != 0.0):
-        # fall back to the naive path: the downdate shortcut assumes the
-        # removed constraint carries a zero target
-        return rho_loo_naive(theta, system, removable, nugget, kernel_family)
     by = b @ y
     q_full = float(y @ by)
     if q_full <= 0.0:
@@ -131,28 +124,3 @@ def learn_theta(config, system, removable, kernel_family=Matern52):
     )
     return float(np.exp(log_best)), float(rho_best)
 
-
-def rho_kf(theta, x_s1, y_s1, x_s2, y_s2, nugget=1e-8, kernel_family=Matern52):
-    """Subsample loss 1 - q(s2)/q(s1) on plain interpolation data.
-
-    The s2 subset must be contained in s1; both quadratic forms use the same
-    nugget.
-    """
-    x1 = np.asarray(x_s1, dtype=float).ravel()
-    y1 = np.asarray(y_s1, dtype=float).ravel()
-    x2 = np.asarray(x_s2, dtype=float).ravel()
-    y2 = np.asarray(y_s2, dtype=float).ravel()
-    if x1.shape != y1.shape or x2.shape != y2.shape:
-        raise InvalidInputError("point and target arrays must have matching shapes")
-    pairs1 = set(zip(x1.tolist(), y1.tolist()))
-    if not all(p in pairs1 for p in zip(x2.tolist(), y2.tolist())):
-        raise InvalidInputError("s2 must be a subset of s1")
-    if np.all(y1 == 0.0):
-        raise InvalidInputError("degenerate targets: y_s1 is identically zero")
-    kernel = kernel_family(theta)
-
-    def quad(x, y):
-        gram = np.asarray(k_eval(kernel, x[:, None], x[None, :]), dtype=float)
-        return _quadratic_form(gram, y, nugget)
-
-    return float(1.0 - quad(x2, y2) / quad(x1, y1))

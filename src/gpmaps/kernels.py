@@ -1,6 +1,6 @@
 """Kernel definitions with closed-form mixed derivatives.
 
-Three kernels cover every regression problem in this package:
+Two kernels cover every regression problem in this package:
 
 * :class:`Matern52` -- the single-lengthscale Matern-2.5 kernel on scalars.
   Its radial profile is four times continuously differentiable at zero lag,
@@ -9,7 +9,6 @@ Three kernels cover every regression problem in this package:
 * :class:`HomogeneousPolynomial` -- K(s, t) = (s . t)^d on small vectors.
   Its RKHS is the span of the degree-d homogeneous monomials, which makes an
   explicit feature-space treatment possible (see :func:`homogeneous_features`).
-* :class:`Constant` -- K(x, y) = gamma, the prior for scalar parameters.
 
 All derivative formulas are hand-derived and regression-tested against
 central finite differences; Gram assembly is the hot path and has to be
@@ -28,8 +27,6 @@ from .exceptions import InvalidInputError, UnsupportedDerivativeError
 __all__ = [
     "Matern52",
     "HomogeneousPolynomial",
-    "Constant",
-    "KernelSpec",
     "k_eval",
     "k_deriv",
     "homogeneous_features",
@@ -62,20 +59,6 @@ class HomogeneousPolynomial:
             raise InvalidInputError(f"degree must be a positive integer, got {self.degree}")
         if self.input_dim < 1:
             raise InvalidInputError(f"input_dim must be positive, got {self.input_dim}")
-
-
-@dataclass(frozen=True)
-class Constant:
-    """K(x, y) = gamma > 0 for every pair of inputs."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
-
-
-KernelSpec = Matern52 | HomogeneousPolynomial | Constant
 
 
 def _matern_profile_deriv(n, gap, theta):
@@ -119,14 +102,11 @@ def _check_vector(spec, v, name):
 def k_eval(spec, x, y):
     """Evaluate K(x, y) for any kernel spec.
 
-    Matern52 and Constant take scalars (arrays broadcast elementwise);
-    HomogeneousPolynomial takes vectors of length ``input_dim``.
+    Matern52 takes scalars (arrays broadcast elementwise); HomogeneousPolynomial
+    takes vectors of length ``input_dim``.
     """
     if isinstance(spec, Matern52):
         return _matern_profile_deriv(0, np.asarray(x, float) - np.asarray(y, float), spec.theta)
-    if isinstance(spec, Constant):
-        out = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0]
-        return np.full_like(out, spec.gamma) if out.ndim else float(spec.gamma)
     if isinstance(spec, HomogeneousPolynomial):
         xv = _check_vector(spec, x, "x")
         yv = _check_vector(spec, y, "y")
@@ -137,18 +117,14 @@ def k_eval(spec, x, y):
 def k_deriv(spec, x, y, a, b):
     """Mixed partial d^a/dx^a d^b/dy^b K(x, y).
 
-    Matern52 supports all a, b <= 2. Constant has identically zero
-    derivatives. The polynomial kernel is handled in feature space
-    (:func:`homogeneous_features`), so only (a, b) = (0, 0) is exposed here.
+    Matern52 supports all a, b <= 2. The polynomial kernel is handled in
+    feature space (:func:`homogeneous_features`), so only (a, b) = (0, 0) is
+    exposed here.
     """
     if a not in (0, 1, 2) or b not in (0, 1, 2):
         raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got ({a},{b})")
     if isinstance(spec, Matern52):
         return matern_deriv(x, y, a, b, spec.theta)
-    if isinstance(spec, Constant):
-        if a == 0 and b == 0:
-            return k_eval(spec, x, y)
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))[()] if (np.shape(x) or np.shape(y)) else 0.0
     if isinstance(spec, HomogeneousPolynomial):
         if a == 0 and b == 0:
             return k_eval(spec, x, y)
@@ -202,8 +178,6 @@ def kernel_to_config(spec):
         return {"kind": "matern52", "theta": spec.theta}
     if isinstance(spec, HomogeneousPolynomial):
         return {"kind": "poly", "degree": spec.degree, "input_dim": spec.input_dim}
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "gamma": spec.gamma}
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 
@@ -214,6 +188,4 @@ def kernel_from_config(cfg):
         return Matern52(theta=float(cfg["theta"]))
     if kind == "poly":
         return HomogeneousPolynomial(degree=int(cfg["degree"]), input_dim=int(cfg.get("input_dim", 2)))
-    if kind == "constant":
-        return Constant(gamma=float(cfg["gamma"]))
     raise InvalidInputError(f"unknown kernel kind {kind!r}")

@@ -116,31 +116,24 @@ def _bracketed(interior_functionals, nugget):
     return ConstraintSystem(functionals, targets, nugget=nugget)
 
 
-def _ode_functional(ui, nu, ode_form):
-    if ode_form == "appendix":
-        return LinearFunctional((FunctionalTerm(ui, 2, nu), FunctionalTerm(ui, 1, 0.5)))
-    if ode_form == "main_text":
-        return LinearFunctional((FunctionalTerm(ui, 2, 0.5), FunctionalTerm(ui, 1, nu)))
-    raise InvalidInputError(f"ode_form must be 'appendix' or 'main_text', got {ode_form!r}")
+def _ode_functional(ui, nu):
+    return LinearFunctional((FunctionalTerm(ui, 2, nu), FunctionalTerm(ui, 1, 0.5)))
 
 
-def build_cole_hopf_ode(u_samples, nu, ode_form="appendix", nugget=None):
+def build_cole_hopf_ode(u_samples, nu, nugget=None):
     """ODE-limit constraint system: second-order map equation at each sample.
 
-    The default 'appendix' form enforces nu*D'' + D'/2 = 0, the equation the
-    exponential truth actually solves; 'main_text' swaps the coefficients
-    (D''/2 + nu*D' = 0). The two coincide at nu = 1/2, the value used in
-    every built-in experiment.
+    Enforces nu*D'' + D'/2 = 0, the equation the exponential truth solves.
     """
     u = np.asarray(u_samples, dtype=float)
     if u.size == 0:
         raise InvalidInputError("need at least one sample")
     if not nu > 0:
         raise InvalidInputError(f"nu must be positive, got {nu}")
-    return _bracketed([_ode_functional(ui, nu, ode_form) for ui in u], nugget)
+    return _bracketed([_ode_functional(ui, nu) for ui in u], nugget)
 
 
-def build_cole_hopf_discrete(v0, nu, h, nugget=None, drift_correction=True):
+def build_cole_hopf_discrete(v0, nu, h, nugget=None):
     """Discrete-stepper constraint system from a gridded initial field.
 
     One Euler step of the diffusion on the map side is matched against the
@@ -152,8 +145,8 @@ def build_cole_hopf_discrete(v0, nu, h, nugget=None, drift_correction=True):
 
     Antiderivatives are anchored at the grid's left edge. Re-integrating the
     stepped field from that edge loses the O(h) motion of the potential's
-    own left-edge value; ``drift_correction`` restores it from the data
-    (h * (nu*v0' - v0^2/2) at the edge), without which the system encodes a
+    own left-edge value, so it is restored from the data
+    (h * (nu*v0' - v0^2/2) at the edge); without it the system encodes a
     perturbed equation whose solution is O(1)-biased no matter how small h.
     """
     if not isinstance(v0, Field1D):
@@ -164,9 +157,7 @@ def build_cole_hopf_discrete(v0, nu, h, nugget=None, drift_correction=True):
     x_lo = v0.grid.x0
     u0 = antiderivative(v0, 0.0, x_lo).values
     v1 = pde_step(Burgers(nu), v0, h)
-    drift = 0.0
-    if drift_correction:
-        drift = h * (nu * diff(v0, 1).values[0] - 0.5 * v0.values[0] ** 2)
+    drift = h * (nu * diff(v0, 1).values[0] - 0.5 * v0.values[0] ** 2)
     u1 = antiderivative(v1, drift, x_lo).values
     dx = v0.grid.dx
     c = h * nu / dx**2
@@ -195,7 +186,7 @@ def build_cole_hopf_multi(ic_names, points_per_ic, nu, nugget=None):
     for name in ic_names:
         ic = get_initial_condition(name, nu=nu)
         _, u = ic.sample(points_per_ic)
-        interior.extend(_ode_functional(ui, nu, "appendix") for ui in u)
+        interior.extend(_ode_functional(ui, nu) for ui in u)
     return _bracketed(interior, nugget)
 
 
@@ -262,44 +253,37 @@ def corrupt_targets(system, indices, seed=0, scale=1.0):
     return ConstraintSystem(system.functionals, y, nugget=system.nugget)
 
 
-def _anchored_eval(u, eval_domain):
-    """Evaluation points: data inside the anchored unit interval, or everything.
+def _anchored_eval(u):
+    """Evaluation points: the data inside the anchored unit interval.
 
     The reported error of the anchored experiments is measured between the
-    two uniqueness constraints (u in [0, 1]) where the map is normalized;
-    'full' evaluates on every collocation value.
+    two uniqueness constraints (u in [0, 1]) where the map is normalized.
     """
-    if eval_domain == "full":
-        return u
-    if eval_domain != "anchored":
-        raise InvalidInputError(f"eval_domain must be 'anchored' or 'full', got {eval_domain!r}")
     sel = (u >= 0.0) & (u <= 1.0)
     return u[sel] if np.any(sel) else u
 
 
-def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper", ode_form="appendix",
-                      nugget=None, eval_domain="anchored"):
+def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper", nugget=None):
     """ODE-path problem on one initial condition, collocated at interior x-points."""
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
     ic = get_initial_condition(ic_name, nu=nu)
     xs = np.linspace(ic.x_lo, ic.x_hi, n_points + 2)[1:-1]
     us = ic.u0(xs)
-    system = build_cole_hopf_ode(us, nu, ode_form=ode_form, nugget=nugget)
+    system = build_cole_hopf_ode(us, nu, nugget=nugget)
     return TransformProblem(
         name="cole-hopf",
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
-        eval_points=_anchored_eval(us, eval_domain),
+        eval_points=_anchored_eval(us),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),
-        meta={"nu": nu, "ic": ic_name, "ode_form": ode_form},
+        meta={"nu": nu, "ic": ic_name},
     )
 
 
-def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper",
-                               nugget=None, eval_domain="anchored"):
+def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper", nugget=None):
     """Discrete-stepper problem on a uniform grid over the IC's interval."""
     ic = get_initial_condition(ic_name, nu=nu)
     n = int(round((ic.x_hi - ic.x_lo) / dx)) + 1
@@ -312,7 +296,7 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper",
         name="cole-hopf-discrete",
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
-        eval_points=_anchored_eval(us, eval_domain),
+        eval_points=_anchored_eval(us),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),

@@ -170,11 +170,16 @@ class TestCgcExperiments:
         assert metrics["stop_reason"] == "max_iters"
         assert metrics["converged"] is False
         assert metrics["iterations"] == 400
+        assert summary["parameters"]["weights"][0] == 0.0
         lines = (out / "cgc_pde.csv").read_text().splitlines()
         assert lines[0] == "u,G_learned,G_truth"
         assert len(lines) == 26
 
-    @pytest.mark.parametrize("key, value", [("free_z", True), ("l2_squared", False), ("method", "nelder-mead")])
+    @pytest.mark.parametrize("key, value", [
+        ("free_z", True), ("l2_squared", False), ("method", "nelder-mead"),
+        ("ode_form", "appendix"), ("eval_domain", "anchored"), ("theta_grid", [0.5, 1.0]),
+        ("refine_iters", 20), ("rho_nugget", 1e-8), ("lambda1", 1.0),
+    ])
     def test_cgc_pde_rejects_removed_options(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "c.json", {
             "experiment": "cgc-pde", "N": 10, "max_iters": 5, "output_dir": str(tmp_path / "o"), key: value,
@@ -184,8 +189,11 @@ class TestCgcExperiments:
     def test_brusselator_nf_csv_schema(self, tmp_path):
         out = tmp_path / "out"
         summary = run_experiment({
-            "experiment": "brusselator-nf", "n_samples": 60, "max_iters": 300, "output_dir": str(out),
+            "experiment": "brusselator-nf", "n_samples": 60, "max_iters": 300, "lambda1": 2.5,
+            "output_dir": str(out),
         })
+        # lambda1 is rejected by cgc-pde only
+        assert summary["parameters"]["weights"][0] == 2.5
         lines = (out / "brusselator_nf.csv").read_text().splitlines()
         assert lines[0] == "t,u,v,r_learned,r_exact,x_rec,y_rec"
         assert len(lines) == 61

@@ -10,7 +10,6 @@ from gpmaps.gp import (
     _factor_with_escalation,
     assemble_gram,
     constraint_residuals,
-    error_bound_sigma,
     fit,
     interpolant_from_config,
     interpolant_to_config,
@@ -129,20 +128,6 @@ class TestNormAndSigma:
             q = rkhs_norm_sq(sub, K1)
             assert q >= prev - 1e-10
             prev = q
-
-    def test_sigma_zero_at_dirac(self):
-        sys1 = dirac_system([0.3], [1.0], nugget=1e-12)
-        assert error_bound_sigma(sys1, K1, 0.3) <= 1e-5
-
-    def test_sigma_prior_without_constraints(self):
-        empty = ConstraintSystem((), np.zeros(0), nugget=1e-12)
-        assert error_bound_sigma(empty, K1, 0.7) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sigma_shrinks_with_more_constraints(self):
-        pts = np.linspace(-0.2, 1.2, 9)
-        small = dirac_system([0.0, 1.0], [1.0, 0.0], nugget=1e-12)
-        large = dirac_system([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 0.8, 0.5, 0.2, 0.0], nugget=1e-12)
-        assert np.all(error_bound_sigma(large, K1, pts) <= error_bound_sigma(small, K1, pts) + 1e-9)
 
 
 class TestJitter:

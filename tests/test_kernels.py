@@ -3,7 +3,6 @@ import pytest
 
 from gpmaps.exceptions import InvalidInputError, UnsupportedDerivativeError
 from gpmaps.kernels import (
-    Constant,
     HomogeneousPolynomial,
     Matern52,
     homogeneous_features,
@@ -177,19 +176,6 @@ class TestPolynomial:
         assert homogeneous_norm_sq(spec, coeffs) == pytest.approx(quad, rel=1e-8)
 
 
-class TestConstant:
-    def test_value(self):
-        assert k_eval(Constant(2.5), 0.3, -1.0) == 2.5
-
-    def test_derivatives_zero(self):
-        for a, b in ((1, 0), (0, 1), (2, 2)):
-            assert k_deriv(Constant(2.5), 0.3, -1.0, a, b) == 0.0
-
-    def test_invalid_gamma(self):
-        with pytest.raises(InvalidInputError):
-            Constant(-1.0)
-
-
 def test_config_round_trip():
-    for spec in (Matern52(3.2), HomogeneousPolynomial(4, 2), Constant(0.5)):
+    for spec in (Matern52(3.2), HomogeneousPolynomial(4, 2)):
         assert kernel_from_config(kernel_to_config(spec)) == spec

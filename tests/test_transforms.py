@@ -3,7 +3,7 @@ import pytest
 
 from gpmaps.dynamics import Field1D, Grid1D, get_initial_condition
 from gpmaps.exceptions import InvalidInputError, SingularityError
-from gpmaps.gp import ConstraintSystem, fit
+from gpmaps.gp import fit
 from gpmaps.kernel_learning import ThetaSearchConfig, learn_theta
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import (
@@ -72,18 +72,6 @@ class TestColeHopfOde:
         assert system.targets[0] == 1.0
         assert np.all(system.targets[1:] == 0.0)
 
-    def test_forms_coincide_at_half(self):
-        u = np.linspace(0.1, 2.0, 5)
-        s1 = build_cole_hopf_ode(u, 0.5, ode_form="appendix")
-        s2 = build_cole_hopf_ode(u, 0.5, ode_form="main_text")
-        assert s1.functionals == s2.functionals
-
-    def test_forms_differ_otherwise(self):
-        u = np.linspace(0.1, 2.0, 5)
-        s1 = build_cole_hopf_ode(u, 0.7, ode_form="appendix")
-        s2 = build_cole_hopf_ode(u, 0.7, ode_form="main_text")
-        assert s1.functionals != s2.functionals
-
     def test_truth_annihilates_functionals(self):
         prob = cole_hopf_problem(20)
         fn = cole_hopf_truth_fn(0.5)
@@ -131,15 +119,6 @@ class TestColeHopfDiscrete:
         resid = [abs(f.apply(fn) - y) for f, y in zip(prob.system.functionals, prob.system.targets)]
         assert max(resid) <= 1e-3
         assert max(resid) <= 5e-6
-
-    def test_without_drift_correction_residual_is_order_h(self):
-        ic = get_initial_condition("burgers-paper", nu=0.5)
-        grid = Grid1D(0.0, 0.01, 101)
-        v0 = Field1D(grid, ic.v0(grid.xs))
-        system = build_cole_hopf_discrete(v0, 0.5, 1e-4, drift_correction=False)
-        fn = cole_hopf_truth_fn(0.5)
-        resid = [abs(f.apply(fn) - y) for f, y in zip(system.functionals, system.targets)]
-        assert 5e-4 <= max(resid) <= 2e-3
 
     def test_agrees_with_ode_path(self):
         prob = cole_hopf_discrete_problem(dx=0.01, h=1e-4)
@@ -254,13 +233,6 @@ class TestNormGrowth:
 
 
 class TestProblemWrappers:
-    def test_eval_domain_full(self):
-        anchored = cole_hopf_problem(30, eval_domain="anchored")
-        full = cole_hopf_problem(30, eval_domain="full")
-        assert full.eval_points.size == 30
-        assert anchored.eval_points.size < full.eval_points.size
-        assert np.all((anchored.eval_points >= 0.0) & (anchored.eval_points <= 1.0))
-
     def test_structural_invariants_of_all_builders(self):
         from gpmaps.gp import assemble_gram
 
