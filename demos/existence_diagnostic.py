@@ -7,8 +7,6 @@ cheap screen for whether a transformation between two equations exists
 before trying to learn it.
 """
 
-import numpy as np
-
 from gpmaps import Matern52, norm_growth_diagnostic
 from gpmaps.transforms import cole_hopf_problem, corrupt_targets
 

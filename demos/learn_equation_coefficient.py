@@ -11,10 +11,12 @@ equation term and the anchor exactly; along that family the loss trades the
 map's norm against the prior, and of the sampled values it is lowest at
 a = -3 (14.92), not at a = -1 (250.56). With these weights the run from the
 standard initialization stops at its 20,000-step cap at a = -3.745 (loss
-145.80, still falling by about 2.6 over its last 1,000 steps), while the run
-started at the truth ends at a = -1.0007. With the `cgc-pde` experiment's
-own init-balanced weights the cold start ends near a = -1.80 instead; see
-the README's note on acceptance criterion 4.
+145.80, still falling by about 2.6 over its last 1,000 steps). The run
+started at the truth also stops at its 5,000-step cap, at a = -1.00073 with
+the loss still falling, and `a` keeps drifting away from -1 as it runs
+longer (see the README). With the `cgc-pde` experiment's own init-balanced
+weights the cold start ends near a = -1.80 instead; see the README's note
+on acceptance criterion 4.
 """
 
 import numpy as np

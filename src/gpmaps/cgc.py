@@ -29,6 +29,7 @@ from math import comb
 import numpy as np
 from scipy.linalg import cho_solve
 
+from .dynamics import first_difference
 from .exceptions import InvalidInputError
 from .gp import Interpolant, LinearFunctional, default_nugget, _factor_with_escalation
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
@@ -57,6 +58,14 @@ __all__ = [
 #: Balance factor used when loss weights are derived from the initial state.
 BALANCE_FACTOR = 10.0
 
+#: Kernel of the map G learned by :func:`cgc_pde_solve`.
+PDE_KERNEL = Matern52(1.0)
+
+#: Kernel of the radius map H learned by :func:`nf_solve`.
+NF_KERNEL = HomogeneousPolynomial(4)
+# binom(d, k) for its monomials u^(d-k) v^k; the squared norm of c is sum c_k^2 / binom(d, k)
+_NF_BINOMS = np.array([comb(NF_KERNEL.degree, k) for k in range(NF_KERNEL.degree + 1)])
+
 
 # ---------------------------------------------------------------------------
 # learning the map and the unknown linear-PDE coefficient
@@ -72,7 +81,6 @@ class CgcPdeProblem:
     """
 
     u_data: np.ndarray
-    kernel: object = Matern52(1.0)
     gamma: float = 1.0
     lambda2: float | None = None
     lambda3: float | None = None
@@ -126,14 +134,13 @@ class _PdeContext:
         self.problem = problem
         x = problem.nodes
         self.x = x
-        kernel = problem.kernel
-        self.k_node = np.asarray(k_deriv(kernel, x[:, None], x[None, :], 0, 0), dtype=float)
+        self.k_node = np.asarray(k_deriv(PDE_KERNEL, x[:, None], x[None, :], 0, 0), dtype=float)
         lam = problem.nugget if problem.nugget is not None else default_nugget(self.k_node)
         self.cf, self.lam = _factor_with_escalation(self.k_node, lam)
         self.k_reg = self.k_node + self.lam * np.eye(len(x))
         u = problem.u_data
-        self.k_data = np.asarray(k_deriv(kernel, u[:, None], x[None, :], 0, 0), dtype=float)
-        self.k_data_d1 = np.asarray(k_deriv(kernel, u[:, None], x[None, :], 1, 0), dtype=float)
+        self.k_data = np.asarray(k_deriv(PDE_KERNEL, u[:, None], x[None, :], 0, 0), dtype=float)
+        self.k_data_d1 = np.asarray(k_deriv(PDE_KERNEL, u[:, None], x[None, :], 1, 0), dtype=float)
         self.inv_u2 = 1.0 / u**2
 
     def beta_of_g(self, g):
@@ -273,7 +280,7 @@ def cgc_pde_solve(problem, init=None, config=None):
     precond = _pde_precond(ctx, state0, weights)
     out = gradient_descent(loss_of, grad_of, beta0, config or DescentConfig(), precond=precond)
     interp = Interpolant(
-        problem.kernel,
+        PDE_KERNEL,
         tuple(LinearFunctional.dirac(xi) for xi in ctx.x),
         out.x,
         nugget=ctx.lam,
@@ -309,7 +316,6 @@ class NfProblem:
     lambda2: float | None = None
     lambda3: float | None = None
     init_point: tuple = (0.1, -0.1)
-    kernel: HomogeneousPolynomial = HomogeneousPolynomial(4, 2)
 
     def __post_init__(self):
         t = self.trajectory.times
@@ -331,8 +337,8 @@ class NfProblem:
     @cached_property
     def _features(self):
         """Quartic features of the trajectory states and of ``init_point``."""
-        phi = homogeneous_features(self.kernel, self.trajectory.states)
-        phi0 = homogeneous_features(self.kernel, np.asarray(self.init_point))[0]
+        phi = homogeneous_features(NF_KERNEL, self.trajectory.states)
+        phi0 = homogeneous_features(NF_KERNEL, np.asarray(self.init_point))[0]
         return phi, phi0
 
 
@@ -350,17 +356,8 @@ class NfState:
             raise InvalidInputError("state entries must be finite")
 
 
-def _fd_time(r, dt):
-    """Second-order first derivative on a uniform grid, one-sided at the ends."""
-    out = np.empty_like(r)
-    out[1:-1] = (r[2:] - r[:-2]) / (2 * dt)
-    out[0] = (-3 * r[0] + 4 * r[1] - r[2]) / (2 * dt)
-    out[-1] = (3 * r[-1] - 4 * r[-2] + r[-3]) / (2 * dt)
-    return out
-
-
 def _fd_time_adjoint(w, dt):
-    """Adjoint of :func:`_fd_time` (checked against it in the test suite)."""
+    """Adjoint of :func:`first_difference` (checked against it in the test suite)."""
     out = np.zeros_like(w)
     out[2:] += w[1:-1] / (2 * dt)
     out[:-2] -= w[1:-1] / (2 * dt)
@@ -378,11 +375,11 @@ def _nf_terms(problem, state):
     h_vals = phi @ state.h_coeffs
     r = state.r_values
     fit_resid = h_vals - r
-    z4 = _fd_time(r, problem.dt)
+    z4 = first_difference(r, problem.dt)
     ode_resid = z4 - (problem.mu - r**2) * r
     h0 = float(phi0 @ state.h_coeffs)
     return {
-        "norm_h": homogeneous_norm_sq(problem.kernel, state.h_coeffs),
+        "norm_h": homogeneous_norm_sq(NF_KERNEL, state.h_coeffs),
         "l1": float(fit_resid @ fit_resid),
         "l2": float(ode_resid @ ode_resid),
         "anchor": (h0 - problem.r0_target) ** 2,
@@ -438,11 +435,9 @@ def nf_grad(problem, state, weights=None):
     """Hand-coded gradient w.r.t. (h_coeffs, r_values)."""
     lam1, lam2, lam3 = weights if weights is not None else _nf_weights(problem, state)
     t = _nf_terms(problem, state)
-    d = problem.kernel.degree
-    binoms = np.array([comb(d, k) for k in range(d + 1)])
     r = state.r_values
     grad_c = (
-        2.0 * state.h_coeffs / binoms
+        2.0 * state.h_coeffs / _NF_BINOMS
         + lam1 * 2.0 * (t["_phi"].T @ t["_fit_resid"])
         + lam3 * 2.0 * (t["_h0"] - problem.r0_target) * t["_phi0"]
     )
@@ -476,7 +471,7 @@ class NfResult:
 
 def nf_h_values(problem, coeffs, points):
     """Evaluate the quartic map at the given (u, v) points."""
-    return homogeneous_features(problem.kernel, points) @ np.asarray(coeffs, dtype=float)
+    return homogeneous_features(NF_KERNEL, points) @ np.asarray(coeffs, dtype=float)
 
 
 def nf_solve(problem, init=None, config=None):
@@ -512,9 +507,7 @@ def nf_solve(problem, init=None, config=None):
 def _nf_precond(problem, state, weights):
     lam1, lam2, lam3 = weights
     t = _nf_terms(problem, state)
-    d = problem.kernel.degree
-    binoms = np.array([comb(d, k) for k in range(d + 1)])
-    diag_c = 2.0 / binoms + 2.0 * lam1 * np.sum(t["_phi"] ** 2, axis=0) + 2.0 * lam3 * t["_phi0"] ** 2
+    diag_c = 2.0 / _NF_BINOMS + 2.0 * lam1 * np.sum(t["_phi"] ** 2, axis=0) + 2.0 * lam3 * t["_phi0"] ** 2
     n = state.r_values.size
     dt = problem.dt
     # diagonal of D^T D for the one-sided/central first-derivative stencil

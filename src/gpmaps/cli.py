@@ -38,7 +38,7 @@ from .exceptions import (
     SingularityError,
     SingularSystemError,
 )
-from .gp import fit, interpolant_from_config, interpolant_to_config, rkhs_norm_sq
+from .gp import fit, interpolant_from_config, interpolant_to_config
 from .kernel_learning import ThetaSearchConfig, learn_theta
 from .kernels import Matern52
 from .optim import DescentConfig
@@ -56,6 +56,13 @@ def _write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(c[i] if isinstance(c[i], str) else _fmt(c[i]) for c in columns) + "\n")
+    return str(path)
+
+
+def _write_interpolant(path, interp):
+    with open(path, "w") as fh:
+        json.dump(interpolant_to_config(interp), fh)
+        fh.write("\n")
     return str(path)
 
 
@@ -103,7 +110,8 @@ def _run_transform_problem(cfg, out, problem, csv_name, extra_params):
     kernel = Matern52(theta)
     interp = fit(problem.system, kernel)
     rel = transforms.relative_l2(interp, problem.truth, problem.eval_points)
-    norm = float(np.sqrt(rkhs_norm_sq(problem.system, kernel)))
+    # Y^T (G + lam I)^{-1} Y from the fit's own solve, as gp.rkhs_norm_sq computes it
+    norm = float(np.sqrt(max(problem.system.targets @ interp.coefficients, 0.0)))
     learned = interp.evaluate(problem.us)
     truth_vals = problem.truth(problem.us)
     columns = [problem.xs, problem.us, truth_vals, learned, np.abs(learned - truth_vals)]
@@ -112,17 +120,13 @@ def _run_transform_problem(cfg, out, problem, csv_name, extra_params):
         header = ["ic"] + header
         columns = [list(problem.meta["labels"])] + columns
     csv_path = _write_csv(out / csv_name, header, columns)
-    interp_path = out / "interpolant.json"
-    with open(interp_path, "w") as fh:
-        json.dump(interpolant_to_config(interp), fh)
-        fh.write("\n")
+    interp_path = _write_interpolant(out / "interpolant.json", interp)
     metrics = {"relative_l2": rel, "rkhs_norm": norm, "theta_learned": theta if rho_star is not None else None}
     if rho_star is not None:
         metrics["rho_star"] = rho_star
     params = {"theta": theta, "learn_kernel": bool(cfg.get("learn_kernel", False)),
               "lam": cfg.get("lam"), **extra_params}
-    artifacts = {"csv": csv_path, "interpolant": str(interp_path)}
-    return params, metrics, artifacts
+    return params, metrics, {"csv": csv_path, "interpolant": interp_path}
 
 
 def _experiment_cole_hopf(cfg, out):
@@ -195,10 +199,7 @@ def _experiment_cgc_pde(cfg, out):
     g_truth = transforms.first_order_truth(u_data)
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, g_learned, g_truth])
-    interp_path = out / "interpolant.json"
-    with open(interp_path, "w") as fh:
-        json.dump(interpolant_to_config(result.interpolant), fh)
-        fh.write("\n")
+    interp_path = _write_interpolant(out / "interpolant.json", result.interpolant)
     params = {"N": n, "gamma": problem.gamma, "weights": list(result.weights)}
     final_terms = cgc.cgc_pde_loss_terms(problem, result.state, result.weights)
     metrics = {"a_learned": float(result.state.a), "loss_final": float(result.loss_trace[-1]),
@@ -207,7 +208,7 @@ def _experiment_cgc_pde(cfg, out):
                "loss_norm_g": float(final_terms["norm_g"]), "loss_a_prior": float(final_terms["a_prior"]),
                "loss_l1": float(final_terms["l1_weighted"]), "loss_l2": float(final_terms["l2_weighted"]),
                "loss_anchor": float(final_terms["anchor_weighted"])}
-    return params, metrics, {"csv": csv_path, "interpolant": str(interp_path)}
+    return params, metrics, {"csv": csv_path, "interpolant": interp_path}
 
 
 def _experiment_brusselator_nf(cfg, out):
@@ -323,17 +324,14 @@ def run_table1(cfg):
         for row, th in (("learning", theta), ("no_learning", float(cfg.get("theta", 1.0)))):
             interp = fit(problem.system, Matern52(th))
             errors[row].append(transforms.relative_l2(interp, problem.truth, problem.eval_points))
-    csv_path = out / "table1.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("row," + ",".join(f"N={n}" for n in n_list) + "\n")
-        fh.write("learning," + ",".join(_fmt(e) for e in errors["learning"]) + "\n")
-        fh.write("no_learning," + ",".join(_fmt(e) for e in errors["no_learning"]) + "\n")
+    csv_path = _write_csv(out / "table1.csv", ["row"] + [f"N={n}" for n in n_list],
+                          [["learning", "no_learning"], *zip(errors["learning"], errors["no_learning"])])
     metrics = {"wall_time_s": time.perf_counter() - start}
     for n, e_a, e_b in zip(n_list, errors["learning"], errors["no_learning"]):
         metrics[f"learning_N{n}"] = e_a
         metrics[f"no_learning_N{n}"] = e_b
     params = {"N_list": n_list, "nu": nu, "thetas_learned": thetas, "seed": int(cfg.get("seed", 0))}
-    return write_summary(out / "table1_summary.json", "table1", params, metrics, {"csv": str(csv_path)})
+    return write_summary(out / "table1_summary.json", "table1", params, metrics, {"csv": csv_path})
 
 
 def run_evaluate(interp_path, points_path, deriv, output):

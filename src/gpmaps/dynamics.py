@@ -23,6 +23,7 @@ __all__ = [
     "Trajectory",
     "Burgers",
     "CflWarning",
+    "first_difference",
     "diff",
     "pde_step",
     "antiderivative",
@@ -107,6 +108,18 @@ class Burgers:
             raise InvalidInputError(f"viscosity must be positive, got {self.nu}")
 
 
+def first_difference(v, h):
+    """Second-order first derivative of samples ``v`` (at least 3) spaced ``h`` apart.
+
+    Central in the interior, one-sided second-order at the two end samples.
+    """
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    return out
+
+
 def diff(field, order):
     """Spatial derivative of a gridded field, second order accurate.
 
@@ -117,14 +130,12 @@ def diff(field, order):
     v = field.values
     dx = field.grid.dx
     n = field.grid.n
-    out = np.empty_like(v)
     if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * dx)
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dx)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dx)
+        out = first_difference(v, dx)
     elif order == 2:
         if n < 4:
             raise InvalidInputError("second derivative needs at least 4 nodes for boundary stencils")
+        out = np.empty_like(v)
         out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
         out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / dx**2
         out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / dx**2

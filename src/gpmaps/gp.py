@@ -85,7 +85,7 @@ class LinearFunctional:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Ordered constraint functionals, their targets and the nugget.
+    """Ordered constraint functionals (at least one), their targets and the nugget.
 
     ``nugget=None`` means "auto": resolve to ``NUGGET_SCALE * trace(G) / M``
     once the Gram matrix of the kernel in use is known.
@@ -97,6 +97,8 @@ class ConstraintSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "functionals", tuple(self.functionals))
+        if len(self.functionals) == 0:
+            raise InvalidInputError("a constraint system needs at least one functional")
         y = np.asarray(self.targets, dtype=float)
         if y.ndim != 1 or y.shape[0] != len(self.functionals):
             raise InvalidInputError(
@@ -212,9 +214,6 @@ class Interpolant:
 
     def evaluate(self, u, deriv_order=0):
         """Value (or derivative) of the fitted map at scalar or array ``u``."""
-        if len(self.functionals) == 0:
-            out = np.zeros_like(np.atleast_1d(np.asarray(u, dtype=float)))
-            return float(out[0]) if np.isscalar(u) or np.ndim(u) == 0 else out
         cross = functional_cross(self.kernel, self.functionals, u, deriv_order)
         vals = cross @ self.coefficients
         return float(vals[0]) if np.isscalar(u) or np.ndim(u) == 0 else vals
@@ -225,8 +224,6 @@ class Interpolant:
 
 def fit(system, kernel):
     """Solve (G + lam I) alpha = Y and wrap the result as an :class:`Interpolant`."""
-    if len(system) == 0:
-        return Interpolant(kernel, (), np.zeros(0))
     alpha, lam_used = _solve(system, kernel)
     return Interpolant(kernel, system.functionals, alpha, nugget=lam_used)
 
@@ -238,8 +235,6 @@ def rkhs_norm_sq(system, kernel):
     when constraints are appended and an upper-convergent estimate of the true
     map's squared RKHS norm when the constraints are consistent.
     """
-    if len(system) == 0:
-        return 0.0
     alpha, _ = _solve(system, kernel)
     return float(max(system.targets @ alpha, 0.0))
 

@@ -20,6 +20,9 @@ from .optim import golden_section
 
 __all__ = ["ThetaSearchConfig", "rho_loo", "rho_loo_naive", "learn_theta"]
 
+#: Fixed nugget added to the Gram matrix of every leave-one-out solve.
+LOO_NUGGET = 1e-8
+
 
 def _default_grid():
     # Lower edge 1e-1, not smaller: once the lengthscale drops below the data
@@ -32,7 +35,6 @@ def _default_grid():
 class ThetaSearchConfig:
     grid: tuple = None
     refine_iters: int = 20
-    nugget: float = 1e-8
 
     def __post_init__(self):
         grid = tuple(self.grid) if self.grid is not None else _default_grid()
@@ -43,13 +45,11 @@ class ThetaSearchConfig:
         object.__setattr__(self, "grid", grid)
         if self.refine_iters < 0:
             raise InvalidInputError("refine_iters must be >= 0")
-        if not self.nugget > 0:
-            raise InvalidInputError("nugget must be positive")
 
 
-def _quadratic_form(gram, targets, nugget):
+def _quadratic_form(gram, targets):
     m = gram.shape[0]
-    return float(targets @ np.linalg.solve(gram + nugget * np.eye(m), targets))
+    return float(targets @ np.linalg.solve(gram + LOO_NUGGET * np.eye(m), targets))
 
 
 def _check_removable(system, removable):
@@ -61,7 +61,7 @@ def _check_removable(system, removable):
     return removable
 
 
-def rho_loo(theta, system, removable, nugget=1e-8, kernel_family=Matern52):
+def rho_loo(theta, system, removable):
     """Leave-one-out loss via block-inverse downdates of the full solve.
 
     With B = (G + lam I)^{-1} and q = Y^T B Y, deleting row and column j
@@ -70,9 +70,9 @@ def rho_loo(theta, system, removable, nugget=1e-8, kernel_family=Matern52):
     inversion. Matches :func:`rho_loo_naive` to floating-point accuracy.
     """
     removable = _check_removable(system, removable)
-    gram = assemble_gram(system.functionals, kernel_family(theta))
+    gram = assemble_gram(system.functionals, Matern52(theta))
     m = gram.shape[0]
-    b = np.linalg.inv(gram + nugget * np.eye(m))
+    b = np.linalg.inv(gram + LOO_NUGGET * np.eye(m))
     y = system.targets
     by = b @ y
     q_full = float(y @ by)
@@ -82,24 +82,24 @@ def rho_loo(theta, system, removable, nugget=1e-8, kernel_family=Matern52):
     return float(np.mean(terms))
 
 
-def rho_loo_naive(theta, system, removable, nugget=1e-8, kernel_family=Matern52):
+def rho_loo_naive(theta, system, removable):
     """Naive path, one reduced factorization per removal; baseline for the downdate shortcut."""
     removable = _check_removable(system, removable)
-    gram = assemble_gram(system.functionals, kernel_family(theta))
+    gram = assemble_gram(system.functionals, Matern52(theta))
     y = system.targets
-    q_full = _quadratic_form(gram, y, nugget)
+    q_full = _quadratic_form(gram, y)
     if q_full <= 0.0:
         raise InvalidInputError("degenerate system: full quadratic form is nonpositive")
     total = 0.0
     for j in removable:
         keep = np.delete(np.arange(len(system)), j)
-        q_j = _quadratic_form(gram[np.ix_(keep, keep)], y[keep], nugget)
+        q_j = _quadratic_form(gram[np.ix_(keep, keep)], y[keep])
         total += 1.0 - q_j / q_full
     return total / removable.size
 
 
-def learn_theta(config, system, removable, kernel_family=Matern52):
-    """Grid search over rho followed by golden-section refinement in log-theta.
+def learn_theta(config, system, removable):
+    """Grid search over the Matern-5/2 lengthscale by rho, then golden-section in log-theta.
 
     Returns (theta_star, rho_star); refinement brackets the best grid point
     and can only improve on it.
@@ -107,7 +107,7 @@ def learn_theta(config, system, removable, kernel_family=Matern52):
     grid = np.asarray(config.grid, dtype=float)
 
     def rho_of(theta):
-        return rho_loo(theta, system, removable, config.nugget, kernel_family)
+        return rho_loo(theta, system, removable)
 
     values = np.array([rho_of(t) for t in grid])
     i = int(np.argmin(values))

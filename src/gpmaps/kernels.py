@@ -6,7 +6,7 @@ Two kernels cover every regression problem in this package:
   Its radial profile is four times continuously differentiable at zero lag,
   so mixed partials up to order (2, 2) exist in closed form; these are what
   derivative-constraint Gram matrices are built from.
-* :class:`HomogeneousPolynomial` -- K(s, t) = (s . t)^d on small vectors.
+* :class:`HomogeneousPolynomial` -- K(s, t) = (s . t)^d on planar vectors.
   Its RKHS is the span of the degree-d homogeneous monomials, which makes an
   explicit feature-space treatment possible (see :func:`homogeneous_features`).
 
@@ -49,16 +49,13 @@ class Matern52:
 
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
-    """K(s, t) = (s . t)^degree on vectors of length ``input_dim``."""
+    """K(s, t) = (s . t)^degree on vectors of length 2."""
 
     degree: int = 4
-    input_dim: int = 2
 
     def __post_init__(self):
         if self.degree < 1 or int(self.degree) != self.degree:
             raise InvalidInputError(f"degree must be a positive integer, got {self.degree}")
-        if self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be positive, got {self.input_dim}")
 
 
 def _matern_profile_deriv(n, gap, theta):
@@ -90,12 +87,10 @@ def matern_deriv(x, y, a, b, theta):
     return (-1.0) ** b * _matern_profile_deriv(a + b, np.asarray(x, float) - np.asarray(y, float), theta)
 
 
-def _check_vector(spec, v, name):
+def _check_vector(v, name):
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] != spec.input_dim:
-        raise InvalidInputError(
-            f"{name} must be a vector of length {spec.input_dim}, got shape {v.shape}"
-        )
+    if v.shape != (2,):
+        raise InvalidInputError(f"{name} must be a vector of length 2, got shape {v.shape}")
     return v
 
 
@@ -103,35 +98,28 @@ def k_eval(spec, x, y):
     """Evaluate K(x, y) for any kernel spec.
 
     Matern52 takes scalars (arrays broadcast elementwise); HomogeneousPolynomial
-    takes vectors of length ``input_dim``.
+    takes vectors of length 2.
     """
     if isinstance(spec, Matern52):
         return _matern_profile_deriv(0, np.asarray(x, float) - np.asarray(y, float), spec.theta)
     if isinstance(spec, HomogeneousPolynomial):
-        xv = _check_vector(spec, x, "x")
-        yv = _check_vector(spec, y, "y")
+        xv = _check_vector(x, "x")
+        yv = _check_vector(y, "y")
         return float(np.dot(xv, yv) ** spec.degree)
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 
 def k_deriv(spec, x, y, a, b):
-    """Mixed partial d^a/dx^a d^b/dy^b K(x, y).
+    """Mixed partial d^a/dx^a d^b/dy^b K(x, y) of a Matern52 kernel, for all a, b <= 2.
 
-    Matern52 supports all a, b <= 2. The polynomial kernel is handled in
-    feature space (:func:`homogeneous_features`), so only (a, b) = (0, 0) is
-    exposed here.
+    The polynomial kernel is handled in feature space
+    (:func:`homogeneous_features`) and has no entry here.
     """
     if a not in (0, 1, 2) or b not in (0, 1, 2):
         raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got ({a},{b})")
     if isinstance(spec, Matern52):
         return matern_deriv(x, y, a, b, spec.theta)
-    if isinstance(spec, HomogeneousPolynomial):
-        if a == 0 and b == 0:
-            return k_eval(spec, x, y)
-        raise UnsupportedDerivativeError(
-            "HomogeneousPolynomial derivatives are handled through its feature expansion"
-        )
-    raise InvalidInputError(f"unknown kernel spec {spec!r}")
+    raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
 
 
 def homogeneous_features(spec, points):
@@ -149,8 +137,6 @@ def homogeneous_features(spec, points):
     -------
     array of shape (n, d + 1)
     """
-    if spec.input_dim != 2:
-        raise InvalidInputError("feature expansion is provided for 2-D inputs")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise InvalidInputError(f"expected points of dimension 2, got {pts.shape[1]}")
@@ -173,11 +159,9 @@ def homogeneous_norm_sq(spec, coeffs):
 
 
 def kernel_to_config(spec):
-    """Serialize a kernel spec to the CLI config dictionary form."""
+    """Serialize a Matern52 spec (the kernel of every saved interpolant) to its config form."""
     if isinstance(spec, Matern52):
         return {"kind": "matern52", "theta": spec.theta}
-    if isinstance(spec, HomogeneousPolynomial):
-        return {"kind": "poly", "degree": spec.degree, "input_dim": spec.input_dim}
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 
@@ -186,6 +170,4 @@ def kernel_from_config(cfg):
     kind = cfg.get("kind")
     if kind == "matern52":
         return Matern52(theta=float(cfg["theta"]))
-    if kind == "poly":
-        return HomogeneousPolynomial(degree=int(cfg["degree"]), input_dim=int(cfg.get("input_dim", 2)))
     raise InvalidInputError(f"unknown kernel kind {kind!r}")

@@ -240,8 +240,8 @@ def norm_growth_diagnostic(builder, sample_counts, kernel, nugget=1e-10):
     return out
 
 
-def corrupt_targets(system, indices, seed=0, scale=1.0):
-    """Replace the selected targets with Gaussian noise.
+def corrupt_targets(system, indices, seed=0):
+    """Replace the selected targets with standard Gaussian noise.
 
     Noise is the canonical inconsistent right-hand side: no map of the input
     alone can track independent values at ever-closer sample points, so the
@@ -249,7 +249,7 @@ def corrupt_targets(system, indices, seed=0, scale=1.0):
     """
     rng = np.random.default_rng(seed)
     y = system.targets.copy()
-    y[np.asarray(indices, dtype=int)] = scale * rng.standard_normal(len(indices))
+    y[np.asarray(indices, dtype=int)] = rng.standard_normal(len(indices))
     return ConstraintSystem(system.functionals, y, nugget=system.nugget)
 
 

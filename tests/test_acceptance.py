@@ -13,7 +13,7 @@ import pytest
 
 from gpmaps import cgc, dynamics, transforms
 from gpmaps.cli import run_experiment, run_table1
-from gpmaps.gp import ConstraintSystem, assemble_gram, constraint_residuals, fit, rkhs_norm_sq
+from gpmaps.gp import ConstraintSystem, assemble_gram, constraint_residuals, fit
 from gpmaps.kernel_learning import ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52, k_deriv, k_eval
 from gpmaps.optim import DescentConfig

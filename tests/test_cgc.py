@@ -8,21 +8,19 @@ from gpmaps.cgc import (
     NfProblem,
     NfState,
     _best_a,
-    _fd_time,
     _fd_time_adjoint,
     cgc_pde_default_init,
     cgc_pde_grad,
     cgc_pde_loss,
     cgc_pde_loss_terms,
     cgc_pde_solve,
-    nf_default_init,
     nf_grad,
     nf_h_values,
     nf_loss,
     nf_loss_terms,
     nf_solve,
 )
-from gpmaps.dynamics import Trajectory, brusselator_trajectory, mu_from_AB, r_exact
+from gpmaps.dynamics import Trajectory, brusselator_trajectory, first_difference, mu_from_AB, r_exact
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.gp import _factor_with_escalation
 from gpmaps.optim import DescentConfig
@@ -180,13 +178,13 @@ class TestFdTime:
         for n in (7, 33, 100):
             r = RNG.normal(size=n)
             w = RNG.normal(size=n)
-            lhs = np.dot(_fd_time(r, 0.1), w)
+            lhs = np.dot(first_difference(r, 0.1), w)
             rhs = np.dot(r, _fd_time_adjoint(w, 0.1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_exact_on_linear(self):
         t = 0.1 * np.arange(20)
-        np.testing.assert_allclose(_fd_time(2.0 + 3.0 * t, 0.1), 3.0, rtol=1e-12)
+        np.testing.assert_allclose(first_difference(2.0 + 3.0 * t, 0.1), 3.0, rtol=1e-12)
 
 
 class TestNfLoss:

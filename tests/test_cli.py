@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpmaps import gp
 from gpmaps.cli import main, run_experiment, run_table1
 
 
@@ -70,6 +71,19 @@ class TestRun:
             assert main(["run", cfg]) == 0
         assert (out1 / "first_order.csv").read_bytes() == (out2 / "first_order.csv").read_bytes()
         assert (out1 / "interpolant.json").read_bytes() == (out2 / "interpolant.json").read_bytes()
+
+    def test_gram_factored_once_per_run(self, tmp_path, monkeypatch):
+        # the fit's solve also yields the reported RKHS norm
+        calls = []
+        factor = gp._factor_with_escalation
+
+        def counting(gram, lam):
+            calls.append(lam)
+            return factor(gram, lam)
+
+        monkeypatch.setattr(gp, "_factor_with_escalation", counting)
+        run_experiment({"experiment": "first-order", "N": 30, "output_dir": str(tmp_path / "out")})
+        assert len(calls) == 1
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPMAPS_OUTPUT_DIR", str(tmp_path / "env-out"))

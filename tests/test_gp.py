@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpmaps.exceptions import SingularSystemError
+from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import (
     ConstraintSystem,
     FunctionalTerm,
@@ -52,6 +52,10 @@ class TestGram:
 
 
 class TestFit:
+    def test_empty_system_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ConstraintSystem((), np.zeros(0))
+
     def test_zero_targets_give_zero_interpolant(self):
         sys0 = dirac_system([0.0, 0.4, 1.0], np.zeros(3))
         interp = fit(sys0, K1)
@@ -108,7 +112,7 @@ class TestFit:
             assert interp.evaluate(u, 2) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
 
 
-class TestNormAndSigma:
+class TestRkhsNorm:
     def test_zero_targets(self):
         assert rkhs_norm_sq(dirac_system([0.0, 1.0], np.zeros(2)), K1) == 0.0
 

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import importlib.resources
 import json
 import pkgutil
+from pathlib import Path
 
 import gpmaps
 from gpmaps import cli
@@ -19,3 +21,31 @@ def test_exports_and_schema_enums_match_the_code():
     for name in ("config.schema.json", "summary.schema.json"):
         schema = json.loads((importlib.resources.files("gpmaps") / "schemas" / name).read_text())
         assert schema["properties"]["experiment"]["enum"] == expected, name
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; names listed in ``__all__`` count as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    # a package __init__ imports in order to re-export
+    files = [f for d in ("src/gpmaps", "tests", "demos") for f in sorted((root / d).glob("*.py"))
+             if f.name != "__init__.py"]
+    assert len(files) > 20
+    unused = [entry for f in files for entry in _unused_imports(f)]
+    assert unused == []
