@@ -2,37 +2,36 @@
 
 Here the target equation's advection coefficient ``a`` is treated as unknown
 (true value -1) with a unit Gaussian prior, and the loss couples it to the
-map through the equation residual on the data. The script runs the descent
-from the standard initialization (a = 0, identity map) and from the truth.
+map through the equation residual on the data. The script solves exactly
+(the best map for each ``a`` is one linear solve, then a 1-D root find on
+the slope in ``a``) from the standard initialization (a = 0, identity map)
+and from the truth.
 
 A caveat worth knowing before reading the numbers: the joint loss does not
 identify the coefficient. For every a != 0 there is a map G_a satisfying the
 equation term and the anchor exactly; along that family the loss trades the
 map's norm against the prior, and of the sampled values it is lowest at
-a = -3 (14.92), not at a = -1 (250.56). With these weights the run from the
-standard initialization stops at its 20,000-step cap at a = -3.745 (loss
-145.80, still falling by about 2.6 over its last 1,000 steps). The run
-started at the truth also stops at its 5,000-step cap, at a = -1.00073 with
-the loss still falling, and `a` keeps drifting away from -1 as it runs
-longer (see the README). With the `cgc-pde` experiment's own init-balanced
-weights the cold start ends near a = -1.80 instead; see the README's note
-on acceptance criterion 4.
+a = -3 (14.92), not at a = -1 (250.56). With these weights both runs
+converge to the same local minimum, a = -2.68629 with loss 14.3316: the
+truth is not a minimum of the stated loss, so the run started there leaves
+it. With the `cgc-pde` experiment's own init-balanced weights the cold start
+ends at a = -1.80084 instead; see the README's note on acceptance
+criterion 4.
 """
 
 import numpy as np
 
 from gpmaps.cgc import CgcPdeProblem, CgcPdeState, cgc_pde_loss_terms, cgc_pde_solve
-from gpmaps.optim import DescentConfig
 from gpmaps.transforms import first_order_problem, first_order_truth
 
 u_data = first_order_problem(100).us
 problem = CgcPdeProblem(u_data=u_data, lambda2=200.0, lambda3=20000.0)
 
-res = cgc_pde_solve(problem, config=DescentConfig(max_iters=20000))
+res = cgc_pde_solve(problem)
 print(f"from (identity, a=0):   a = {res.state.a:+.5f}   loss {res.loss_trace[-1]:.4f}")
 
 truth_init = CgcPdeState(first_order_truth(problem.nodes), -1.0)
-res_t = cgc_pde_solve(problem, init=truth_init, config=DescentConfig(max_iters=5000))
+res_t = cgc_pde_solve(problem, init=truth_init)
 print(f"from the exact map:     a = {res_t.state.a:+.5f}   loss {res_t.loss_trace[-1]:.4f}")
 
 # the loss along the exact-solution family G_a shows why: the equation term

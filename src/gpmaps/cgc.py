@@ -3,7 +3,7 @@
 Two instances are provided:
 
 * :func:`cgc_pde_solve` learns a scalar map G together with the unknown
-  coefficient ``a`` of the linear first-order target equation, by descending
+  coefficient ``a`` of the linear first-order target equation, by minimizing
   a loss combining G's RKHS norm, a Gaussian prior on ``a``, the equation
   residual on the data, and an anchor pinning G(1) = 1.
 * :func:`nf_solve` learns a homogeneous-quartic map H from a planar
@@ -11,13 +11,11 @@ Two instances are provided:
   jointly with the radius samples themselves, coupling them through the
   radial decay law and an initial-condition anchor.
 
-Both solves run :func:`gpmaps.optim.gradient_descent` with a fixed diagonal
-rescaling. The first profiles ``a`` out in closed form and descends on the
-map's representer coefficients; in node-value coordinates the nearly
-singular node Gram makes plain gradient steps vanishingly small. Each
-problem builds its fixed matrices (the node Gram factor and cross blocks,
-or the quartic features of the trajectory) once, on first use, and keeps
-them.
+The first solve is exact: for a fixed ``a`` the best map is one Cholesky
+solve, and a 1-D root find on the slope in ``a`` finishes it. The second
+runs :func:`gpmaps.optim.gradient_descent` with a fixed diagonal rescaling.
+Each problem builds its fixed matrices (the node Gram factor and cross
+blocks, or the quartic features of the trajectory) once, on first use.
 """
 
 from __future__ import annotations
@@ -27,10 +25,10 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dynamics import first_difference
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, SingularSystemError
 from .gp import Interpolant, LinearFunctional, default_nugget, _factor_with_escalation
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig, gradient_descent
@@ -101,12 +99,8 @@ class CgcPdeProblem:
                 raise InvalidInputError(f"{name} must be nonnegative when given")
 
     @property
-    def anchor(self):
-        return 1.0
-
-    @property
     def nodes(self):
-        return np.concatenate([self.u_data, [self.anchor]])
+        return np.concatenate([self.u_data, [1.0]])
 
     @cached_property
     def _context(self):
@@ -132,8 +126,7 @@ class _PdeContext:
 
     def __init__(self, problem):
         self.problem = problem
-        x = problem.nodes
-        self.x = x
+        self.x = x = problem.nodes
         self.k_node = np.asarray(k_deriv(PDE_KERNEL, x[:, None], x[None, :], 0, 0), dtype=float)
         lam = problem.nugget if problem.nugget is not None else default_nugget(self.k_node)
         self.cf, self.lam = _factor_with_escalation(self.k_node, lam)
@@ -180,15 +173,14 @@ def _pde_terms(ctx, state):
     }
 
 
-def cgc_pde_loss_terms(problem, state, weights=None):
+def cgc_pde_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`cgc_pde_loss`.
 
     The data-fit term ``l1_weighted`` is identically zero: the output column
     of the data array is the map itself evaluated at the data.
     """
-    ctx = problem._context
-    _, lam2, lam3 = weights if weights is not None else ctx.weights(state)
-    t = _pde_terms(ctx, state)
+    _, lam2, lam3 = weights
+    t = _pde_terms(problem._context, state)
     return {
         "norm_g": t["norm_g"],
         "a_prior": t["a_prior"],
@@ -200,16 +192,16 @@ def cgc_pde_loss_terms(problem, state, weights=None):
     }
 
 
-def cgc_pde_loss(problem, state, weights=None):
-    """Total loss at a state (weights balanced at this state if not supplied)."""
+def cgc_pde_loss(problem, state, weights):
+    """Total loss at a state."""
     t = cgc_pde_loss_terms(problem, state, weights)
     return t["norm_g"] + t["a_prior"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
 
-def cgc_pde_grad(problem, state, weights=None):
+def cgc_pde_grad(problem, state, weights):
     """Hand-coded gradient of the loss w.r.t. (g_values, a)."""
     ctx = problem._context
-    _, lam2, lam3 = weights if weights is not None else ctx.weights(state)
+    _, lam2, lam3 = weights
     t = _pde_terms(ctx, state)
     beta, resid, z2 = t["_beta"], t["_resid"], t["_z2"]
     # d resid / d g, mapped back through the symmetric solve
@@ -248,54 +240,62 @@ def _best_a(ctx, beta, lam2):
     return float(-lam2 * (z1 @ z) / (1.0 / ctx.problem.gamma**2 + lam2 * (z @ z)))
 
 
-def cgc_pde_solve(problem, init=None, config=None):
-    """Minimize the joint loss from ``init`` (default: zero coefficient, identity map).
+def _map_at(ctx, weights, a):
+    """The best map for a fixed ``a`` and the slope in ``a`` of the loss there.
 
-    For a fixed map the loss is quadratic in ``a``, so ``a`` is profiled out
-    in closed form (variable projection) and the descent runs on the map's
-    representer coefficients alone. At the profiled ``a`` the loss is
-    stationary in ``a``, so the map part of the joint gradient is the exact
-    gradient of the profiled loss. (A joint gradient flow stalls: ``a``
-    creeps while the equation term flattens the map, after which the descent
-    settles in the mirrored decaying-map branch where the learned
-    coefficient has the wrong sign.) Returns the final state, the
-    representer interpolant of the learned map, and the accepted-step loss
-    trace, whose last entry is the loss at the returned state.
+    It solves H(a) beta = lambda3 k1, H(a) = K_reg + lambda2 M(a)^T M(a) + lambda3 k1 k1^T,
+    where M(a) = k_data + a diag(1/u^2) k_data_d1 gives the equation residual
+    and k1 is the anchor row of K_reg. At that map the ``a``-part of the
+    joint gradient is the exact slope of the profiled loss (envelope theorem).
+    """
+    _, lam2, lam3 = weights
+    k1 = ctx.k_reg[-1]
+    m = ctx.k_data + a * ctx.inv_u2[:, None] * ctx.k_data_d1
+    try:
+        cf = cho_factor(ctx.k_reg + lam2 * (m.T @ m) + lam3 * np.outer(k1, k1))
+    except LinAlgError as exc:
+        raise SingularSystemError(f"map system not factorizable at a = {a!r}") from exc
+    state = CgcPdeState(ctx.k_reg @ cho_solve(cf, lam3 * k1), a)
+    return state, cgc_pde_grad(ctx.problem, state, weights)[1]
+
+
+def cgc_pde_solve(problem, init=None, config=None):
+    """Minimize the joint loss exactly, in the basin of ``init`` (default: zero coefficient, identity map).
+
+    Variable projection: :func:`_map_at` gives the best map at each ``a``.
+    From the closed-form best ``a`` for the initial map, the search walks
+    downhill in steps doubling from 1e-3 to the slope's first sign change and
+    bisects to adjacent floats (``bracket_closed``), unless the slope is 0
+    (``zero_slope``) or ``config.max_iters`` slopes are spent (``max_iters``).
+    The loss trace is [loss at the initial map and its best ``a``, loss at the
+    returned state, the last point whose slope still points downhill].
     """
     ctx = problem._context
     state0 = init if init is not None else cgc_pde_default_init(problem)
     weights = ctx.weights(state0)
-    lam2 = weights[1]
-
-    def state_of(beta):
-        return CgcPdeState(ctx.k_reg @ beta, _best_a(ctx, beta, lam2))
-
-    def loss_of(beta):
-        return cgc_pde_loss(problem, state_of(beta), weights)
-
-    def grad_of(beta):
-        return ctx.k_reg @ cgc_pde_grad(problem, state_of(beta), weights)[0]
-
     beta0 = ctx.beta_of_g(state0.g_values)
-    precond = _pde_precond(ctx, state0, weights)
-    out = gradient_descent(loss_of, grad_of, beta0, config or DescentConfig(), precond=precond)
-    interp = Interpolant(
-        PDE_KERNEL,
-        tuple(LinearFunctional.dirac(xi) for xi in ctx.x),
-        out.x,
-        nugget=ctx.lam,
-    )
-    return CgcPdeResult(state_of(out.x), interp, out.loss_trace, weights, out.iterations, out.converged,
-                        out.reason)
-
-
-def _pde_precond(ctx, state, weights):
-    """Inverse diagonal of the initial Hessian in representer coordinates."""
-    _, lam2, lam3 = weights
-    m = ctx.k_data + state.a * ctx.inv_u2[:, None] * ctx.k_data_d1
-    diag = 2.0 * np.diag(ctx.k_reg) + 2.0 * lam2 * np.sum(m * m, axis=0) \
-        + 2.0 * lam3 * ctx.k_reg[-1, :] ** 2
-    return 1.0 / np.maximum(diag, 1e-12)
+    a0 = _best_a(ctx, beta0, weights[1])
+    state, slope = _map_at(ctx, weights, a0)
+    evals, direction, step, hi = 1, (-1.0 if slope > 0.0 else 1.0), 1e-3, None
+    cap = (config or DescentConfig()).max_iters
+    while slope != 0.0 and evals < cap:
+        trial = state.a + direction * step if hi is None else 0.5 * (state.a + hi)
+        if trial in (state.a, hi):
+            break
+        step *= 2.0
+        trial_state, trial_slope = _map_at(ctx, weights, trial)
+        evals += 1
+        if direction * trial_slope <= 0.0:
+            state, slope = trial_state, trial_slope
+        else:
+            hi = trial
+    closed = hi is not None and 0.5 * (state.a + hi) in (state.a, hi)
+    reason = "zero_slope" if slope == 0.0 else "bracket_closed" if closed else "max_iters"
+    interp = Interpolant(PDE_KERNEL, tuple(map(LinearFunctional.dirac, ctx.x)), ctx.beta_of_g(state.g_values),
+                         nugget=ctx.lam)
+    trace = [cgc_pde_loss(problem, CgcPdeState(ctx.k_reg @ beta0, a0), weights),
+             cgc_pde_loss(problem, state, weights)]
+    return CgcPdeResult(state, interp, trace, weights, evals, reason != "max_iters", reason)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +411,9 @@ def _nf_weights(problem, init_state):
     return lam1, lam2, lam3
 
 
-def nf_loss_terms(problem, state, weights=None):
+def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
-    lam1, lam2, lam3 = weights if weights is not None else _nf_weights(problem, state)
+    lam1, lam2, lam3 = weights
     t = _nf_terms(problem, state)
     return {
         "norm_h": t["norm_h"],
@@ -426,14 +426,14 @@ def nf_loss_terms(problem, state, weights=None):
     }
 
 
-def nf_loss(problem, state, weights=None):
+def nf_loss(problem, state, weights):
     t = nf_loss_terms(problem, state, weights)
     return t["norm_h"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
 
-def nf_grad(problem, state, weights=None):
+def nf_grad(problem, state, weights):
     """Hand-coded gradient w.r.t. (h_coeffs, r_values)."""
-    lam1, lam2, lam3 = weights if weights is not None else _nf_weights(problem, state)
+    lam1, lam2, lam3 = weights
     t = _nf_terms(problem, state)
     r = state.r_values
     grad_c = (

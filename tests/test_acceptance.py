@@ -75,10 +75,9 @@ def test_criterion_3_first_order():
 
 
 def test_criterion_4_cgc_coefficient_recovery(tmp_path):
-    # Known red: the descent stops at its 40,000-step cap at a = -1.8049
-    # (loss 9.3455). With the map minimized out exactly, the stated loss has
-    # a local minimum near a = -1.80 (loss 9.043) and its global minimum near
-    # a = +0.74 (loss 2.219), on the wrong-sign branch; the best map at
+    # Known red: the exact solve converges to a = -1.80084 (loss 9.0428), a
+    # local minimum of the stated loss; its global minimum lies near
+    # a = +0.74 (loss 2.219), on the wrong-sign branch, and the best map at
     # a = -1 costs 10.460. Asserted as stated.
     start = time.perf_counter()
     summary = run_experiment({"experiment": "cgc-pde", "output_dir": str(tmp_path)})

@@ -9,6 +9,7 @@ from gpmaps.cgc import (
     NfState,
     _best_a,
     _fd_time_adjoint,
+    _map_at,
     cgc_pde_default_init,
     cgc_pde_grad,
     cgc_pde_loss,
@@ -121,18 +122,46 @@ class TestPdeLoss:
 
 
 class TestPdeSolve:
-    def test_from_truth_stays_at_truth(self):
-        # the residual a-offset scales like 1/(lambda2 * ||G||^2): paper-size data
+    def test_from_truth_reaches_a_stationary_point_below_truth(self):
+        # the truth zeroes the equation residual (test_truth_state_residuals_tiny)
+        # but is not a minimum of the stated loss: gentler maps are cheaper,
+        # so the exact solve leaves it, to a local minimum near a = -2.686
         prob = CgcPdeProblem(u_data=first_order_problem(100).us, lambda2=200.0, lambda3=20000.0)
         init = CgcPdeState(first_order_truth(prob.nodes), -1.0)
-        res = cgc_pde_solve(prob, init=init, config=DescentConfig(max_iters=6000))
-        assert abs(res.state.a + 1.0) <= 1e-3
+        res = cgc_pde_solve(prob, init=init)
+        assert res.converged
+        assert res.loss_trace[-1] <= cgc_pde_loss(prob, init, res.weights)
+        # H(a) is ill-conditioned at these weights (the anchor row carries
+        # 2e4), so stationarity holds to about 1e-6 in a and 5e-8 in beta
+        grad_g, grad_a = cgc_pde_grad(prob, res.state, res.weights)
+        assert abs(grad_a) <= 1e-5
+        assert np.max(np.abs(prob._context.k_reg @ grad_g)) <= 1e-6
 
     def test_zero_lambda2_drives_a_to_zero(self, u_data):
+        # without the equation term the slope at the start (a = 0) is exactly 0
         prob = CgcPdeProblem(u_data=u_data, lambda2=0.0, lambda3=100.0)
         init = CgcPdeState(first_order_truth(prob.nodes), -1.0)
         res = cgc_pde_solve(prob, init=init, config=DescentConfig(max_iters=200))
         assert abs(res.state.a) <= 1e-12
+        assert (res.iterations, res.reason) == (1, "zero_slope")
+
+    def test_capped_solve_stops_at_max_iters(self, u_data):
+        prob = CgcPdeProblem(u_data=u_data)
+        res = cgc_pde_solve(prob, config=DescentConfig(max_iters=3))
+        assert (res.converged, res.reason, res.iterations) == (False, "max_iters", 3)
+        # the trace holds the start and the returned state only
+        assert len(res.loss_trace) == 2
+        assert res.loss_trace[1] <= res.loss_trace[0]
+
+    def test_returns_a_local_minimum_of_the_profile(self, u_data):
+        prob = CgcPdeProblem(u_data=u_data)
+        res = cgc_pde_solve(prob)
+        assert res.converged
+        loss = res.loss_trace[-1]
+        for da in (-1e-3, 1e-3):
+            state, _ = _map_at(prob._context, res.weights, res.state.a + da)
+            assert cgc_pde_loss(prob, state, res.weights) >= loss
+        assert abs(cgc_pde_grad(prob, res.state, res.weights)[1]) <= 1e-8
 
     def test_trace_nonincreasing(self, u_data):
         prob = CgcPdeProblem(u_data=u_data)
@@ -148,7 +177,7 @@ class TestPdeSolve:
         expected = res.state.g_values - res.interpolant.nugget * res.interpolant.coefficients
         np.testing.assert_allclose(res.interpolant(prob.nodes), expected, rtol=1e-8, atol=1e-10)
 
-    @pytest.mark.parametrize("max_iters", [100, 300])
+    @pytest.mark.parametrize("max_iters", [3, 100, 300])
     def test_final_loss_is_loss_at_returned_state(self, u_data, max_iters):
         prob = CgcPdeProblem(u_data=u_data)
         res = cgc_pde_solve(prob, config=DescentConfig(max_iters=max_iters))

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from gpmaps import gp
+from gpmaps import cgc, gp
 from gpmaps.cli import main, run_experiment, run_table1
 
 
@@ -181,9 +182,10 @@ class TestCgcExperiments:
         })
         metrics = summary["metrics"]
         assert "a_learned" in metrics
-        assert metrics["stop_reason"] == "max_iters"
-        assert metrics["converged"] is False
-        assert metrics["iterations"] == 400
+        # the exact solve converges well inside the cap
+        assert metrics["converged"] is True
+        assert metrics["stop_reason"] != "max_iters"
+        assert metrics["iterations"] < 400
         assert summary["parameters"]["weights"][0] == 0.0
         lines = (out / "cgc_pde.csv").read_text().splitlines()
         assert lines[0] == "u,G_learned,G_truth"
@@ -199,6 +201,14 @@ class TestCgcExperiments:
             "experiment": "cgc-pde", "N": 10, "max_iters": 5, "output_dir": str(tmp_path / "o"), key: value,
         })
         assert main(["run", cfg]) == 2
+
+    def test_cgc_pde_singular_map_system_exits_3(self, tmp_path, monkeypatch):
+        def failing(matrix):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(cgc, "cho_factor", failing)
+        cfg = write_config(tmp_path, "c.json", {"experiment": "cgc-pde", "N": 10, "output_dir": str(tmp_path / "o")})
+        assert main(["run", cfg]) == 3
 
     def test_brusselator_nf_csv_schema(self, tmp_path):
         out = tmp_path / "out"
