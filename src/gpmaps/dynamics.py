@@ -6,11 +6,16 @@ viscous Burgers, the anchored antiderivative operator, classical RK4 for
 ODE trajectories, the Brusselator right-hand side and the radial law of its
 Hopf normal form, closed-form reference solutions, and a registry of
 built-in initial conditions with their exact antiderivatives.
+
+ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
+floats and return a sequence of floats; ``rk4`` steps on Python floats.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,34 +187,46 @@ def antiderivative(field, value_at_anchor=0.0, anchor_x=0.0):
 
 
 def rk4(rhs, y0, t0, t1, dt):
-    """Classical 4th-order Runge-Kutta with a final partial step landing on t1."""
+    """Classical 4th-order Runge-Kutta with a final partial step landing on t1.
+
+    ``rhs(t, y)`` receives the state as a list of Python floats and returns a
+    sequence of floats of the same length. The step runs on Python floats, one
+    component at a time, in the same operation order as the vector form
+    ``y + (step / 6.0) * (k1 + 2*k2 + 2*k3 + k4)``, so IEEE arithmetic gives
+    the same bits as numpy's elementwise operations. A right-hand side that
+    returns a numpy array also works, only more slowly.
+    """
     if not dt > 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     t = t0
-    times = [t0]
-    states = [y.copy()]
-    # overflow surfaces as the typed error below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < t1 - 1e-12 * max(1.0, abs(t1)):
-            step = min(dt, t1 - t)
-            k1 = np.asarray(rhs(t, y))
-            k2 = np.asarray(rhs(t + 0.5 * step, y + 0.5 * step * k1))
-            k3 = np.asarray(rhs(t + 0.5 * step, y + 0.5 * step * k2))
-            k4 = np.asarray(rhs(t + step, y + step * k3))
-            y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NumericalOverflowError(f"non-finite state at t = {t + step}")
-            t = t + step
-            times.append(t)
-            states.append(y.copy())
-    return Trajectory(np.asarray(times), np.asarray(states))
+    times = array("d", [t0])
+    states = array("d", y)
+    while t < t1 - 1e-12 * max(1.0, abs(t1)):
+        step = min(dt, t1 - t)
+        half = 0.5 * step
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = rhs(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
+        sixth = step / 6.0
+        y = [yi + sixth * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        # Python float arithmetic yields inf/nan rather than raising; surface it typed
+        if not all(map(math.isfinite, y)):
+            raise NumericalOverflowError(f"non-finite state at t = {t + step}")
+        t = t + step
+        times.append(t)
+        states.extend(y)
+    return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), len(y)))
 
 
 def brusselator_rhs(A, B):
-    """Right-hand side of the Brusselator shifted so the equilibrium sits at the origin."""
+    """Right-hand side of the Brusselator shifted so the equilibrium sits at the origin.
+
+    Takes the state ``(u, v)`` as a sequence of floats and returns a tuple.
+    """
     if A == 0:
         raise InvalidInputError("A must be nonzero")
 
@@ -217,7 +234,7 @@ def brusselator_rhs(A, B):
         u, v = state
         p = u + A
         q = v + B / A
-        return np.array([A + p * p * q - (B + 1.0) * p, B * p - p * p * q])
+        return (A + p * p * q - (B + 1.0) * p, B * p - p * p * q)
 
     return rhs
 
@@ -239,11 +256,13 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
 
 
 def hopf_polar_rhs(mu):
-    """dr/dt = (mu - r^2) r."""
+    """dr/dt = (mu - r^2) r, on a one-element sequence; returns a one-element tuple."""
+    mu = float(mu)  # mu_from_AB gives a numpy scalar; keep the step on Python floats
 
-    def rhs(t, r):
-        r = np.asarray(r)
-        return (mu - r**2) * r
+    def rhs(t, state):
+        (r,) = state
+        # r * r, not r**2: a float ** overflows with an untyped OverflowError
+        return ((mu - r * r) * r,)
 
     return rhs
 

@@ -121,7 +121,53 @@ class TestAntiderivative:
             antiderivative(f, 0.0, -3.0)
 
 
+def rk4_numpy_reference(rhs, y0, t0, t1, dt):
+    """RK4 vectorised over numpy arrays: ``rk4``'s operations in the same order."""
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    t = t0
+    times = [t0]
+    states = [y.copy()]
+    while t < t1 - 1e-12 * max(1.0, abs(t1)):
+        step = min(dt, t1 - t)
+        k1 = np.asarray(rhs(t, y))
+        k2 = np.asarray(rhs(t + 0.5 * step, y + 0.5 * step * k1))
+        k3 = np.asarray(rhs(t + 0.5 * step, y + 0.5 * step * k2))
+        k4 = np.asarray(rhs(t + step, y + step * k3))
+        y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + step
+        times.append(t)
+        states.append(y.copy())
+    return np.asarray(times), np.asarray(states)
+
+
+LINEAR_3 = [[-0.3, 1.1, 0.0], [-1.1, -0.3, 0.2], [0.05, 0.0, -0.7]]
+
+
+def linear_3_rhs(t, y):
+    return tuple(sum(a * yi for a, yi in zip(row, y)) for row in LINEAR_3)
+
+
 class TestRk4:
+    @pytest.mark.parametrize(
+        "rhs, y0, t1, dt",
+        [
+            # 2,503 steps, the last a partial step of 3e-4
+            (brusselator_rhs(1.0, 2.1), [0.1, -0.1], 2.5023, 1e-3),
+            (hopf_polar_rhs(mu_from_AB(1.0, 2.1)), [np.sqrt(2) / 10], 3.0, 1e-3),
+            (linear_3_rhs, [1.0, -0.5, 0.25], 1.05, 1e-2),
+        ],
+        ids=["brusselator", "hopf", "linear-3"],
+    )
+    def test_bit_identical_to_numpy_loop(self, rhs, y0, t1, dt):
+        ref_times, ref_states = rk4_numpy_reference(rhs, y0, 0.0, t1, dt)
+        traj = rk4(rhs, y0, 0.0, t1, dt)
+        assert np.array_equal(traj.times, ref_times)
+        assert np.array_equal(traj.states, ref_states)
+
+    def test_overflow_raises_typed_error(self):
+        with pytest.raises(NumericalOverflowError):
+            rk4(hopf_polar_rhs(0.05), [1e200], 0.0, 1.0, 1e-3)
+
     def test_zero_rhs(self):
         traj = rk4(lambda t, y: np.zeros_like(y), [1.0, -2.0], 0.0, 1.0, 0.1)
         np.testing.assert_array_equal(traj.states[-1], [1.0, -2.0])
@@ -151,21 +197,21 @@ class TestRk4:
 class TestBrusselator:
     def test_origin_is_equilibrium(self):
         rhs = brusselator_rhs(1.0, 2.1)
-        np.testing.assert_array_equal(rhs(0.0, np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(np.asarray(rhs(0.0, [0.0, 0.0])), np.zeros(2))
 
     def test_frozen_value(self):
         # hand-evaluated once: u+A=1.1, v+B/A=2.0 -> (0.01, -0.11)
         rhs = brusselator_rhs(1.0, 2.1)
-        out = rhs(0.0, np.array([0.1, -0.1]))
-        np.testing.assert_allclose(out, [0.01, -0.11], atol=1e-12)
+        out = rhs(0.0, [0.1, -0.1])
+        np.testing.assert_allclose(np.asarray(out), [0.01, -0.11], atol=1e-12)
 
     def test_sum_identity(self):
         # du/dt + dv/dt = A - (u + A), an algebraic identity of the vector field
         rhs = brusselator_rhs(1.3, 2.6)
         for _ in range(20):
-            state = RNG.uniform(-1, 1, 2)
+            state = RNG.uniform(-1, 1, 2).tolist()
             out = rhs(0.0, state)
-            assert out.sum() == pytest.approx(1.3 - (state[0] + 1.3), rel=1e-12, abs=1e-12)
+            assert sum(out) == pytest.approx(1.3 - (state[0] + 1.3), rel=1e-12, abs=1e-12)
 
     def test_zero_A_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -182,8 +228,8 @@ class TestHopf:
     def test_polar_zeros(self):
         mu = 0.25
         rhs = hopf_polar_rhs(mu)
-        assert rhs(0.0, np.array([0.0]))[0] == 0.0
-        assert rhs(0.0, np.array([np.sqrt(mu)]))[0] == pytest.approx(0.0, abs=1e-15)
+        assert rhs(0.0, [0.0])[0] == 0.0
+        assert rhs(0.0, [float(np.sqrt(mu))])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestMuAndRExact:
