@@ -251,7 +251,8 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
         raise InvalidInputError("sample_dt must be an integer multiple of gen_dt")
     t_end = (n_samples - 1) * sample_dt
     fine = rk4(brusselator_rhs(A, B), np.asarray(init_point, dtype=float), 0.0, t_end, gen_dt)
-    states = fine.states[::stride][:n_samples]
+    # a copy, not a view: a view would keep the whole fine trajectory alive
+    states = fine.states[::stride][:n_samples].copy()
     return Trajectory(sample_dt * np.arange(n_samples), states)
 
 

@@ -10,17 +10,24 @@ mixed partials. The relaxed minimum-norm solution
 
 is computed by a dense symmetric positive-definite factorization; the nugget
 ``lam`` keeps routinely ill-conditioned derivative Grams factorizable.
+
+The Gram matrix is assembled in blocks of terms with equal derivative
+orders, and an interpolant is read as a sum over those orders of kernel
+derivative blocks times per-term coefficients; no (points x constraints)
+matrix is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import InvalidInputError, SingularSystemError
-from .kernels import k_deriv, kernel_from_config, kernel_to_config
+from .kernels import k_deriv, k_derivs, kernel_from_config, kernel_to_config
 
 __all__ = [
     "FunctionalTerm",
@@ -53,7 +60,7 @@ class FunctionalTerm:
     def __post_init__(self):
         if self.deriv_order not in (0, 1, 2):
             raise InvalidInputError(f"deriv_order must be 0, 1 or 2, got {self.deriv_order}")
-        if not np.isfinite(self.weight) or not np.isfinite(self.location):
+        if not math.isfinite(self.weight) or not math.isfinite(self.location):
             raise InvalidInputError("functional terms must have finite location and weight")
 
 
@@ -129,39 +136,74 @@ def _flatten(functionals):
     )
 
 
-def functional_cross(kernel, functionals, points, point_order=0):
-    """Matrix of ``phi_j`` applied to ``d^q/du^q K(u_p, .)``.
-
-    Entry (p, j) is ``sum_t w_jt * k_deriv(points[p], loc_jt, point_order, a_jt)``.
-    This is both the evaluation map of an interpolant (times its coefficient
-    vector) and the K(u, phi) vector of the representer formula.
-    """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    m = len(functionals)
+def _order_groups(functionals):
+    """Terms split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
     locs, orders, weights, owner = _flatten(functionals)
-    out = np.zeros((points.shape[0], m))
-    for b in np.unique(orders):
-        sel = orders == b
-        block = k_deriv(kernel, points[:, None], locs[sel][None, :], point_order, int(b))
-        block = np.asarray(block, dtype=float) * weights[sel][None, :]
-        np.add.at(out.T, owner[sel], block.T)
-    return out
+    return {int(a): (locs[orders == a], weights[orders == a], owner[orders == a]) for a in np.unique(orders)}
+
+
+def _owner_index(owners):
+    """Segment starts of the sorted owners, and the Gram index of each segment.
+
+    The index is a slice when the segment owners are contiguous, else an array.
+    """
+    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+    rows = owners[starts]
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return starts, slice(int(rows[0]), int(rows[-1]) + 1)
+    return starts, rows
 
 
 def assemble_gram(functionals, kernel):
-    """Gram matrix with entries [phi_i, K phi_j], symmetrized after assembly."""
+    """Gram matrix with entries [phi_i, K phi_j], symmetrized after assembly.
+
+    Terms are grouped by derivative order. Only the blocks with orders
+    a <= b are computed: the (b, a) block is the transpose of the (a, b)
+    one, exactly, since x - y and y - x are exact negatives. Order groups on
+    the same locations share one gap array and one exp (:func:`k_derivs`).
+    The terms of one functional are summed with ``reduceat`` over the sorted
+    owners, and the blocks are added in lexicographic (a, b) order. Each
+    block is released once added (a < b blocks once their transpose is), so
+    at most a few Gram-sized arrays are alive at a time.
+    """
     m = len(functionals)
-    locs, orders, weights, owner = _flatten(functionals)
+    groups = _order_groups(functionals)
+    orders = sorted(groups)
+    # the lowest order on the same locations stands for all of them
+    home = {a: next(c for c in orders if np.array_equal(groups[c][0], groups[a][0])) for a in orders}
+    pairs_by_home = {}
+    for i, a in enumerate(orders):
+        for b in orders[i:]:
+            pairs_by_home.setdefault((home[a], home[b]), []).append((a, b))
+    starts, place = {}, {}
+    for a in orders:
+        starts[a], place[a] = _owner_index(groups[a][2])
     gram = np.zeros((m, m))
-    present = np.unique(orders)
-    for a in present:
-        ia = np.nonzero(orders == a)[0]
-        for b in present:
-            ib = np.nonzero(orders == b)[0]
-            block = k_deriv(kernel, locs[ia][:, None], locs[ib][None, :], int(a), int(b))
-            block = np.asarray(block, dtype=float) * weights[ia][:, None] * weights[ib][None, :]
-            np.add.at(gram, (owner[ia][:, None], owner[ib][None, :]), block)
-    return 0.5 * (gram + gram.T)
+    kernel_blocks, upper = {}, {}
+    for a in orders:
+        for b in orders:
+            if a > b:
+                block = upper.pop((b, a)).T
+            else:
+                if (a, b) not in kernel_blocks:
+                    ha, hb = home[a], home[b]
+                    kernel_blocks.update(k_derivs(kernel, groups[ha][0][:, None], groups[hb][0][None, :],
+                                                  pairs_by_home[ha, hb]))
+                block = kernel_blocks.pop((a, b)) * groups[a][1][:, None]
+                block *= groups[b][1][None, :]
+                if starts[a].size < block.shape[0]:
+                    block = np.add.reduceat(block, starts[a], axis=0)
+                if starts[b].size < block.shape[1]:
+                    block = np.add.reduceat(block, starts[b], axis=1)
+                if a < b:
+                    upper[a, b] = block
+            rows, cols = place[a], place[b]
+            if not isinstance(rows, slice) and not isinstance(cols, slice):
+                rows, cols = np.ix_(rows, cols)
+            gram[rows, cols] += block
+    gram += gram.T  # numpy buffers the overlapping transpose: this is G + G^T
+    gram *= 0.5
+    return gram
 
 
 def default_nugget(gram):
@@ -212,10 +254,21 @@ class Interpolant:
             raise InvalidInputError("coefficient vector must match the functional list")
         object.__setattr__(self, "coefficients", a)
 
+    @cached_property
+    def _coefficients_by_order(self):
+        """``{order: (locs, c)}`` with per-term coefficients c_t = w_t * alpha[owner_t]."""
+        return {a: (locs, weights * self.coefficients[owner])
+                for a, (locs, weights, owner) in _order_groups(self.functionals).items()}
+
     def evaluate(self, u, deriv_order=0):
-        """Value (or derivative) of the fitted map at scalar or array ``u``."""
-        cross = functional_cross(self.kernel, self.functionals, u, deriv_order)
-        vals = cross @ self.coefficients
+        """Value (or derivative) of the fitted map at scalar or array ``u``.
+
+        Sums ``k_deriv(u, locs_b, deriv_order, b) @ c_b`` over the term orders b.
+        """
+        points = np.atleast_1d(np.asarray(u, dtype=float))
+        vals = np.zeros(points.shape[0])
+        for b, (locs, c) in self._coefficients_by_order.items():
+            vals += k_deriv(self.kernel, points[:, None], locs[None, :], deriv_order, b) @ c
         return float(vals[0]) if np.isscalar(u) or np.ndim(u) == 0 else vals
 
     def __call__(self, u):

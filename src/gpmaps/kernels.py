@@ -29,6 +29,7 @@ __all__ = [
     "HomogeneousPolynomial",
     "k_eval",
     "k_deriv",
+    "k_derivs",
     "homogeneous_features",
     "homogeneous_norm_sq",
     "kernel_to_config",
@@ -58,33 +59,53 @@ class HomogeneousPolynomial:
             raise InvalidInputError(f"degree must be a positive integer, got {self.degree}")
 
 
-def _matern_profile_deriv(n, gap, theta):
-    """n-th derivative (n <= 4) of the Matern-5/2 profile w.r.t. the signed gap.
+def _matern_profile_derivs(orders, x, y, theta):
+    """{n: n-th derivative of the Matern-5/2 profile at the gap x - y} for n in the set ``orders``.
 
-    Zero-lag values are the analytic limits: odd orders vanish (sign(0) = 0)
-    and the even orders reduce to -5/(3 theta^2) and 25/theta^4.
+    Every order is a polynomial in s|gap| times exp(-s|gap|), so all
+    requested orders share one |gap|, one exp and one sign. Zero-lag values
+    are the analytic limits: odd orders vanish (sign(0) = 0) and the even
+    orders reduce to -5/(3 theta^2) and 25/theta^4.
     """
-    gap = np.asarray(gap, dtype=float)
     s = np.sqrt(5.0) / theta
+    gap = np.asarray(x, float) - np.asarray(y, float)
+    sign = np.sign(gap) if orders & {1, 3} else None
     r = np.abs(gap)
+    del gap
     sr = s * r
     e = np.exp(-sr)
-    if n == 0:
-        return (1.0 + sr + sr * sr / 3.0) * e
-    if n == 1:
-        return np.sign(gap) * (-(s * s) * r / 3.0) * (1.0 + sr) * e
-    if n == 2:
-        return -(s * s) / 3.0 * (1.0 + sr - sr * sr) * e
-    if n == 3:
-        return np.sign(gap) * (s ** 4) * r / 3.0 * (3.0 - sr) * e
-    if n == 4:
-        return (s ** 4) / 3.0 * (3.0 - 5.0 * sr + sr * sr) * e
-    raise UnsupportedDerivativeError(f"Matern-5/2 supplies derivatives up to total order 4, got {n}")
+    out = {}
+    if 1 in orders:
+        out[1] = sign * (-(s * s) * r / 3.0) * (1.0 + sr) * e
+    if 3 in orders:
+        out[3] = sign * (s ** 4) * r / 3.0 * (3.0 - sr) * e
+    # only the odd orders read sign and r; free them before the even orders
+    # allocate, since on a Gram each array is as large as the Gram
+    del sign, r
+    sr2 = sr * sr if orders & {0, 2, 4} else None
+    if 0 in orders:
+        out[0] = (1.0 + sr + sr2 / 3.0) * e
+    if 2 in orders:
+        out[2] = -(s * s) / 3.0 * (1.0 + sr - sr2) * e
+    if 4 in orders:
+        out[4] = (s ** 4) / 3.0 * (3.0 - 5.0 * sr + sr2) * e
+    return out
 
 
-def matern_deriv(x, y, a, b, theta):
-    """d^a/dx^a d^b/dy^b of the Matern-5/2 kernel, vectorized over x and y."""
-    return (-1.0) ** b * _matern_profile_deriv(a + b, np.asarray(x, float) - np.asarray(y, float), theta)
+def k_derivs(spec, x, y, pairs):
+    """{(a, b): d^a/dx^a d^b/dy^b K(x, y)} of a Matern52 kernel for every order pair in ``pairs``.
+
+    The pairs share one gap array x - y and one exp; each is (-1)^b times the
+    profile derivative of order a + b, vectorized over x and y. Pairs with
+    the same a + b and even b share one array.
+    """
+    pairs = tuple(pairs)
+    if any(a not in (0, 1, 2) or b not in (0, 1, 2) for a, b in pairs):
+        raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {pairs}")
+    if not isinstance(spec, Matern52):
+        raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
+    profile = _matern_profile_derivs({a + b for a, b in pairs}, x, y, spec.theta)
+    return {(a, b): -profile[a + b] if b % 2 else profile[a + b] for a, b in pairs}
 
 
 def _check_vector(v, name):
@@ -101,7 +122,7 @@ def k_eval(spec, x, y):
     takes vectors of length 2.
     """
     if isinstance(spec, Matern52):
-        return _matern_profile_deriv(0, np.asarray(x, float) - np.asarray(y, float), spec.theta)
+        return _matern_profile_derivs({0}, x, y, spec.theta)[0]
     if isinstance(spec, HomogeneousPolynomial):
         xv = _check_vector(x, "x")
         yv = _check_vector(y, "y")
@@ -115,11 +136,7 @@ def k_deriv(spec, x, y, a, b):
     The polynomial kernel is handled in feature space
     (:func:`homogeneous_features`) and has no entry here.
     """
-    if a not in (0, 1, 2) or b not in (0, 1, 2):
-        raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got ({a},{b})")
-    if isinstance(spec, Matern52):
-        return matern_deriv(x, y, a, b, spec.theta)
-    raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
+    return k_derivs(spec, x, y, ((a, b),))[a, b]
 
 
 def homogeneous_features(spec, points):

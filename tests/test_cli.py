@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from gpmaps import cgc, gp
+from gpmaps import cgc, gp, kernel_learning
 from gpmaps.cli import main, run_experiment, run_table1
 
 
@@ -208,6 +208,14 @@ class TestCgcExperiments:
 
         monkeypatch.setattr(cgc, "cho_factor", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cgc-pde", "N": 10, "output_dir": str(tmp_path / "o")})
+        assert main(["run", cfg]) == 3
+
+    def test_singular_leave_one_out_gram_exits_3(self, tmp_path, monkeypatch):
+        def failing(matrix, lower=False):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(kernel_learning, "cho_factor", failing)
+        cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf-multi", "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 
     def test_brusselator_nf_csv_schema(self, tmp_path):

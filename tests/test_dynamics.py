@@ -223,6 +223,13 @@ class TestBrusselator:
         assert traj.states.shape == (200, 2)
         np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-12)
 
+    def test_trajectory_owns_its_samples(self):
+        # the samples are copied out, so the 100x longer fine trajectory is freed
+        traj = brusselator_trajectory(1.0, 2.1, n_samples=200)
+        assert traj.states.base is None and traj.states.flags.owndata
+        fine = rk4(brusselator_rhs(1.0, 2.1), [0.1, -0.1], 0.0, 199 * 0.1, 1e-3)
+        assert np.array_equal(traj.states, fine.states[::100][:200])
+
 
 class TestHopf:
     def test_polar_zeros(self):

@@ -8,6 +8,7 @@ from gpmaps.gp import (
     Interpolant,
     LinearFunctional,
     _factor_with_escalation,
+    _flatten,
     assemble_gram,
     constraint_residuals,
     fit,
@@ -15,8 +16,13 @@ from gpmaps.gp import (
     interpolant_to_config,
     rkhs_norm_sq,
 )
-from gpmaps.kernels import Matern52
-from gpmaps.transforms import cole_hopf_problem
+from gpmaps.kernels import Matern52, k_deriv
+from gpmaps.transforms import (
+    cole_hopf_discrete_problem,
+    cole_hopf_multi_problem,
+    cole_hopf_problem,
+    first_order_problem,
+)
 
 RNG = np.random.default_rng(11)
 K1 = Matern52(1.0)
@@ -49,6 +55,74 @@ class TestGram:
         gram = assemble_gram(prob.system.functionals, K1)
         eig = np.linalg.eigvalsh(gram)
         assert eig.min() >= -1e-8 * eig.max()
+
+
+def gram_reference(functionals, kernel):
+    """Gram assembly by scatter-adds over all (a, b) order pairs, one term pair at a time."""
+    m = len(functionals)
+    locs, orders, weights, owner = _flatten(functionals)
+    gram = np.zeros((m, m))
+    present = np.unique(orders)
+    for a in present:
+        ia = np.nonzero(orders == a)[0]
+        for b in present:
+            ib = np.nonzero(orders == b)[0]
+            block = k_deriv(kernel, locs[ia][:, None], locs[ib][None, :], int(a), int(b))
+            block = np.asarray(block, dtype=float) * weights[ia][:, None] * weights[ib][None, :]
+            np.add.at(gram, (owner[ia][:, None], owner[ib][None, :]), block)
+    return 0.5 * (gram + gram.T)
+
+
+def functional_cross_reference(kernel, functionals, points, point_order=0):
+    """(points x functionals) matrix of phi_j applied to d^q/du^q K(u_p, .), by scatter-adds."""
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    locs, orders, weights, owner = _flatten(functionals)
+    out = np.zeros((points.shape[0], len(functionals)))
+    for b in np.unique(orders):
+        sel = orders == b
+        block = k_deriv(kernel, points[:, None], locs[sel][None, :], point_order, int(b))
+        block = np.asarray(block, dtype=float) * weights[sel][None, :]
+        np.add.at(out.T, owner[sel], block.T)
+    return out
+
+
+@pytest.fixture(scope="module")
+def exact_systems():
+    # every weight product of these systems is exact (powers of two, +-1 or
+    # a single non-trivial factor), so the blockwise Gram matches bit for bit
+    return {
+        "cole-hopf-25": cole_hopf_problem(25).system,
+        "cole-hopf-200": cole_hopf_problem(200).system,
+        "pooled": cole_hopf_multi_problem().system,
+        "first-order": first_order_problem().system,
+    }
+
+
+class TestGramMatchesReference:
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
+    def test_bit_identical(self, exact_systems, theta):
+        kernel = Matern52(theta)
+        for name, system in exact_systems.items():
+            gram = assemble_gram(system.functionals, kernel)
+            assert np.array_equal(gram, gram_reference(system.functionals, kernel)), name
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
+    def test_discrete_to_rounding(self, theta):
+        # four order-0 terms per functional: their 16 products are summed in
+        # another order than the scatter-adds
+        functionals = cole_hopf_discrete_problem().system.functionals
+        gram = assemble_gram(functionals, Matern52(theta))
+        ref = gram_reference(functionals, Matern52(theta))
+        assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_evaluate_matches_cross_times_alpha(self, exact_systems, order):
+        pts = np.linspace(-0.2, 1.3, 57)
+        for name, system in exact_systems.items():
+            interp = fit(system, K1)
+            ref = functional_cross_reference(K1, system.functionals, pts, order) @ interp.coefficients
+            got = interp.evaluate(pts, order)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestFit:
@@ -110,6 +184,19 @@ class TestFit:
             fd2 = (interp(u + h) - 2 * interp(u) + interp(u - h)) / h**2
             assert interp.evaluate(u, 1) == pytest.approx(fd1, rel=1e-4)
             assert interp.evaluate(u, 2) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+
+
+class TestTermValidation:
+    @pytest.mark.parametrize("location, weight", [
+        (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.5, np.nan), (0.5, np.inf), (0.5, -np.inf),
+    ])
+    def test_nonfinite_term_rejected(self, location, weight):
+        with pytest.raises(InvalidInputError):
+            FunctionalTerm(location, 1, weight)
+
+    def test_numpy_scalars_accepted(self):
+        term = FunctionalTerm(np.float64(0.25), 2, np.float64(-3.0))
+        assert (term.location, term.weight) == (0.25, -3.0)
 
 
 class TestRkhsNorm:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from gpmaps.exceptions import InvalidInputError
-from gpmaps.gp import ConstraintSystem, fit
-from gpmaps.kernel_learning import ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
+from gpmaps import kernel_learning
+from gpmaps.exceptions import InvalidInputError, SingularSystemError
+from gpmaps.gp import ConstraintSystem, assemble_gram, fit
+from gpmaps.kernel_learning import LOO_NUGGET, ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import cole_hopf_problem, corrupt_targets, relative_l2
 
@@ -11,6 +13,16 @@ from gpmaps.transforms import cole_hopf_problem, corrupt_targets, relative_l2
 @pytest.fixture(scope="module")
 def cole25():
     return cole_hopf_problem(25)
+
+
+def rho_loo_inverse_reference(theta, system, removable):
+    """The downdate loss read off an explicit inverse B = (G + lam I)^{-1}."""
+    gram = assemble_gram(system.functionals, Matern52(theta))
+    b = np.linalg.inv(gram + LOO_NUGGET * np.eye(len(system)))
+    y = system.targets
+    by = b @ y
+    q_full = float(y @ by)
+    return float(np.mean(by[removable] ** 2 / (np.diag(b)[removable] * q_full)))
 
 
 class TestRhoLoo:
@@ -49,6 +61,20 @@ class TestRhoLoo:
             r2 = rho_loo(theta, scaled, cole25.interior)
             assert r1 == pytest.approx(r2, rel=1e-9)
 
+    def test_matches_inverse_reference(self, cole25):
+        for theta in np.logspace(-1, 2, 7):
+            a = rho_loo(theta, cole25.system, cole25.interior)
+            b = rho_loo_inverse_reference(theta, cole25.system, cole25.interior)
+            assert a == pytest.approx(b, rel=1e-9)
+
+    def test_failed_factorization_raises_singular(self, cole25, monkeypatch):
+        def failing(matrix, lower=False):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(kernel_learning, "cho_factor", failing)
+        with pytest.raises(SingularSystemError, match="theta=7.3"):
+            rho_loo(7.3, cole25.system, cole25.interior)
+
     def test_too_few_interior(self, cole25):
         with pytest.raises(InvalidInputError):
             rho_loo(1.0, cole25.system, [1])
@@ -72,6 +98,14 @@ class TestLearnTheta:
         err_learned = relative_l2(fit(cole25.system, Matern52(theta)), cole25.truth, cole25.eval_points)
         err_plain = relative_l2(fit(cole25.system, Matern52(1.0)), cole25.truth, cole25.eval_points)
         assert err_learned < err_plain
+
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_same_theta_as_inverse_reference(self, n, monkeypatch):
+        prob = cole_hopf_problem(n)
+        theta, _ = learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        monkeypatch.setattr(kernel_learning, "rho_loo", rho_loo_inverse_reference)
+        theta_ref, _ = learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        assert theta == theta_ref
 
     def test_deterministic(self, cole25):
         out1 = learn_theta(ThetaSearchConfig(), cole25.system, cole25.interior)
