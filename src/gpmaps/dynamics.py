@@ -8,7 +8,9 @@ Hopf normal form, closed-form reference solutions, and a registry of
 built-in initial conditions with their exact antiderivatives.
 
 ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
-floats and return a sequence of floats; ``rk4`` steps on Python floats.
+floats and return a sequence of floats; ``rk4`` steps on Python floats, a
+planar state on two float locals and any other length on lists, with the
+same operations in the same order.
 """
 
 from __future__ import annotations
@@ -190,51 +192,103 @@ def rk4(rhs, y0, t0, t1, dt):
     """Classical 4th-order Runge-Kutta with a final partial step landing on t1.
 
     ``rhs(t, y)`` receives the state as a list of Python floats and returns a
-    sequence of floats of the same length. The step runs on Python floats, one
-    component at a time, in the same operation order as the vector form
+    sequence of floats of the same length. The step runs on Python floats in
+    the same operation order as the vector form
     ``y + (step / 6.0) * (k1 + 2*k2 + 2*k3 + k4)``, so IEEE arithmetic gives
-    the same bits as numpy's elementwise operations. A right-hand side that
-    returns a numpy array also works, only more slowly.
+    the same bits as numpy's elementwise operations. A planar state (two
+    components) steps on two float locals; any other length steps on lists,
+    one component at a time, with the same operations in the same order. A
+    right-hand side that returns a numpy array also works, only more slowly.
+
+    Raises :class:`InvalidInputError` for a ``y0`` that is not a nonempty
+    1-D finite vector and for an ``rhs`` whose output length differs from the
+    state's, and :class:`NumericalOverflowError` for a non-finite state.
     """
     if not dt > 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise InvalidInputError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    try:
+        y = np.atleast_1d(np.asarray(y0, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"y0 must be a vector of floats: {exc}") from exc
+    if y.ndim != 1 or y.size == 0:
+        raise InvalidInputError(f"y0 must be a nonempty 1-D vector, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError("y0 must be finite")
+    y = y.tolist()
+    n = len(y)
+    t_stop = t1 - 1e-12 * max(1.0, abs(t1))
     t = t0
     times = array("d", [t0])
     states = array("d", y)
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        step = min(dt, t1 - t)
-        half = 0.5 * step
-        k1 = rhs(t, y)
-        k2 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
-        k3 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
-        k4 = rhs(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
-        sixth = step / 6.0
-        y = [yi + sixth * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-        # Python float arithmetic yields inf/nan rather than raising; surface it typed
-        if not all(map(math.isfinite, y)):
-            raise NumericalOverflowError(f"non-finite state at t = {t + step}")
-        t = t + step
-        times.append(t)
-        states.extend(y)
-    return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), len(y)))
+    if n == 2:
+        u, v = y
+        try:
+            while t < t_stop:
+                step = min(dt, t1 - t)
+                half = 0.5 * step
+                a1, b1 = rhs(t, [u, v])
+                a2, b2 = rhs(t + half, [u + half * a1, v + half * b1])
+                a3, b3 = rhs(t + half, [u + half * a2, v + half * b2])
+                a4, b4 = rhs(t + step, [u + step * a3, v + step * b3])
+                sixth = step / 6.0
+                u = u + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+                v = v + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                if not (math.isfinite(u) and math.isfinite(v)):
+                    raise NumericalOverflowError(f"non-finite state at t = {t + step}")
+                t = t + step
+                times.append(t)
+                states.append(u)
+                states.append(v)
+        except ValueError as exc:
+            # only the two-value unpackings raise ValueError in this frame
+            # itself; one raised inside rhs has a traceback entry below it
+            if exc.__traceback__.tb_next is not None:
+                raise
+            raise InvalidInputError(f"rhs must return 2 components for a planar state: {exc}") from exc
+    else:
+        while t < t_stop:
+            step = min(dt, t1 - t)
+            half = 0.5 * step
+            k1 = rhs(t, y)
+            k2 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+            k3 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+            k4 = rhs(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
+            # zip would silently truncate to the shortest
+            if not len(k1) == len(k2) == len(k3) == len(k4) == n:
+                raise InvalidInputError(f"rhs must return one component per state component ({n})")
+            sixth = step / 6.0
+            y = [yi + sixth * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            # Python float arithmetic yields inf/nan rather than raising; surface it typed
+            if not all(map(math.isfinite, y)):
+                raise NumericalOverflowError(f"non-finite state at t = {t + step}")
+            t = t + step
+            times.append(t)
+            states.extend(y)
+    return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), n))
 
 
 def brusselator_rhs(A, B):
     """Right-hand side of the Brusselator shifted so the equilibrium sits at the origin.
 
-    Takes the state ``(u, v)`` as a sequence of floats and returns a tuple.
+    ``A`` and ``B`` become Python floats, so the step stays on Python floats
+    when they arrive as numpy scalars. Takes the state ``(u, v)`` as a
+    sequence of floats and returns a tuple.
     """
+    A = float(A)
+    B = float(B)
     if A == 0:
         raise InvalidInputError("A must be nonzero")
+    b_over_a = B / A
+    b_plus_1 = B + 1.0
 
     def rhs(t, state):
         u, v = state
         p = u + A
-        q = v + B / A
-        return (A + p * p * q - (B + 1.0) * p, B * p - p * p * q)
+        q = v + b_over_a
+        ppq = p * p * q
+        return (A + ppq - b_plus_1 * p, B * p - ppq)
 
     return rhs
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpmaps import dynamics
 from gpmaps.dynamics import (
     Burgers,
     CflWarning,
@@ -147,6 +148,19 @@ def linear_3_rhs(t, y):
     return tuple(sum(a * yi for a, yi in zip(row, y)) for row in LINEAR_3)
 
 
+def linear_2_rhs(t, y):
+    u, v = y
+    return (-0.2 * u + 1.3 * v, -1.3 * u - 0.2 * v)
+
+
+def brusselator_numpy_rhs(t, y):
+    # returns a numpy array, as a right-hand side written in numpy would
+    u, v = y
+    p = u + 1.0
+    q = v + 2.1
+    return np.array([1.0 + p * p * q - 3.1 * p, 2.1 * p - p * p * q])
+
+
 class TestRk4:
     @pytest.mark.parametrize(
         "rhs, y0, t1, dt",
@@ -155,8 +169,12 @@ class TestRk4:
             (brusselator_rhs(1.0, 2.1), [0.1, -0.1], 2.5023, 1e-3),
             (hopf_polar_rhs(mu_from_AB(1.0, 2.1)), [np.sqrt(2) / 10], 3.0, 1e-3),
             (linear_3_rhs, [1.0, -0.5, 0.25], 1.05, 1e-2),
+            # 101 steps, the last a partial step of 3.7e-2; steps this coarse
+            # leave the rounding of each reordered sum visible in the state
+            (linear_2_rhs, [1.0, -0.5], 10.037, 0.1),
+            (brusselator_numpy_rhs, [0.1, -0.1], 1.0, 1e-3),
         ],
-        ids=["brusselator", "hopf", "linear-3"],
+        ids=["brusselator", "hopf", "linear-3", "linear-2", "numpy-rhs-2"],
     )
     def test_bit_identical_to_numpy_loop(self, rhs, y0, t1, dt):
         ref_times, ref_states = rk4_numpy_reference(rhs, y0, 0.0, t1, dt)
@@ -164,9 +182,41 @@ class TestRk4:
         assert np.array_equal(traj.times, ref_times)
         assert np.array_equal(traj.states, ref_states)
 
-    def test_overflow_raises_typed_error(self):
+    @pytest.mark.parametrize(
+        "rhs, y0",
+        [
+            (hopf_polar_rhs(0.05), [1e200]),
+            (lambda t, y: (y[0] * y[0], -y[1]), [1e200, 1.0]),
+        ],
+        ids=["1-d", "2-d"],
+    )
+    def test_overflow_raises_typed_error(self, rhs, y0):
         with pytest.raises(NumericalOverflowError):
-            rk4(hopf_polar_rhs(0.05), [1e200], 0.0, 1.0, 1e-3)
+            rk4(rhs, y0, 0.0, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n_out", [-1, 1], ids=["one-fewer", "one-more"])
+    def test_wrong_rhs_length_rejected(self, n, n_out):
+        # one component too few or too many; zip used to truncate silently
+        out = (1.0,) * (n + n_out)
+        with pytest.raises(InvalidInputError):
+            rk4(lambda t, y: out, [0.5] * n, 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("y0", [[[0.1, -0.1]], [], [0.1, np.nan], [[1.0], [2.0, 3.0]]],
+                             ids=["2-d", "empty", "nan", "ragged"])
+    def test_bad_initial_state_rejected(self, y0):
+        with pytest.raises(InvalidInputError):
+            rk4(lambda t, y: y, y0, 0.0, 1.0, 0.1)
+
+    def test_rhs_value_error_passes_through(self):
+        # an error raised inside rhs is the caller's, not a length mismatch
+        def rhs(t, y):
+            raise ValueError("from rhs")
+
+        for y0 in ([0.1], [0.1, -0.1]):
+            with pytest.raises(ValueError, match="from rhs") as info:
+                rk4(rhs, y0, 0.0, 1.0, 0.1)
+            assert not isinstance(info.value, InvalidInputError)
 
     def test_zero_rhs(self):
         traj = rk4(lambda t, y: np.zeros_like(y), [1.0, -2.0], 0.0, 1.0, 0.1)
@@ -213,6 +263,16 @@ class TestBrusselator:
             out = rhs(0.0, state)
             assert sum(out) == pytest.approx(1.3 - (state[0] + 1.3), rel=1e-12, abs=1e-12)
 
+    def test_same_bits_as_field_formula(self):
+        # the field written out in one expression per component; the closure's
+        # precomputed B / A, B + 1.0 and p * p * q must give the same bits
+        A, B = 1.3, 2.6
+        rhs = brusselator_rhs(A, B)
+        for u, v in RNG.uniform(-1, 1, (50, 2)).tolist():
+            p = u + A
+            q = v + B / A
+            assert rhs(0.0, [u, v]) == (A + p * p * q - (B + 1.0) * p, B * p - p * p * q)
+
     def test_zero_A_rejected(self):
         with pytest.raises(InvalidInputError):
             brusselator_rhs(0.0, 2.0)
@@ -222,6 +282,26 @@ class TestBrusselator:
         assert len(traj) == 200
         assert traj.states.shape == (200, 2)
         np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-12)
+
+    def test_numpy_scalar_parameters_same_bits(self):
+        # A and B become Python floats; each expression keeps its IEEE result
+        as_float = rk4(brusselator_rhs(1.0, 2.1), [0.1, -0.1], 0.0, 2.0, 1e-3)
+        as_numpy = rk4(brusselator_rhs(np.float64(1.0), np.float64(2.1)), [0.1, -0.1], 0.0, 2.0, 1e-3)
+        assert np.array_equal(as_numpy.times, as_float.times)
+        assert np.array_equal(as_numpy.states, as_float.states)
+
+    def test_trajectory_calls_rk4_through_module_global(self, monkeypatch):
+        # the benchmark's dynamics.rk4 spans rebind this name to count calls and steps
+        steps = []
+
+        def counting_rk4(*args):
+            traj = rk4(*args)
+            steps.append(len(traj) - 1)
+            return traj
+
+        monkeypatch.setattr(dynamics, "rk4", counting_rk4)
+        brusselator_trajectory(1.0, 2.1, n_samples=200)
+        assert steps == [19_900]
 
     def test_trajectory_owns_its_samples(self):
         # the samples are copied out, so the 100x longer fine trajectory is freed
