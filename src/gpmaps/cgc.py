@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -61,8 +60,6 @@ PDE_KERNEL = Matern52(1.0)
 
 #: Kernel of the radius map H learned by :func:`nf_solve`.
 NF_KERNEL = HomogeneousPolynomial(4)
-# binom(d, k) for its monomials u^(d-k) v^k; the squared norm of c is sum c_k^2 / binom(d, k)
-_NF_BINOMS = np.array([comb(NF_KERNEL.degree, k) for k in range(NF_KERNEL.degree + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +206,12 @@ def cgc_pde_grad(problem, state, weights):
     w_z2 = w_z1 * state.a * ctx.inv_u2
     grad_g = 2.0 * beta + cho_solve(ctx.cf, ctx.k_data.T @ w_z1 + ctx.k_data_d1.T @ w_z2)
     grad_g[-1] += lam3 * 2.0 * (state.g_values[-1] - 1.0)
-    grad_a = 2.0 * state.a / problem.gamma**2 + lam2 * 2.0 * float(resid @ (z2 * ctx.inv_u2))
-    return grad_g, grad_a
+    return grad_g, _a_slope(ctx, state.a, lam2, resid, z2)
+
+
+def _a_slope(ctx, a, lam2, resid, z2):
+    """``a``-part of the loss gradient, 2a / gamma^2 + 2 lambda2 resid . (z2 / u^2), from the residual and G'(u)."""
+    return 2.0 * a / ctx.problem.gamma**2 + lam2 * 2.0 * float(resid @ (z2 * ctx.inv_u2))
 
 
 def cgc_pde_default_init(problem):
@@ -241,12 +242,13 @@ def _best_a(ctx, beta, lam2):
 
 
 def _map_at(ctx, weights, a):
-    """The best map for a fixed ``a`` and the slope in ``a`` of the loss there.
+    """The best map for a fixed ``a``, as coefficients beta (node values K_reg beta), and the slope in ``a`` there.
 
     It solves H(a) beta = lambda3 k1, H(a) = K_reg + lambda2 M(a)^T M(a) + lambda3 k1 k1^T,
     where M(a) = k_data + a diag(1/u^2) k_data_d1 gives the equation residual
     and k1 is the anchor row of K_reg. At that map the ``a``-part of the
-    joint gradient is the exact slope of the profiled loss (envelope theorem).
+    joint gradient (:func:`_a_slope`) is the exact slope of the profiled loss
+    (envelope theorem).
     """
     _, lam2, lam3 = weights
     k1 = ctx.k_reg[-1]
@@ -255,8 +257,8 @@ def _map_at(ctx, weights, a):
         cf = cho_factor(ctx.k_reg + lam2 * (m.T @ m) + lam3 * np.outer(k1, k1))
     except LinAlgError as exc:
         raise SingularSystemError(f"map system not factorizable at a = {a!r}") from exc
-    state = CgcPdeState(ctx.k_reg @ cho_solve(cf, lam3 * k1), a)
-    return state, cgc_pde_grad(ctx.problem, state, weights)[1]
+    beta = cho_solve(cf, lam3 * k1)
+    return beta, _a_slope(ctx, a, lam2, m @ beta, ctx.k_data_d1 @ beta)
 
 
 def cgc_pde_solve(problem, init=None, config=None):
@@ -274,27 +276,27 @@ def cgc_pde_solve(problem, init=None, config=None):
     state0 = init if init is not None else cgc_pde_default_init(problem)
     weights = ctx.weights(state0)
     beta0 = ctx.beta_of_g(state0.g_values)
-    a0 = _best_a(ctx, beta0, weights[1])
-    state, slope = _map_at(ctx, weights, a0)
+    a = _best_a(ctx, beta0, weights[1])
+    beta, slope = _map_at(ctx, weights, a)
+    trace = [cgc_pde_loss(problem, CgcPdeState(ctx.k_reg @ beta0, a), weights)]
     evals, direction, step, hi = 1, (-1.0 if slope > 0.0 else 1.0), 1e-3, None
     cap = (config or DescentConfig()).max_iters
     while slope != 0.0 and evals < cap:
-        trial = state.a + direction * step if hi is None else 0.5 * (state.a + hi)
-        if trial in (state.a, hi):
+        trial = a + direction * step if hi is None else 0.5 * (a + hi)
+        if trial in (a, hi):
             break
         step *= 2.0
-        trial_state, trial_slope = _map_at(ctx, weights, trial)
+        trial_beta, trial_slope = _map_at(ctx, weights, trial)
         evals += 1
         if direction * trial_slope <= 0.0:
-            state, slope = trial_state, trial_slope
+            a, beta, slope = trial, trial_beta, trial_slope
         else:
             hi = trial
-    closed = hi is not None and 0.5 * (state.a + hi) in (state.a, hi)
+    closed = hi is not None and 0.5 * (a + hi) in (a, hi)
     reason = "zero_slope" if slope == 0.0 else "bracket_closed" if closed else "max_iters"
-    interp = Interpolant(PDE_KERNEL, tuple(map(LinearFunctional.dirac, ctx.x)), ctx.beta_of_g(state.g_values),
-                         nugget=ctx.lam)
-    trace = [cgc_pde_loss(problem, CgcPdeState(ctx.k_reg @ beta0, a0), weights),
-             cgc_pde_loss(problem, state, weights)]
+    state = CgcPdeState(ctx.k_reg @ beta, a)
+    interp = Interpolant(PDE_KERNEL, tuple(map(LinearFunctional.dirac, ctx.x)), beta, nugget=ctx.lam)
+    trace.append(cgc_pde_loss(problem, state, weights))
     return CgcPdeResult(state, interp, trace, weights, evals, reason != "max_iters", reason)
 
 
@@ -437,7 +439,7 @@ def nf_grad(problem, state, weights):
     t = _nf_terms(problem, state)
     r = state.r_values
     grad_c = (
-        2.0 * state.h_coeffs / _NF_BINOMS
+        2.0 * state.h_coeffs / NF_KERNEL.binomials
         + lam1 * 2.0 * (t["_phi"].T @ t["_fit_resid"])
         + lam3 * 2.0 * (t["_h0"] - problem.r0_target) * t["_phi0"]
     )
@@ -507,7 +509,7 @@ def nf_solve(problem, init=None, config=None):
 def _nf_precond(problem, state, weights):
     lam1, lam2, lam3 = weights
     t = _nf_terms(problem, state)
-    diag_c = 2.0 / _NF_BINOMS + 2.0 * lam1 * np.sum(t["_phi"] ** 2, axis=0) + 2.0 * lam3 * t["_phi0"] ** 2
+    diag_c = 2.0 / NF_KERNEL.binomials + 2.0 * lam1 * np.sum(t["_phi"] ** 2, axis=0) + 2.0 * lam3 * t["_phi0"] ** 2
     n = state.r_values.size
     dt = problem.dt
     # diagonal of D^T D for the one-sided/central first-derivative stencil

@@ -18,6 +18,7 @@ exact and deterministic, so no autodiff or numeric differentiation is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -57,6 +58,11 @@ class HomogeneousPolynomial:
     def __post_init__(self):
         if self.degree < 1 or int(self.degree) != self.degree:
             raise InvalidInputError(f"degree must be a positive integer, got {self.degree}")
+
+    @cached_property
+    def binomials(self):
+        """binom(d, k) for the monomials u^(d-k) v^k; the squared norm of coefficients c is sum c_k^2 / binom(d, k)."""
+        return np.array([comb(self.degree, k) for k in range(self.degree + 1)])
 
 
 def _matern_profile_derivs(orders, x, y, theta):
@@ -172,7 +178,7 @@ def homogeneous_norm_sq(spec, coeffs):
     d = spec.degree
     if coeffs.shape != (d + 1,):
         raise InvalidInputError(f"expected {d + 1} coefficients, got shape {coeffs.shape}")
-    return float(np.sum(coeffs ** 2 / np.array([comb(d, k) for k in range(d + 1)])))
+    return float(np.sum(coeffs ** 2 / spec.binomials))
 
 
 def kernel_to_config(spec):

@@ -159,7 +159,8 @@ class TestPdeSolve:
         assert res.converged
         loss = res.loss_trace[-1]
         for da in (-1e-3, 1e-3):
-            state, _ = _map_at(prob._context, res.weights, res.state.a + da)
+            beta, _ = _map_at(prob._context, res.weights, res.state.a + da)
+            state = CgcPdeState(prob._context.k_reg @ beta, res.state.a + da)
             assert cgc_pde_loss(prob, state, res.weights) >= loss
         assert abs(cgc_pde_grad(prob, res.state, res.weights)[1]) <= 1e-8
 

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from gpmaps import cgc, gp, kernel_learning
-from gpmaps.cli import main, run_experiment, run_table1
+from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
+from gpmaps.exceptions import InvalidInputError
 
 
 def write_config(tmp_path, name, cfg):
@@ -118,6 +119,58 @@ class TestRun:
         assert main(["run", cfg]) == 0
         schema = json.loads((importlib.resources.files("gpmaps") / "schemas" / "summary.schema.json").read_text())
         validate(instance=read_summary(out), schema=schema)
+
+
+#: A schema key, with a valid value, that each experiment does not read.
+UNREAD_KEY = {
+    "cole-hopf": ("gamma", 5.0),
+    "cole-hopf-discrete": ("N", 20),
+    "cole-hopf-multi": ("N", 20),
+    "first-order": ("nu", 0.5),
+    "cgc-pde": ("A", 7.0),
+    "brusselator-nf": ("N", 20),
+    "diagnose-norm": ("max_iters", 3),
+    "table1": ("gamma", 5.0),
+}
+
+
+class TestConfigContract:
+    def test_every_experiment_has_an_unread_key(self):
+        assert sorted(UNREAD_KEY) == sorted([*EXPERIMENTS, "table1"])
+
+    @pytest.mark.parametrize("experiment", sorted(UNREAD_KEY))
+    def test_unread_key_is_rejected(self, tmp_path, experiment):
+        key, value = UNREAD_KEY[experiment]
+        cfg = {"output_dir": str(tmp_path / "o"), key: value}
+        command, runner = ("table1", run_table1) if experiment == "table1" else ("run", run_experiment)
+        if experiment != "table1":
+            cfg["experiment"] = experiment
+        assert main([command, write_config(tmp_path, "c.json", cfg)]) == 2
+        with pytest.raises(InvalidInputError, match=f"does not read {key}"):
+            runner(cfg)
+
+    def test_every_unread_key_is_named(self, tmp_path):
+        cfg = {"experiment": "first-order", "gamma": 5, "max_iters": 3, "A": 7, "output_dir": str(tmp_path / "o")}
+        assert main(["run", write_config(tmp_path, "c.json", cfg)]) == 2
+        with pytest.raises(InvalidInputError, match="first-order does not read A, gamma, max_iters$"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("key, value", [("N", 0), ("N", "20x"), ("nu", -1)])
+    def test_api_validates_against_the_schema(self, tmp_path, key, value):
+        with pytest.raises(InvalidInputError):
+            run_experiment({"experiment": "cole-hopf", key: value, "output_dir": str(tmp_path / "o")})
+
+    @pytest.mark.parametrize("cfg, flag, value, expected", [
+        ({"experiment": "cgc-pde", "N": 10, "gamma": 1.0, "max_iters": 5}, "--gamma", "2.5", 2.5),
+        ({"experiment": "brusselator-nf", "n_samples": 60, "gen_dt": 1e-3, "max_iters": 5}, "--gen-dt", "0.002", 0.002),
+        ({"experiment": "diagnose-norm"}, "--N-list", "[50, 100]", [50, 100]),
+    ])
+    def test_generated_flag_overrides_file(self, tmp_path, cfg, flag, value, expected):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})
+        assert main(["run", path, flag, value]) == 0
+        key = flag[2:].replace("-", "_")
+        assert read_summary(out)["parameters"][key] == expected
 
 
 class TestTable1:

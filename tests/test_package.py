@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import importlib.resources
@@ -62,3 +63,16 @@ def test_cli_import_leaves_out_scipy_optimize():
     probe = "import sys, gpmaps.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_config_keys_schema_and_flags_agree():
+    props = set(cli._validator("config.schema.json").schema["properties"])
+    declared = {key for _, keys in cli._RUNNERS.values() for key in keys}
+    # every declared key is a schema key, and every schema key is read by some experiment
+    assert declared <= props
+    assert props - declared == {"experiment"}
+    # the run command has exactly one flag per schema key
+    parser = cli._build_parser()
+    run = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    flags = [a.dest for a in run._actions if a.option_strings and a.dest != "help"]
+    assert sorted(flags) == sorted(props)
