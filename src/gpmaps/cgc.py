@@ -326,6 +326,9 @@ class NfProblem:
             raise InvalidInputError("trajectory must be uniformly sampled in time")
         if self.trajectory.states.shape[1] != 2:
             raise InvalidInputError("trajectory states must be planar (u, v)")
+        if self.r0_target == 0.0:
+            # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
+            raise InvalidInputError("init_point must differ from the fixed point (0, 0)")
 
     @property
     def dt(self):

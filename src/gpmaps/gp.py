@@ -12,9 +12,17 @@ is computed by a dense symmetric positive-definite factorization; the nugget
 ``lam`` keeps routinely ill-conditioned derivative Grams factorizable.
 
 The Gram matrix is assembled in blocks of terms with equal derivative
-orders, and an interpolant is read as a sum over those orders of kernel
-derivative blocks times per-term coefficients; no (points x constraints)
-matrix is formed.
+orders. A :class:`ConstraintSystem` builds the lengthscale-free part of that
+work once, on first use: the terms flattened and grouped by order, their
+Gram indices, and one gap array x - y per pair of location sets. Each
+lengthscale then costs only the Matern profile arithmetic on those gap
+arrays, the weighting and the block adds, so a lengthscale sweep, the fit
+that follows it and every fit at a fixed lengthscale share one plan.
+
+An interpolant is read as a sum over term orders of kernel derivative
+blocks times per-node coefficients: each order's coefficients are summed on
+its distinct locations first, and orders on the same locations share one
+kernel evaluation. No (points x constraints) matrix is formed.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .exceptions import InvalidInputError, SingularSystemError
-from .kernels import k_deriv, k_derivs, kernel_from_config, kernel_to_config
+from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
+from .kernels import Matern52, _matern_profile_derivs, k_deriv, k_derivs, kernel_from_config, kernel_to_config
 
 __all__ = [
     "FunctionalTerm",
@@ -118,6 +126,11 @@ class ConstraintSystem:
     def __len__(self):
         return len(self.functionals)
 
+    @cached_property
+    def _gram_plan(self):
+        """The lengthscale-free part of this system's Gram, shared by every kernel it is solved with."""
+        return _GramPlan(self.functionals)
+
 
 def _flatten(functionals):
     """Stack all terms of all functionals into parallel arrays."""
@@ -139,7 +152,14 @@ def _flatten(functionals):
 def _order_groups(functionals):
     """Terms split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
     locs, orders, weights, owner = _flatten(functionals)
-    return {int(a): (locs[orders == a], weights[orders == a], owner[orders == a]) for a in np.unique(orders)}
+    present = np.flatnonzero(np.bincount(orders))
+    if present.size == 1:  # the flattened arrays are the group: no masked copies
+        return {int(present[0]): (locs, weights, owner)}
+    groups = {}
+    for a in present:
+        sel = orders == a
+        groups[int(a)] = (locs[sel], weights[sel], owner[sel])
+    return groups
 
 
 def _owner_index(owners):
@@ -154,56 +174,94 @@ def _owner_index(owners):
     return starts, rows
 
 
+class _GramPlan:
+    """The lengthscale-free part of the Matern Gram of a list of functionals.
+
+    Built once per system: the terms grouped by derivative order, each order's
+    Gram index (a slice when its owners are contiguous) and ``reduceat``
+    starts, and one gap array x - y per pair of "homes", where an order's
+    home is the lowest order on the same locations. Evaluating the plan at a
+    lengthscale computes the Matern profile derivatives on each gap array,
+    weights them in place and adds the blocks; see :func:`assemble_gram`.
+    """
+
+    def __init__(self, functionals):
+        self.size = len(functionals)
+        groups = _order_groups(functionals)
+        orders = sorted(groups)
+        home = {a: next(c for c in orders if np.array_equal(groups[c][0], groups[a][0])) for a in orders}
+        place, self.starts = {}, {}
+        for a in orders:
+            starts, place[a] = _owner_index(groups[a][2])
+            self.starts[a] = starts if starts.size < groups[a][2].size else None
+        self.steps = []  # (a, b, home pair, Gram index), in the order the blocks are added
+        self.pairs = {}  # home pair -> (a, b, row weights, column weights) for a <= b
+        for a in orders:
+            for b in orders:
+                rows, cols = place[a], place[b]
+                if not isinstance(rows, slice) and not isinstance(cols, slice):
+                    rows, cols = np.ix_(rows, cols)
+                self.steps.append((a, b, (home[a], home[b]), (rows, cols)))
+                if a <= b:
+                    # d^b/dy^b of a profile in x - y carries (-1)^b; negating the
+                    # row weights instead is exact
+                    row_w = -groups[a][1] if b % 2 else groups[a][1]
+                    self.pairs.setdefault((home[a], home[b]), []).append(
+                        (a, b, row_w[:, None], groups[b][1][None, :]))
+        self.gaps = {(ha, hb): groups[ha][0][:, None] - groups[hb][0][None, :] for ha, hb in self.pairs}
+
+    def _blocks(self, home_pair, theta):
+        """Weighted, owner-summed (a, b) blocks of every order pair on one home pair."""
+        pairs = self.pairs[home_pair]
+        profile = _matern_profile_derivs({a + b for a, b, _, _ in pairs}, self.gaps[home_pair], theta)
+        out = {}
+        for i, (a, b, row_w, col_w) in enumerate(pairs):
+            n = a + b
+            # a later pair of the same profile order reads it unweighted
+            block = profile[n].copy() if any(c + d == n for c, d, _, _ in pairs[i + 1:]) else profile[n]
+            block *= row_w
+            block *= col_w
+            if self.starts[a] is not None:
+                block = np.add.reduceat(block, self.starts[a], axis=0)
+            if self.starts[b] is not None:
+                block = np.add.reduceat(block, self.starts[b], axis=1)
+            out[a, b] = block
+        return out
+
+    def gram(self, kernel):
+        """The Gram matrix at a Matern52 ``kernel``, as :func:`assemble_gram` defines it."""
+        if not isinstance(kernel, Matern52):
+            raise UnsupportedDerivativeError(f"Gram assembly takes a Matern52 spec, got {kernel!r}")
+        gram = np.zeros((self.size, self.size))
+        blocks = {}
+        for a, b, home_pair, index in self.steps:
+            if a > b:
+                block = blocks.pop((b, a)).T
+            else:
+                if (a, b) not in blocks:
+                    blocks.update(self._blocks(home_pair, kernel.theta))
+                block = blocks[a, b] if a < b else blocks.pop((a, b))
+            gram[index] += block
+        gram += gram.T  # numpy buffers the overlapping transpose: this is G + G^T
+        gram *= 0.5
+        return gram
+
+
 def assemble_gram(functionals, kernel):
     """Gram matrix with entries [phi_i, K phi_j], symmetrized after assembly.
 
     Terms are grouped by derivative order. Only the blocks with orders
     a <= b are computed: the (b, a) block is the transpose of the (a, b)
     one, exactly, since x - y and y - x are exact negatives. Order groups on
-    the same locations share one gap array and one exp (:func:`k_derivs`).
-    The terms of one functional are summed with ``reduceat`` over the sorted
-    owners, and the blocks are added in lexicographic (a, b) order. Each
-    block is released once added (a < b blocks once their transpose is), so
-    at most a few Gram-sized arrays are alive at a time.
+    the same locations share one gap array and one exp. The terms of one
+    functional are summed with ``reduceat`` over the sorted owners, and the
+    blocks are added in lexicographic (a, b) order. Each block is released
+    once added (a < b blocks once their transpose is), so at most a few
+    Gram-sized arrays are alive at a time. A :class:`ConstraintSystem`
+    keeps the lengthscale-free part of this work and reuses it for every
+    kernel it is solved with.
     """
-    m = len(functionals)
-    groups = _order_groups(functionals)
-    orders = sorted(groups)
-    # the lowest order on the same locations stands for all of them
-    home = {a: next(c for c in orders if np.array_equal(groups[c][0], groups[a][0])) for a in orders}
-    pairs_by_home = {}
-    for i, a in enumerate(orders):
-        for b in orders[i:]:
-            pairs_by_home.setdefault((home[a], home[b]), []).append((a, b))
-    starts, place = {}, {}
-    for a in orders:
-        starts[a], place[a] = _owner_index(groups[a][2])
-    gram = np.zeros((m, m))
-    kernel_blocks, upper = {}, {}
-    for a in orders:
-        for b in orders:
-            if a > b:
-                block = upper.pop((b, a)).T
-            else:
-                if (a, b) not in kernel_blocks:
-                    ha, hb = home[a], home[b]
-                    kernel_blocks.update(k_derivs(kernel, groups[ha][0][:, None], groups[hb][0][None, :],
-                                                  pairs_by_home[ha, hb]))
-                block = kernel_blocks.pop((a, b)) * groups[a][1][:, None]
-                block *= groups[b][1][None, :]
-                if starts[a].size < block.shape[0]:
-                    block = np.add.reduceat(block, starts[a], axis=0)
-                if starts[b].size < block.shape[1]:
-                    block = np.add.reduceat(block, starts[b], axis=1)
-                if a < b:
-                    upper[a, b] = block
-            rows, cols = place[a], place[b]
-            if not isinstance(rows, slice) and not isinstance(cols, slice):
-                rows, cols = np.ix_(rows, cols)
-            gram[rows, cols] += block
-    gram += gram.T  # numpy buffers the overlapping transpose: this is G + G^T
-    gram *= 0.5
-    return gram
+    return _GramPlan(functionals).gram(kernel)
 
 
 def default_nugget(gram):
@@ -232,7 +290,7 @@ def _factor_with_escalation(gram, lam):
 
 def _solve(system, kernel):
     """Shared solve path: returns (alpha, lam_used)."""
-    gram = assemble_gram(system.functionals, kernel)
+    gram = system._gram_plan.gram(kernel)
     lam = system.nugget if system.nugget is not None else default_nugget(gram)
     cf, lam_used = _factor_with_escalation(gram, lam)
     return cho_solve(cf, system.targets), lam_used
@@ -255,20 +313,44 @@ class Interpolant:
         object.__setattr__(self, "coefficients", a)
 
     @cached_property
-    def _coefficients_by_order(self):
-        """``{order: (locs, c)}`` with per-term coefficients c_t = w_t * alpha[owner_t]."""
-        return {a: (locs, weights * self.coefficients[owner])
-                for a, (locs, weights, owner) in _order_groups(self.functionals).items()}
+    def _coefficients_by_nodes(self):
+        """``[(nodes, {order: c})]``: each distinct node set once, with per-node coefficients.
+
+        c sums w_t * alpha[owner_t] over the order's terms at each node.
+        """
+        out = []
+        for b, (locs, weights, owner) in _order_groups(self.functionals).items():
+            by_loc = np.argsort(locs, kind="stable")
+            ordered = locs[by_loc]
+            first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+            nodes = ordered[first]
+            c = np.add.reduceat((weights * self.coefficients[owner])[by_loc], first)
+            shared = next((coeffs for known, coeffs in out if np.array_equal(known, nodes)), None)
+            if shared is None:
+                out.append((nodes, {b: c}))
+            else:
+                shared[b] = c
+        return out
 
     def evaluate(self, u, deriv_order=0):
         """Value (or derivative) of the fitted map at scalar or array ``u``.
 
-        Sums ``k_deriv(u, locs_b, deriv_order, b) @ c_b`` over the term orders b.
+        Sums ``K^(deriv_order, b)(u, nodes) @ c_b`` over the term orders b,
+        with one kernel call per distinct node set: :func:`k_deriv` for a
+        node set of one order (the call the benchmark's tracer records),
+        :func:`k_derivs` for several orders sharing one gap array and exp.
         """
         points = np.atleast_1d(np.asarray(u, dtype=float))
         vals = np.zeros(points.shape[0])
-        for b, (locs, c) in self._coefficients_by_order.items():
-            vals += k_deriv(self.kernel, points[:, None], locs[None, :], deriv_order, b) @ c
+        for nodes, coeffs in self._coefficients_by_nodes:
+            x, y = points[:, None], nodes[None, :]
+            if len(coeffs) == 1:
+                [(b, c)] = coeffs.items()
+                vals += k_deriv(self.kernel, x, y, deriv_order, b) @ c
+                continue
+            blocks = k_derivs(self.kernel, x, y, [(deriv_order, b) for b in coeffs])
+            for b, c in coeffs.items():
+                vals += blocks[deriv_order, b] @ c
         return float(vals[0]) if np.isscalar(u) or np.ndim(u) == 0 else vals
 
     def __call__(self, u):

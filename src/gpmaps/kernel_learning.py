@@ -4,9 +4,12 @@ The leave-one-out loss rho measures, per removable constraint, how much the
 regularized interpolation norm drops when that constraint's row and column
 are deleted from the Gram matrix; a kernel is good when removal barely
 changes the solution. Only interior constraints are removable: deleting a
-uniqueness anchor would make the problem degenerate. One evaluation of the
-loss costs one Gram assembly, one Cholesky factorization plus a triangular
-inverse; no reduced system is solved.
+uniqueness anchor would make the problem degenerate. The system's Gram
+plan (:mod:`gpmaps.gp`) is built on the first evaluation and reused for
+every lengthscale after it, so one evaluation of the loss costs the Matern
+profile arithmetic and block adds of one Gram, one in-place Cholesky
+factorization and one in-place triangular inverse; no reduced system is
+solved.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .exceptions import InvalidInputError, SingularSystemError
 from .gp import assemble_gram
@@ -65,6 +67,13 @@ def _check_removable(system, removable):
     return removable
 
 
+def _loo_gram(theta, system):
+    """G + LOO_NUGGET * I at lengthscale ``theta``, from the system's Gram plan."""
+    gram = system._gram_plan.gram(Matern52(theta))
+    gram[np.diag_indices_from(gram)] += LOO_NUGGET
+    return gram
+
+
 def rho_loo(theta, system, removable):
     """Leave-one-out loss via block-inverse downdates of the full solve.
 
@@ -77,22 +86,21 @@ def rho_loo(theta, system, removable):
     accuracy.
     """
     removable = _check_removable(system, removable)
-    gram = assemble_gram(system.functionals, Matern52(theta))
-    gram[np.diag_indices_from(gram)] += LOO_NUGGET
-    try:
-        factor = cho_factor(gram, lower=True)
-    except LinAlgError as exc:
+    gram = _loo_gram(theta, system)
+    # the symmetric C-ordered Gram is its own Fortran layout: factor in place,
+    # zeroing the upper triangle so that the inverse below is L^{-1} alone
+    factor, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
         raise SingularSystemError(
             f"leave-one-out Gram at theta={float(theta)!r} is not positive definite",
-            condition=float(np.linalg.cond(gram)),
-        ) from exc
+            condition=float(np.linalg.cond(_loo_gram(theta, system))),
+        )
     y = system.targets
-    by = cho_solve(factor, y)
+    by, _ = dpotrs(factor, y, lower=1)
     q_full = float(y @ by)
     if q_full <= 0.0:
         raise InvalidInputError("degenerate system: full quadratic form is nonpositive")
-    # cho_factor leaves the original entries above the diagonal
-    l_inv, _ = dtrtri(np.tril(factor[0]), lower=1, overwrite_c=1)
+    l_inv, _ = dtrtri(factor, lower=1, overwrite_c=1)
     b_diag = np.einsum("ij,ij->j", l_inv, l_inv)
     terms = by[removable] ** 2 / (b_diag[removable] * q_full)
     return float(np.mean(terms))

@@ -65,19 +65,19 @@ class HomogeneousPolynomial:
         return np.array([comb(self.degree, k) for k in range(self.degree + 1)])
 
 
-def _matern_profile_derivs(orders, x, y, theta):
-    """{n: n-th derivative of the Matern-5/2 profile at the gap x - y} for n in the set ``orders``.
+def _matern_profile_derivs(orders, gap, theta):
+    """{n: n-th derivative of the Matern-5/2 profile at ``gap``} for n in the set ``orders``.
 
     Every order is a polynomial in s|gap| times exp(-s|gap|), so all
     requested orders share one |gap|, one exp and one sign. Zero-lag values
     are the analytic limits: odd orders vanish (sign(0) = 0) and the even
-    orders reduce to -5/(3 theta^2) and 25/theta^4.
+    orders reduce to -5/(3 theta^2) and 25/theta^4. Each returned array is
+    freshly allocated, so a caller may scale it in place.
     """
     s = np.sqrt(5.0) / theta
-    gap = np.asarray(x, float) - np.asarray(y, float)
     sign = np.sign(gap) if orders & {1, 3} else None
     r = np.abs(gap)
-    del gap
+    del gap  # a gap the caller computed inline is freed here, before the even orders allocate
     sr = s * r
     e = np.exp(-sr)
     out = {}
@@ -110,7 +110,8 @@ def k_derivs(spec, x, y, pairs):
         raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {pairs}")
     if not isinstance(spec, Matern52):
         raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
-    profile = _matern_profile_derivs({a + b for a, b in pairs}, x, y, spec.theta)
+    profile = _matern_profile_derivs({a + b for a, b in pairs}, np.asarray(x, float) - np.asarray(y, float),
+                                     spec.theta)
     return {(a, b): -profile[a + b] if b % 2 else profile[a + b] for a, b in pairs}
 
 
@@ -128,7 +129,7 @@ def k_eval(spec, x, y):
     takes vectors of length 2.
     """
     if isinstance(spec, Matern52):
-        return _matern_profile_derivs({0}, x, y, spec.theta)[0]
+        return _matern_profile_derivs({0}, np.asarray(x, float) - np.asarray(y, float), spec.theta)[0]
     if isinstance(spec, HomogeneousPolynomial):
         xv = _check_vector(x, "x")
         yv = _check_vector(y, "y")

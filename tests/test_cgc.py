@@ -224,6 +224,10 @@ class TestNfLoss:
         with pytest.raises(InvalidInputError):
             NfProblem(Trajectory(times, states), MU)
 
+    def test_init_point_at_the_fixed_point_rejected(self, small_traj):
+        with pytest.raises(InvalidInputError, match="init_point"):
+            NfProblem(small_traj, MU, init_point=(0.0, 0.0))
+
     def test_h_at_origin_is_zero(self, small_traj):
         prob = NfProblem(small_traj, MU)
         coeffs = RNG.normal(size=5)

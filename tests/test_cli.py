@@ -40,6 +40,15 @@ class TestRun:
         cfg = write_config(tmp_path, "c.json", {"experiment": "nope"})
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "cole-hopf-multi", "ics": []},
+        {"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
+    ])
+    def test_degenerate_input_exits_2(self, tmp_path, cfg):
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 2
+        assert not (out / "summary.json").exists()
+
     def test_config_schema_rejects_unknown_keys(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf", "NN": 25})
         assert main(["run", cfg]) == 2
@@ -264,10 +273,10 @@ class TestCgcExperiments:
         assert main(["run", cfg]) == 3
 
     def test_singular_leave_one_out_gram_exits_3(self, tmp_path, monkeypatch):
-        def failing(matrix, lower=False):
-            raise LinAlgError("not positive definite")
+        def failing(matrix, **options):
+            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
 
-        monkeypatch.setattr(kernel_learning, "cho_factor", failing)
+        monkeypatch.setattr(kernel_learning, "dpotrf", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf-multi", "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 

@@ -125,6 +125,39 @@ class TestGramMatchesReference:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
+@pytest.fixture(scope="module")
+def read_systems():
+    # the discrete system's 398 terms sit on 201 nodes and the pooled system's
+    # 810 on 402, so a read sums coefficients on shared nodes first
+    return {
+        "discrete": cole_hopf_discrete_problem().system,
+        "pooled": cole_hopf_multi_problem().system,
+        "first-order": first_order_problem().system,
+        "cole-hopf-200": cole_hopf_problem(200).system,
+    }
+
+
+class TestReadRounding:
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 17.0])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_evaluate_within_dot_product_rounding(self, read_systems, theta, order):
+        # a read is a dot product of kernel entries with per-term coefficients;
+        # summing its terms in another order moves it by at most a few ulps of
+        # the sum of absolute products (a relative bound on the value fails on
+        # the discrete system, whose coefficients reach 6.7e3 and cancel)
+        kernel = Matern52(theta)
+        pts = np.linspace(-0.2, 1.3, 57)
+        for name, system in read_systems.items():
+            interp = fit(system, kernel)
+            locs, orders, weights, owner = _flatten(system.functionals)
+            coeffs = np.abs(weights * interp.coefficients[owner])
+            scale = sum(np.abs(k_deriv(kernel, pts[:, None], locs[orders == b][None, :], order, int(b)))
+                        @ coeffs[orders == b] for b in np.unique(orders))
+            ref = functional_cross_reference(kernel, system.functionals, pts, order) @ interp.coefficients
+            got = interp.evaluate(pts, order)
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale), name
+
+
 class TestFit:
     def test_empty_system_rejected(self):
         with pytest.raises(InvalidInputError):

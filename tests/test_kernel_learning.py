@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
-from gpmaps import kernel_learning
+from gpmaps import gp, kernel_learning
 from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import ConstraintSystem, assemble_gram, fit
 from gpmaps.kernel_learning import LOO_NUGGET, ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
@@ -68,10 +67,10 @@ class TestRhoLoo:
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_failed_factorization_raises_singular(self, cole25, monkeypatch):
-        def failing(matrix, lower=False):
-            raise LinAlgError("not positive definite")
+        def failing(matrix, **options):
+            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
 
-        monkeypatch.setattr(kernel_learning, "cho_factor", failing)
+        monkeypatch.setattr(kernel_learning, "dpotrf", failing)
         with pytest.raises(SingularSystemError, match="theta=7.3"):
             rho_loo(7.3, cole25.system, cole25.interior)
 
@@ -124,3 +123,26 @@ class TestLearnTheta:
             ThetaSearchConfig(grid=())
         with pytest.raises(InvalidInputError):
             ThetaSearchConfig(grid=(2.0, 1.0))
+
+
+class TestPlanReuse:
+    def test_learn_theta_flattens_the_functionals_once(self, monkeypatch):
+        # the grid and golden-section sweep (61 rho evaluations) share one Gram plan
+        prob = cole_hopf_problem(25)
+        flatten, calls = gp._flatten, []
+
+        def counting(functionals):
+            calls.append(len(functionals))
+            return flatten(functionals)
+
+        monkeypatch.setattr(gp, "_flatten", counting)
+        learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        assert calls == [len(prob.system)]
+
+    def test_cached_plan_gives_the_rho_of_a_fresh_system(self, cole25):
+        # evaluating the plan must leave it as built: the system's plan, reused
+        # across the whole grid, agrees bit for bit with a new plan per theta
+        system = cole25.system
+        for theta in ThetaSearchConfig().grid:
+            fresh = ConstraintSystem(system.functionals, system.targets, nugget=system.nugget)
+            assert rho_loo(theta, system, cole25.interior) == rho_loo(theta, fresh, cole25.interior)

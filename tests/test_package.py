@@ -5,6 +5,7 @@ import importlib.resources
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,13 @@ def test_config_keys_schema_and_flags_agree():
     run = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["run"]
     flags = [a.dest for a in run._actions if a.option_strings and a.dest != "help"]
     assert sorted(flags) == sorted(props)
+
+
+def test_library_has_no_scatter_adds_inverses_or_tril_copies():
+    # Grams are built blockwise, not by np.add.at scatters; rho_loo works from
+    # a Cholesky factor, with no explicit inverse and no np.tril copy of it
+    root = Path(__file__).resolve().parents[1]
+    banned = re.compile(r"\bnp\.(add\.at|linalg\.inv|tril)\b")
+    found = [f"{f.name}:{i} {m.group(0)}" for f in sorted((root / "src/gpmaps").glob("*.py"))
+             for i, line in enumerate(f.read_text().splitlines(), 1) for m in banned.finditer(line)]
+    assert found == []
