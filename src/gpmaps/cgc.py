@@ -13,9 +13,11 @@ Two instances are provided:
 
 The first solve is exact: for a fixed ``a`` the best map is one Cholesky
 solve, and a 1-D root find on the slope in ``a`` finishes it. The second
-runs :func:`gpmaps.optim.gradient_descent` with a fixed diagonal rescaling.
-Each problem builds its fixed matrices (the node Gram factor and cross
-blocks, or the quartic features of the trajectory) once, on first use.
+runs its own Armijo gradient descent with a fixed diagonal rescaling, at
+one residual pass per trial point. Each loss has one residual function,
+which its loss terms, gradient and solver all read. Each problem builds its
+fixed matrices (the node Gram factor and cross blocks, or the quartic
+features of the trajectory) once, on first use.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dynamics import first_difference
-from .exceptions import InvalidInputError, SingularSystemError
+from .exceptions import DivergedError, InvalidInputError, SingularSystemError
 from .gp import Interpolant, LinearFunctional, default_nugget, _factor_with_escalation
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
-from .optim import DescentConfig, gradient_descent
+from .optim import DescentConfig
 
 __all__ = [
     "CgcPdeProblem",
@@ -143,31 +145,20 @@ class _PdeContext:
         it keeps the tuple in the solvers' common three-slot layout.
         """
         p = self.problem
-        terms = _pde_terms(self, init_state)
+        # unit weights leave the raw squared residual norms
+        terms = cgc_pde_loss_terms(p, init_state, (0.0, 1.0, 1.0))
         base = max(terms["norm_g"] + terms["a_prior"], 1e-8)
-        lam2 = p.lambda2 if p.lambda2 is not None else BALANCE_FACTOR * base / max(terms["l2_raw"], 1e-12)
+        lam2 = p.lambda2 if p.lambda2 is not None else BALANCE_FACTOR * base / max(terms["l2_weighted"], 1e-12)
         # the anchor is a single sample; weight it like the whole equation block
         lam3 = p.lambda3 if p.lambda3 is not None else lam2 * p.u_data.size
         return 0.0, lam2, lam3
 
 
-def _pde_terms(ctx, state):
-    """Unweighted loss pieces at a state (l2_raw is the squared residual norm)."""
-    p = ctx.problem
+def _pde_residuals(ctx, state):
+    """Coefficients beta = K_reg^-1 g, the equation residual G(u) + a G'(u) / u^2 on the data, and G'(u)."""
     beta = ctx.beta_of_g(state.g_values)
-    norm_g = float(state.g_values @ beta)
-    z1 = ctx.k_data @ beta
     z2 = ctx.k_data_d1 @ beta
-    resid = z1 + state.a * z2 * ctx.inv_u2
-    return {
-        "norm_g": norm_g,
-        "a_prior": float((state.a / p.gamma) ** 2),
-        "l2_raw": float(resid @ resid),
-        "anchor": float((state.g_values[-1] - 1.0) ** 2),
-        "_beta": beta,
-        "_resid": resid,
-        "_z2": z2,
-    }
+    return beta, ctx.k_data @ beta + state.a * z2 * ctx.inv_u2, z2
 
 
 def cgc_pde_loss_terms(problem, state, weights):
@@ -177,13 +168,13 @@ def cgc_pde_loss_terms(problem, state, weights):
     of the data array is the map itself evaluated at the data.
     """
     _, lam2, lam3 = weights
-    t = _pde_terms(problem._context, state)
+    beta, resid, _ = _pde_residuals(problem._context, state)
     return {
-        "norm_g": t["norm_g"],
-        "a_prior": t["a_prior"],
+        "norm_g": float(state.g_values @ beta),
+        "a_prior": float((state.a / problem.gamma) ** 2),
         "l1_weighted": 0.0,
-        "l2_weighted": lam2 * t["l2_raw"],
-        "anchor_weighted": lam3 * t["anchor"],
+        "l2_weighted": lam2 * float(resid @ resid),
+        "anchor_weighted": lam3 * float((state.g_values[-1] - 1.0) ** 2),
         "lambda2": lam2,
         "lambda3": lam3,
     }
@@ -199,8 +190,7 @@ def cgc_pde_grad(problem, state, weights):
     """Hand-coded gradient of the loss w.r.t. (g_values, a)."""
     ctx = problem._context
     _, lam2, lam3 = weights
-    t = _pde_terms(ctx, state)
-    beta, resid, z2 = t["_beta"], t["_resid"], t["_z2"]
+    beta, resid, z2 = _pde_residuals(ctx, state)
     # d resid / d g, mapped back through the symmetric solve
     w_z1 = lam2 * 2.0 * resid
     w_z2 = w_z1 * state.a * ctx.inv_u2
@@ -375,25 +365,30 @@ def _fd_time_adjoint(w, dt):
     return out
 
 
-def _nf_terms(problem, state):
+def _nf_residuals(problem, coeffs, r):
+    """Fit residual H(x_t) - r_t, decay-law residual r' - (mu - r^2) r, and anchor residual H(init_point) - r0."""
     phi, phi0 = problem._features
-    h_vals = phi @ state.h_coeffs
-    r = state.r_values
-    fit_resid = h_vals - r
-    z4 = first_difference(r, problem.dt)
-    ode_resid = z4 - (problem.mu - r**2) * r
-    h0 = float(phi0 @ state.h_coeffs)
-    return {
-        "norm_h": homogeneous_norm_sq(NF_KERNEL, state.h_coeffs),
-        "l1": float(fit_resid @ fit_resid),
-        "l2": float(ode_resid @ ode_resid),
-        "anchor": (h0 - problem.r0_target) ** 2,
-        "_phi": phi,
-        "_phi0": phi0,
-        "_fit_resid": fit_resid,
-        "_ode_resid": ode_resid,
-        "_h0": h0,
-    }
+    ode = first_difference(r, problem.dt) - (problem.mu - r**2) * r
+    return phi @ coeffs - r, ode, float(phi0 @ coeffs) - problem.r0_target
+
+
+def _nf_loss_at(problem, coeffs, weights, residuals):
+    """Weighted terms (norm_h, fit, decay law, anchor) from the residuals at ``coeffs``, and their sum."""
+    fit, ode, anchor = residuals
+    lam1, lam2, lam3 = weights
+    terms = (homogeneous_norm_sq(NF_KERNEL, coeffs), lam1 * float(fit @ fit), lam2 * float(ode @ ode),
+             lam3 * anchor**2)
+    return terms, terms[0] + terms[1] + terms[2] + terms[3]
+
+
+def _nf_gradient(problem, coeffs, r, weights, residuals):
+    """Gradient w.r.t. (h_coeffs, r_values) from the residuals at that point."""
+    lam1, lam2, lam3 = weights
+    phi, phi0 = problem._features
+    fit, ode, anchor = residuals
+    grad_c = 2.0 * coeffs / NF_KERNEL.binomials + lam1 * 2.0 * (phi.T @ fit) + lam3 * 2.0 * anchor * phi0
+    grad_r = -lam1 * 2.0 * fit + lam2 * 2.0 * (_fd_time_adjoint(ode, problem.dt) - (problem.mu - 3.0 * r**2) * ode)
+    return grad_c, grad_r
 
 
 # Per-term factors applied on top of plain magnitude balancing. The radius
@@ -408,23 +403,26 @@ NF_ANCHOR_FACTOR = 10.0
 
 
 def _nf_weights(problem, init_state):
-    t = _nf_terms(problem, init_state)
+    # unit weights leave the raw terms
+    t = nf_loss_terms(problem, init_state, (1.0, 1.0, 1.0))
     base = max(t["norm_h"], 1e-8)
-    lam1 = problem.lambda1 if problem.lambda1 is not None else NF_FIT_FACTOR * base / max(t["l1"], 1e-12)
-    lam2 = problem.lambda2 if problem.lambda2 is not None else NF_ODE_FACTOR * base / max(t["l2"], 1e-12)
-    lam3 = problem.lambda3 if problem.lambda3 is not None else NF_ANCHOR_FACTOR * base / max(t["anchor"], 1e-12)
+    lam1 = problem.lambda1 if problem.lambda1 is not None else NF_FIT_FACTOR * base / max(t["l1_weighted"], 1e-12)
+    lam2 = problem.lambda2 if problem.lambda2 is not None else NF_ODE_FACTOR * base / max(t["l2_weighted"], 1e-12)
+    lam3 = (problem.lambda3 if problem.lambda3 is not None
+            else NF_ANCHOR_FACTOR * base / max(t["anchor_weighted"], 1e-12))
     return lam1, lam2, lam3
 
 
 def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
+    residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
+    (norm_h, l1, l2, anchor), _ = _nf_loss_at(problem, state.h_coeffs, weights, residuals)
     lam1, lam2, lam3 = weights
-    t = _nf_terms(problem, state)
     return {
-        "norm_h": t["norm_h"],
-        "l1_weighted": lam1 * t["l1"],
-        "l2_weighted": lam2 * t["l2"],
-        "anchor_weighted": lam3 * t["anchor"],
+        "norm_h": norm_h,
+        "l1_weighted": l1,
+        "l2_weighted": l2,
+        "anchor_weighted": anchor,
         "lambda1": lam1,
         "lambda2": lam2,
         "lambda3": lam3,
@@ -432,26 +430,13 @@ def nf_loss_terms(problem, state, weights):
 
 
 def nf_loss(problem, state, weights):
-    t = nf_loss_terms(problem, state, weights)
-    return t["norm_h"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
+    return _nf_loss_at(problem, state.h_coeffs, weights, _nf_residuals(problem, state.h_coeffs, state.r_values))[1]
 
 
 def nf_grad(problem, state, weights):
     """Hand-coded gradient w.r.t. (h_coeffs, r_values)."""
-    lam1, lam2, lam3 = weights
-    t = _nf_terms(problem, state)
-    r = state.r_values
-    grad_c = (
-        2.0 * state.h_coeffs / NF_KERNEL.binomials
-        + lam1 * 2.0 * (t["_phi"].T @ t["_fit_resid"])
-        + lam3 * 2.0 * (t["_h0"] - problem.r0_target) * t["_phi0"]
-    )
-    grad_r = (
-        -lam1 * 2.0 * t["_fit_resid"]
-        + lam2 * 2.0 * (_fd_time_adjoint(t["_ode_resid"], problem.dt)
-                        - (problem.mu - 3.0 * r**2) * t["_ode_resid"])
-    )
-    return grad_c, grad_r
+    residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
+    return _nf_gradient(problem, state.h_coeffs, state.r_values, weights, residuals)
 
 
 def nf_default_init(problem):
@@ -479,40 +464,75 @@ def nf_h_values(problem, coeffs, points):
     return homogeneous_features(NF_KERNEL, points) @ np.asarray(coeffs, dtype=float)
 
 
+#: Descent stops, converged, once every gradient entry is at most this in size.
+GRAD_TOL = 1e-8
+#: Descent stops, converged, once the backtracked step falls to this size.
+STEP_TOL = 1e-16
+#: Armijo sufficient-decrease constant.
+ARMIJO = 1e-4
+#: Step factor after a rejected trial, and after an accepted step.
+SHRINK, GROW = 0.5, 1.3
+
+
 def nf_solve(problem, init=None, config=None):
     """Minimize the radius-map loss and reconstruct the planar normal-form orbit.
+
+    Gradient descent on x = [h_coeffs, r_values] along the gradient scaled by
+    the fixed diagonal :func:`_nf_precond`, with Armijo backtracking from a
+    step that grows after each accepted step; the first trial step has unit
+    length. Each trial point costs one residual pass (one product with the
+    quartic features of the trajectory and one first difference), and an
+    accepted point's gradient reuses its residuals. The accepted-step loss
+    trace is nonincreasing. It stops at a small gradient (``grad_tol``), a
+    vanishing step (``step_tol``) or after ``config.max_iters`` steps.
 
     The phase advances at unit rate from the angle of the initial point, so
     the reconstruction is x = r cos(t + theta0), y = r sin(t + theta0).
     """
     state0 = init if init is not None else nf_default_init(problem)
     weights = _nf_weights(problem, state0)
-    n_c = state0.h_coeffs.size
-
-    def unpack(vec):
-        return NfState(vec[:n_c], vec[n_c:])
-
-    def loss_of(vec):
-        return nf_loss(problem, unpack(vec), weights)
-
-    def grad_of(vec):
-        gc, gr = nf_grad(problem, unpack(vec), weights)
-        return np.concatenate([gc, gr])
-
-    x0 = np.concatenate([state0.h_coeffs, state0.r_values])
     precond = _nf_precond(problem, state0, weights)
-    out = gradient_descent(loss_of, grad_of, x0, config or DescentConfig(), precond=precond)
-    state = unpack(out.x)
+    n_c = state0.h_coeffs.size
+    x = np.concatenate([state0.h_coeffs, state0.r_values])
+    residuals = _nf_residuals(problem, x[:n_c], x[n_c:])
+    _, f = _nf_loss_at(problem, x[:n_c], weights, residuals)
+    if not np.isfinite(f):
+        raise DivergedError("non-finite loss at the initial point", trace=[f])
+    trace = [f]
+    step, reason, it = 1.0, "max_iters", 0
+    for it in range(1, (config or DescentConfig()).max_iters + 1):
+        g = np.concatenate(_nf_gradient(problem, x[:n_c], x[n_c:], weights, residuals))
+        if not np.all(np.isfinite(g)):
+            raise DivergedError("non-finite gradient", trace=trace)
+        if np.max(np.abs(g)) <= GRAD_TOL:
+            reason = "grad_tol"
+            break
+        d = precond * g
+        slope = float(g @ d)
+        while step > STEP_TOL:
+            x_new = x - step * d
+            residuals_new = _nf_residuals(problem, x_new[:n_c], x_new[n_c:])
+            _, f_new = _nf_loss_at(problem, x_new[:n_c], weights, residuals_new)
+            if np.isfinite(f_new) and f_new <= f - ARMIJO * step * slope:
+                break
+            step *= SHRINK
+        else:
+            reason = "step_tol"
+            break
+        x, f, residuals = x_new, f_new, residuals_new
+        trace.append(f)
+        step *= GROW
+    state = NfState(x[:n_c], x[n_c:])
     theta0 = float(np.arctan2(problem.init_point[1], problem.init_point[0]))
     phase = problem.trajectory.times + theta0
     xy = np.stack([state.r_values * np.cos(phase), state.r_values * np.sin(phase)], axis=1)
-    return NfResult(state, xy, out.loss_trace, weights, out.iterations, out.converged, out.reason, theta0)
+    return NfResult(state, xy, trace, weights, it, reason != "max_iters", reason, theta0)
 
 
 def _nf_precond(problem, state, weights):
     lam1, lam2, lam3 = weights
-    t = _nf_terms(problem, state)
-    diag_c = 2.0 / NF_KERNEL.binomials + 2.0 * lam1 * np.sum(t["_phi"] ** 2, axis=0) + 2.0 * lam3 * t["_phi0"] ** 2
+    phi, phi0 = problem._features
+    diag_c = 2.0 / NF_KERNEL.binomials + 2.0 * lam1 * np.sum(phi**2, axis=0) + 2.0 * lam3 * phi0**2
     n = state.r_values.size
     dt = problem.dt
     # diagonal of D^T D for the one-sided/central first-derivative stencil

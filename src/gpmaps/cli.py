@@ -46,14 +46,13 @@ import numpy as np
 from jsonschema import Draft7Validator, ValidationError
 
 from . import cgc, dynamics, transforms
-from .exceptions import (DivergedError, GpmapsError, InvalidInputError, NumericalOverflowError, SingularityError,
-                         SingularSystemError)
+from .exceptions import DivergedError, GpmapsError, InvalidInputError, NumericalOverflowError, SingularSystemError
 from .gp import fit, interpolant_from_config, interpolant_to_config
 from .kernel_learning import ThetaSearchConfig, learn_theta
 from .kernels import Matern52
 from .optim import DescentConfig
 
-_NUMERICAL_ERRORS = (SingularSystemError, DivergedError, NumericalOverflowError, SingularityError)
+_NUMERICAL_ERRORS = (SingularSystemError, DivergedError, NumericalOverflowError)
 
 #: Python type of each scalar schema type; arrays cast item by item.
 _CASTS = {"integer": int, "number": float, "string": str, "boolean": bool}

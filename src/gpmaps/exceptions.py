@@ -24,10 +24,6 @@ class SingularSystemError(GpmapsError):
         self.condition = condition
 
 
-class SingularityError(GpmapsError, ValueError):
-    """Raised when a state touches a singular point of the dynamics (e.g. 1/u**2 at u=0)."""
-
-
 class NumericalOverflowError(GpmapsError, ArithmeticError):
     """Raised when an integrator or stepper produces non-finite values."""
 

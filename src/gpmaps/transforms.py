@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Burgers, Field1D, Grid1D, antiderivative, diff, get_initial_condition, pde_step
-from .exceptions import InvalidInputError, SingularityError
+from .exceptions import InvalidInputError
 from .gp import ConstraintSystem, FunctionalTerm, LinearFunctional, rkhs_norm_sq
 
 __all__ = [
@@ -202,7 +202,7 @@ def build_first_order(u_samples, nugget=None):
     if u.size == 0:
         raise InvalidInputError("need at least one sample")
     if np.any(u == 0.0):
-        raise SingularityError("samples must be nonzero (the constraint divides by u^2)")
+        raise InvalidInputError("samples must be nonzero (the constraint divides by u^2)")
     functionals = [LinearFunctional.dirac(1.0)]
     for ui in u:
         functionals.append(

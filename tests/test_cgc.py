@@ -22,7 +22,7 @@ from gpmaps.cgc import (
     nf_solve,
 )
 from gpmaps.dynamics import Trajectory, brusselator_trajectory, first_difference, mu_from_AB, r_exact
-from gpmaps.exceptions import InvalidInputError
+from gpmaps.exceptions import DivergedError, InvalidInputError
 from gpmaps.gp import _factor_with_escalation
 from gpmaps.optim import DescentConfig
 from gpmaps.transforms import first_order_problem, first_order_truth
@@ -280,6 +280,21 @@ class TestNfSolve:
         radii = np.hypot(res.xy[:, 0], res.xy[:, 1])
         np.testing.assert_allclose(radii, np.abs(res.state.r_values), rtol=1e-12)
         assert res.theta0 == pytest.approx(-np.pi / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 50, 300])
+    def test_final_loss_is_loss_at_returned_state(self, small_traj, max_iters):
+        # the descent sums its terms in nf_loss's order, so the two agree bit for bit
+        prob = NfProblem(small_traj, MU)
+        res = nf_solve(prob, config=DescentConfig(max_iters=max_iters))
+        assert len(res.loss_trace) == max_iters + 1
+        assert res.loss_trace[-1] == nf_loss(prob, res.state, res.weights)
+
+    def test_non_finite_initial_loss_diverges(self, small_traj):
+        prob = NfProblem(small_traj, MU)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedError, match="initial point") as info:
+                nf_solve(prob, init=NfState(np.zeros(5), np.full(len(small_traj), 1e200)))
+        assert len(info.value.trace) == 1 and not np.isfinite(info.value.trace[0])
 
     def test_features_built_once_per_problem(self, small_traj, monkeypatch):
         calls = []

@@ -43,6 +43,9 @@ class TestRun:
     @pytest.mark.parametrize("cfg", [
         {"experiment": "cole-hopf-multi", "ics": []},
         {"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
+        # a u = 0 sample breaks the 1/u^2 precondition of both first-order equations alike
+        {"experiment": "first-order", "ic": "multi-2"},
+        {"experiment": "cgc-pde", "ic": "multi-2"},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"

@@ -87,3 +87,33 @@ def test_library_has_no_scatter_adds_inverses_or_tril_copies():
     found = [f"{f.name}:{i} {m.group(0)}" for f in sorted((root / "src/gpmaps").glob("*.py"))
              for i, line in enumerate(f.read_text().splitlines(), 1) for m in banned.finditer(line)]
     assert found == []
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants that no decorator registers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [] if node.decorator_list else [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_no_unreferenced_private_helpers():
+    # a private helper that nothing in the package reads is dead code
+    root = Path(__file__).resolve().parents[1]
+    trees = {f.name: ast.parse(f.read_text()) for f in sorted((root / "src/gpmaps").glob("*.py"))}
+    assert len(trees) > 5
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}:{helper}" for name, tree in trees.items() for helper in _private_definitions(tree)
+              if helper not in read]
+    assert unread == []
