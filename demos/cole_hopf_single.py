@@ -10,13 +10,13 @@ leave-one-out loss, then prints the error table both ways.
 
 import numpy as np
 
-from gpmaps import Matern52, ThetaSearchConfig, fit, learn_theta, relative_l2
+from gpmaps import Matern52, fit, learn_theta, relative_l2
 from gpmaps.transforms import cole_hopf_problem
 
 for n in (25, 50, 100, 200):
     problem = cole_hopf_problem(n, nu=0.5)
     plain = relative_l2(fit(problem.system, Matern52(1.0)), problem.truth, problem.eval_points)
-    theta, rho = learn_theta(ThetaSearchConfig(), problem.system, problem.interior)
+    theta, rho = learn_theta(problem.system, problem.interior)
     learned = relative_l2(fit(problem.system, Matern52(theta)), problem.truth, problem.eval_points)
     print(f"N={n:4d}  fixed theta=1: {plain:.3e}   learned theta={theta:6.2f}: {learned:.3e}")
 

@@ -8,17 +8,17 @@ map is valid far beyond what any single trajectory covers.
 
 import numpy as np
 
-from gpmaps import Matern52, ThetaSearchConfig, fit, learn_theta, relative_l2
+from gpmaps import Matern52, fit, learn_theta, relative_l2
 from gpmaps.transforms import cole_hopf_multi_problem
 
 problem = cole_hopf_multi_problem()
-labels = np.array(problem.meta["labels"])
+labels = np.array(problem.labels)
 print(f"pooled system size: {len(problem.system)}")
 for name in sorted(set(labels)):
     sel = labels == name
     print(f"  {name}: u in [{problem.us[sel].min():7.3f}, {problem.us[sel].max():7.3f}]")
 
-theta, _ = learn_theta(ThetaSearchConfig(), problem.system, problem.interior)
+theta, _ = learn_theta(problem.system, problem.interior)
 interp = fit(problem.system, Matern52(theta))
 print(f"learned lengthscale: {theta:.2f}")
 print("relative L2 over the union:", relative_l2(interp, problem.truth, problem.eval_points))

@@ -42,11 +42,10 @@ from .gp import (
     fit,
     rkhs_norm_sq,
 )
-from .kernel_learning import ThetaSearchConfig, learn_theta, rho_loo
+from .kernel_learning import learn_theta, rho_loo
 from .kernels import HomogeneousPolynomial, Matern52, k_deriv, k_eval
 from .transforms import (
     build_cole_hopf_discrete,
-    build_cole_hopf_multi,
     build_cole_hopf_ode,
     build_first_order,
     cole_hopf_truth,

@@ -316,6 +316,10 @@ class NfProblem:
             raise InvalidInputError("trajectory must be uniformly sampled in time")
         if self.trajectory.states.shape[1] != 2:
             raise InvalidInputError("trajectory states must be planar (u, v)")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            w = getattr(self, name)
+            if w is not None and w < 0:
+                raise InvalidInputError(f"{name} must be nonnegative when given")
         if self.r0_target == 0.0:
             # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
             raise InvalidInputError("init_point must differ from the fixed point (0, 0)")

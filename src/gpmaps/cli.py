@@ -48,7 +48,7 @@ from jsonschema import Draft7Validator, ValidationError
 from . import cgc, dynamics, transforms
 from .exceptions import DivergedError, GpmapsError, InvalidInputError, NumericalOverflowError, SingularSystemError
 from .gp import fit, interpolant_from_config, interpolant_to_config
-from .kernel_learning import ThetaSearchConfig, learn_theta
+from .kernel_learning import learn_theta
 from .kernels import Matern52
 from .optim import DescentConfig
 
@@ -157,7 +157,7 @@ def _run(cfg, experiments, default, summary_name):
 def _run_transform_problem(cfg, out, problem, csv_name):
     theta, rho_star = cfg["theta"], None
     if cfg["learn_kernel"]:
-        theta, rho_star = learn_theta(ThetaSearchConfig(), problem.system, problem.interior)
+        theta, rho_star = learn_theta(problem.system, problem.interior)
     interp = fit(problem.system, Matern52(theta))
     rel = transforms.relative_l2(interp, problem.truth, problem.eval_points)
     # Y^T (G + lam I)^{-1} Y from the fit's own solve, as gp.rkhs_norm_sq computes it
@@ -166,9 +166,9 @@ def _run_transform_problem(cfg, out, problem, csv_name):
     truth_vals = problem.truth(problem.us)
     columns = [problem.xs, problem.us, truth_vals, learned, np.abs(learned - truth_vals)]
     header = ["x", "u", "w_true", "w_learned", "abs_err"]
-    if "labels" in problem.meta:
+    if problem.labels is not None:
         header = ["ic"] + header
-        columns = [list(problem.meta["labels"])] + columns
+        columns = [list(problem.labels)] + columns
     csv_path = _write_csv(out / csv_name, header, columns)
     interp_path = _write_interpolant(out / "interpolant.json", interp)
     metrics = {"relative_l2": rel, "rkhs_norm": norm, "theta_learned": theta if rho_star is not None else None}
@@ -280,7 +280,7 @@ def _table1(cfg, out):
     thetas = []
     for n in cfg["N_list"]:
         problem = transforms.cole_hopf_problem(n, nu=cfg["nu"], ic_name=cfg["ic"])
-        theta, _ = learn_theta(ThetaSearchConfig(), problem.system, problem.interior)
+        theta, _ = learn_theta(problem.system, problem.interior)
         thetas.append(theta)
         for row, th in (("learning", theta), ("no_learning", cfg["theta"])):
             interp = fit(problem.system, Matern52(th))

@@ -2,7 +2,7 @@
 
 Contains the deterministic machinery every experiment builds on: spatial
 finite differences on uniform 1-D grids, a single explicit Euler step of
-viscous Burgers, the anchored antiderivative operator, classical RK4 for
+viscous Burgers, antiderivatives from the grid's left edge, classical RK4 for
 ODE trajectories, the Brusselator right-hand side and the radial law of its
 Hopf normal form, closed-form reference solutions, and a registry of
 built-in initial conditions with their exact antiderivatives.
@@ -172,20 +172,16 @@ def pde_step(kind, field, h):
     return Field1D(field.grid, out)
 
 
-def antiderivative(field, value_at_anchor=0.0, anchor_x=0.0):
-    """Cumulative trapezoid integral pinned to a value at an anchor point.
+def antiderivative(field, value_at_left=0.0):
+    """Cumulative trapezoid integral from the grid's left edge, where it takes ``value_at_left``.
 
-    The anchor may fall between nodes; its running integral is then linearly
-    interpolated. With anchor (0, 0) on a grid containing x = 0 this is the
+    With the default 0 on a grid starting at x = 0 this is the
     integral-from-zero operator used to build regression inputs.
     """
     xs = field.grid.xs
-    if anchor_x < xs[0] - 1e-12 or anchor_x > xs[-1] + 1e-12:
-        raise InvalidInputError(f"anchor {anchor_x} outside grid span [{xs[0]}, {xs[-1]}]")
     v = field.values
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(xs))))
-    at_anchor = float(np.interp(anchor_x, xs, cum))
-    return Field1D(field.grid, cum - at_anchor + value_at_anchor)
+    return Field1D(field.grid, cum + value_at_left)
 
 
 def rk4(rhs, y0, t0, t1, dt):

@@ -14,8 +14,6 @@ solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
@@ -24,33 +22,19 @@ from .gp import assemble_gram
 from .kernels import Matern52
 from .optim import golden_section
 
-__all__ = ["ThetaSearchConfig", "rho_loo", "rho_loo_naive", "learn_theta"]
+__all__ = ["THETA_GRID", "REFINE_ITERS", "rho_loo", "rho_loo_naive", "learn_theta"]
 
 #: Fixed nugget added to the Gram matrix of every leave-one-out solve.
 LOO_NUGGET = 1e-8
 
+#: Lengthscales of the grid search. Lower edge 1e-1, not smaller: once the
+#: lengthscale drops below the data spacing the constraints decouple and rho
+#: develops a spurious minimum (nothing changes on removal because nothing
+#: generalizes).
+THETA_GRID = np.logspace(-1, 2, 41)
 
-def _default_grid():
-    # Lower edge 1e-1, not smaller: once the lengthscale drops below the data
-    # spacing the constraints decouple and rho develops a spurious minimum
-    # (nothing changes on removal because nothing generalizes).
-    return tuple(np.logspace(-1, 2, 41))
-
-
-@dataclass(frozen=True)
-class ThetaSearchConfig:
-    grid: tuple = None
-    refine_iters: int = 20
-
-    def __post_init__(self):
-        grid = tuple(self.grid) if self.grid is not None else _default_grid()
-        if len(grid) == 0:
-            raise InvalidInputError("grid must be nonempty")
-        if any(g <= 0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("grid must be positive and strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        if self.refine_iters < 0:
-            raise InvalidInputError("refine_iters must be >= 0")
+#: Golden-section steps in log-theta around the best grid point.
+REFINE_ITERS = 20
 
 
 def _quadratic_form(gram, targets):
@@ -122,29 +106,26 @@ def rho_loo_naive(theta, system, removable):
     return total / removable.size
 
 
-def learn_theta(config, system, removable):
+def learn_theta(system, removable):
     """Grid search over the Matern-5/2 lengthscale by rho, then golden-section in log-theta.
 
-    Returns (theta_star, rho_star); refinement brackets the best grid point
-    and can only improve on it.
+    Searches :data:`THETA_GRID`, then refines for :data:`REFINE_ITERS` steps
+    between the best grid point's neighbours. Returns (theta_star, rho_star);
+    refinement can only improve on the best grid point.
     """
-    grid = np.asarray(config.grid, dtype=float)
 
     def rho_of(theta):
         return rho_loo(theta, system, removable)
 
-    values = np.array([rho_of(t) for t in grid])
+    values = np.array([rho_of(t) for t in THETA_GRID])
     i = int(np.argmin(values))
-    if len(grid) == 1 or config.refine_iters == 0:
-        return float(grid[i]), float(values[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    lo = THETA_GRID[max(i - 1, 0)]
+    hi = THETA_GRID[min(i + 1, len(THETA_GRID) - 1)]
     log_best, rho_best = golden_section(
         lambda s: rho_of(float(np.exp(s))),
         np.log(lo),
         np.log(hi),
-        config.refine_iters,
-        seed_points=[(np.log(grid[i]), values[i])],
+        REFINE_ITERS,
+        seed=(np.log(THETA_GRID[i]), values[i]),
     )
     return float(np.exp(log_best)), float(rho_best)
-

@@ -18,16 +18,15 @@ class DescentConfig:
     max_iters: int = 100_000
 
 
-def golden_section(fn, lo, hi, iters, seed_points):
+def golden_section(fn, lo, hi, iters, seed):
     """Golden-section minimization on [lo, hi], tracking the best point ever seen.
 
-    ``seed_points`` is a nonempty list of (x, f) pairs that compete for the
-    returned minimum, so refinement can never return something worse than
-    its bracket.
+    ``seed`` is an (x, f) pair that competes for the returned minimum, so
+    refinement can never return something worse than it.
     """
     if not hi > lo:
         raise InvalidInputError(f"need hi > lo, got [{lo}, {hi}]")
-    best = min(seed_points, key=lambda p: p[1])
+    best = seed
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)

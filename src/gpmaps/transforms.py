@@ -9,7 +9,7 @@ as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "first_order_truth_fn",
     "build_cole_hopf_ode",
     "build_cole_hopf_discrete",
-    "build_cole_hopf_multi",
     "build_first_order",
     "relative_l2",
     "norm_growth_diagnostic",
@@ -42,16 +41,19 @@ MULTI_IC_NAMES = ("multi-1", "multi-2", "multi-3", "multi-4")
 
 @dataclass(frozen=True)
 class TransformProblem:
-    """One ready-to-fit regression problem plus its evaluation context."""
+    """One ready-to-fit regression problem plus its evaluation context.
 
-    name: str
+    ``labels`` names the initial condition of each sample when a problem
+    pools several; it is None otherwise.
+    """
+
     system: ConstraintSystem
     truth: object
     eval_points: np.ndarray
     xs: np.ndarray = None
     us: np.ndarray = None
     interior: np.ndarray = None
-    meta: dict = field(default_factory=dict)
+    labels: tuple = None
 
     def __post_init__(self):
         pts = np.asarray(self.eval_points, dtype=float)
@@ -74,14 +76,18 @@ def cole_hopf_truth(u, nu):
 
 
 def cole_hopf_truth_fn(nu):
-    """Truth with derivatives, as ``fn(u, order)`` for order in {0, 1, 2}."""
+    """Truth with derivatives, as ``fn(u, order)`` for order in {0, 1, 2}.
+
+    Order 0 is :func:`cole_hopf_truth` itself.
+    """
+    if not nu > 0:
+        raise InvalidInputError(f"nu must be positive, got {nu}")
     denom = 1.0 - np.exp(-1.0 / (2.0 * nu))
 
     def fn(u, order=0):
-        core = np.exp(-np.asarray(u, dtype=float) / (2.0 * nu)) / denom
         if order == 0:
-            return core - np.exp(-1.0 / (2.0 * nu)) / denom
-        return (-1.0 / (2.0 * nu)) ** order * core
+            return cole_hopf_truth(u, nu)
+        return (-1.0 / (2.0 * nu)) ** order * np.exp(-np.asarray(u, dtype=float) / (2.0 * nu)) / denom
 
     return fn
 
@@ -160,11 +166,10 @@ def build_cole_hopf_discrete(v0, nu, h, nugget=None):
     n = v0.grid.n
     if n < 5:
         raise InvalidInputError(f"need at least 5 grid nodes, got {n}")
-    x_lo = v0.grid.x0
-    u0 = antiderivative(v0, 0.0, x_lo).values
+    u0 = antiderivative(v0).values
     v1 = pde_step(Burgers(nu), v0, h)
     drift = h * (nu * diff(v0, 1).values[0] - 0.5 * v0.values[0] ** 2)
-    u1 = antiderivative(v1, drift, x_lo).values
+    u1 = antiderivative(v1, drift).values
     dx = v0.grid.dx
     c = h * nu / dx**2
     interior = []
@@ -181,18 +186,6 @@ def build_cole_hopf_discrete(v0, nu, h, nugget=None):
         )
     if len(interior) < 3:
         raise InvalidInputError("fewer than 3 usable interior points")
-    return _bracketed(interior, nugget)
-
-
-def build_cole_hopf_multi(ic_names, points_per_ic, nu, nugget=None):
-    """Pooled ODE constraints over several initial conditions, one shared anchor pair."""
-    if points_per_ic < 1:
-        raise InvalidInputError("points_per_ic must be >= 1")
-    interior = []
-    for name in ic_names:
-        ic = get_initial_condition(name, nu=nu)
-        _, u = ic.sample(points_per_ic)
-        interior.extend(_ode_functional(ui, nu) for ui in u)
     return _bracketed(interior, nugget)
 
 
@@ -278,14 +271,12 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper", nugget=None):
     us = ic.u0(xs)
     system = build_cole_hopf_ode(us, nu, nugget=nugget)
     return TransformProblem(
-        name="cole-hopf",
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
         eval_points=_anchored_eval(us),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),
-        meta={"nu": nu, "ic": ic_name},
     )
 
 
@@ -297,40 +288,36 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper",
     v0 = Field1D(grid, ic.v0(grid.xs))
     system = build_cole_hopf_discrete(v0, nu, h, nugget=nugget)
     xs = grid.xs[1:-1]
-    us = antiderivative(v0, 0.0, grid.x0).values[1:-1]
+    us = antiderivative(v0).values[1:-1]
     return TransformProblem(
-        name="cole-hopf-discrete",
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
         eval_points=_anchored_eval(us),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),
-        meta={"nu": nu, "ic": ic_name, "h": h, "dx": dx},
     )
 
 
 def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5, nugget=None):
-    """Pooled problem over several initial conditions; evaluated on the full union."""
-    system = build_cole_hopf_multi(ic_names, points_per_ic, nu, nugget=nugget)
-    xs, us, labels = [], [], []
-    for name in ic_names:
-        ic = get_initial_condition(name, nu=nu)
-        x, u = ic.sample(points_per_ic)
-        xs.append(x)
-        us.append(u)
-        labels.extend([name] * points_per_ic)
-    xs = np.concatenate(xs)
-    us = np.concatenate(us)
+    """ODE constraints pooled over several initial conditions with one shared anchor pair.
+
+    Each IC is sampled once; the problem is evaluated on the full union.
+    """
+    if points_per_ic < 1:
+        raise InvalidInputError("points_per_ic must be >= 1")
+    samples = [get_initial_condition(name, nu=nu).sample(points_per_ic) for name in ic_names]
+    xs = np.concatenate([x for x, _ in samples])
+    us = np.concatenate([u for _, u in samples])
+    system = build_cole_hopf_ode(us, nu, nugget=nugget)
     return TransformProblem(
-        name="cole-hopf-multi",
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
         eval_points=us,
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),
-        meta={"nu": nu, "ics": tuple(ic_names), "labels": tuple(labels)},
+        labels=tuple(name for name in ic_names for _ in range(points_per_ic)),
     )
 
 
@@ -342,12 +329,10 @@ def first_order_problem(n_points=100, ic_name="firstorder-paper", nugget=None):
     xs, us = ic.sample(n_points)
     system = build_first_order(us, nugget=nugget)
     return TransformProblem(
-        name="first-order",
         system=system,
         truth=first_order_truth,
         eval_points=us,
         xs=xs,
         us=us,
         interior=np.arange(1, len(system)),
-        meta={"ic": ic_name},
     )

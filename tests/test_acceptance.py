@@ -14,7 +14,7 @@ import pytest
 from gpmaps import cgc, dynamics, transforms
 from gpmaps.cli import run_experiment, run_table1
 from gpmaps.gp import ConstraintSystem, assemble_gram, constraint_residuals, fit
-from gpmaps.kernel_learning import ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
+from gpmaps.kernel_learning import learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52, k_deriv, k_eval
 from gpmaps.optim import DescentConfig
 
@@ -116,7 +116,7 @@ def test_criterion_5_normal_form():
 
 def test_criterion_6_multi_ic():
     prob = transforms.cole_hopf_multi_problem()
-    theta, _ = learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+    theta, _ = learn_theta(prob.system, prob.interior)
     rel = transforms.relative_l2(fit(prob.system, Matern52(theta)), prob.truth, prob.eval_points)
     ok = rel <= 1e-2
     report(6, ok, f"pooled 4x101 fit: relative L2 = {rel:.3e} (<= 1e-2), theta = {theta:.2f}")
@@ -161,9 +161,8 @@ def test_criterion_7_property_suites():
         rho = rho_loo(theta, prob.system, prob.interior)
         assert 0.0 <= rho <= 1.0
         assert rho == pytest.approx(rho_loo_naive(theta, prob.system, prob.interior), rel=1e-10)
-    cfg = ThetaSearchConfig(grid=tuple(np.logspace(-1, 2, 11)), refine_iters=4)
-    t1, _ = learn_theta(cfg, prob.system, prob.interior)
-    t2, _ = learn_theta(cfg, ConstraintSystem(prob.system.functionals, -3.0 * prob.system.targets), prob.interior)
+    t1, _ = learn_theta(prob.system, prob.interior)
+    t2, _ = learn_theta(ConstraintSystem(prob.system.functionals, -3.0 * prob.system.targets), prob.interior)
     assert t1 == pytest.approx(t2, rel=1e-12)
 
     # Euler first order / RK4 fourth order

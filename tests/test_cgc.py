@@ -228,6 +228,11 @@ class TestNfLoss:
         with pytest.raises(InvalidInputError, match="init_point"):
             NfProblem(small_traj, MU, init_point=(0.0, 0.0))
 
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    def test_negative_weight_rejected(self, small_traj, name):
+        with pytest.raises(InvalidInputError, match=name):
+            NfProblem(small_traj, MU, **{name: -1.0})
+
     def test_h_at_origin_is_zero(self, small_traj):
         prob = NfProblem(small_traj, MU)
         coeffs = RNG.normal(size=5)

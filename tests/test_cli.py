@@ -205,6 +205,13 @@ class TestTable1:
         cfg = write_config(tmp_path, "t.json", {"N_list": [], "output_dir": str(tmp_path / "o")})
         assert main(["table1", cfg]) == 2
 
+    def test_rejects_repeated_sizes(self, tmp_path):
+        # a repeated size would write two identical columns and one metric pair for both
+        with pytest.raises(InvalidInputError, match="non-unique"):
+            run_table1({"N_list": [25, 25], "output_dir": str(tmp_path / "o")})
+        cfg = write_config(tmp_path, "t.json", {"N_list": [25, 25], "output_dir": str(tmp_path / "o")})
+        assert main(["table1", cfg]) == 2
+
 
 class TestEvaluate:
     def test_round_trip(self, tmp_path):
@@ -264,6 +271,13 @@ class TestCgcExperiments:
     def test_cgc_pde_rejects_removed_options(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "c.json", {
             "experiment": "cgc-pde", "N": 10, "max_iters": 5, "output_dir": str(tmp_path / "o"), key: value,
+        })
+        assert main(["run", cfg]) == 2
+
+    @pytest.mark.parametrize("experiment", ["cgc-pde", "brusselator-nf"])
+    def test_negative_weight_exits_2(self, tmp_path, experiment):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": experiment, "lambda2": -1.0, "max_iters": 5, "output_dir": str(tmp_path / "o"),
         })
         assert main(["run", cfg]) == 2
 

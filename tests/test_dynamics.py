@@ -93,33 +93,32 @@ class TestPdeStep:
 class TestAntiderivative:
     def test_constant_integrand(self):
         f = field(lambda x: np.ones_like(x))
-        out = antiderivative(f, 0.0, 0.0)
+        out = antiderivative(f)
         np.testing.assert_allclose(out.values, f.grid.xs, atol=1e-14)
 
     def test_linear_integrand(self):
         f = field(lambda x: x)
-        out = antiderivative(f, 0.0, 0.0)
+        out = antiderivative(f)
         np.testing.assert_allclose(out.values, f.grid.xs**2 / 2.0, atol=1e-14)
 
     def test_cosine(self):
         f = field(lambda x: np.cos(np.pi * x), dx=1e-3, n=1001)
-        out = antiderivative(f, 0.0, 0.0)
+        out = antiderivative(f)
         assert np.max(np.abs(out.values - np.sin(np.pi * f.grid.xs) / np.pi)) <= 1e-5
 
     def test_linear_in_integrand(self):
         f1 = field(lambda x: np.sin(x))
         f2 = field(lambda x: np.cos(2 * x))
         combo = Field1D(f1.grid, 2.0 * f1.values - 0.5 * f2.values)
-        lhs = antiderivative(combo, 0.0, 0.0).values
-        rhs = 2.0 * antiderivative(f1, 0.0, 0.0).values - 0.5 * antiderivative(f2, 0.0, 0.0).values
+        lhs = antiderivative(combo).values
+        rhs = 2.0 * antiderivative(f1).values - 0.5 * antiderivative(f2).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
-    def test_anchor_between_nodes_and_bounds(self):
-        f = field(lambda x: np.ones_like(x))
-        out = antiderivative(f, 5.0, 0.005)
-        assert np.interp(0.005, f.grid.xs, out.values) == pytest.approx(5.0, abs=1e-12)
-        with pytest.raises(InvalidInputError):
-            antiderivative(f, 0.0, -3.0)
+    def test_value_at_left_offsets_every_node(self):
+        f = field(lambda x: np.cos(x), x0=-0.3)
+        out = antiderivative(f, 5.0)
+        assert out.values[0] == 5.0
+        np.testing.assert_array_equal(out.values, antiderivative(f).values + 5.0)
 
 
 def rk4_numpy_reference(rhs, y0, t0, t1, dt):
@@ -376,7 +375,7 @@ class TestRegistry:
         for name in ("burgers-paper", "multi-1", "multi-2", "multi-3", "multi-4"):
             ic = get_initial_condition(name, nu=0.5)
             grid = Grid1D(ic.x_lo, (ic.x_hi - ic.x_lo) / 4000, 4001)
-            numeric = antiderivative(Field1D(grid, ic.v0(grid.xs)), 0.0, grid.x0).values
+            numeric = antiderivative(Field1D(grid, ic.v0(grid.xs))).values
             closed = ic.u0(grid.xs) - ic.u0(np.array([grid.x0]))[0]
             assert np.max(np.abs(numeric - closed)) <= 1e-5
 

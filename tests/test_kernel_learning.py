@@ -4,7 +4,7 @@ import pytest
 from gpmaps import gp, kernel_learning
 from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import ConstraintSystem, assemble_gram, fit
-from gpmaps.kernel_learning import LOO_NUGGET, ThetaSearchConfig, learn_theta, rho_loo, rho_loo_naive
+from gpmaps.kernel_learning import LOO_NUGGET, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import cole_hopf_problem, corrupt_targets, relative_l2
 
@@ -80,19 +80,13 @@ class TestRhoLoo:
 
 
 class TestLearnTheta:
-    def test_single_point_grid(self, cole25):
-        theta, _ = learn_theta(ThetaSearchConfig(grid=(2.0,)), cole25.system, cole25.interior)
-        assert theta == 2.0
-
     def test_refinement_never_hurts(self, cole25):
-        cfg0 = ThetaSearchConfig(refine_iters=0)
-        cfg20 = ThetaSearchConfig(refine_iters=20)
-        _, rho0 = learn_theta(cfg0, cole25.system, cole25.interior)
-        _, rho20 = learn_theta(cfg20, cole25.system, cole25.interior)
-        assert rho20 <= rho0 + 1e-15
+        # refinement competes with the best grid point, so it can only improve on the grid
+        _, rho_star = learn_theta(cole25.system, cole25.interior)
+        assert rho_star <= min(rho_loo(t, cole25.system, cole25.interior) for t in THETA_GRID)
 
     def test_learned_beats_default_in_rho_and_error(self, cole25):
-        theta, rho_star = learn_theta(ThetaSearchConfig(), cole25.system, cole25.interior)
+        theta, rho_star = learn_theta(cole25.system, cole25.interior)
         assert rho_star <= rho_loo(1.0, cole25.system, cole25.interior)
         err_learned = relative_l2(fit(cole25.system, Matern52(theta)), cole25.truth, cole25.eval_points)
         err_plain = relative_l2(fit(cole25.system, Matern52(1.0)), cole25.truth, cole25.eval_points)
@@ -101,28 +95,21 @@ class TestLearnTheta:
     @pytest.mark.parametrize("n", [25, 50])
     def test_same_theta_as_inverse_reference(self, n, monkeypatch):
         prob = cole_hopf_problem(n)
-        theta, _ = learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        theta, _ = learn_theta(prob.system, prob.interior)
         monkeypatch.setattr(kernel_learning, "rho_loo", rho_loo_inverse_reference)
-        theta_ref, _ = learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        theta_ref, _ = learn_theta(prob.system, prob.interior)
         assert theta == theta_ref
 
     def test_deterministic(self, cole25):
-        out1 = learn_theta(ThetaSearchConfig(), cole25.system, cole25.interior)
-        out2 = learn_theta(ThetaSearchConfig(), cole25.system, cole25.interior)
+        out1 = learn_theta(cole25.system, cole25.interior)
+        out2 = learn_theta(cole25.system, cole25.interior)
         assert out1 == out2
 
     def test_theta_star_invariant_to_target_scaling(self, cole25):
-        cfg = ThetaSearchConfig(refine_iters=5)
         scaled = ConstraintSystem(cole25.system.functionals, -2.0 * cole25.system.targets)
-        t1, _ = learn_theta(cfg, cole25.system, cole25.interior)
-        t2, _ = learn_theta(cfg, scaled, cole25.interior)
+        t1, _ = learn_theta(cole25.system, cole25.interior)
+        t2, _ = learn_theta(scaled, cole25.interior)
         assert t1 == pytest.approx(t2, rel=1e-12)
-
-    def test_invalid_grid(self):
-        with pytest.raises(InvalidInputError):
-            ThetaSearchConfig(grid=())
-        with pytest.raises(InvalidInputError):
-            ThetaSearchConfig(grid=(2.0, 1.0))
 
 
 class TestPlanReuse:
@@ -136,13 +123,13 @@ class TestPlanReuse:
             return flatten(functionals)
 
         monkeypatch.setattr(gp, "_flatten", counting)
-        learn_theta(ThetaSearchConfig(), prob.system, prob.interior)
+        learn_theta(prob.system, prob.interior)
         assert calls == [len(prob.system)]
 
     def test_cached_plan_gives_the_rho_of_a_fresh_system(self, cole25):
         # evaluating the plan must leave it as built: the system's plan, reused
         # across the whole grid, agrees bit for bit with a new plan per theta
         system = cole25.system
-        for theta in ThetaSearchConfig().grid:
+        for theta in THETA_GRID:
             fresh = ConstraintSystem(system.functionals, system.targets, nugget=system.nugget)
             assert rho_loo(theta, system, cole25.interior) == rho_loo(theta, fresh, cole25.interior)

@@ -56,6 +56,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_demo_imports_from_gpmaps_exist():
+    # no test runs the demos (together they take seconds), so a deleted or renamed
+    # name would otherwise break a demo silently
+    root = Path(__file__).resolve().parents[1]
+    demos = sorted((root / "demos").glob("*.py"))
+    assert demos
+    missing = []
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gpmaps":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno} {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert missing == []
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # importing scipy.optimize adds about 20 MB of peak memory and 0.3 s to every CLI start;
     # scipy.sparse would add to both as well

@@ -4,12 +4,11 @@ import pytest
 from gpmaps.dynamics import Field1D, Grid1D, get_initial_condition
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.gp import fit
-from gpmaps.kernel_learning import ThetaSearchConfig, learn_theta
+from gpmaps.kernel_learning import learn_theta
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import (
     MULTI_IC_NAMES,
     build_cole_hopf_discrete,
-    build_cole_hopf_multi,
     build_cole_hopf_ode,
     build_first_order,
     cole_hopf_discrete_problem,
@@ -51,6 +50,15 @@ class TestTruthOracles:
             resid = nu * fn(u, 2) + 0.5 * fn(u, 1)
             scale = np.abs(nu * fn(u, 2))
             assert np.max(np.abs(resid) / scale) <= 1e-12
+
+    def test_cole_hopf_truth_fn_value_is_the_truth(self):
+        # one formula for the map's values, and the same positivity check on nu
+        u = RNG.uniform(-3, 6, 1000)
+        for nu in (0.5, 1.7):
+            np.testing.assert_array_equal(cole_hopf_truth_fn(nu)(u), cole_hopf_truth(u, nu))
+        for nu in (0.0, -0.5):
+            with pytest.raises(InvalidInputError, match="nu"):
+                cole_hopf_truth_fn(nu)
 
     def test_first_order_values(self):
         assert first_order_truth(1.0) == 1.0
@@ -94,7 +102,7 @@ class TestColeHopfOde:
     def test_learned_theta_dominates(self):
         for n in (25, 50, 100):
             prob = cole_hopf_problem(n)
-            theta, _ = learn_theta(ThetaSearchConfig(refine_iters=8), prob.system, prob.interior)
+            theta, _ = learn_theta(prob.system, prob.interior)
             err_a = relative_l2(fit(prob.system, Matern52(theta)), prob.truth, prob.eval_points)
             err_b = relative_l2(fit(prob.system, Matern52(1.0)), prob.truth, prob.eval_points)
             assert err_a <= err_b
@@ -137,24 +145,30 @@ class TestColeHopfDiscrete:
 
 class TestMulti:
     def test_pooled_size(self):
-        system = build_cole_hopf_multi(MULTI_IC_NAMES, 101, 0.5)
-        assert len(system) == 4 * 101 + 2
+        prob = cole_hopf_multi_problem(MULTI_IC_NAMES, 101, 0.5)
+        assert len(prob.system) == 4 * 101 + 2
+        assert prob.labels == tuple(name for name in MULTI_IC_NAMES for _ in range(101))
 
     def test_single_ic_reduces_to_ode_builder(self):
-        ic = get_initial_condition("multi-2")
-        _, u = ic.sample(25)
-        s1 = build_cole_hopf_ode(u, 0.5)
-        s2 = build_cole_hopf_multi(["multi-2"], 25, 0.5)
-        assert s1.functionals == s2.functionals
-        np.testing.assert_array_equal(s1.targets, s2.targets)
+        # one IC at a time and all four pooled: the ODE builder on the concatenated samples
+        samples = {name: get_initial_condition(name).sample(25)[1] for name in MULTI_IC_NAMES}
+        for names in [(name,) for name in MULTI_IC_NAMES] + [MULTI_IC_NAMES]:
+            s1 = build_cole_hopf_ode(np.concatenate([samples[name] for name in names]), 0.5)
+            s2 = cole_hopf_multi_problem(names, 25, 0.5).system
+            assert s1.functionals == s2.functionals
+            np.testing.assert_array_equal(s1.targets, s2.targets)
 
     def test_unknown_ic(self):
         with pytest.raises(InvalidInputError):
-            build_cole_hopf_multi(["nope"], 10, 0.5)
+            cole_hopf_multi_problem(["nope"], 10, 0.5)
+
+    def test_points_per_ic_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match="points_per_ic"):
+            cole_hopf_multi_problem(points_per_ic=0)
 
     def test_pooled_fit_accuracy(self):
         prob = cole_hopf_multi_problem()
-        theta, _ = learn_theta(ThetaSearchConfig(refine_iters=8), prob.system, prob.interior)
+        theta, _ = learn_theta(prob.system, prob.interior)
         rel = relative_l2(fit(prob.system, Matern52(theta)), prob.truth, prob.eval_points)
         assert rel <= 1e-2
 
