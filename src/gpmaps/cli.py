@@ -158,7 +158,7 @@ def _run_transform_problem(cfg, out, problem, csv_name):
     theta, rho_star = cfg["theta"], None
     if cfg["learn_kernel"]:
         theta, rho_star = learn_theta(problem.system, problem.interior)
-    interp = fit(problem.system, Matern52(theta))
+    interp = fit(problem.system, Matern52(theta), nugget=cfg["lam"])
     rel = transforms.relative_l2(interp, problem.truth, problem.eval_points)
     # Y^T (G + lam I)^{-1} Y from the fit's own solve, as gp.rkhs_norm_sq computes it
     norm = float(np.sqrt(max(problem.system.targets @ interp.coefficients, 0.0)))
@@ -182,28 +182,26 @@ _FIT_KEYS = {"lam": None, "theta": 1.0, "learn_kernel": False}
 
 @_runner("cole-hopf", N=25, nu=0.5, ic="burgers-paper", **_FIT_KEYS)
 def _experiment_cole_hopf(cfg, out):
-    problem = transforms.cole_hopf_problem(cfg["N"], nu=cfg["nu"], ic_name=cfg["ic"], nugget=cfg["lam"])
+    problem = transforms.cole_hopf_problem(cfg["N"], nu=cfg["nu"], ic_name=cfg["ic"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf.csv")
 
 
 @_runner("cole-hopf-discrete", nu=0.5, dx=0.01, h=1e-4, ic="burgers-paper", **_FIT_KEYS)
 def _experiment_cole_hopf_discrete(cfg, out):
-    problem = transforms.cole_hopf_discrete_problem(dx=cfg["dx"], h=cfg["h"], nu=cfg["nu"], ic_name=cfg["ic"],
-                                                    nugget=cfg["lam"])
+    problem = transforms.cole_hopf_discrete_problem(dx=cfg["dx"], h=cfg["h"], nu=cfg["nu"], ic_name=cfg["ic"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf_discrete.csv")
 
 
 @_runner("cole-hopf-multi", nu=0.5, points_per_ic=101, ics=transforms.MULTI_IC_NAMES,
          **{**_FIT_KEYS, "learn_kernel": True})
 def _experiment_cole_hopf_multi(cfg, out):
-    problem = transforms.cole_hopf_multi_problem(tuple(cfg["ics"]), cfg["points_per_ic"], cfg["nu"],
-                                                 nugget=cfg["lam"])
+    problem = transforms.cole_hopf_multi_problem(tuple(cfg["ics"]), cfg["points_per_ic"], cfg["nu"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf_multi.csv")
 
 
 @_runner("first-order", N=100, ic="firstorder-paper", **_FIT_KEYS)
 def _experiment_first_order(cfg, out):
-    problem = transforms.first_order_problem(cfg["N"], ic_name=cfg["ic"], nugget=cfg["lam"])
+    problem = transforms.first_order_problem(cfg["N"], ic_name=cfg["ic"])
     return _run_transform_problem(cfg, out, problem, "first_order.csv")
 
 

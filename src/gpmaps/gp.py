@@ -9,7 +9,9 @@ mixed partials. The relaxed minimum-norm solution
     D(u) = K(u, phi) (K(phi, phi) + lam I)^{-1} Y
 
 is computed by a dense symmetric positive-definite factorization; the nugget
-``lam`` keeps routinely ill-conditioned derivative Grams factorizable.
+``lam`` keeps routinely ill-conditioned derivative Grams factorizable. It is
+a setting of each solve, ``fit(system, kernel, nugget=None)``, not of the
+constraints; None picks ``NUGGET_SCALE * trace(G) / M`` for the kernel in use.
 
 The Gram matrix is assembled in blocks of terms with equal derivative
 orders. A :class:`ConstraintSystem` builds the lengthscale-free part of that
@@ -100,15 +102,10 @@ class LinearFunctional:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Ordered constraint functionals (at least one), their targets and the nugget.
-
-    ``nugget=None`` means "auto": resolve to ``NUGGET_SCALE * trace(G) / M``
-    once the Gram matrix of the kernel in use is known.
-    """
+    """Ordered constraint functionals (at least one) and their targets."""
 
     functionals: tuple
     targets: np.ndarray
-    nugget: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "functionals", tuple(self.functionals))
@@ -120,8 +117,6 @@ class ConstraintSystem:
                 f"targets must match functionals: {y.shape} vs {len(self.functionals)}"
             )
         object.__setattr__(self, "targets", y)
-        if self.nugget is not None and not self.nugget > 0:
-            raise InvalidInputError(f"nugget must be positive, got {self.nugget}")
 
     def __len__(self):
         return len(self.functionals)
@@ -288,10 +283,12 @@ def _factor_with_escalation(gram, lam):
     )
 
 
-def _solve(system, kernel):
-    """Shared solve path: returns (alpha, lam_used)."""
+def _solve(system, kernel, nugget):
+    """Shared solve path: returns (alpha, lam_used); ``nugget=None`` is :func:`default_nugget`."""
+    if nugget is not None and not nugget > 0:
+        raise InvalidInputError(f"nugget must be positive, got {nugget}")
     gram = system._gram_plan.gram(kernel)
-    lam = system.nugget if system.nugget is not None else default_nugget(gram)
+    lam = nugget if nugget is not None else default_nugget(gram)
     cf, lam_used = _factor_with_escalation(gram, lam)
     return cho_solve(cf, system.targets), lam_used
 
@@ -357,20 +354,20 @@ class Interpolant:
         return self.evaluate(u, 0)
 
 
-def fit(system, kernel):
-    """Solve (G + lam I) alpha = Y and wrap the result as an :class:`Interpolant`."""
-    alpha, lam_used = _solve(system, kernel)
+def fit(system, kernel, nugget=None):
+    """Solve (G + lam I) alpha = Y, lam = ``nugget`` or :func:`default_nugget`, as an :class:`Interpolant`."""
+    alpha, lam_used = _solve(system, kernel, nugget)
     return Interpolant(kernel, system.functionals, alpha, nugget=lam_used)
 
 
-def rkhs_norm_sq(system, kernel):
-    """Regularized squared norm of the constrained minimizer: Y^T (G+lam I)^{-1} Y.
+def rkhs_norm_sq(system, kernel, nugget=None):
+    """Regularized squared norm of the constrained minimizer: Y^T (G+lam I)^{-1} Y, lam as in :func:`fit`.
 
     This is also the optimal value of the relaxed problem, hence nondecreasing
     when constraints are appended and an upper-convergent estimate of the true
     map's squared RKHS norm when the constraints are consistent.
     """
-    alpha, _ = _solve(system, kernel)
+    alpha, _ = _solve(system, kernel, nugget)
     return float(max(system.targets @ alpha, 0.0))
 
 

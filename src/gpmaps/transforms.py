@@ -50,15 +50,15 @@ class TransformProblem:
     system: ConstraintSystem
     truth: object
     eval_points: np.ndarray
-    xs: np.ndarray = None
-    us: np.ndarray = None
-    interior: np.ndarray = None
+    xs: np.ndarray
+    us: np.ndarray
+    interior: np.ndarray
     labels: tuple = None
 
     def __post_init__(self):
         pts = np.asarray(self.eval_points, dtype=float)
-        if self.truth is not None and pts.size == 0:
-            raise InvalidInputError("eval_points must be nonempty when a truth oracle is present")
+        if pts.size == 0:
+            raise InvalidInputError("eval_points must be nonempty")
         object.__setattr__(self, "eval_points", pts)
 
 
@@ -114,19 +114,19 @@ def first_order_truth_fn():
     return fn
 
 
-def _bracketed(interior_functionals, nugget):
+def _bracketed(interior_functionals):
     """Assemble [dirac(0) | interior | dirac(1)] with targets (1, 0, ..., 0)."""
     functionals = (LinearFunctional.dirac(0.0), *interior_functionals, LinearFunctional.dirac(1.0))
     targets = np.zeros(len(functionals))
     targets[0] = 1.0
-    return ConstraintSystem(functionals, targets, nugget=nugget)
+    return ConstraintSystem(functionals, targets)
 
 
 def _ode_functional(ui, nu):
     return LinearFunctional((FunctionalTerm(ui, 2, nu), FunctionalTerm(ui, 1, 0.5)))
 
 
-def build_cole_hopf_ode(u_samples, nu, nugget=None):
+def build_cole_hopf_ode(u_samples, nu):
     """ODE-limit constraint system: second-order map equation at each sample.
 
     Enforces nu*D'' + D'/2 = 0, the equation the exponential truth solves.
@@ -136,10 +136,10 @@ def build_cole_hopf_ode(u_samples, nu, nugget=None):
         raise InvalidInputError("need at least one sample")
     if not nu > 0:
         raise InvalidInputError(f"nu must be positive, got {nu}")
-    return _bracketed([_ode_functional(ui, nu) for ui in u], nugget)
+    return _bracketed([_ode_functional(ui, nu) for ui in u])
 
 
-def build_cole_hopf_discrete(v0, nu, h, nugget=None):
+def build_cole_hopf_discrete(v0, nu, h):
     """Discrete-stepper constraint system from a gridded initial field.
 
     One Euler step of the diffusion on the map side is matched against the
@@ -186,10 +186,10 @@ def build_cole_hopf_discrete(v0, nu, h, nugget=None):
         )
     if len(interior) < 3:
         raise InvalidInputError("fewer than 3 usable interior points")
-    return _bracketed(interior, nugget)
+    return _bracketed(interior)
 
 
-def build_first_order(u_samples, nugget=None):
+def build_first_order(u_samples):
     """First-order constraint system: G'(u)/u^2 - G(u) = 0 with anchor G(1) = 1."""
     u = np.asarray(u_samples, dtype=float)
     if u.size == 0:
@@ -203,7 +203,7 @@ def build_first_order(u_samples, nugget=None):
         )
     targets = np.zeros(len(functionals))
     targets[0] = 1.0
-    return ConstraintSystem(tuple(functionals), targets, nugget=nugget)
+    return ConstraintSystem(tuple(functionals), targets)
 
 
 def relative_l2(learned, truth, eval_points):
@@ -231,12 +231,7 @@ def norm_growth_diagnostic(builder, sample_counts, kernel, nugget=1e-10):
         raise InvalidInputError("sample_counts must be nonempty")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise InvalidInputError("sample_counts must be strictly increasing")
-    out = []
-    for n in counts:
-        system = builder(n)
-        system = ConstraintSystem(system.functionals, system.targets, nugget=nugget)
-        out.append((n, float(np.sqrt(rkhs_norm_sq(system, kernel)))))
-    return out
+    return [(n, float(np.sqrt(rkhs_norm_sq(builder(n), kernel, nugget)))) for n in counts]
 
 
 def corrupt_targets(system, indices, seed=0):
@@ -249,7 +244,7 @@ def corrupt_targets(system, indices, seed=0):
     rng = np.random.default_rng(seed)
     y = system.targets.copy()
     y[np.asarray(indices, dtype=int)] = rng.standard_normal(len(indices))
-    return ConstraintSystem(system.functionals, y, nugget=system.nugget)
+    return ConstraintSystem(system.functionals, y)
 
 
 def _anchored_eval(u):
@@ -262,14 +257,14 @@ def _anchored_eval(u):
     return u[sel] if np.any(sel) else u
 
 
-def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper", nugget=None):
+def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
     """ODE-path problem on one initial condition, collocated at interior x-points."""
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
     ic = get_initial_condition(ic_name, nu=nu)
     xs = np.linspace(ic.x_lo, ic.x_hi, n_points + 2)[1:-1]
     us = ic.u0(xs)
-    system = build_cole_hopf_ode(us, nu, nugget=nugget)
+    system = build_cole_hopf_ode(us, nu)
     return TransformProblem(
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
@@ -280,13 +275,13 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper", nugget=None):
     )
 
 
-def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper", nugget=None):
+def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper"):
     """Discrete-stepper problem on a uniform grid over the IC's interval."""
     ic = get_initial_condition(ic_name, nu=nu)
     n = int(round((ic.x_hi - ic.x_lo) / dx)) + 1
     grid = Grid1D(ic.x_lo, dx, n)
     v0 = Field1D(grid, ic.v0(grid.xs))
-    system = build_cole_hopf_discrete(v0, nu, h, nugget=nugget)
+    system = build_cole_hopf_discrete(v0, nu, h)
     xs = grid.xs[1:-1]
     us = antiderivative(v0).values[1:-1]
     return TransformProblem(
@@ -299,17 +294,19 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper",
     )
 
 
-def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5, nugget=None):
+def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5):
     """ODE constraints pooled over several initial conditions with one shared anchor pair.
 
     Each IC is sampled once; the problem is evaluated on the full union.
     """
     if points_per_ic < 1:
         raise InvalidInputError("points_per_ic must be >= 1")
+    if len(ic_names) == 0:
+        raise InvalidInputError("ic_names must name at least one initial condition")
     samples = [get_initial_condition(name, nu=nu).sample(points_per_ic) for name in ic_names]
     xs = np.concatenate([x for x, _ in samples])
     us = np.concatenate([u for _, u in samples])
-    system = build_cole_hopf_ode(us, nu, nugget=nugget)
+    system = build_cole_hopf_ode(us, nu)
     return TransformProblem(
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
@@ -321,13 +318,13 @@ def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5, 
     )
 
 
-def first_order_problem(n_points=100, ic_name="firstorder-paper", nugget=None):
+def first_order_problem(n_points=100, ic_name="firstorder-paper"):
     """First-order problem sampled evenly over the IC's interval."""
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
     ic = get_initial_condition(ic_name)
     xs, us = ic.sample(n_points)
-    system = build_first_order(us, nugget=nugget)
+    system = build_first_order(us)
     return TransformProblem(
         system=system,
         truth=first_order_truth,

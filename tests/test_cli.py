@@ -99,6 +99,17 @@ class TestRun:
         run_experiment({"experiment": "first-order", "N": 30, "output_dir": str(tmp_path / "out")})
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "cole-hopf"},
+        {"experiment": "cole-hopf-discrete", "dx": 0.05},
+        {"experiment": "cole-hopf-multi", "points_per_ic": 11, "learn_kernel": False},
+        {"experiment": "first-order", "N": 30},
+    ])
+    def test_lam_is_the_nugget_of_the_fit(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, "c.json", {**cfg, "lam": 1e-7, "output_dir": str(out)})]) == 0
+        assert json.loads((out / "interpolant.json").read_text())["nugget"] == 1e-7
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPMAPS_OUTPUT_DIR", str(tmp_path / "env-out"))
         cfg = write_config(tmp_path, "c.json", {"experiment": "first-order", "N": 10})

@@ -28,8 +28,8 @@ RNG = np.random.default_rng(11)
 K1 = Matern52(1.0)
 
 
-def dirac_system(locs, targets, nugget=1e-10):
-    return ConstraintSystem(tuple(LinearFunctional.dirac(x) for x in locs), targets, nugget=nugget)
+def dirac_system(locs, targets):
+    return ConstraintSystem(tuple(LinearFunctional.dirac(x) for x in locs), targets)
 
 
 class TestGram:
@@ -165,13 +165,13 @@ class TestFit:
 
     def test_zero_targets_give_zero_interpolant(self):
         sys0 = dirac_system([0.0, 0.4, 1.0], np.zeros(3))
-        interp = fit(sys0, K1)
+        interp = fit(sys0, K1, nugget=1e-10)
         np.testing.assert_array_equal(interp.coefficients, 0.0)
         assert interp(0.7) == 0.0
 
     def test_interpolates_own_constraints(self):
         sys2 = dirac_system([0.0, 1.0], [1.0, 0.0])
-        interp = fit(sys2, K1)
+        interp = fit(sys2, K1, nugget=1e-10)
         assert interp(0.0) == pytest.approx(1.0, abs=1e-6)
         assert interp(1.0) == pytest.approx(0.0, abs=1e-6)
 
@@ -194,8 +194,8 @@ class TestFit:
 
     def test_linearity_in_targets(self):
         sys1 = dirac_system([0.0, 0.5, 1.0], [1.0, 0.3, -0.2])
-        sys3 = ConstraintSystem(sys1.functionals, 3.0 * sys1.targets, nugget=sys1.nugget)
-        d1, d3 = fit(sys1, K1), fit(sys3, K1)
+        sys3 = ConstraintSystem(sys1.functionals, 3.0 * sys1.targets)
+        d1, d3 = fit(sys1, K1, nugget=1e-10), fit(sys3, K1, nugget=1e-10)
         pts = np.linspace(-0.5, 1.5, 17)
         np.testing.assert_allclose(d3.evaluate(pts), 3.0 * d1.evaluate(pts), rtol=1e-12)
 
@@ -208,9 +208,18 @@ class TestFit:
         bound = 10 * interp.nugget * max(1.0, np.max(np.abs(interp.coefficients)))
         assert np.max(np.abs(resid)) <= bound
 
+    @pytest.mark.parametrize("solve", [fit, rkhs_norm_sq])
+    @pytest.mark.parametrize("nugget", [0.0, -1.0])
+    def test_nonpositive_nugget_rejected(self, solve, nugget):
+        with pytest.raises(InvalidInputError, match="nugget"):
+            solve(dirac_system([0.0, 1.0], [1.0, 0.0]), K1, nugget=nugget)
+
+    def test_given_nugget_is_the_one_used(self):
+        assert fit(dirac_system([0.0, 1.0], [1.0, 0.0]), K1, nugget=3e-9).nugget == 3e-9
+
     def test_evaluate_derivatives_match_fd(self):
         sys1 = dirac_system([0.0, 0.4, 0.8, 1.3], [1.0, 0.2, -0.4, 0.1])
-        interp = fit(sys1, K1)
+        interp = fit(sys1, K1, nugget=1e-10)
         h = 1e-5
         for u in (0.21, 0.63, 1.05):
             fd1 = (interp(u + h) - interp(u - h)) / (2 * h)
@@ -234,11 +243,11 @@ class TestTermValidation:
 
 class TestRkhsNorm:
     def test_zero_targets(self):
-        assert rkhs_norm_sq(dirac_system([0.0, 1.0], np.zeros(2)), K1) == 0.0
+        assert rkhs_norm_sq(dirac_system([0.0, 1.0], np.zeros(2)), K1, nugget=1e-10) == 0.0
 
     def test_single_constraint_norm_is_inverse_prior(self):
-        sys1 = dirac_system([0.0], [1.0], nugget=1e-14)
-        assert rkhs_norm_sq(sys1, K1) == pytest.approx(1.0, rel=1e-10)
+        sys1 = dirac_system([0.0], [1.0])
+        assert rkhs_norm_sq(sys1, K1, nugget=1e-14) == pytest.approx(1.0, rel=1e-10)
 
     def test_monotone_under_appended_constraints(self):
         prob = cole_hopf_problem(30)
@@ -248,8 +257,8 @@ class TestRkhsNorm:
         prev = -np.inf
         for m in range(2, len(f) + 1, 5):
             keep = np.sort(order[:m])
-            sub = ConstraintSystem(tuple(f[i] for i in keep), y[keep], nugget=1e-10)
-            q = rkhs_norm_sq(sub, K1)
+            sub = ConstraintSystem(tuple(f[i] for i in keep), y[keep])
+            q = rkhs_norm_sq(sub, K1, nugget=1e-10)
             assert q >= prev - 1e-10
             prev = q
 

@@ -49,7 +49,7 @@ class TestRhoLoo:
         doubled = [f[0]] + f[1:-1] + f[1:-1] + [f[-1]]
         y = np.zeros(len(doubled))
         y[0] = 1.0
-        system = ConstraintSystem(tuple(doubled), y, nugget=1e-8)
+        system = ConstraintSystem(tuple(doubled), y)
         removable = np.arange(1, len(doubled) - 1)
         assert rho_loo(1.0, system, removable) <= 1e-3
 
@@ -131,5 +131,5 @@ class TestPlanReuse:
         # across the whole grid, agrees bit for bit with a new plan per theta
         system = cole25.system
         for theta in THETA_GRID:
-            fresh = ConstraintSystem(system.functionals, system.targets, nugget=system.nugget)
+            fresh = ConstraintSystem(system.functionals, system.targets)
             assert rho_loo(theta, system, cole25.interior) == rho_loo(theta, fresh, cole25.interior)

@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import importlib.resources
+import inspect
 import json
 import os
 import pkgutil
@@ -56,20 +57,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_demo_imports_from_gpmaps_exist():
-    # no test runs the demos (together they take seconds), so a deleted or renamed
-    # name would otherwise break a demo silently
+def _demo_trees():
+    """``{demo file name: parsed module}`` for every demo script."""
     root = Path(__file__).resolve().parents[1]
     demos = sorted((root / "demos").glob("*.py"))
     assert demos
-    missing = []
-    for path in demos:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gpmaps":
-                module = importlib.import_module(node.module)
-                missing += [f"{path.name}:{node.lineno} {node.module}.{alias.name}" for alias in node.names
-                            if not hasattr(module, alias.name)]
+    return {path.name: ast.parse(path.read_text()) for path in demos}
+
+
+def _gpmaps_imports(tree):
+    """``(node, module, alias)`` for every name a module imports from gpmaps."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gpmaps":
+            module = importlib.import_module(node.module)
+            yield from ((node, module, alias) for alias in node.names)
+
+
+def test_demo_imports_from_gpmaps_exist():
+    # no test runs the demos (together they take seconds), so a deleted or renamed
+    # name would otherwise break a demo silently
+    missing = [f"{name}:{node.lineno} {module.__name__}.{alias.name}" for name, tree in _demo_trees().items()
+               for node, module, alias in _gpmaps_imports(tree) if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def test_demo_keywords_match_the_signatures():
+    # likewise a removed or renamed parameter: every keyword a demo passes to a
+    # name it imports from gpmaps must be a parameter of that name
+    unknown = []
+    for name, tree in _demo_trees().items():
+        params = {}
+        for _, module, alias in _gpmaps_imports(tree):
+            obj = getattr(module, alias.name)
+            sig = inspect.signature(obj) if callable(obj) else None
+            if sig and not any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
+                params[alias.asname or alias.name] = set(sig.parameters)
+        unknown += [f"{name}:{node.lineno} {node.func.id}({kw.arg}=)" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in params
+                    for kw in node.keywords if kw.arg is not None and kw.arg not in params[node.func.id]]
+    assert unknown == []
 
 
 def test_cli_import_leaves_out_scipy_optimize():

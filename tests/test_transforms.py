@@ -162,6 +162,10 @@ class TestMulti:
         with pytest.raises(InvalidInputError):
             cole_hopf_multi_problem(["nope"], 10, 0.5)
 
+    def test_no_ic_rejected(self):
+        with pytest.raises(InvalidInputError, match="ic_names"):
+            cole_hopf_multi_problem(ic_names=())
+
     def test_points_per_ic_must_be_positive(self):
         with pytest.raises(InvalidInputError, match="points_per_ic"):
             cole_hopf_multi_problem(points_per_ic=0)
