@@ -12,10 +12,12 @@ number h*nu/dx^2 is at most 0.5; with dx = 0.01 and nu = 0.5 that means
 h <= 1e-4, so the h sweep below stays at or under that bound. (A larger h
 makes ``pde_step`` emit a ``CflWarning``.)
 
-Smaller steps do not keep helping: each constraint is a difference of nearly
-equal point values, so rounding takes over as h shrinks. The gap to the
-equation-limit fit is 4.1e-4 at h = 1e-5 but 2.0e-2 at h = 1e-6, which is
-why the sweep stops at 1e-5.
+Smaller steps do not keep helping under the automatic nugget: it is set by
+the two anchor constraints (2.0e-10 at theta = 1), while an interior
+constraint's prior variance shrinks as h^2 (3.0e-9 at h = 1e-6), so the
+nugget over-regularizes the interior constraints as h shrinks. The gap to
+the equation-limit fit is 4.1e-4 at h = 1e-5 but 2.0e-2 at h = 1e-6, which
+is why the sweep stops at 1e-5.
 """
 
 import numpy as np
@@ -36,8 +38,8 @@ gap = np.linalg.norm(d_disc.evaluate(pts) - d_ode.evaluate(pts)) / np.linalg.nor
 print("relative gap to the equation-limit fit:", gap)
 
 # the h -> 0 limit: the two constructions converge to each other (below
-# h = 1e-5 each constraint is a difference of nearly equal point values and
-# the gap grows again, to 2e-2 at h = 1e-6)
+# h = 1e-5 the automatic nugget outweighs the interior constraints' prior
+# variance and the gap grows again, to 2e-2 at h = 1e-6)
 for h in (1e-4, 5e-5, 2e-5, 1e-5):
     p = cole_hopf_discrete_problem(dx=0.01, h=h, nu=0.5)
     d = fit(p.system, Matern52(1.0))

@@ -7,6 +7,8 @@ recover unknown equation coefficients and normal-form radius maps from
 trajectory data.
 """
 
+import logging
+
 from .cgc import (
     CgcPdeProblem,
     CgcPdeState,
@@ -55,3 +57,5 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -14,6 +14,8 @@ solved.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
@@ -27,14 +29,18 @@ __all__ = ["THETA_GRID", "REFINE_ITERS", "rho_loo", "rho_loo_naive", "learn_thet
 #: Fixed nugget added to the Gram matrix of every leave-one-out solve.
 LOO_NUGGET = 1e-8
 
-#: Lengthscales of the grid search. Lower edge 1e-1, not smaller: once the
-#: lengthscale drops below the data spacing the constraints decouple and rho
-#: develops a spurious minimum (nothing changes on removal because nothing
-#: generalizes).
-THETA_GRID = np.logspace(-1, 2, 41)
+#: Lengthscales of the grid search, half a decade apart. Lower edge 1e-1, not
+#: smaller: once the lengthscale drops below the data spacing the constraints
+#: decouple and rho develops a spurious minimum (nothing changes on removal
+#: because nothing generalizes).
+THETA_GRID = np.logspace(-1, 2, 7)
 
-#: Golden-section steps in log-theta around the best grid point.
-REFINE_ITERS = 20
+#: Golden-section steps in log-theta around the best grid point. The bracket,
+#: two grid spacings wide, ends 2.303 * 0.618**22 = 5.80e-5 wide in log-theta:
+#: no wider than 0.345 * 0.618**18 = 5.98e-5 for 41 points and 20 steps.
+REFINE_ITERS = 24
+
+_log = logging.getLogger(__name__)
 
 
 def _quadratic_form(gram, targets):
@@ -111,7 +117,9 @@ def learn_theta(system, removable):
 
     Searches :data:`THETA_GRID`, then refines for :data:`REFINE_ITERS` steps
     between the best grid point's neighbours. Returns (theta_star, rho_star);
-    refinement can only improve on the best grid point.
+    refinement can only improve on the best grid point. Logs a warning when
+    the best grid point is an end of the grid, where rho may still be
+    falling outside it.
     """
 
     def rho_of(theta):
@@ -119,6 +127,8 @@ def learn_theta(system, removable):
 
     values = np.array([rho_of(t) for t in THETA_GRID])
     i = int(np.argmin(values))
+    if i in (0, len(THETA_GRID) - 1):
+        _log.warning("best grid lengthscale %g is an end of THETA_GRID; rho may fall beyond it", THETA_GRID[i])
     lo = THETA_GRID[max(i - 1, 0)]
     hi = THETA_GRID[min(i + 1, len(THETA_GRID) - 1)]
     log_best, rho_best = golden_section(

@@ -155,11 +155,13 @@ def build_cole_hopf_discrete(v0, nu, h):
     (h * (nu*v0' - v0^2/2) at the edge); without it the system encodes a
     perturbed equation whose solution is O(1)-biased no matter how small h.
 
-    Accuracy has a floor in h: each constraint is a difference of nearly
-    equal point values, so rounding grows as h shrinks. At dx = 0.01 and
-    nu = 0.5 the gap to the equation-limit fit is 4.1e-4 at h = 1e-5 but
-    2.0e-2 at h = 1e-6. Together with the stability bound h*nu/dx^2 <= 0.5
-    this leaves a window of useful steps, about 1e-5 <= h <= 1e-4 there.
+    Under the automatic nugget of :func:`gpmaps.gp.fit`, accuracy has a floor
+    in h: that nugget is set by the two Dirac anchors (1.98e-10 at theta = 1
+    for any h), while the interior Gram diagonal shrinks as h^2 (median 3.0e-9
+    at h = 1e-6, dx = 0.01, nu = 0.5), so it over-regularizes every interior
+    constraint: the error is 1.45e-5 at h = 1e-4 but 2.1e-2 at h = 1e-6 (2.0e-5
+    with a nugget of 1e-8 times that median). With the stability bound
+    h*nu/dx^2 <= 0.5 this leaves about 1e-5 <= h <= 1e-4 there.
     """
     if not isinstance(v0, Field1D):
         raise InvalidInputError("v0 must be a Field1D")

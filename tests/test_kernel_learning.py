@@ -1,12 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
 
 from gpmaps import gp, kernel_learning
 from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import ConstraintSystem, assemble_gram, fit
-from gpmaps.kernel_learning import LOO_NUGGET, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
+from gpmaps.kernel_learning import LOO_NUGGET, REFINE_ITERS, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52
-from gpmaps.transforms import cole_hopf_problem, corrupt_targets, relative_l2
+from gpmaps.transforms import (
+    cole_hopf_multi_problem,
+    cole_hopf_problem,
+    corrupt_targets,
+    first_order_problem,
+    relative_l2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,9 +120,59 @@ class TestLearnTheta:
         assert t1 == pytest.approx(t2, rel=1e-12)
 
 
+class TestSearchBudget:
+    def test_one_rho_per_grid_point_and_golden_step(self, cole25, monkeypatch):
+        thetas = []
+
+        def counting(theta, system, removable):
+            thetas.append(theta)
+            return rho_loo(theta, system, removable)
+
+        monkeypatch.setattr(kernel_learning, "rho_loo", counting)
+        learn_theta(cole25.system, cole25.interior)
+        assert len(thetas) == len(THETA_GRID) + REFINE_ITERS == 31
+
+    def test_final_bracket_no_wider_than_the_41_point_search(self):
+        # the bracket starts at the best grid point's two neighbours; the first
+        # two golden steps place its interior points, each later one shrinks it
+        spacing = np.diff(np.log(THETA_GRID))
+        assert np.allclose(spacing, spacing[0])
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        assert 2.0 * spacing[0] * invphi ** (REFINE_ITERS - 2) <= 5.98e-5
+
+    @pytest.mark.parametrize("build, theta_61", [
+        (lambda: cole_hopf_problem(25), 23.078539),
+        (lambda: cole_hopf_problem(50), 18.863163),
+        (lambda: cole_hopf_problem(100), 15.306284),
+        (lambda: cole_hopf_problem(200), 12.360662),
+        (cole_hopf_multi_problem, 17.218908),
+    ], ids=["N25", "N50", "N100", "N200", "pooled"])
+    def test_same_theta_as_the_61_evaluation_search(self, build, theta_61):
+        # theta* of a 41-point grid with 20 golden steps, to within both brackets
+        prob = build()
+        theta, _ = learn_theta(prob.system, prob.interior)
+        assert abs(np.log(theta / theta_61)) <= 5e-5
+
+
+class TestEdgeDiagnostic:
+    def test_warns_when_the_best_grid_point_is_the_upper_end(self, caplog):
+        # rho of the first-order map is still falling at theta = 100 (2.8e-4, 1.3e-4 at 200)
+        prob = first_order_problem(100)
+        with caplog.at_level(logging.WARNING, logger="gpmaps"):
+            theta, _ = learn_theta(prob.system, prob.interior)
+        assert theta == pytest.approx(THETA_GRID[-1], rel=1e-12)
+        assert [(r.name, r.levelname) for r in caplog.records] == [("gpmaps.kernel_learning", "WARNING")]
+        assert "end of THETA_GRID" in caplog.text
+
+    def test_silent_inside_the_grid(self, cole25, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gpmaps"):
+            learn_theta(cole25.system, cole25.interior)
+        assert caplog.records == []
+
+
 class TestPlanReuse:
     def test_learn_theta_flattens_the_functionals_once(self, monkeypatch):
-        # the grid and golden-section sweep (61 rho evaluations) share one Gram plan
+        # the grid and golden-section sweep (7 + 24 = 31 rho evaluations) share one Gram plan
         prob = cole_hopf_problem(25)
         flatten, calls = gp._flatten, []
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import gpmaps
 from gpmaps import cli
+from gpmaps.kernel_learning import REFINE_ITERS, THETA_GRID
 
 
 def test_exports_and_schema_enums_match_the_code():
@@ -159,3 +160,23 @@ def test_no_unreferenced_private_helpers():
     unread = [f"{name}:{helper}" for name, tree in trees.items() for helper in _private_definitions(tree)
               if helper not in read]
     assert unread == []
+
+
+def test_readme_states_the_theta_search_budget():
+    # the README's count of the lengthscale search follows the module constants
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    n_grid = len(THETA_GRID)
+    for phrase in (f"{n_grid} log-spaced lengthscales", f"{REFINE_ITERS} golden-section steps",
+                   f"{n_grid + REFINE_ITERS} loss evaluations per system"):
+        assert phrase in readme
+
+
+def test_package_logs_nothing_by_default():
+    # a library leaves logging to its application: the gpmaps logger has a null
+    # handler, so an unconfigured run does not print the edge warning of learn_theta
+    src = str(Path(gpmaps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("from gpmaps.kernel_learning import learn_theta; from gpmaps.transforms import first_order_problem; "
+             "p = first_order_problem(100); learn_theta(p.system, p.interior)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == ""
