@@ -21,10 +21,10 @@ lengthscale then costs only the Matern profile arithmetic on those gap
 arrays, the weighting and the block adds, so a lengthscale sweep, the fit
 that follows it and every fit at a fixed lengthscale share one plan.
 
-An interpolant is read as a sum over term orders of kernel derivative
-blocks times per-node coefficients: each order's coefficients are summed on
-its distinct locations first, and orders on the same locations share one
-kernel evaluation. No (points x constraints) matrix is formed.
+Every Matern profile derivative is a quadratic in s|gap| times exp(-s|gap|),
+up to sign, so an interpolant read is five basis matrices per distinct set of
+term locations times weights that fold the quadratics into the summed term
+coefficients once: one gap array and one exp per set, no (points x terms) matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
-from .kernels import Matern52, _matern_profile_derivs, k_deriv, k_derivs, kernel_from_config, kernel_to_config
+from .kernels import _MATERN_PROFILE_COEFFS, Matern52, _matern_profile_derivs, kernel_from_config, kernel_to_config
 
 __all__ = [
     "FunctionalTerm",
@@ -310,44 +310,56 @@ class Interpolant:
         object.__setattr__(self, "coefficients", a)
 
     @cached_property
-    def _coefficients_by_nodes(self):
-        """``[(nodes, {order: c})]``: each distinct node set once, with per-node coefficients.
+    def _read_plan(self):
+        """``(s, [(s * nodes, {d: (even, odd)})])``: each distinct node set once, with its read weights.
 
-        c sums w_t * alpha[owner_t] over the order's terms at each node.
+        c_b sums w_t * alpha[owner_t] over the order-b terms at a node, and a
+        read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c_b. ``even`` folds
+        the b with d + b even into weight rows of e, sr e and sr^2 e, ``odd``
+        the others into rows of g e and g sr e, where g = s (u - node),
+        sr = |g| and e = exp(-sr); a parity that no b has is empty.
         """
-        out = []
+        s = math.sqrt(5.0) / self.kernel.theta
+        node_sets = {}
         for b, (locs, weights, owner) in _order_groups(self.functionals).items():
-            by_loc = np.argsort(locs, kind="stable")
-            ordered = locs[by_loc]
-            first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-            nodes = ordered[first]
-            c = np.add.reduceat((weights * self.coefficients[owner])[by_loc], first)
-            shared = next((coeffs for known, coeffs in out if np.array_equal(known, nodes)), None)
-            if shared is None:
-                out.append((nodes, {b: c}))
-            else:
-                shared[b] = c
-        return out
+            nodes, at = np.unique(locs, return_inverse=True)
+            c = np.bincount(at, weights * self.coefficients[owner])
+            node_sets.setdefault(nodes.tobytes(), (nodes, {}))[1][b] = c
+
+        def rows(coeffs, d, parity):
+            folded = [np.outer(_MATERN_PROFILE_COEFFS[d + b, parity:], (-1) ** b * s ** (d + b) * c)
+                      for b, c in coeffs.items() if (d + b) % 2 == parity]
+            return sum(folded) if folded else ()
+
+        return s, [(s * nodes, {d: (rows(coeffs, d, 0), rows(coeffs, d, 1)) for d in (0, 1, 2)})
+                   for nodes, coeffs in node_sets.values()]
 
     def evaluate(self, u, deriv_order=0):
         """Value (or derivative) of the fitted map at scalar or array ``u``.
 
-        Sums ``K^(deriv_order, b)(u, nodes) @ c_b`` over the term orders b,
-        with one kernel call per distinct node set: :func:`k_deriv` for a
-        node set of one order (the call the benchmark's tracer records),
-        :func:`k_derivs` for several orders sharing one gap array and exp.
+        Sums ``K^(deriv_order, b)(u, nodes) @ c_b`` over the term orders b as
+        basis matrices times the weights of ``_read_plan``: per node set one gap
+        array, one exp, at most four in-place products and at most five
+        matrix-vector products.
         """
-        points = np.atleast_1d(np.asarray(u, dtype=float))
+        if deriv_order not in (0, 1, 2) or not isinstance(self.kernel, Matern52):
+            raise UnsupportedDerivativeError(f"reads take orders 0-2 of a Matern52: {deriv_order}, {self.kernel!r}")
+        s, plan = self._read_plan
+        points = s * np.atleast_1d(np.asarray(u, dtype=float))
         vals = np.zeros(points.shape[0])
-        for nodes, coeffs in self._coefficients_by_nodes:
-            x, y = points[:, None], nodes[None, :]
-            if len(coeffs) == 1:
-                [(b, c)] = coeffs.items()
-                vals += k_deriv(self.kernel, x, y, deriv_order, b) @ c
-                continue
-            blocks = k_derivs(self.kernel, x, y, [(deriv_order, b) for b in coeffs])
-            for b, c in coeffs.items():
-                vals += blocks[deriv_order, b] @ c
+        for nodes, by_order in plan:
+            even, odd = by_order[deriv_order]
+            g = points[:, None] - nodes[None, :]
+            sr = np.abs(g)
+            e = np.negative(sr)
+            np.exp(e, out=e)
+            if len(odd):
+                g *= e
+            for basis, rows in ((g, odd), (e, even)):
+                for i, row in enumerate(rows):
+                    if i:  # each later row weighs one more power of sr
+                        basis *= sr
+                    vals += basis @ row
         return float(vals[0]) if np.isscalar(u) or np.ndim(u) == 0 else vals
 
     def __call__(self, u):
@@ -373,11 +385,7 @@ def rkhs_norm_sq(system, kernel, nugget=None):
 
 def constraint_residuals(interp, system):
     """|phi_i(D) - Y_i| for every constraint of a fitted system."""
-
-    def fn(loc, order):
-        return interp.evaluate(loc, order)
-
-    applied = np.array([f.apply(fn) for f in system.functionals])
+    applied = np.array([f.apply(interp.evaluate) for f in system.functionals])
     return np.abs(applied - system.targets)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "HomogeneousPolynomial",
     "k_eval",
     "k_deriv",
-    "k_derivs",
     "homogeneous_features",
     "homogeneous_norm_sq",
     "kernel_to_config",
@@ -98,21 +97,10 @@ def _matern_profile_derivs(orders, gap, theta):
     return out
 
 
-def k_derivs(spec, x, y, pairs):
-    """{(a, b): d^a/dx^a d^b/dy^b K(x, y)} of a Matern52 kernel for every order pair in ``pairs``.
-
-    The pairs share one gap array x - y and one exp; each is (-1)^b times the
-    profile derivative of order a + b, vectorized over x and y. Pairs with
-    the same a + b and even b share one array.
-    """
-    pairs = tuple(pairs)
-    if any(a not in (0, 1, 2) or b not in (0, 1, 2) for a, b in pairs):
-        raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {pairs}")
-    if not isinstance(spec, Matern52):
-        raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
-    profile = _matern_profile_derivs({a + b for a, b in pairs}, np.asarray(x, float) - np.asarray(y, float),
-                                     spec.theta)
-    return {(a, b): -profile[a + b] if b % 2 else profile[a + b] for a, b in pairs}
+#: Row n: (c0, c1, c2) with P_n(gap) = s^n sign(gap)^(n mod 2) (c0 + c1 sr + c2 sr^2) exp(-sr), sr = s|gap|,
+#: s = sqrt(5) / theta, for the profile derivatives of :func:`_matern_profile_derivs`; odd rows have c0 = 0.
+_MATERN_PROFILE_COEFFS = np.array([[1, 1, 1 / 3], [0, -1 / 3, -1 / 3], [-1 / 3, -1 / 3, 1 / 3], [0, 1, -1 / 3],
+                                   [1, -5 / 3, 1 / 3]])
 
 
 def _check_vector(v, name):
@@ -143,7 +131,11 @@ def k_deriv(spec, x, y, a, b):
     The polynomial kernel is handled in feature space
     (:func:`homogeneous_features`) and has no entry here.
     """
-    return k_derivs(spec, x, y, ((a, b),))[a, b]
+    if a not in (0, 1, 2) or b not in (0, 1, 2):
+        raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {(a, b)}")
+    if not isinstance(spec, Matern52):
+        raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
+    return (-1) ** b * _matern_profile_derivs({a + b}, np.asarray(x, float) - np.asarray(y, float), spec.theta)[a + b]
 
 
 def homogeneous_features(spec, points):

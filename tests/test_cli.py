@@ -8,6 +8,7 @@ from scipy.linalg import LinAlgError
 from gpmaps import cgc, gp, kernel_learning
 from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
 from gpmaps.exceptions import InvalidInputError
+from gpmaps.kernels import Matern52
 
 
 def write_config(tmp_path, name, cfg):
@@ -255,6 +256,16 @@ class TestEvaluate:
 
     def test_missing_interpolant(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "missing.json"), "--points", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("deriv", ["3", "-1"])
+    def test_unsupported_derivative_order(self, tmp_path, deriv):
+        system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
+        interp = tmp_path / "interpolant.json"
+        interp.write_text(json.dumps(gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u\n0.5\n")
+        assert main(["evaluate", str(interp), "--points", str(pts), "--deriv", deriv,
+                     "--output", str(tmp_path / "vals.csv")]) == 2
 
 
 class TestCgcExperiments:

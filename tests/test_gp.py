@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from gpmaps.exceptions import InvalidInputError, SingularSystemError
+from gpmaps import cgc, dynamics
+from gpmaps.exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
 from gpmaps.gp import (
     ConstraintSystem,
     FunctionalTerm,
@@ -16,7 +19,8 @@ from gpmaps.gp import (
     interpolant_to_config,
     rkhs_norm_sq,
 )
-from gpmaps.kernels import Matern52, k_deriv
+from gpmaps.kernels import HomogeneousPolynomial, Matern52, k_deriv
+from gpmaps.optim import DescentConfig
 from gpmaps.transforms import (
     cole_hopf_discrete_problem,
     cole_hopf_multi_problem,
@@ -276,17 +280,45 @@ class TestJitter:
         assert err.value.condition is not None
 
 
+class TestReadValidation:
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_unsupported_order_rejected(self, order):
+        interp = fit(dirac_system([0.0, 1.0], [1.0, 0.0]), K1, nugget=1e-10)
+        with pytest.raises(UnsupportedDerivativeError):
+            interp.evaluate(0.5, order)
+
+    def test_non_matern_kernel_rejected(self):
+        interp = Interpolant(HomogeneousPolynomial(4), (LinearFunctional.dirac(0.0),), [1.0])
+        with pytest.raises(UnsupportedDerivativeError):
+            interp.evaluate(0.5)
+
+
+@pytest.fixture(scope="module")
+def saved_kinds():
+    """One interpolant of each kind the CLI saves and reads back."""
+    _, u_data = dynamics.get_initial_condition("firstorder-paper").sample(100)
+    pde = cgc.cgc_pde_solve(cgc.CgcPdeProblem(u_data=u_data), config=DescentConfig(max_iters=50))
+    return {
+        "cgc-pde": pde.interpolant,  # Diracs, with u = 1 twice
+        "pooled": fit(cole_hopf_multi_problem().system, Matern52(0.7)),  # term orders {1, 2}
+        "discrete": fit(cole_hopf_discrete_problem().system, Matern52(2.0)),  # four order-0 terms each
+        "first-order": fit(first_order_problem().system, Matern52(1.3)),  # term orders {0, 1}
+        "cole-hopf": fit(cole_hopf_problem(10).system, Matern52(2.0)),  # term orders {0, 1, 2}
+    }
+
+
 class TestSerialization:
-    def test_round_trip(self):
-        prob = cole_hopf_problem(10)
-        interp = fit(prob.system, Matern52(2.0))
-        restored = interpolant_from_config(interpolant_to_config(interp))
-        pts = np.linspace(0, 2, 11)
-        np.testing.assert_array_equal(restored.evaluate(pts), interp.evaluate(pts))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["cgc-pde", "pooled", "discrete", "first-order", "cole-hopf"])
+    def test_round_trip(self, saved_kinds, kind, order):
+        # a reloaded interpolant reads bit for bit what the in-memory one reads
+        interp = saved_kinds[kind]
+        restored = interpolant_from_config(json.loads(json.dumps(interpolant_to_config(interp))))
+        locs = _flatten(interp.functionals)[0]
+        pts = np.r_[np.linspace(locs.min(), locs.max(), 57), locs[:5]]
+        np.testing.assert_array_equal(restored.evaluate(pts, order), interp.evaluate(pts, order))
 
     def test_is_json_serializable(self):
-        import json
-
         interp = Interpolant(K1, (LinearFunctional((FunctionalTerm(0.0, 1, 2.0),)),), [0.5])
         doc = json.dumps(interpolant_to_config(interp))
         assert interpolant_from_config(json.loads(doc)).evaluate(0.3, 1) == interp.evaluate(0.3, 1)

@@ -3,8 +3,10 @@ import pytest
 
 from gpmaps.exceptions import InvalidInputError, UnsupportedDerivativeError
 from gpmaps.kernels import (
+    _MATERN_PROFILE_COEFFS,
     HomogeneousPolynomial,
     Matern52,
+    _matern_profile_derivs,
     homogeneous_features,
     homogeneous_norm_sq,
     k_deriv,
@@ -130,6 +132,18 @@ class TestMatern:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedDerivativeError):
             k_deriv(Matern52(1.0), 0.0, 1.0, 3, 0)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 17.0])
+    def test_profile_table_reproduces_the_formulas(self, theta):
+        # interpolant reads use the table; the formulas are the ones checked
+        # against finite differences above
+        gap = np.array([-2.5, -0.7, -0.1, 0.0, 0.1, 0.7, 2.5])
+        s = np.sqrt(5.0) / theta
+        sr = s * np.abs(gap)
+        profile = _matern_profile_derivs({0, 1, 2, 3, 4}, gap, theta)
+        for n, (c0, c1, c2) in enumerate(_MATERN_PROFILE_COEFFS):
+            folded = s**n * np.sign(gap) ** (n % 2) * (c0 + c1 * sr + c2 * sr * sr) * np.exp(-sr)
+            np.testing.assert_allclose(folded, profile[n], rtol=1e-13, atol=0, err_msg=f"order {n}")
 
 
 class TestPolynomial:
