@@ -2,42 +2,34 @@
 
 Here the target equation's advection coefficient ``a`` is treated as unknown
 (true value -1) with a unit Gaussian prior, and the loss couples it to the
-map through the equation residual on the data. The script solves exactly
-(the best map for each ``a`` is one linear solve, then a 1-D root find on
-the slope in ``a``) from the standard initialization (a = 0, identity map)
-and from the truth.
+map through the equation residual on the data. The script solves exactly:
+for each ``a`` the best map is one kernel ridge regression, which leaves a
+loss f(a) of ``a`` alone, and a 1-D root find on its slope finishes it.
 
 A caveat worth knowing before reading the numbers: the joint loss does not
 identify the coefficient. For every a != 0 there is a map G_a satisfying the
 equation term and the anchor exactly; along that family the loss trades the
-map's norm against the prior, and of the sampled values it is lowest at
-a = -3 (14.92), not at a = -1 (250.56). With these weights both runs
-converge to the same local minimum, a = -2.68629 with loss 14.3316: the
-truth is not a minimum of the stated loss, so the run started there leaves
-it. With the `cgc-pde` experiment's own init-balanced weights the cold start
-ends at a = -1.80084 instead; see the README's note on acceptance
-criterion 4.
+map's norm against the prior. With these weights f has local minima at
+a = -2.68600 (14.3245) and a = +0.87362 (2.58505), while f(-1) = 195.27: the
+truth is not a minimum of the stated loss. With the `cgc-pde` experiment's
+own weights, balanced at the identity map, the solve ends at a = -1.80084
+instead; see the README's note on acceptance criterion 4.
 """
 
-import numpy as np
-
-from gpmaps.cgc import CgcPdeProblem, CgcPdeState, cgc_pde_loss_terms, cgc_pde_solve
-from gpmaps.transforms import first_order_problem, first_order_truth
+from gpmaps.cgc import CgcPdeProblem, CgcPdeState, cgc_pde_loss, cgc_pde_loss_terms, cgc_pde_solve
+from gpmaps.transforms import first_order_problem
 
 u_data = first_order_problem(100).us
 problem = CgcPdeProblem(u_data=u_data, lambda2=200.0, lambda3=20000.0)
 
 res = cgc_pde_solve(problem)
-print(f"from (identity, a=0):   a = {res.state.a:+.5f}   loss {res.loss_trace[-1]:.4f}")
+print(f"from the identity map's best a:   a = {res.state.a:+.5f}   loss {res.loss_trace[-1]:.4f}")
+print(f"at the true coefficient:          f(-1) = {cgc_pde_loss(problem, CgcPdeState(-1.0), res.weights):.2f}")
 
-truth_init = CgcPdeState(first_order_truth(problem.nodes), -1.0)
-res_t = cgc_pde_solve(problem, init=truth_init)
-print(f"from the exact map:     a = {res_t.state.a:+.5f}   loss {res_t.loss_trace[-1]:.4f}")
-
-# the loss along the exact-solution family G_a shows why: the equation term
-# vanishes identically while gentler maps keep getting cheaper
-print("\nloss along the solution family (equation term is zero on all of it):")
+# the best map's terms along a: the gentler maps of larger |a| cost less
+# norm and fit the equation more easily, until the prior outweighs them
+print("\nthe best map for each a:")
 for a in (-0.75, -1.0, -2.0, -3.0, -4.0):
-    g = np.exp(-(problem.nodes**3 - 1.0) / (3.0 * a))
-    t = cgc_pde_loss_terms(problem, CgcPdeState(g, a), (0.0, 200.0, 20000.0))
-    print(f"  a={a:5.2f}: map norm {t['norm_g']:9.2f}  prior {a*a:5.2f}  total {t['norm_g'] + a*a:9.2f}")
+    t = cgc_pde_loss_terms(problem, CgcPdeState(a), res.weights)
+    print(f"  a={a:5.2f}: map norm {t['norm_g']:8.2f}  equation {t['l2_weighted']:6.2f}  "
+          f"anchor {t['anchor_weighted']:6.2f}  prior {t['a_prior']:5.2f}")

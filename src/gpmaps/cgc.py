@@ -11,13 +11,15 @@ Two instances are provided:
   jointly with the radius samples themselves, coupling them through the
   radial decay law and an initial-condition anchor.
 
-The first solve is exact: for a fixed ``a`` the best map is one Cholesky
-solve, and a 1-D root find on the slope in ``a`` finishes it. The second
+The first solve is exact: for a fixed ``a`` the best map is kernel ridge
+regression on the weighted equation and anchor functionals, so the loss
+profiles to a function of ``a`` whose value and slope cost one Cholesky
+factorization, and a 1-D root find on the slope finishes it. The second
 runs its own Armijo gradient descent with a fixed diagonal rescaling, at
-one residual pass per trial point. Each loss has one residual function,
-which its loss terms, gradient and solver all read. Each problem builds its
-fixed matrices (the node Gram factor and cross blocks, or the quartic
-features of the trajectory) once, on first use.
+one residual pass per trial point, reading one residual function for its
+loss terms, gradient and steps. Each problem builds its fixed matrices (the
+three kernel blocks of the functionals' Gram, or the quartic features of
+the trajectory) once, on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .dynamics import first_difference
 from .exceptions import DivergedError, InvalidInputError, SingularSystemError
-from .gp import Interpolant, LinearFunctional, default_nugget, _factor_with_escalation
+from .gp import ConstraintSystem, Interpolant, LinearFunctional, fit
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig
 
@@ -41,7 +43,6 @@ __all__ = [
     "cgc_pde_loss",
     "cgc_pde_loss_terms",
     "cgc_pde_grad",
-    "cgc_pde_default_init",
     "cgc_pde_solve",
     "NfProblem",
     "NfState",
@@ -72,16 +73,15 @@ NF_KERNEL = HomogeneousPolynomial(4)
 class CgcPdeProblem:
     """Fixed data and weights for the map-plus-coefficient problem.
 
-    ``u_data`` is the fixed input column of the data array; the map's node
-    set is ``u_data`` plus the anchor point u = 1. Weights left as None are
-    balanced against the initial term magnitudes when solving.
+    ``u_data`` is the fixed input column of the data array; the functionals
+    sit at ``u_data`` and at the anchor point u = 1. Weights left as None are
+    balanced against the identity map when solving.
     """
 
     u_data: np.ndarray
     gamma: float = 1.0
     lambda2: float | None = None
     lambda3: float | None = None
-    nugget: float | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u_data, dtype=float)
@@ -102,111 +102,84 @@ class CgcPdeProblem:
         return np.concatenate([self.u_data, [1.0]])
 
     @cached_property
-    def _context(self):
-        return _PdeContext(self)
+    def _blocks(self):
+        """B0, B1, B2: the Gram of the unscaled functionals at ``a`` is B0 + a B1 + a^2 B2.
+
+        The functionals are G(u_i) + (a / u_i^2) G'(u_i) on the data and G(1);
+        the blocks come from the kernel's (0, 0), (1, 0) and (1, 1) derivatives.
+        """
+        x = self.nodes
+        c = np.r_[1.0 / self.u_data**2, 0.0]
+        k10 = c[:, None] * k_deriv(PDE_KERNEL, x[:, None], x[None, :], 1, 0)
+        k11 = np.outer(c, c) * k_deriv(PDE_KERNEL, x[:, None], x[None, :], 1, 1)
+        return k_deriv(PDE_KERNEL, x[:, None], x[None, :], 0, 0), k10 + k10.T, k11
 
 
 @dataclass(frozen=True)
 class CgcPdeState:
-    """Free variables: map values at the nodes (anchor last) and the coefficient a."""
+    """Free variable: the coefficient a. The map is the best one for it."""
 
-    g_values: np.ndarray
     a: float
 
     def __post_init__(self):
-        g = np.asarray(self.g_values, dtype=float)
-        object.__setattr__(self, "g_values", g)
-        if not np.all(np.isfinite(g)) or not np.isfinite(self.a):
-            raise InvalidInputError("state entries must be finite")
+        if not np.isfinite(self.a):
+            raise InvalidInputError("the coefficient a must be finite")
 
 
-class _PdeContext:
-    """Precomputed matrices for one problem: node Gram factor and cross blocks."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.x = x = problem.nodes
-        self.k_node = np.asarray(k_deriv(PDE_KERNEL, x[:, None], x[None, :], 0, 0), dtype=float)
-        lam = problem.nugget if problem.nugget is not None else default_nugget(self.k_node)
-        self.cf, self.lam = _factor_with_escalation(self.k_node, lam)
-        self.k_reg = self.k_node + self.lam * np.eye(len(x))
-        u = problem.u_data
-        self.k_data = np.asarray(k_deriv(PDE_KERNEL, u[:, None], x[None, :], 0, 0), dtype=float)
-        self.k_data_d1 = np.asarray(k_deriv(PDE_KERNEL, u[:, None], x[None, :], 1, 0), dtype=float)
-        self.inv_u2 = 1.0 / u**2
-
-    def beta_of_g(self, g):
-        return cho_solve(self.cf, g)
-
-    def weights(self, init_state):
-        """Resolve (0.0, lambda2, lambda3), balancing unset ones at the init.
-
-        Slot 0 would weight a data-fit term, which is identically zero here;
-        it keeps the tuple in the solvers' common three-slot layout.
-        """
-        p = self.problem
-        # unit weights leave the raw squared residual norms
-        terms = cgc_pde_loss_terms(p, init_state, (0.0, 1.0, 1.0))
-        base = max(terms["norm_g"] + terms["a_prior"], 1e-8)
-        lam2 = p.lambda2 if p.lambda2 is not None else BALANCE_FACTOR * base / max(terms["l2_weighted"], 1e-12)
-        # the anchor is a single sample; weight it like the whole equation block
-        lam3 = p.lambda3 if p.lambda3 is not None else lam2 * p.u_data.size
-        return 0.0, lam2, lam3
+def _scales(problem, weights):
+    """sqrt of each functional's weight: sqrt(lambda2) on the data, sqrt(lambda3) at the anchor."""
+    _, lam2, lam3 = weights
+    return np.r_[np.full(problem.u_data.size, np.sqrt(lam2)), np.sqrt(lam3)]
 
 
-def _pde_residuals(ctx, state):
-    """Coefficients beta = K_reg^-1 g, the equation residual G(u) + a G'(u) / u^2 on the data, and G'(u)."""
-    beta = ctx.beta_of_g(state.g_values)
-    z2 = ctx.k_data_d1 @ beta
-    return beta, ctx.k_data @ beta + state.a * z2 * ctx.inv_u2, z2
+def _profile(problem, weights, a):
+    """Scaled Gram Phi~ = D (B0 + a B1 + a^2 B2) D, targets y~ and alpha~ = (Phi~ + I)^-1 y~ at ``a``."""
+    b0, b1, b2 = problem._blocks
+    d = _scales(problem, weights)
+    phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
+    y = np.r_[np.zeros(d.size - 1), d[-1]]
+    try:
+        cf = cho_factor(phi + np.eye(d.size))
+    except LinAlgError as exc:
+        raise SingularSystemError(f"map system not factorizable at a = {a!r}") from exc
+    return phi, y, cho_solve(cf, y)
 
 
 def cgc_pde_loss_terms(problem, state, weights):
-    """Named weighted loss terms; their sum is :func:`cgc_pde_loss`.
+    """Named weighted loss terms of the best map for ``state.a``; their sum is :func:`cgc_pde_loss`.
 
+    The map is sum_j alpha~_j phi~_j, so its squared RKHS norm is
+    alpha~^T Phi~ alpha~ and its scaled residuals are Phi~ alpha~ - y~: the
+    equation residual on the data (weight lambda2) and G(1) - 1 (lambda3).
     The data-fit term ``l1_weighted`` is identically zero: the output column
     of the data array is the map itself evaluated at the data.
     """
     _, lam2, lam3 = weights
-    beta, resid, _ = _pde_residuals(problem._context, state)
+    phi, y, alpha = _profile(problem, weights, state.a)
+    fitted = phi @ alpha
+    resid = fitted - y
     return {
-        "norm_g": float(state.g_values @ beta),
+        "norm_g": float(alpha @ fitted),
         "a_prior": float((state.a / problem.gamma) ** 2),
         "l1_weighted": 0.0,
-        "l2_weighted": lam2 * float(resid @ resid),
-        "anchor_weighted": lam3 * float((state.g_values[-1] - 1.0) ** 2),
+        "l2_weighted": float(resid[:-1] @ resid[:-1]),
+        "anchor_weighted": float(resid[-1] ** 2),
         "lambda2": lam2,
         "lambda3": lam3,
     }
 
 
 def cgc_pde_loss(problem, state, weights):
-    """Total loss at a state."""
+    """Profiled loss f(a) = a^2 / gamma^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
     t = cgc_pde_loss_terms(problem, state, weights)
     return t["norm_g"] + t["a_prior"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
 
 def cgc_pde_grad(problem, state, weights):
-    """Hand-coded gradient of the loss w.r.t. (g_values, a)."""
-    ctx = problem._context
-    _, lam2, lam3 = weights
-    beta, resid, z2 = _pde_residuals(ctx, state)
-    # d resid / d g, mapped back through the symmetric solve
-    w_z1 = lam2 * 2.0 * resid
-    w_z2 = w_z1 * state.a * ctx.inv_u2
-    grad_g = 2.0 * beta + cho_solve(ctx.cf, ctx.k_data.T @ w_z1 + ctx.k_data_d1.T @ w_z2)
-    grad_g[-1] += lam3 * 2.0 * (state.g_values[-1] - 1.0)
-    return grad_g, _a_slope(ctx, state.a, lam2, resid, z2)
-
-
-def _a_slope(ctx, a, lam2, resid, z2):
-    """``a``-part of the loss gradient, 2a / gamma^2 + 2 lambda2 resid . (z2 / u^2), from the residual and G'(u)."""
-    return 2.0 * a / ctx.problem.gamma**2 + lam2 * 2.0 * float(resid @ (z2 * ctx.inv_u2))
-
-
-def cgc_pde_default_init(problem):
-    """Zero coefficient and the identity map sampled at the nodes."""
-    return CgcPdeState(problem.nodes, 0.0)
+    """Exact slope f'(a) = 2a / gamma^2 - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
+    _, b1, b2 = problem._blocks
+    z = _scales(problem, weights) * _profile(problem, weights, state.a)[2]
+    return 2.0 * state.a / problem.gamma**2 - float(z @ ((b1 + (2.0 * state.a) * b2) @ z))
 
 
 @dataclass
@@ -220,55 +193,43 @@ class CgcPdeResult:
     reason: str
 
 
-def _best_a(ctx, beta, lam2):
-    """Exact minimizer of the loss over ``a`` for the map with coefficients ``beta``.
+def _start(problem):
+    """Weights (0.0, lambda2, lambda3) and starting ``a``, both from the identity map G0.
 
-    With z = G'(u) / u^2 the ``a``-dependent part is
-    a^2 / gamma^2 + lam2 ||G(u) + a z||^2, a quadratic in ``a``.
+    G0 is the fit of G(x) = x at the data and the anchor. Slot 0 of the
+    weights would weight a data-fit term, which is identically zero here; it
+    keeps the tuple in the solvers' common three-slot layout. Unset weights
+    balance the equation term against ||G0||^2, and the anchor, a single
+    sample, is weighted like the whole equation block. The start is the
+    exact best ``a`` for G0: with z = G0'(u) / u^2 the ``a``-dependent part
+    of its loss, a^2 / gamma^2 + lambda2 ||G0(u) + a z||^2, is a quadratic.
     """
-    z1 = ctx.k_data @ beta
-    z = (ctx.k_data_d1 @ beta) * ctx.inv_u2
-    return float(-lam2 * (z1 @ z) / (1.0 / ctx.problem.gamma**2 + lam2 * (z @ z)))
+    x, u = problem.nodes, problem.u_data
+    g0 = fit(ConstraintSystem(tuple(map(LinearFunctional.dirac, x)), x), PDE_KERNEL)
+    z1, z = g0(u), g0.evaluate(u, 1) / u**2
+    norm, fit_sq = float(x @ g0.coefficients), float(z1 @ z1)
+    lam2 = problem.lambda2 if problem.lambda2 is not None else BALANCE_FACTOR * max(norm, 1e-8) / max(fit_sq, 1e-12)
+    lam3 = problem.lambda3 if problem.lambda3 is not None else lam2 * u.size
+    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / (1.0 / problem.gamma**2 + lam2 * (z @ z)))
 
 
-def _map_at(ctx, weights, a):
-    """The best map for a fixed ``a``, as coefficients beta (node values K_reg beta), and the slope in ``a`` there.
+def cgc_pde_solve(problem, config=None):
+    """Minimize the joint loss exactly, in the basin of the identity map's best ``a``.
 
-    It solves H(a) beta = lambda3 k1, H(a) = K_reg + lambda2 M(a)^T M(a) + lambda3 k1 k1^T,
-    where M(a) = k_data + a diag(1/u^2) k_data_d1 gives the equation residual
-    and k1 is the anchor row of K_reg. At that map the ``a``-part of the
-    joint gradient (:func:`_a_slope`) is the exact slope of the profiled loss
-    (envelope theorem).
-    """
-    _, lam2, lam3 = weights
-    k1 = ctx.k_reg[-1]
-    m = ctx.k_data + a * ctx.inv_u2[:, None] * ctx.k_data_d1
-    try:
-        cf = cho_factor(ctx.k_reg + lam2 * (m.T @ m) + lam3 * np.outer(k1, k1))
-    except LinAlgError as exc:
-        raise SingularSystemError(f"map system not factorizable at a = {a!r}") from exc
-    beta = cho_solve(cf, lam3 * k1)
-    return beta, _a_slope(ctx, a, lam2, m @ beta, ctx.k_data_d1 @ beta)
-
-
-def cgc_pde_solve(problem, init=None, config=None):
-    """Minimize the joint loss exactly, in the basin of ``init`` (default: zero coefficient, identity map).
-
-    Variable projection: :func:`_map_at` gives the best map at each ``a``.
-    From the closed-form best ``a`` for the initial map, the search walks
-    downhill in steps doubling from 1e-3 to the slope's first sign change and
-    bisects to adjacent floats (``bracket_closed``), unless the slope is 0
+    For a fixed ``a`` the best map is kernel ridge regression on the scaled
+    functionals sqrt(lambda2) (delta_(u_i) + (a / u_i^2) delta'_(u_i)),
+    target 0, and sqrt(lambda3) delta_1, target sqrt(lambda3), so the loss
+    profiles to f(a) (:func:`cgc_pde_loss`) with the exact slope
+    :func:`cgc_pde_grad`. From :func:`_start` the search walks downhill in
+    steps doubling from 1e-3 to the slope's first sign change and bisects to
+    adjacent floats (``bracket_closed``), unless the slope is 0
     (``zero_slope``) or ``config.max_iters`` slopes are spent (``max_iters``).
-    The loss trace is [loss at the initial map and its best ``a``, loss at the
-    returned state, the last point whose slope still points downhill].
+    The loss trace is [f at the start, f at the returned ``a``], and the
+    interpolant is the best map there, fitted with unit nugget.
     """
-    ctx = problem._context
-    state0 = init if init is not None else cgc_pde_default_init(problem)
-    weights = ctx.weights(state0)
-    beta0 = ctx.beta_of_g(state0.g_values)
-    a = _best_a(ctx, beta0, weights[1])
-    beta, slope = _map_at(ctx, weights, a)
-    trace = [cgc_pde_loss(problem, CgcPdeState(ctx.k_reg @ beta0, a), weights)]
+    weights, a = _start(problem)
+    slope = cgc_pde_grad(problem, CgcPdeState(a), weights)
+    trace = [cgc_pde_loss(problem, CgcPdeState(a), weights)]
     evals, direction, step, hi = 1, (-1.0 if slope > 0.0 else 1.0), 1e-3, None
     cap = (config or DescentConfig()).max_iters
     while slope != 0.0 and evals < cap:
@@ -276,17 +237,21 @@ def cgc_pde_solve(problem, init=None, config=None):
         if trial in (a, hi):
             break
         step *= 2.0
-        trial_beta, trial_slope = _map_at(ctx, weights, trial)
+        trial_slope = cgc_pde_grad(problem, CgcPdeState(trial), weights)
         evals += 1
         if direction * trial_slope <= 0.0:
-            a, beta, slope = trial, trial_beta, trial_slope
+            a, slope = trial, trial_slope
         else:
             hi = trial
     closed = hi is not None and 0.5 * (a + hi) in (a, hi)
     reason = "zero_slope" if slope == 0.0 else "bracket_closed" if closed else "max_iters"
-    state = CgcPdeState(ctx.k_reg @ beta, a)
-    interp = Interpolant(PDE_KERNEL, tuple(map(LinearFunctional.dirac, ctx.x)), beta, nugget=ctx.lam)
+    state = CgcPdeState(a)
     trace.append(cgc_pde_loss(problem, state, weights))
+    d = _scales(problem, weights)
+    system = ConstraintSystem(
+        tuple(LinearFunctional.of_terms((u, 0, s), (u, 1, s * a / u**2)) for u, s in zip(problem.u_data, d))
+        + (LinearFunctional.dirac(1.0, d[-1]),), np.r_[np.zeros(problem.u_data.size), d[-1]])
+    interp = fit(system, PDE_KERNEL, nugget=1.0)
     return CgcPdeResult(state, interp, trace, weights, evals, reason != "max_iters", reason)
 
 

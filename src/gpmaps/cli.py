@@ -205,12 +205,10 @@ def _experiment_first_order(cfg, out):
     return _run_transform_problem(cfg, out, problem, "first_order.csv")
 
 
-@_runner("cgc-pde", N=100, ic="firstorder-paper", gamma=1.0, lambda2=None, lambda3=None, lam=None,
-         max_iters=40000)
+@_runner("cgc-pde", N=100, ic="firstorder-paper", gamma=1.0, lambda2=None, lambda3=None, max_iters=40000)
 def _experiment_cgc_pde(cfg, out):
     _, u_data = dynamics.get_initial_condition(cfg["ic"]).sample(cfg["N"])
-    problem = cgc.CgcPdeProblem(u_data=u_data, gamma=cfg["gamma"], lambda2=cfg["lambda2"],
-                                lambda3=cfg["lambda3"], nugget=cfg["lam"])
+    problem = cgc.CgcPdeProblem(u_data=u_data, gamma=cfg["gamma"], lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
     result = cgc.cgc_pde_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, result.interpolant(u_data), transforms.first_order_truth(u_data)])
@@ -222,8 +220,8 @@ def _experiment_cgc_pde(cfg, out):
                "loss_norm_g": float(final_terms["norm_g"]), "loss_a_prior": float(final_terms["a_prior"]),
                "loss_l1": float(final_terms["l1_weighted"]), "loss_l2": float(final_terms["l2_weighted"]),
                "loss_anchor": float(final_terms["anchor_weighted"]),
-               # G(1) - 1 at the anchor node; loss_anchor weights its square
-               "anchor_residual": float(result.state.g_values[-1] - 1.0)}
+               # loss_anchor weights the square of G(1) - 1
+               "anchor_residual": float(result.interpolant(1.0) - 1.0)}
     return {"weights": list(result.weights)}, metrics, {"csv": csv_path, "interpolant": interp_path}
 
 
@@ -312,7 +310,10 @@ __doc__ += "".join(
 def run_evaluate(interp_path, points_path, deriv, output):
     with open(interp_path) as fh:
         interp = interpolant_from_config(json.load(fh))
-    pts = np.loadtxt(points_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    try:
+        pts = np.loadtxt(points_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    except ValueError as exc:
+        raise InvalidInputError(f"points CSV {points_path} does not hold numbers: {exc}") from exc
     vals = interp.evaluate(pts, deriv)
     _write_csv(output, ["u", "value"], [pts, np.atleast_1d(vals)])
     return 0

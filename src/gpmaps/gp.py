@@ -122,13 +122,18 @@ class ConstraintSystem:
         return len(self.functionals)
 
     @cached_property
+    def _terms(self):
+        """The term table of the functionals (see :func:`_flatten`), shared by the Gram plan and the fit."""
+        return _flatten(self.functionals)
+
+    @cached_property
     def _gram_plan(self):
         """The lengthscale-free part of this system's Gram, shared by every kernel it is solved with."""
-        return _GramPlan(self.functionals)
+        return _GramPlan(self._terms)
 
 
 def _flatten(functionals):
-    """Stack all terms of all functionals into parallel arrays."""
+    """The term table: all terms of all functionals as parallel arrays (locations, orders, weights, sorted owners)."""
     locs, orders, weights, owner = [], [], [], []
     for i, f in enumerate(functionals):
         for t in f.terms:
@@ -144,9 +149,9 @@ def _flatten(functionals):
     )
 
 
-def _order_groups(functionals):
-    """Terms split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
-    locs, orders, weights, owner = _flatten(functionals)
+def _order_groups(terms):
+    """A term table split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
+    locs, orders, weights, owner = terms
     present = np.flatnonzero(np.bincount(orders))
     if present.size == 1:  # the flattened arrays are the group: no masked copies
         return {int(present[0]): (locs, weights, owner)}
@@ -170,7 +175,7 @@ def _owner_index(owners):
 
 
 class _GramPlan:
-    """The lengthscale-free part of the Matern Gram of a list of functionals.
+    """The lengthscale-free part of the Matern Gram of a term table.
 
     Built once per system: the terms grouped by derivative order, each order's
     Gram index (a slice when its owners are contiguous) and ``reduceat``
@@ -180,9 +185,9 @@ class _GramPlan:
     weights them in place and adds the blocks; see :func:`assemble_gram`.
     """
 
-    def __init__(self, functionals):
-        self.size = len(functionals)
-        groups = _order_groups(functionals)
+    def __init__(self, terms):
+        self.size = int(terms[3][-1]) + 1
+        groups = _order_groups(terms)
         orders = sorted(groups)
         home = {a: next(c for c in orders if np.array_equal(groups[c][0], groups[a][0])) for a in orders}
         place, self.starts = {}, {}
@@ -256,7 +261,7 @@ def assemble_gram(functionals, kernel):
     keeps the lengthscale-free part of this work and reuses it for every
     kernel it is solved with.
     """
-    return _GramPlan(functionals).gram(kernel)
+    return _GramPlan(_flatten(functionals)).gram(kernel)
 
 
 def default_nugget(gram):
@@ -295,19 +300,27 @@ def _solve(system, kernel, nugget):
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Representer-theorem solution: D(u) = sum_i alpha_i [phi_i, K(u, .)]."""
+    """Representer-theorem solution: D(u) = sum_i alpha_i [phi_i, K(u, .)].
+
+    The phi_i are held as one term table, ``terms``, laid out as :func:`_flatten`
+    returns it, so that loading a saved map makes no per-term objects.
+    """
 
     kernel: object
-    functionals: tuple
+    terms: tuple
     coefficients: np.ndarray
     nugget: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "functionals", tuple(self.functionals))
         a = np.asarray(self.coefficients, dtype=float)
-        if a.shape != (len(self.functionals),):
+        if a.shape != (int(self.terms[3][-1]) + 1,):
             raise InvalidInputError("coefficient vector must match the functional list")
         object.__setattr__(self, "coefficients", a)
+
+    @cached_property
+    def functionals(self):
+        """The functionals phi_i as :class:`LinearFunctional` objects, rebuilt from the term table."""
+        return tuple(LinearFunctional.of_terms(*rows) for rows in _term_rows(self.terms))
 
     @cached_property
     def _read_plan(self):
@@ -321,13 +334,13 @@ class Interpolant:
         """
         s = math.sqrt(5.0) / self.kernel.theta
         node_sets = {}
-        for b, (locs, weights, owner) in _order_groups(self.functionals).items():
+        for b, (locs, weights, owner) in _order_groups(self.terms).items():
             nodes, at = np.unique(locs, return_inverse=True)
             c = np.bincount(at, weights * self.coefficients[owner])
             node_sets.setdefault(nodes.tobytes(), (nodes, {}))[1][b] = c
 
         def rows(coeffs, d, parity):
-            folded = [np.outer(_MATERN_PROFILE_COEFFS[d + b, parity:], (-1) ** b * s ** (d + b) * c)
+            folded = [_MATERN_PROFILE_COEFFS[d + b, parity:, None] * ((-1) ** b * s ** (d + b) * c)
                       for b, c in coeffs.items() if (d + b) % 2 == parity]
             return sum(folded) if folded else ()
 
@@ -369,7 +382,7 @@ class Interpolant:
 def fit(system, kernel, nugget=None):
     """Solve (G + lam I) alpha = Y, lam = ``nugget`` or :func:`default_nugget`, as an :class:`Interpolant`."""
     alpha, lam_used = _solve(system, kernel, nugget)
-    return Interpolant(kernel, system.functionals, alpha, nugget=lam_used)
+    return Interpolant(kernel, system._terms, alpha, nugget=lam_used)
 
 
 def rkhs_norm_sq(system, kernel, nugget=None):
@@ -389,23 +402,43 @@ def constraint_residuals(interp, system):
     return np.abs(applied - system.targets)
 
 
+def _term_rows(terms):
+    """``[location, order, weight]`` rows of a term table as Python numbers, one list per functional."""
+    locs, orders, weights, owners = terms
+    rows = [list(r) for r in zip(locs.tolist(), orders.tolist(), weights.tolist())]
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(rows)]
+    return [rows[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
 def interpolant_to_config(interp):
     """JSON-ready dictionary: kernel spec, functional terms and coefficients."""
     return {
         "kernel": kernel_to_config(interp.kernel),
-        "functionals": [
-            [[t.location, t.deriv_order, t.weight] for t in f.terms] for f in interp.functionals
-        ],
+        "functionals": _term_rows(interp.terms),
         "alpha": [float(a) for a in interp.coefficients],
         "nugget": interp.nugget,
     }
 
 
 def interpolant_from_config(cfg):
-    """Inverse of :func:`interpolant_to_config`."""
-    kernel = kernel_from_config(cfg["kernel"])
-    functionals = tuple(
-        LinearFunctional(tuple(FunctionalTerm(loc, int(order), w) for loc, order, w in terms))
-        for terms in cfg["functionals"]
-    )
-    return Interpolant(kernel, functionals, np.asarray(cfg["alpha"], dtype=float), nugget=float(cfg.get("nugget", 0.0)))
+    """Inverse of :func:`interpolant_to_config`, reading all terms into the term table at once.
+
+    Malformed input raises :class:`InvalidInputError`: a term that is not three finite numbers with an
+    order of 0, 1 or 2, a functional without terms, or not one coefficient per functional.
+    """
+    try:
+        kernel = kernel_from_config(cfg["kernel"])
+        sizes = [len(f) for f in cfg["functionals"]]
+        table = np.array([t for f in cfg["functionals"] for t in f], dtype=float)
+        alpha = np.asarray(cfg["alpha"], dtype=float)
+        nugget = float(cfg.get("nugget", 0.0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed interpolant config: {exc!r}") from exc
+    if not sizes or min(sizes) == 0:
+        raise InvalidInputError("an interpolant needs at least one functional, each with at least one term")
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise InvalidInputError("each functional term must be [location, order, weight]")
+    if not (np.all(np.isfinite(table)) and np.all(np.isin(table[:, 1], (0, 1, 2)))):
+        raise InvalidInputError("functional terms must be finite, with orders 0, 1 or 2")
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    return Interpolant(kernel, (table[:, 0], table[:, 1].astype(int), table[:, 2], owners), alpha, nugget=nugget)

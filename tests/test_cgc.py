@@ -7,10 +7,7 @@ from gpmaps.cgc import (
     CgcPdeState,
     NfProblem,
     NfState,
-    _best_a,
     _fd_time_adjoint,
-    _map_at,
-    cgc_pde_default_init,
     cgc_pde_grad,
     cgc_pde_loss,
     cgc_pde_loss_terms,
@@ -23,9 +20,9 @@ from gpmaps.cgc import (
 )
 from gpmaps.dynamics import Trajectory, brusselator_trajectory, first_difference, mu_from_AB, r_exact
 from gpmaps.exceptions import DivergedError, InvalidInputError
-from gpmaps.gp import _factor_with_escalation
+from gpmaps.kernels import k_deriv
 from gpmaps.optim import DescentConfig
-from gpmaps.transforms import first_order_problem, first_order_truth
+from gpmaps.transforms import first_order_problem
 
 RNG = np.random.default_rng(17)
 
@@ -55,36 +52,33 @@ def fd_gradient(loss, x, h=1e-6):
 
 class TestPdeLoss:
     def test_truth_state_residuals_tiny(self, u_data):
+        # at the true coefficient heavy weights leave the best map on the
+        # equation and the anchor: both terms cost at most the truth's norm
         prob = CgcPdeProblem(u_data=u_data)
-        g = first_order_truth(prob.nodes)
-        terms = cgc_pde_loss_terms(prob, CgcPdeState(g, -1.0), weights=(0.0, 1.0, 1.0))
-        assert terms["l2_weighted"] <= 1e-3
-        assert terms["anchor_weighted"] <= 1e-6
+        lam = 1e6
+        terms = cgc_pde_loss_terms(prob, CgcPdeState(-1.0), weights=(0.0, lam, lam))
+        assert terms["l2_weighted"] / lam <= 1e-5
+        assert terms["anchor_weighted"] / lam <= 1e-6
 
     def test_paper_init_loss_larger_than_truth(self, u_data):
-        # holds once the equation term carries real weight; with a weak
-        # lambda2 the truth's own RKHS norm (~250) exceeds everything the
-        # identity init pays
+        # holds once the equation term carries real weight: at a = 0 the map
+        # must vanish on the data yet equal 1 at the anchor
         prob = CgcPdeProblem(u_data=u_data)
         w = (0.0, 200.0, 20000.0)
-        init = cgc_pde_default_init(prob)
-        truth = CgcPdeState(first_order_truth(prob.nodes), -1.0)
+        init, truth = CgcPdeState(0.0), CgcPdeState(-1.0)
         assert np.isfinite(cgc_pde_loss(prob, init, w))
         assert cgc_pde_loss(prob, init, w) > cgc_pde_loss(prob, truth, w)
 
     def test_gamma_infinity_removes_prior(self, u_data):
         prob = CgcPdeProblem(u_data=u_data, gamma=1e300, lambda2=3.0, lambda3=7.0)
         w = (0.0, 3.0, 7.0)
-        g = first_order_truth(prob.nodes)
-        la = cgc_pde_loss(prob, CgcPdeState(g, 0.4), w)
-        lb = cgc_pde_loss(prob, CgcPdeState(g, 1.9), w)
-        ta = cgc_pde_loss_terms(prob, CgcPdeState(g, 0.4), w)["l2_weighted"]
-        tb = cgc_pde_loss_terms(prob, CgcPdeState(g, 1.9), w)["l2_weighted"]
-        assert la - lb == pytest.approx(ta - tb, rel=1e-12)
+        for a in (0.4, 1.9):
+            t = cgc_pde_loss_terms(prob, CgcPdeState(a), w)
+            assert t["a_prior"] == 0.0
+            assert cgc_pde_loss(prob, CgcPdeState(a), w) == t["norm_g"] + t["l2_weighted"] + t["anchor_weighted"]
 
     def test_gamma_rescale_changes_only_prior(self, u_data):
-        g = first_order_truth(CgcPdeProblem(u_data=u_data).nodes)
-        state = CgcPdeState(g, 0.7)
+        state = CgcPdeState(0.7)
         w = (0.0, 3.0, 7.0)
         l1 = cgc_pde_loss(CgcPdeProblem(u_data=u_data, gamma=1.0), state, w)
         l2 = cgc_pde_loss(CgcPdeProblem(u_data=u_data, gamma=2.0), state, w)
@@ -96,52 +90,34 @@ class TestPdeLoss:
 
     @pytest.mark.parametrize("arbitrary_a", [True, False])
     def test_gradient_matches_fd(self, u_data, arbitrary_a):
-        # probe at a smooth perturbation of the truth: rough noise would blow
-        # up the RKHS-norm term and with it the FD oracle's roundoff floor
-        # a loose nugget keeps cond(K + lam I) small; with the solver default
-        # the quadratic form's own evaluation noise (cond * eps * f) would
-        # exceed what central differences can resolve
-        prob = CgcPdeProblem(u_data=u_data, nugget=1e-4)
+        prob = CgcPdeProblem(u_data=u_data, lambda2=1.3, lambda3=7.0)
         w = (10.0, 1.3, 7.0)
-        g0 = first_order_truth(prob.nodes) + 0.01 * np.sin(3.0 * prob.nodes)
-        ctx = prob._context
-        # the solver only ever evaluates at the closed-form a, where the
-        # a-derivative must vanish
-        a0 = 0.6 if arbitrary_a else _best_a(ctx, ctx.beta_of_g(g0), w[1])
-        grad_g, grad_a = cgc_pde_grad(prob, CgcPdeState(g0, a0), w)
+        # the solver stops where the slope vanishes
+        a0 = 0.6 if arbitrary_a else cgc_pde_solve(prob).state.a
+        grad_a = cgc_pde_grad(prob, CgcPdeState(a0), w)
         if not arbitrary_a:
             assert abs(grad_a) <= 1e-9
-
-        def loss_vec(vec):
-            return cgc_pde_loss(prob, CgcPdeState(vec[:-1], vec[-1]), w)
-
-        # the loss is quadratic in each coordinate, so a wide step is exact
-        # while a narrow one only amplifies solve roundoff
-        fd = fd_gradient(loss_vec, np.concatenate([g0, [a0]]), h=1e-4)
-        np.testing.assert_allclose(np.concatenate([grad_g, [grad_a]]), fd, rtol=1e-5, atol=1e-6)
+        h = 1e-4
+        fd = (cgc_pde_loss(prob, CgcPdeState(a0 + h), w) - cgc_pde_loss(prob, CgcPdeState(a0 - h), w)) / (2 * h)
+        assert grad_a == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
 class TestPdeSolve:
-    def test_from_truth_reaches_a_stationary_point_below_truth(self):
-        # the truth zeroes the equation residual (test_truth_state_residuals_tiny)
-        # but is not a minimum of the stated loss: gentler maps are cheaper,
-        # so the exact solve leaves it, to a local minimum near a = -2.686
+    def test_reaches_a_stationary_point_below_truth(self):
+        # the truth solves the equation but is not a minimum of the stated
+        # loss: gentler maps are cheaper, so the exact solve ends at a local
+        # minimum near a = -2.686, below the loss at a = -1
         prob = CgcPdeProblem(u_data=first_order_problem(100).us, lambda2=200.0, lambda3=20000.0)
-        init = CgcPdeState(first_order_truth(prob.nodes), -1.0)
-        res = cgc_pde_solve(prob, init=init)
+        res = cgc_pde_solve(prob)
         assert res.converged
-        assert res.loss_trace[-1] <= cgc_pde_loss(prob, init, res.weights)
-        # H(a) is ill-conditioned at these weights (the anchor row carries
-        # 2e4), so stationarity holds to about 1e-6 in a and 5e-8 in beta
-        grad_g, grad_a = cgc_pde_grad(prob, res.state, res.weights)
-        assert abs(grad_a) <= 1e-5
-        assert np.max(np.abs(prob._context.k_reg @ grad_g)) <= 1e-6
+        assert res.state.a == pytest.approx(-2.686, abs=1e-3)
+        assert res.loss_trace[-1] <= cgc_pde_loss(prob, CgcPdeState(-1.0), res.weights)
+        assert abs(cgc_pde_grad(prob, res.state, res.weights)) <= 1e-8
 
     def test_zero_lambda2_drives_a_to_zero(self, u_data):
-        # without the equation term the slope at the start (a = 0) is exactly 0
+        # without the equation term the start is a = 0, where the slope is exactly 0
         prob = CgcPdeProblem(u_data=u_data, lambda2=0.0, lambda3=100.0)
-        init = CgcPdeState(first_order_truth(prob.nodes), -1.0)
-        res = cgc_pde_solve(prob, init=init, config=DescentConfig(max_iters=200))
+        res = cgc_pde_solve(prob, config=DescentConfig(max_iters=200))
         assert abs(res.state.a) <= 1e-12
         assert (res.iterations, res.reason) == (1, "zero_slope")
 
@@ -159,10 +135,8 @@ class TestPdeSolve:
         assert res.converged
         loss = res.loss_trace[-1]
         for da in (-1e-3, 1e-3):
-            beta, _ = _map_at(prob._context, res.weights, res.state.a + da)
-            state = CgcPdeState(prob._context.k_reg @ beta, res.state.a + da)
-            assert cgc_pde_loss(prob, state, res.weights) >= loss
-        assert abs(cgc_pde_grad(prob, res.state, res.weights)[1]) <= 1e-8
+            assert cgc_pde_loss(prob, CgcPdeState(res.state.a + da), res.weights) >= loss
+        assert abs(cgc_pde_grad(prob, res.state, res.weights)) <= 1e-8
 
     def test_trace_nonincreasing(self, u_data):
         prob = CgcPdeProblem(u_data=u_data)
@@ -171,12 +145,15 @@ class TestPdeSolve:
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_interpolant_matches_state(self, u_data):
-        # node values differ from the interpolant at the nodes by exactly
-        # nugget * coefficients
+        # the returned map is the one the loss terms at the returned a measure
         prob = CgcPdeProblem(u_data=u_data)
         res = cgc_pde_solve(prob, config=DescentConfig(max_iters=200))
-        expected = res.state.g_values - res.interpolant.nugget * res.interpolant.coefficients
-        np.testing.assert_allclose(res.interpolant(prob.nodes), expected, rtol=1e-8, atol=1e-10)
+        terms = cgc_pde_loss_terms(prob, res.state, res.weights)
+        g = res.interpolant
+        resid = g(u_data) + res.state.a * g.evaluate(u_data, 1) / u_data**2
+        assert terms["lambda2"] * float(resid @ resid) == pytest.approx(terms["l2_weighted"], rel=1e-8)
+        assert terms["lambda3"] * (g(1.0) - 1.0) ** 2 == pytest.approx(terms["anchor_weighted"], rel=1e-8)
+        assert res.interpolant.nugget == 1.0
 
     @pytest.mark.parametrize("max_iters", [3, 100, 300])
     def test_final_loss_is_loss_at_returned_state(self, u_data, max_iters):
@@ -187,20 +164,20 @@ class TestPdeSolve:
             + terms["anchor_weighted"]
         assert total == pytest.approx(res.loss_trace[-1], rel=1e-12)
 
-    def test_gram_factored_once_per_problem(self, u_data, monkeypatch):
+    def test_kernel_blocks_built_once_per_problem(self, u_data, monkeypatch):
         calls = []
 
-        def counting(gram, lam):
-            calls.append(lam)
-            return _factor_with_escalation(gram, lam)
+        def counting(*args):
+            calls.append(args[3:])
+            return k_deriv(*args)
 
-        monkeypatch.setattr(cgc_module, "_factor_with_escalation", counting)
+        monkeypatch.setattr(cgc_module, "k_deriv", counting)
         counts = []
         for max_iters in (100, 300):
             calls.clear()
             cgc_pde_solve(CgcPdeProblem(u_data=u_data), config=DescentConfig(max_iters=max_iters))
-            counts.append(len(calls))
-        assert counts == [1, 1]
+            counts.append(sorted(calls))
+        assert counts == [[(0, 0), (1, 0), (1, 1)]] * 2
 
 
 class TestFdTime:

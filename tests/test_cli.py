@@ -267,6 +267,21 @@ class TestEvaluate:
         assert main(["evaluate", str(interp), "--points", str(pts), "--deriv", deriv,
                      "--output", str(tmp_path / "vals.csv")]) == 2
 
+    @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5"])
+    def test_malformed_input_exits_2(self, tmp_path, case):
+        system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
+        cfg = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
+        points = "u\nabc\n" if case == "points abc" else "u\n0.5\n"
+        if case == "interpolant a list":
+            cfg = [cfg]
+        elif case.startswith("order"):
+            cfg["functionals"][0][0][1] = "x" if case == "order x" else 1.5
+        interp = tmp_path / "interpolant.json"
+        interp.write_text(json.dumps(cfg))
+        pts = tmp_path / "pts.csv"
+        pts.write_text(points)
+        assert main(["evaluate", str(interp), "--points", str(pts), "--output", str(tmp_path / "vals.csv")]) == 2
+
 
 class TestCgcExperiments:
     def test_cgc_pde_runs_and_reports(self, tmp_path):
@@ -288,7 +303,7 @@ class TestCgcExperiments:
     @pytest.mark.parametrize("key, value", [
         ("free_z", True), ("l2_squared", False), ("method", "nelder-mead"),
         ("ode_form", "appendix"), ("eval_domain", "anchored"), ("theta_grid", [0.5, 1.0]),
-        ("refine_iters", 20), ("rho_nugget", 1e-8), ("lambda1", 1.0),
+        ("refine_iters", 20), ("rho_nugget", 1e-8), ("lambda1", 1.0), ("lam", 1e-6),
     ])
     def test_cgc_pde_rejects_removed_options(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "c.json", {

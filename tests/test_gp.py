@@ -288,22 +288,39 @@ class TestReadValidation:
             interp.evaluate(0.5, order)
 
     def test_non_matern_kernel_rejected(self):
-        interp = Interpolant(HomogeneousPolynomial(4), (LinearFunctional.dirac(0.0),), [1.0])
+        interp = Interpolant(HomogeneousPolynomial(4), _flatten((LinearFunctional.dirac(0.0),)), [1.0])
         with pytest.raises(UnsupportedDerivativeError):
             interp.evaluate(0.5)
 
 
 @pytest.fixture(scope="module")
-def saved_kinds():
+def fitted_systems():
+    """The system and lengthscale of each map-fit kind the CLI saves."""
+    return {
+        "pooled": (cole_hopf_multi_problem().system, 0.7),  # term orders {1, 2}
+        "discrete": (cole_hopf_discrete_problem().system, 2.0),  # four order-0 terms each
+        "first-order": (first_order_problem().system, 1.3),  # term orders {0, 1}
+        "cole-hopf": (cole_hopf_problem(10).system, 2.0),  # term orders {0, 1, 2}
+    }
+
+
+@pytest.fixture(scope="module")
+def saved_kinds(fitted_systems):
     """One interpolant of each kind the CLI saves and reads back."""
     _, u_data = dynamics.get_initial_condition("firstorder-paper").sample(100)
     pde = cgc.cgc_pde_solve(cgc.CgcPdeProblem(u_data=u_data), config=DescentConfig(max_iters=50))
+    # cgc-pde: a value and a slope term at each datum, and a Dirac at the anchor u = 1
+    return {"cgc-pde": pde.interpolant,
+            **{kind: fit(system, Matern52(theta)) for kind, (system, theta) in fitted_systems.items()}}
+
+
+def per_term_config(interp, functionals):
+    """The config as a writer walking :class:`FunctionalTerm` objects lays it out."""
     return {
-        "cgc-pde": pde.interpolant,  # Diracs, with u = 1 twice
-        "pooled": fit(cole_hopf_multi_problem().system, Matern52(0.7)),  # term orders {1, 2}
-        "discrete": fit(cole_hopf_discrete_problem().system, Matern52(2.0)),  # four order-0 terms each
-        "first-order": fit(first_order_problem().system, Matern52(1.3)),  # term orders {0, 1}
-        "cole-hopf": fit(cole_hopf_problem(10).system, Matern52(2.0)),  # term orders {0, 1, 2}
+        "kernel": {"kind": "matern52", "theta": interp.kernel.theta},
+        "functionals": [[[t.location, t.deriv_order, t.weight] for t in f.terms] for f in functionals],
+        "alpha": [float(a) for a in interp.coefficients],
+        "nugget": interp.nugget,
     }
 
 
@@ -314,11 +331,66 @@ class TestSerialization:
         # a reloaded interpolant reads bit for bit what the in-memory one reads
         interp = saved_kinds[kind]
         restored = interpolant_from_config(json.loads(json.dumps(interpolant_to_config(interp))))
-        locs = _flatten(interp.functionals)[0]
+        locs = interp.terms[0]
         pts = np.r_[np.linspace(locs.min(), locs.max(), 57), locs[:5]]
         np.testing.assert_array_equal(restored.evaluate(pts, order), interp.evaluate(pts, order))
 
+    def test_cgc_pde_map_has_value_and_slope_terms(self, saved_kinds):
+        locs, orders, _, owners = saved_kinds["cgc-pde"].terms
+        assert np.array_equal(np.bincount(orders), [101, 100])
+        assert locs[-1] == 1.0 and orders[-1] == 0 and np.sum(owners == owners[-1]) == 1
+
+    @pytest.mark.parametrize("kind", ["pooled", "discrete", "first-order", "cole-hopf"])
+    def test_table_writes_the_per_term_bytes(self, saved_kinds, fitted_systems, kind):
+        interp, system = saved_kinds[kind], fitted_systems[kind][0]
+        assert interp.functionals == system.functionals
+        expected = json.dumps(per_term_config(interp, system.functionals))
+        assert json.dumps(interpolant_to_config(interp)) == expected
+        assert json.dumps(interpolant_to_config(interpolant_from_config(json.loads(expected)))) == expected
+
     def test_is_json_serializable(self):
-        interp = Interpolant(K1, (LinearFunctional((FunctionalTerm(0.0, 1, 2.0),)),), [0.5])
+        interp = fit(ConstraintSystem((LinearFunctional((FunctionalTerm(0.0, 1, 2.0),)),), [0.5]), K1)
         doc = json.dumps(interpolant_to_config(interp))
         assert interpolant_from_config(json.loads(doc)).evaluate(0.3, 1) == interp.evaluate(0.3, 1)
+
+
+def malformed(cfg):
+    """Copies of a valid config, each broken in one way."""
+    def edit(change):
+        doc = json.loads(json.dumps(cfg))
+        change(doc)
+        return doc
+
+    def set_term(value):
+        return lambda doc: doc["functionals"][0].__setitem__(0, value)
+
+    return {
+        "a list": [cfg],
+        "order x": edit(set_term([0.5, "x", 1.0])),
+        "order 1.5": edit(set_term([0.5, 1.5, 1.0])),
+        "order 3": edit(set_term([0.5, 3, 1.0])),
+        "order -1": edit(set_term([0.5, -1, 1.0])),
+        "infinite location": edit(set_term([float("inf"), 0, 1.0])),
+        "nan weight": edit(set_term([0.5, 0, float("nan")])),
+        "two-entry term": edit(set_term([0.5, 0])),
+        "empty functional": edit(lambda doc: doc["functionals"].append([])),
+        "no functionals": edit(lambda doc: doc.update(functionals=[], alpha=[])),
+        "extra coefficient": edit(lambda doc: doc["alpha"].append(1.0)),
+        "missing alpha": edit(lambda doc: doc.pop("alpha")),
+        "functionals not a list": edit(lambda doc: doc.update(functionals=3)),
+    }
+
+
+class TestLoaderValidation:
+    CFG = interpolant_to_config(fit(ConstraintSystem(
+        (LinearFunctional.of_terms((0.5, 0, 1.0), (0.5, 1, 2.0)), LinearFunctional.dirac(1.0)), [0.0, 1.0]), K1))
+
+    @pytest.mark.parametrize("case", sorted(malformed(CFG)))
+    def test_malformed_config_rejected(self, case):
+        with pytest.raises(InvalidInputError):
+            interpolant_from_config(malformed(self.CFG)[case])
+
+    def test_integral_float_orders_accepted(self):
+        doc = json.loads(json.dumps(self.CFG))
+        doc["functionals"][0][1][1] = 1.0
+        assert interpolant_from_config(doc).evaluate(0.3, 1) == interpolant_from_config(self.CFG).evaluate(0.3, 1)
