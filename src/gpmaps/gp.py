@@ -21,10 +21,11 @@ lengthscale then costs only the Matern profile arithmetic on those gap
 arrays, the weighting and the block adds, so a lengthscale sweep, the fit
 that follows it and every fit at a fixed lengthscale share one plan.
 
-Every Matern profile derivative is a quadratic in s|gap| times exp(-s|gap|),
-up to sign, so an interpolant read is five basis matrices per distinct set of
-term locations times weights that fold the quadratics into the summed term
-coefficients once: one gap array and one exp per set, no (points x terms) matrix.
+One coefficient table, checked against finite differences, defines every
+Matern profile derivative (see :mod:`gpmaps.kernels`). The Gram evaluates it
+on the plan's gap arrays; an interpolant read folds it into the summed term
+coefficients once, then costs one gap array and one exp per distinct set of
+term locations, with no (points x terms) matrix.
 """
 
 from __future__ import annotations
@@ -213,12 +214,9 @@ class _GramPlan:
     def _blocks(self, home_pair, theta):
         """Weighted, owner-summed (a, b) blocks of every order pair on one home pair."""
         pairs = self.pairs[home_pair]
-        profile = _matern_profile_derivs({a + b for a, b, _, _ in pairs}, self.gaps[home_pair], theta)
+        profiles = _matern_profile_derivs([a + b for a, b, _, _ in pairs], self.gaps[home_pair], theta)
         out = {}
-        for i, (a, b, row_w, col_w) in enumerate(pairs):
-            n = a + b
-            # a later pair of the same profile order reads it unweighted
-            block = profile[n].copy() if any(c + d == n for c, d, _, _ in pairs[i + 1:]) else profile[n]
+        for (a, b, row_w, col_w), block in zip(pairs, profiles):
             block *= row_w
             block *= col_w
             if self.starts[a] is not None:

@@ -3,7 +3,6 @@ import pytest
 
 from gpmaps.exceptions import InvalidInputError, UnsupportedDerivativeError
 from gpmaps.kernels import (
-    _MATERN_PROFILE_COEFFS,
     HomogeneousPolynomial,
     Matern52,
     _matern_profile_derivs,
@@ -88,25 +87,28 @@ class TestMatern:
     def test_derivatives_match_finite_differences(self, a, b):
         # Totals <= 2 difference k_eval directly. Higher totals would drown in
         # the eps/h^4 roundoff of a nested stencil, so they apply one central
-        # difference to the already-validated next-lower closed form.
-        spec = Matern52(1.0)
-        checked = 0
-        while checked < 100:
-            x, y = RNG.uniform(-2, 2, 2)
-            if abs(x - y) < 0.05:
-                continue
-            checked += 1
-            cf = k_deriv(spec, x, y, a, b)
-            if a + b <= 2:
-                fd = fd_mixed(spec, x, y, a, b, 2e-4 if a + b == 2 else 1e-6)
-            else:
-                h = 1e-6
+        # difference to the already-validated next-lower closed form. The steps
+        # scale with theta, the length on which the kernel varies: fixed steps
+        # drown the (0, 2) and (2, 0) cases in roundoff at theta = 17.
+        for theta in (0.3, 1.0, 17.0):
+            spec = Matern52(theta)
+            checked = 0
+            while checked < 100:
+                x, y = RNG.uniform(-2, 2, 2)
+                if abs(x - y) < 0.05:
+                    continue
+                checked += 1
+                cf = k_deriv(spec, x, y, a, b)
+                if a + b <= 2:
+                    fd = fd_mixed(spec, x, y, a, b, (2e-4 if a + b == 2 else 1e-6) * theta)
+                else:
+                    h = 1e-6 * theta
 
-                def lower(xx):
-                    return k_deriv(spec, xx, y, a - 1, b)
+                    def lower(xx):
+                        return k_deriv(spec, xx, y, a - 1, b)
 
-                fd = (lower(x + h) - lower(x - h)) / (2 * h)
-            assert cf == pytest.approx(fd, rel=1e-5, abs=1e-8)
+                    fd = (lower(x + h) - lower(x - h)) / (2 * h)
+                assert cf == pytest.approx(fd, rel=1e-5, abs=1e-8), f"theta={theta}"
 
     def test_mixed_derivative_symmetry(self):
         spec = Matern52(0.9)
@@ -134,16 +136,21 @@ class TestMatern:
             k_deriv(Matern52(1.0), 0.0, 1.0, 3, 0)
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 17.0])
-    def test_profile_table_reproduces_the_formulas(self, theta):
-        # interpolant reads use the table; the formulas are the ones checked
-        # against finite differences above
-        gap = np.array([-2.5, -0.7, -0.1, 0.0, 0.1, 0.7, 2.5])
-        s = np.sqrt(5.0) / theta
-        sr = s * np.abs(gap)
-        profile = _matern_profile_derivs({0, 1, 2, 3, 4}, gap, theta)
-        for n, (c0, c1, c2) in enumerate(_MATERN_PROFILE_COEFFS):
-            folded = s**n * np.sign(gap) ** (n % 2) * (c0 + c1 * sr + c2 * sr * sr) * np.exp(-sr)
-            np.testing.assert_allclose(folded, profile[n], rtol=1e-13, atol=0, err_msg=f"order {n}")
+    def test_profile_parity_is_exact(self, theta):
+        # the Gram computes each (b, a) block as the transpose of the (a, b) one,
+        # which needs P_n(-gap) == (-1)^n P_n(gap) to the last bit
+        gap = np.concatenate([RNG.uniform(-3, 3, 200) * theta, [-2.5, -0.1, 0.0, 0.1, 2.5]])
+        orders = range(5)
+        for n, pos, neg in zip(orders, _matern_profile_derivs(orders, gap, theta),
+                               _matern_profile_derivs(orders, -gap, theta)):
+            assert np.array_equal(neg, (-1) ** n * pos), f"order {n}"
+
+    def test_repeated_orders_get_separate_arrays(self):
+        # a Gram block scales its profile array in place, so two pairs of one order need two arrays
+        gap = np.array([[-0.4, 0.0], [0.3, 1.2]])
+        first, second = _matern_profile_derivs([2, 2], gap, 1.3)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
 
 class TestPolynomial:

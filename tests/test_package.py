@@ -180,3 +180,23 @@ def test_package_logs_nothing_by_default():
              "p = first_order_problem(100); learn_theta(p.system, p.interior)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stderr == ""
+
+
+def test_benchmark_names_resolve_in_gpmaps():
+    # the benchmark wraps each (module, attribute) of bench/spans.LAYERS and its
+    # worker calls gpmaps modules by name; a refactor that unbinds one of them
+    # makes the benchmark fail to install or to run, so both lists are read here
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spans = ast.parse((bench / "spans.py").read_text())
+    layers = next(node.value for node in spans.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    wrapped = {(entry.elts[1].value, entry.elts[2].value) for entry in layers.elts}
+    worker = ast.parse((bench / "worker.py").read_text())
+    modules = {alias.asname or alias.name: f"gpmaps.{alias.name}" for node in ast.walk(worker)
+               if isinstance(node, ast.ImportFrom) and node.module == "gpmaps" for alias in node.names}
+    called = {(modules[node.value.id], node.attr) for node in ast.walk(worker)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert len(wrapped) > 15 and ("gpmaps.gp", "fit") in called
+    unbound = sorted(f"{module}.{attr}" for module, attr in wrapped | called
+                     if not hasattr(importlib.import_module(module), attr))
+    assert unbound == []
