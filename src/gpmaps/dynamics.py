@@ -8,9 +8,10 @@ Hopf normal form, closed-form reference solutions, and a registry of
 built-in initial conditions with their exact antiderivatives.
 
 ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
-floats and return a sequence of floats; ``rk4`` steps on Python floats, a
-planar state on two float locals and any other length on lists, with the
-same operations in the same order.
+floats and return a sequence of floats; ``rk4`` steps every state length
+with one loop over lists of Python floats. ``brusselator_trajectory`` takes
+``rk4``'s step sequence with the Brusselator field written inline on two
+float locals, giving the same bits, and stores only the samples it returns.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def rk4(rhs, y0, t0, t1, dt):
     sequence of floats of the same length. The step runs on Python floats in
     the same operation order as the vector form
     ``y + (step / 6.0) * (k1 + 2*k2 + 2*k3 + k4)``, so IEEE arithmetic gives
-    the same bits as numpy's elementwise operations. A planar state (two
-    components) steps on two float locals; any other length steps on lists,
-    one component at a time, with the same operations in the same order. A
-    right-hand side that returns a numpy array also works, only more slowly.
+    the same bits as numpy's elementwise operations. One loop serves every
+    state length: each stage builds the next state as a list, one component
+    at a time. A right-hand side that returns a numpy array also works, only
+    more slowly.
 
     Raises :class:`InvalidInputError` for a ``y0`` that is not a nonempty
     1-D finite vector and for an ``rhs`` whose output length differs from the
@@ -218,50 +219,24 @@ def rk4(rhs, y0, t0, t1, dt):
     t = t0
     times = array("d", [t0])
     states = array("d", y)
-    if n == 2:
-        u, v = y
-        try:
-            while t < t_stop:
-                step = min(dt, t1 - t)
-                half = 0.5 * step
-                a1, b1 = rhs(t, [u, v])
-                a2, b2 = rhs(t + half, [u + half * a1, v + half * b1])
-                a3, b3 = rhs(t + half, [u + half * a2, v + half * b2])
-                a4, b4 = rhs(t + step, [u + step * a3, v + step * b3])
-                sixth = step / 6.0
-                u = u + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-                v = v + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-                if not (math.isfinite(u) and math.isfinite(v)):
-                    raise NumericalOverflowError(f"non-finite state at t = {t + step}")
-                t = t + step
-                times.append(t)
-                states.append(u)
-                states.append(v)
-        except ValueError as exc:
-            # only the two-value unpackings raise ValueError in this frame
-            # itself; one raised inside rhs has a traceback entry below it
-            if exc.__traceback__.tb_next is not None:
-                raise
-            raise InvalidInputError(f"rhs must return 2 components for a planar state: {exc}") from exc
-    else:
-        while t < t_stop:
-            step = min(dt, t1 - t)
-            half = 0.5 * step
-            k1 = rhs(t, y)
-            k2 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
-            k3 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
-            k4 = rhs(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
-            # zip would silently truncate to the shortest
-            if not len(k1) == len(k2) == len(k3) == len(k4) == n:
-                raise InvalidInputError(f"rhs must return one component per state component ({n})")
-            sixth = step / 6.0
-            y = [yi + sixth * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-            # Python float arithmetic yields inf/nan rather than raising; surface it typed
-            if not all(map(math.isfinite, y)):
-                raise NumericalOverflowError(f"non-finite state at t = {t + step}")
-            t = t + step
-            times.append(t)
-            states.extend(y)
+    while t < t_stop:
+        step = min(dt, t1 - t)
+        half = 0.5 * step
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = rhs(t + half, [yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = rhs(t + step, [yi + step * ki for yi, ki in zip(y, k3)])
+        # zip would silently truncate to the shortest
+        if not len(k1) == len(k2) == len(k3) == len(k4) == n:
+            raise InvalidInputError(f"rhs must return one component per state component ({n})")
+        sixth = step / 6.0
+        y = [yi + sixth * (a + 2 * b + 2 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        # Python float arithmetic yields inf/nan rather than raising; surface it typed
+        if not all(map(math.isfinite, y)):
+            raise NumericalOverflowError(f"non-finite state at t = {t + step}")
+        t = t + step
+        times.append(t)
+        states.extend(y)
     return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), n))
 
 
@@ -294,15 +269,82 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
 
     Integrated at the fine step ``gen_dt`` and subsampled, so data accuracy
     is never the bottleneck of a downstream fit; ``sample_dt`` must be an
-    integer multiple of ``gen_dt``.
+    integer multiple of ``gen_dt``. The loop takes :func:`rk4`'s step
+    sequence, final partial step included, with :func:`brusselator_rhs`'s
+    arithmetic written inline on two float locals, so the samples have the
+    bits of ``rk4(brusselator_rhs(A, B), ...).states[::stride]``. Only the
+    samples are stored; the fine states are never kept.
+
+    Raises :class:`InvalidInputError` for ``A = 0``, a non-positive
+    ``gen_dt``, a ``sample_dt`` that is not a multiple of it, fewer than two
+    samples or an ``init_point`` that is not two finite floats, and
+    :class:`NumericalOverflowError` for a non-finite state.
     """
+    A = float(A)
+    B = float(B)
+    if A == 0:
+        raise InvalidInputError("A must be nonzero")
+    if not gen_dt > 0:
+        raise InvalidInputError(f"gen_dt must be positive, got {gen_dt}")
     stride = int(round(sample_dt / gen_dt))
     if abs(stride * gen_dt - sample_dt) > 1e-12 * sample_dt:
         raise InvalidInputError("sample_dt must be an integer multiple of gen_dt")
-    t_end = (n_samples - 1) * sample_dt
-    fine = rk4(brusselator_rhs(A, B), np.asarray(init_point, dtype=float), 0.0, t_end, gen_dt)
-    # a copy, not a view: a view would keep the whole fine trajectory alive
-    states = fine.states[::stride][:n_samples].copy()
+    if n_samples < 2:
+        raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
+    try:
+        u, v = map(float, init_point)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"init_point must be two floats: {exc}") from exc
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise InvalidInputError("init_point must be finite")
+    # brusselator_rhs's constants; the stages below repeat its operations in order
+    b_over_a = B / A
+    b_plus_1 = B + 1.0
+    t1 = (n_samples - 1) * sample_dt
+    t_stop = t1 - 1e-12 * max(1.0, abs(t1))
+    t = 0.0
+    samples = array("d", (u, v))
+    isfinite = math.isfinite
+    countdown = stride
+    while t < t_stop:
+        # min(gen_dt, t1 - t) as rk4 takes it, without the call
+        step = t1 - t
+        if step > gen_dt:
+            step = gen_dt
+        half = 0.5 * step
+        p = u + A
+        q = v + b_over_a
+        ppq = p * p * q
+        a1 = A + ppq - b_plus_1 * p
+        b1 = B * p - ppq
+        p = u + half * a1 + A
+        q = v + half * b1 + b_over_a
+        ppq = p * p * q
+        a2 = A + ppq - b_plus_1 * p
+        b2 = B * p - ppq
+        p = u + half * a2 + A
+        q = v + half * b2 + b_over_a
+        ppq = p * p * q
+        a3 = A + ppq - b_plus_1 * p
+        b3 = B * p - ppq
+        p = u + step * a3 + A
+        q = v + step * b3 + b_over_a
+        ppq = p * p * q
+        a4 = A + ppq - b_plus_1 * p
+        b4 = B * p - ppq
+        sixth = step / 6.0
+        u = u + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        v = v + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+        if not (isfinite(u) and isfinite(v)):
+            raise NumericalOverflowError(f"non-finite state at t = {t + step}")
+        t = t + step
+        countdown -= 1
+        if not countdown:
+            countdown = stride
+            samples.append(u)
+            samples.append(v)
+    # a copy owning its data, cut to n_samples as rk4's states[::stride][:n_samples] would be
+    states = np.frombuffer(samples).reshape(-1, 2)[:n_samples].copy()
     return Trajectory(sample_dt * np.arange(n_samples), states)
 
 

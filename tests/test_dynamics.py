@@ -1,7 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gpmaps import dynamics
 from gpmaps.dynamics import (
     Burgers,
     CflWarning,
@@ -289,25 +290,67 @@ class TestBrusselator:
         assert np.array_equal(as_numpy.times, as_float.times)
         assert np.array_equal(as_numpy.states, as_float.states)
 
-    def test_trajectory_calls_rk4_through_module_global(self, monkeypatch):
-        # the benchmark's dynamics.rk4 spans rebind this name to count calls and steps
-        steps = []
-
-        def counting_rk4(*args):
-            traj = rk4(*args)
-            steps.append(len(traj) - 1)
-            return traj
-
-        monkeypatch.setattr(dynamics, "rk4", counting_rk4)
-        brusselator_trajectory(1.0, 2.1, n_samples=200)
-        assert steps == [19_900]
+    @pytest.mark.parametrize(
+        "A, B, kwargs",
+        [
+            # 199,900 steps, the last 5.9e-10 short of gen_dt
+            (1.0, 2.1, {}),
+            (1.0, 2.1, {"n_samples": 200}),
+            (1.3, 2.6, {"n_samples": 60}),
+            (1.0, 2.1, {"sample_dt": 0.05}),
+            (1.0, 2.1, {"sample_dt": 0.3, "gen_dt": 1e-2, "init_point": (0.3, 0.2)}),
+        ],
+        ids=["paper", "200-samples", "A1.3-B2.6", "sample-dt-0.05", "gen-dt-1e-2"],
+    )
+    def test_trajectory_same_bits_as_rk4_subsampled(self, A, B, kwargs):
+        # the trajectory writes the field inline; rk4 on brusselator_rhs is its reference
+        n_samples = kwargs.get("n_samples", 2000)
+        sample_dt = kwargs.get("sample_dt", 0.1)
+        gen_dt = kwargs.get("gen_dt", 1e-3)
+        stride = int(round(sample_dt / gen_dt))
+        fine = rk4(brusselator_rhs(A, B), kwargs.get("init_point", (0.1, -0.1)), 0.0,
+                   (n_samples - 1) * sample_dt, gen_dt)
+        # every config ends in rk4's final partial step min(dt, t1 - t)
+        assert fine.times[-1] - fine.times[-2] < gen_dt
+        traj = brusselator_trajectory(A, B, **kwargs)
+        assert np.array_equal(traj.times, sample_dt * np.arange(n_samples))
+        assert np.array_equal(traj.states, fine.states[::stride][:n_samples])
 
     def test_trajectory_owns_its_samples(self):
-        # the samples are copied out, so the 100x longer fine trajectory is freed
+        # only the samples are stored, in an array of their own
         traj = brusselator_trajectory(1.0, 2.1, n_samples=200)
         assert traj.states.base is None and traj.states.flags.owndata
-        fine = rk4(brusselator_rhs(1.0, 2.1), [0.1, -0.1], 0.0, 199 * 0.1, 1e-3)
-        assert np.array_equal(traj.states, fine.states[::100][:200])
+
+    def test_trajectory_overflow_raises_typed_error(self):
+        with pytest.raises(NumericalOverflowError, match=r"non-finite state at t = 0\.001$"):
+            brusselator_trajectory(1.0, 2.1, init_point=(1e200, 1e200))
+
+    @pytest.mark.parametrize(
+        "A, kwargs",
+        [
+            (0.0, {}),
+            (1.0, {"sample_dt": 0.1005}),
+            (1.0, {"gen_dt": 0.0}),
+            (1.0, {"n_samples": 1}),
+            (1.0, {"init_point": (0.1, -0.1, 0.0)}),
+            (1.0, {"init_point": (0.1, np.nan)}),
+        ],
+        ids=["zero-A", "sample-dt-not-multiple", "zero-gen-dt", "one-sample", "three-components", "nan"],
+    )
+    def test_trajectory_bad_input_rejected(self, A, kwargs):
+        with pytest.raises(InvalidInputError):
+            brusselator_trajectory(A, 2.1, **kwargs)
+
+    def test_trajectory_stores_only_its_samples(self):
+        # 4,901 fine states would take 78 kB; the 50 samples take 0.8 kB.
+        # Tracing slows the loop 5-100x, so this is not the paper's 2000
+        tracemalloc.start()
+        try:
+            brusselator_trajectory(1.0, 2.1, n_samples=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000
 
 
 class TestHopf:
