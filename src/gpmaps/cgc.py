@@ -14,12 +14,13 @@ Two instances are provided:
 The first solve is exact: for a fixed ``a`` the best map is kernel ridge
 regression on the weighted equation and anchor functionals, so the loss
 profiles to a function of ``a`` whose value and slope cost one Cholesky
-factorization, and a 1-D root find on the slope finishes it. The second
-runs its own Armijo gradient descent with a fixed diagonal rescaling, at
-one residual pass per trial point, reading one residual function for its
-loss terms, gradient and steps. Each problem builds its fixed matrices (the
-three kernel blocks of the functionals' Gram, or the quartic features of
-the trajectory) once, on first use.
+factorization (``gp._cholesky``, which raises rather than escalate the
+identity nugget, a part of the loss), and a 1-D root find on the slope
+finishes it. The second runs its own Armijo gradient descent with a fixed
+diagonal rescaling, at one residual pass per trial point, reading one
+residual function for its loss terms, gradient and steps. Each problem
+builds its fixed matrices (the three kernel blocks of the functionals'
+Gram, or the quartic features of the trajectory) once, on first use.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .dynamics import first_difference
-from .exceptions import DivergedError, InvalidInputError, SingularSystemError
-from .gp import ConstraintSystem, Interpolant, LinearFunctional, fit
+from .exceptions import DivergedError, InvalidInputError
+from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, fit
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig
 
@@ -50,7 +51,6 @@ __all__ = [
     "nf_loss",
     "nf_loss_terms",
     "nf_grad",
-    "nf_default_init",
     "nf_solve",
     "nf_h_values",
 ]
@@ -138,11 +138,7 @@ def _profile(problem, weights, a):
     d = _scales(problem, weights)
     phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
     y = np.r_[np.zeros(d.size - 1), d[-1]]
-    try:
-        cf = cho_factor(phi + np.eye(d.size))
-    except LinAlgError as exc:
-        raise SingularSystemError(f"map system not factorizable at a = {a!r}") from exc
-    return phi, y, cho_solve(cf, y)
+    return phi, y, cho_solve((_cholesky(phi, 1.0, f"map system at a = {a!r}"), True), y)
 
 
 def cgc_pde_loss_terms(problem, state, weights):
@@ -408,7 +404,7 @@ def nf_grad(problem, state, weights):
     return _nf_gradient(problem, state.h_coeffs, state.r_values, weights, residuals)
 
 
-def nf_default_init(problem):
+def _nf_default_init(problem):
     """Radius of the data as the radius guess; least-squares quartic through it."""
     states = problem.trajectory.states
     r = np.hypot(states[:, 0], states[:, 1])
@@ -443,7 +439,7 @@ ARMIJO = 1e-4
 SHRINK, GROW = 0.5, 1.3
 
 
-def nf_solve(problem, init=None, config=None):
+def nf_solve(problem, config=None):
     """Minimize the radius-map loss and reconstruct the planar normal-form orbit.
 
     Gradient descent on x = [h_coeffs, r_values] along the gradient scaled by
@@ -458,7 +454,7 @@ def nf_solve(problem, init=None, config=None):
     The phase advances at unit rate from the angle of the initial point, so
     the reconstruction is x = r cos(t + theta0), y = r sin(t + theta0).
     """
-    state0 = init if init is not None else nf_default_init(problem)
+    state0 = _nf_default_init(problem)
     weights = _nf_weights(problem, state0)
     precond = _nf_precond(problem, state0, weights)
     n_c = state0.h_coeffs.size

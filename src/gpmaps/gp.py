@@ -13,6 +13,12 @@ is computed by a dense symmetric positive-definite factorization; the nugget
 a setting of each solve, ``fit(system, kernel, nugget=None)``, not of the
 constraints; None picks ``NUGGET_SCALE * trace(G) / M`` for the kernel in use.
 
+Every factorization in the package is :func:`_cholesky`: factor a copy of
+the matrix shifted by a nugget, or raise :class:`SingularSystemError` naming
+it, with its condition number. Only fits escalate the nugget on failure; the
+leave-one-out loss and the ``cgc-pde`` profile raise at once, since their
+nugget is part of the value they compute.
+
 The Gram matrix is assembled in blocks of terms with equal derivative
 orders. A :class:`ConstraintSystem` builds the lengthscale-free part of that
 work once, on first use: the terms flattened and grouped by order, their
@@ -35,7 +41,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
 from .kernels import _MATERN_PROFILE_COEFFS, Matern52, _matern_profile_derivs, kernel_from_config, kernel_to_config
@@ -268,22 +275,29 @@ def default_nugget(gram):
     return max(NUGGET_SCALE * float(np.trace(gram)) / max(m, 1), 1e-300)
 
 
+def _cholesky(matrix, lam, what):
+    """Lower Cholesky factor, upper triangle zeroed, of a shifted copy ``matrix + lam*I`` of a symmetric matrix.
+
+    On failure raises :class:`SingularSystemError` naming ``what``, with the shifted matrix's condition number.
+    """
+    shifted = matrix.copy()
+    shifted[np.diag_indices_from(shifted)] += lam
+    # a symmetric C-ordered copy is its own Fortran layout: factor it in place
+    factor, info = dpotrf(shifted.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise SingularSystemError(f"{what} is not positive definite (nugget {lam:.3e})",
+                                  condition=float(np.linalg.cond(matrix + lam * np.eye(len(matrix)))))
+    return factor
+
+
 def _factor_with_escalation(gram, lam):
-    """Cholesky of G + lam*I, escalating lam tenfold on failure."""
-    m = gram.shape[0]
-    current = lam
-    for _ in range(MAX_JITTER_ESCALATIONS + 1):
+    """``(L, lam_used)``: :func:`_cholesky` of G + lam_used*I, lam escalated tenfold on each failure."""
+    for _ in range(MAX_JITTER_ESCALATIONS):
         try:
-            cf = cho_factor(gram + current * np.eye(m), lower=True)
-            return cf, current
-        except LinAlgError:
-            current *= 10.0
-    cond = float(np.linalg.cond(gram + lam * np.eye(m)))
-    raise SingularSystemError(
-        f"constraint Gram not factorizable after {MAX_JITTER_ESCALATIONS} jitter escalations "
-        f"(nugget reached {current / 10:.3e})",
-        condition=cond,
-    )
+            return _cholesky(gram, lam, "constraint Gram"), lam
+        except SingularSystemError:
+            lam *= 10.0
+    return _cholesky(gram, lam, f"constraint Gram after {MAX_JITTER_ESCALATIONS} jitter escalations"), lam
 
 
 def _solve(system, kernel, nugget):
@@ -292,8 +306,8 @@ def _solve(system, kernel, nugget):
         raise InvalidInputError(f"nugget must be positive, got {nugget}")
     gram = system._gram_plan.gram(kernel)
     lam = nugget if nugget is not None else default_nugget(gram)
-    cf, lam_used = _factor_with_escalation(gram, lam)
-    return cho_solve(cf, system.targets), lam_used
+    factor, lam_used = _factor_with_escalation(gram, lam)
+    return cho_solve((factor, True), system.targets), lam_used
 
 
 @dataclass(frozen=True)
@@ -422,7 +436,8 @@ def interpolant_from_config(cfg):
     """Inverse of :func:`interpolant_to_config`, reading all terms into the term table at once.
 
     Malformed input raises :class:`InvalidInputError`: a term that is not three finite numbers with an
-    order of 0, 1 or 2, a functional without terms, or not one coefficient per functional.
+    order of 0, 1 or 2, a functional without terms, not one coefficient per functional, or a coefficient
+    or nugget that is not finite (``json.load`` reads ``NaN`` and ``Infinity``).
     """
     try:
         kernel = kernel_from_config(cfg["kernel"])
@@ -436,7 +451,8 @@ def interpolant_from_config(cfg):
         raise InvalidInputError("an interpolant needs at least one functional, each with at least one term")
     if table.ndim != 2 or table.shape[1] != 3:
         raise InvalidInputError("each functional term must be [location, order, weight]")
-    if not (np.all(np.isfinite(table)) and np.all(np.isin(table[:, 1], (0, 1, 2)))):
-        raise InvalidInputError("functional terms must be finite, with orders 0, 1 or 2")
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(alpha)) and math.isfinite(nugget)
+            and np.all(np.isin(table[:, 1], (0, 1, 2)))):
+        raise InvalidInputError("terms, coefficients and nugget must be finite, with term orders 0, 1 or 2")
     owners = np.repeat(np.arange(len(sizes)), sizes)
     return Interpolant(kernel, (table[:, 0], table[:, 1].astype(int), table[:, 2], owners), alpha, nugget=nugget)

@@ -7,9 +7,9 @@ changes the solution. Only interior constraints are removable: deleting a
 uniqueness anchor would make the problem degenerate. The system's Gram
 plan (:mod:`gpmaps.gp`) is built on the first evaluation and reused for
 every lengthscale after it, so one evaluation of the loss costs the Matern
-profile arithmetic and block adds of one Gram, one in-place Cholesky
-factorization and one in-place triangular inverse; no reduced system is
-solved.
+profile arithmetic and block adds of one Gram, one Cholesky factorization
+(``gp._cholesky``, which raises rather than escalate ``LOO_NUGGET``, a part
+of the loss) and one in-place triangular inverse; no reduced system is solved.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .exceptions import InvalidInputError, SingularSystemError
-from .gp import assemble_gram
+from .exceptions import InvalidInputError
+from .gp import _cholesky, assemble_gram
 from .kernels import Matern52
 from .optim import golden_section
 
@@ -57,13 +57,6 @@ def _check_removable(system, removable):
     return removable
 
 
-def _loo_gram(theta, system):
-    """G + LOO_NUGGET * I at lengthscale ``theta``, from the system's Gram plan."""
-    gram = system._gram_plan.gram(Matern52(theta))
-    gram[np.diag_indices_from(gram)] += LOO_NUGGET
-    return gram
-
-
 def rho_loo(theta, system, removable):
     """Leave-one-out loss via block-inverse downdates of the full solve.
 
@@ -76,15 +69,9 @@ def rho_loo(theta, system, removable):
     accuracy.
     """
     removable = _check_removable(system, removable)
-    gram = _loo_gram(theta, system)
-    # the symmetric C-ordered Gram is its own Fortran layout: factor in place,
-    # zeroing the upper triangle so that the inverse below is L^{-1} alone
-    factor, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise SingularSystemError(
-            f"leave-one-out Gram at theta={float(theta)!r} is not positive definite",
-            condition=float(np.linalg.cond(_loo_gram(theta, system))),
-        )
+    # the factor's upper triangle is zero, so the inverse below is L^{-1} alone
+    factor = _cholesky(system._gram_plan.gram(Matern52(theta)), LOO_NUGGET,
+                       f"leave-one-out Gram at theta={float(theta)!r}")
     y = system.targets
     by, _ = dpotrs(factor, y, lower=1)
     q_full = float(y @ by)

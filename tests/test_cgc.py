@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpmaps import cgc as cgc_module
+from gpmaps import gp
 from gpmaps.cgc import (
     CgcPdeProblem,
     CgcPdeState,
@@ -19,7 +20,7 @@ from gpmaps.cgc import (
     nf_solve,
 )
 from gpmaps.dynamics import Trajectory, brusselator_trajectory, first_difference, mu_from_AB, r_exact
-from gpmaps.exceptions import DivergedError, InvalidInputError
+from gpmaps.exceptions import DivergedError, InvalidInputError, SingularSystemError
 from gpmaps.kernels import k_deriv
 from gpmaps.optim import DescentConfig
 from gpmaps.transforms import first_order_problem
@@ -87,6 +88,15 @@ class TestPdeLoss:
     def test_zero_u_rejected(self):
         with pytest.raises(InvalidInputError):
             CgcPdeProblem(u_data=np.array([1.0, 0.0]))
+
+    def test_failed_factorization_raises_singular(self, u_data, monkeypatch):
+        def failing(matrix, **options):
+            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
+
+        monkeypatch.setattr(gp, "dpotrf", failing)
+        with pytest.raises(SingularSystemError, match="a = 0.25") as err:
+            cgc_pde_grad(CgcPdeProblem(u_data=u_data), CgcPdeState(0.25), (0.0, 3.0, 7.0))
+        assert err.value.condition is not None
 
     @pytest.mark.parametrize("arbitrary_a", [True, False])
     def test_gradient_matches_fd(self, u_data, arbitrary_a):
@@ -272,10 +282,11 @@ class TestNfSolve:
         assert res.loss_trace[-1] == nf_loss(prob, res.state, res.weights)
 
     def test_non_finite_initial_loss_diverges(self, small_traj):
-        prob = NfProblem(small_traj, MU)
+        # the default start's radius is about 1e59 here: the squared decay-law residual overflows
+        prob = NfProblem(Trajectory(small_traj.times, small_traj.states * 1e60), MU)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedError, match="initial point") as info:
-                nf_solve(prob, init=NfState(np.zeros(5), np.full(len(small_traj), 1e200)))
+                nf_solve(prob)
         assert len(info.value.trace) == 1 and not np.isfinite(info.value.trace[0])
 
     def test_features_built_once_per_problem(self, small_traj, monkeypatch):

@@ -3,9 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
-from gpmaps import cgc, gp, kernel_learning
+from gpmaps import gp
 from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.kernels import Matern52
@@ -319,10 +318,10 @@ class TestCgcExperiments:
         assert main(["run", cfg]) == 2
 
     def test_cgc_pde_singular_map_system_exits_3(self, tmp_path, monkeypatch):
-        def failing(matrix):
-            raise LinAlgError("not positive definite")
+        def failing(matrix, **options):
+            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
 
-        monkeypatch.setattr(cgc, "cho_factor", failing)
+        monkeypatch.setattr(gp, "dpotrf", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cgc-pde", "N": 10, "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 
@@ -330,7 +329,7 @@ class TestCgcExperiments:
         def failing(matrix, **options):
             return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
 
-        monkeypatch.setattr(kernel_learning, "dpotrf", failing)
+        monkeypatch.setattr(gp, "dpotrf", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf-multi", "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 

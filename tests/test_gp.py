@@ -273,6 +273,19 @@ class TestJitter:
         _, lam_used = _factor_with_escalation(m, 1e-10)
         assert lam_used > 1e-10
 
+    @pytest.mark.parametrize("shift", [0.0, -1e-5])
+    def test_factor_is_lower_and_input_unchanged(self, shift):
+        # the smallest eigenvalue of this Gram is 4.6e-6: shifted by -1e-5 it
+        # factors only once the nugget has escalated to 1e-5
+        gram = assemble_gram(dirac_system(np.linspace(0.0, 1.0, 12), np.zeros(12)).functionals, K1)
+        gram[np.diag_indices_from(gram)] += shift
+        before = gram.copy()
+        factor, lam_used = _factor_with_escalation(gram, 1e-8)
+        assert (lam_used > 1e-8) == (shift < 0)
+        assert np.array_equal(gram, before)
+        assert np.all(np.triu(factor, 1) == 0.0)
+        np.testing.assert_allclose(factor @ factor.T, gram + lam_used * np.eye(12), rtol=0, atol=1e-14)
+
     def test_failure_raises_with_condition(self):
         m = np.diag([1.0, -1.0])
         with pytest.raises(SingularSystemError) as err:
@@ -377,6 +390,9 @@ def malformed(cfg):
         "no functionals": edit(lambda doc: doc.update(functionals=[], alpha=[])),
         "extra coefficient": edit(lambda doc: doc["alpha"].append(1.0)),
         "missing alpha": edit(lambda doc: doc.pop("alpha")),
+        "nan alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("nan"))),
+        "infinite alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("inf"))),
+        "nan nugget": edit(lambda doc: doc.update(nugget=float("nan"))),
         "functionals not a list": edit(lambda doc: doc.update(functionals=3)),
     }
 

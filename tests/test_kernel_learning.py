@@ -78,7 +78,7 @@ class TestRhoLoo:
         def failing(matrix, **options):
             return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
 
-        monkeypatch.setattr(kernel_learning, "dpotrf", failing)
+        monkeypatch.setattr(gp, "dpotrf", failing)
         with pytest.raises(SingularSystemError, match="theta=7.3"):
             rho_loo(7.3, cole25.system, cole25.interior)
 
