@@ -259,8 +259,9 @@ def cgc_pde_solve(problem, config=None):
 class NfProblem:
     """Trajectory data and weights for the radius-map problem.
 
-    The quartic features of the trajectory are built on first use and kept
-    with the problem, so the trajectory must not be modified afterwards.
+    The anchor is the trajectory's first state: the map must send it to its
+    radius. The quartic features of the trajectory are built on first use and
+    kept with the problem, so the trajectory must not be modified afterwards.
     """
 
     trajectory: object
@@ -268,7 +269,6 @@ class NfProblem:
     lambda1: float | None = None
     lambda2: float | None = None
     lambda3: float | None = None
-    init_point: tuple = (0.1, -0.1)
 
     def __post_init__(self):
         t = self.trajectory.times
@@ -283,7 +283,7 @@ class NfProblem:
                 raise InvalidInputError(f"{name} must be nonnegative when given")
         if self.r0_target == 0.0:
             # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
-            raise InvalidInputError("init_point must differ from the fixed point (0, 0)")
+            raise InvalidInputError("the trajectory's first state (init_point) must differ from the fixed point (0, 0)")
 
     @property
     def dt(self):
@@ -291,15 +291,14 @@ class NfProblem:
 
     @property
     def r0_target(self):
-        u0, v0 = self.init_point
+        u0, v0 = self.trajectory.states[0]
         return float(np.hypot(u0, v0))
 
     @cached_property
     def _features(self):
-        """Quartic features of the trajectory states and of ``init_point``."""
+        """Quartic features of the trajectory states, and those of the first state (the anchor)."""
         phi = homogeneous_features(NF_KERNEL, self.trajectory.states)
-        phi0 = homogeneous_features(NF_KERNEL, np.asarray(self.init_point))[0]
-        return phi, phi0
+        return phi, phi[0]
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def _fd_time_adjoint(w, dt):
 
 
 def _nf_residuals(problem, coeffs, r):
-    """Fit residual H(x_t) - r_t, decay-law residual r' - (mu - r^2) r, and anchor residual H(init_point) - r0."""
+    """Fit residual H(x_t) - r_t, decay-law residual r' - (mu - r^2) r, and anchor residual H(x_0) - |x_0|."""
     phi, phi0 = problem._features
     ode = first_difference(r, problem.dt) - (problem.mu - r**2) * r
     return phi @ coeffs - r, ode, float(phi0 @ coeffs) - problem.r0_target
@@ -488,7 +487,7 @@ def nf_solve(problem, config=None):
         trace.append(f)
         step *= GROW
     state = NfState(x[:n_c], x[n_c:])
-    theta0 = float(np.arctan2(problem.init_point[1], problem.init_point[0]))
+    theta0 = float(np.arctan2(problem.trajectory.states[0, 1], problem.trajectory.states[0, 0]))
     phase = problem.trajectory.times + theta0
     xy = np.stack([state.r_values * np.cos(phase), state.r_values * np.sin(phase)], axis=1)
     return NfResult(state, xy, trace, weights, it, reason != "max_iters", reason, theta0)

@@ -10,8 +10,9 @@ Commands:
   interpolant at points from a CSV file.
 
 Config contract: a config is a JSON object that must match
-``schemas/config.schema.json`` (types and bounds) and may hold only keys its
-experiment reads; any other key is an error (exit 2), never ignored.
+``schemas/config.schema.json`` (types and bounds), hold finite numbers only
+and may hold only keys its experiment reads; any other key is an error
+(exit 2), never ignored.
 ``gpmaps run`` has one flag per schema key, typed from the schema
 (``--max-iters 300``, ``--learn-kernel``/``--no-learn-kernel``, arrays as
 JSON: ``--N-list '[50, 100]'``); a flag overrides the file. The Python API
@@ -36,6 +37,7 @@ import argparse
 import functools
 import importlib.resources
 import json
+import math
 import os
 import sys
 import textwrap
@@ -100,13 +102,20 @@ def _kind(prop):
     return prop["type"] if isinstance(prop["type"], str) else prop["type"][0]
 
 
-def _typed(value, prop):
-    """``value`` as the Python type of its schema property (JSON has one number type)."""
+def _typed(value, prop, key):
+    """``value`` as the Python type of its schema property ``key`` (JSON has one number type).
+
+    A number that is not finite raises :class:`InvalidInputError`: ``json.load`` reads ``NaN`` and
+    ``Infinity``, and the schema's bounds let them through.
+    """
     if value is None:
         return None
     if _kind(prop) == "array":
-        return [_typed(v, prop["items"]) for v in value]
-    return _CASTS[_kind(prop)](value)
+        return [_typed(v, prop["items"], key) for v in value]
+    value = _CASTS[_kind(prop)](value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInputError(f"{key} must be finite, got {value}")
+    return value
 
 
 def _runner(experiment, **defaults):
@@ -125,7 +134,8 @@ def _resolve(cfg, experiments, default=None):
     The config must match the schema, name one of ``experiments`` (or leave
     the name out when there is a ``default``) and hold no key that
     experiment does not read. Every declared key is present in the result,
-    cast to its schema type; ``experiment`` itself is not.
+    cast to its schema type by :func:`_typed`, which rejects a non-finite
+    number; ``experiment`` itself is not.
     """
     validator = _validator("config.schema.json")
     try:
@@ -140,7 +150,7 @@ def _resolve(cfg, experiments, default=None):
     if unread:
         raise InvalidInputError(f"{experiment} does not read {', '.join(unread)}")
     props = validator.schema["properties"]
-    return experiment, {key: _typed(cfg.get(key, d), props[key]) for key, d in declared.items()}
+    return experiment, {key: _typed(cfg.get(key, d), props[key], key) for key, d in declared.items()}
 
 
 def _run(cfg, experiments, default, summary_name):
@@ -228,12 +238,10 @@ def _experiment_cgc_pde(cfg, out):
 @_runner("brusselator-nf", A=1.0, B=2.1, n_samples=2000, dt=0.1, gen_dt=1e-3, init_point=(0.1, -0.1),
          lambda1=None, lambda2=None, lambda3=None, max_iters=15000)
 def _experiment_brusselator_nf(cfg, out):
-    init_point = tuple(cfg["init_point"])
     mu = dynamics.mu_from_AB(cfg["A"], cfg["B"])
-    traj = dynamics.brusselator_trajectory(cfg["A"], cfg["B"], init_point=init_point, n_samples=cfg["n_samples"],
-                                           sample_dt=cfg["dt"], gen_dt=cfg["gen_dt"])
-    problem = cgc.NfProblem(traj, mu, lambda1=cfg["lambda1"], lambda2=cfg["lambda2"], lambda3=cfg["lambda3"],
-                            init_point=init_point)
+    traj = dynamics.brusselator_trajectory(cfg["A"], cfg["B"], init_point=tuple(cfg["init_point"]),
+                                           n_samples=cfg["n_samples"], sample_dt=cfg["dt"], gen_dt=cfg["gen_dt"])
+    problem = cgc.NfProblem(traj, mu, lambda1=cfg["lambda1"], lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
     result = cgc.nf_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
     r = result.state.r_values
     r_ex = dynamics.r_exact(problem.r0_target, mu, traj.times)
@@ -314,6 +322,8 @@ def run_evaluate(interp_path, points_path, deriv, output):
         pts = np.loadtxt(points_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
     except ValueError as exc:
         raise InvalidInputError(f"points CSV {points_path} does not hold numbers: {exc}") from exc
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError(f"points CSV {points_path} holds a non-finite point")
     vals = interp.evaluate(pts, deriv)
     _write_csv(output, ["u", "value"], [pts, np.atleast_1d(vals)])
     return 0

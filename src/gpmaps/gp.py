@@ -160,11 +160,8 @@ def _flatten(functionals):
 def _order_groups(terms):
     """A term table split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
     locs, orders, weights, owner = terms
-    present = np.flatnonzero(np.bincount(orders))
-    if present.size == 1:  # the flattened arrays are the group: no masked copies
-        return {int(present[0]): (locs, weights, owner)}
     groups = {}
-    for a in present:
+    for a in np.flatnonzero(np.bincount(orders)):
         sel = orders == a
         groups[int(a)] = (locs[sel], weights[sel], owner[sel])
     return groups
@@ -202,51 +199,36 @@ class _GramPlan:
         for a in orders:
             starts, place[a] = _owner_index(groups[a][2])
             self.starts[a] = starts if starts.size < groups[a][2].size else None
-        self.steps = []  # (a, b, home pair, Gram index), in the order the blocks are added
-        self.pairs = {}  # home pair -> (a, b, row weights, column weights) for a <= b
-        for a in orders:
-            for b in orders:
+        self.pairs = {}  # home pair -> [(a, b, row weights, column weights, Gram index)] for a <= b
+        for i, a in enumerate(orders):
+            for b in orders[i:]:
                 rows, cols = place[a], place[b]
                 if not isinstance(rows, slice) and not isinstance(cols, slice):
                     rows, cols = np.ix_(rows, cols)
-                self.steps.append((a, b, (home[a], home[b]), (rows, cols)))
-                if a <= b:
-                    # d^b/dy^b of a profile in x - y carries (-1)^b; negating the
-                    # row weights instead is exact
-                    row_w = -groups[a][1] if b % 2 else groups[a][1]
-                    self.pairs.setdefault((home[a], home[b]), []).append(
-                        (a, b, row_w[:, None], groups[b][1][None, :]))
+                # d^b/dy^b of a profile in x - y carries (-1)^b; negating the
+                # row weights instead is exact
+                row_w = -groups[a][1] if b % 2 else groups[a][1]
+                self.pairs.setdefault((home[a], home[b]), []).append(
+                    (a, b, row_w[:, None], groups[b][1][None, :], (rows, cols)))
         self.gaps = {(ha, hb): groups[ha][0][:, None] - groups[hb][0][None, :] for ha, hb in self.pairs}
-
-    def _blocks(self, home_pair, theta):
-        """Weighted, owner-summed (a, b) blocks of every order pair on one home pair."""
-        pairs = self.pairs[home_pair]
-        profiles = _matern_profile_derivs([a + b for a, b, _, _ in pairs], self.gaps[home_pair], theta)
-        out = {}
-        for (a, b, row_w, col_w), block in zip(pairs, profiles):
-            block *= row_w
-            block *= col_w
-            if self.starts[a] is not None:
-                block = np.add.reduceat(block, self.starts[a], axis=0)
-            if self.starts[b] is not None:
-                block = np.add.reduceat(block, self.starts[b], axis=1)
-            out[a, b] = block
-        return out
 
     def gram(self, kernel):
         """The Gram matrix at a Matern52 ``kernel``, as :func:`assemble_gram` defines it."""
         if not isinstance(kernel, Matern52):
             raise UnsupportedDerivativeError(f"Gram assembly takes a Matern52 spec, got {kernel!r}")
         gram = np.zeros((self.size, self.size))
-        blocks = {}
-        for a, b, home_pair, index in self.steps:
-            if a > b:
-                block = blocks.pop((b, a)).T
-            else:
-                if (a, b) not in blocks:
-                    blocks.update(self._blocks(home_pair, kernel.theta))
-                block = blocks[a, b] if a < b else blocks.pop((a, b))
-            gram[index] += block
+        for home_pair, pairs in self.pairs.items():
+            profiles = _matern_profile_derivs([a + b for a, b, *_ in pairs], self.gaps[home_pair], kernel.theta)
+            for (a, b, row_w, col_w, index), block in zip(pairs, profiles):
+                block *= row_w
+                block *= col_w
+                if self.starts[a] is not None:
+                    block = np.add.reduceat(block, self.starts[a], axis=0)
+                if self.starts[b] is not None:
+                    block = np.add.reduceat(block, self.starts[b], axis=1)
+                gram[index] += block
+                if a != b:  # the (b, a) block, this one's transpose, added through the transposed view
+                    gram.T[index] += block
         gram += gram.T  # numpy buffers the overlapping transpose: this is G + G^T
         gram *= 0.5
         return gram
@@ -259,12 +241,12 @@ def assemble_gram(functionals, kernel):
     a <= b are computed: the (b, a) block is the transpose of the (a, b)
     one, exactly, since x - y and y - x are exact negatives. Order groups on
     the same locations share one gap array and one exp. The terms of one
-    functional are summed with ``reduceat`` over the sorted owners, and the
-    blocks are added in lexicographic (a, b) order. Each block is released
-    once added (a < b blocks once their transpose is), so at most a few
-    Gram-sized arrays are alive at a time. A :class:`ConstraintSystem`
-    keeps the lengthscale-free part of this work and reuses it for every
-    kernel it is solved with.
+    functional are summed with ``reduceat`` over the sorted owners. One pass
+    over the pairs of location sets computes the blocks of each pair and adds
+    each block, and its transpose when a < b, at once, so only one pair's
+    blocks are alive at a time. A :class:`ConstraintSystem` keeps the
+    lengthscale-free part of this work and reuses it for every kernel it is
+    solved with.
     """
     return _GramPlan(_flatten(functionals)).gram(kernel)
 
@@ -298,16 +280,6 @@ def _factor_with_escalation(gram, lam):
         except SingularSystemError:
             lam *= 10.0
     return _cholesky(gram, lam, f"constraint Gram after {MAX_JITTER_ESCALATIONS} jitter escalations"), lam
-
-
-def _solve(system, kernel, nugget):
-    """Shared solve path: returns (alpha, lam_used); ``nugget=None`` is :func:`default_nugget`."""
-    if nugget is not None and not nugget > 0:
-        raise InvalidInputError(f"nugget must be positive, got {nugget}")
-    gram = system._gram_plan.gram(kernel)
-    lam = nugget if nugget is not None else default_nugget(gram)
-    factor, lam_used = _factor_with_escalation(gram, lam)
-    return cho_solve((factor, True), system.targets), lam_used
 
 
 @dataclass(frozen=True)
@@ -392,9 +364,15 @@ class Interpolant:
 
 
 def fit(system, kernel, nugget=None):
-    """Solve (G + lam I) alpha = Y, lam = ``nugget`` or :func:`default_nugget`, as an :class:`Interpolant`."""
-    alpha, lam_used = _solve(system, kernel, nugget)
-    return Interpolant(kernel, system._terms, alpha, nugget=lam_used)
+    """Solve (G + lam I) alpha = Y, lam = ``nugget`` or :func:`default_nugget`, as an :class:`Interpolant`.
+
+    :func:`rkhs_norm_sq` reads the coefficients of this fit, so fits and RKHS norms share one solve.
+    """
+    if nugget is not None and not nugget > 0:
+        raise InvalidInputError(f"nugget must be positive, got {nugget}")
+    gram = system._gram_plan.gram(kernel)
+    factor, lam_used = _factor_with_escalation(gram, nugget if nugget is not None else default_nugget(gram))
+    return Interpolant(kernel, system._terms, cho_solve((factor, True), system.targets), nugget=lam_used)
 
 
 def rkhs_norm_sq(system, kernel, nugget=None):
@@ -404,8 +382,7 @@ def rkhs_norm_sq(system, kernel, nugget=None):
     when constraints are appended and an upper-convergent estimate of the true
     map's squared RKHS norm when the constraints are consistent.
     """
-    alpha, _ = _solve(system, kernel, nugget)
-    return float(max(system.targets @ alpha, 0.0))
+    return float(max(system.targets @ fit(system, kernel, nugget).coefficients, 0.0))
 
 
 def constraint_residuals(interp, system):

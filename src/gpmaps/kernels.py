@@ -45,8 +45,8 @@ class Matern52:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise InvalidInputError(f"lengthscale must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise InvalidInputError(f"lengthscale must be positive and finite, got {self.theta}")
 
 
 @dataclass(frozen=True)

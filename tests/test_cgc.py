@@ -212,8 +212,9 @@ class TestNfLoss:
             NfProblem(Trajectory(times, states), MU)
 
     def test_init_point_at_the_fixed_point_rejected(self, small_traj):
+        # the anchor is the first state: a trajectory from the fixed point stays there
         with pytest.raises(InvalidInputError, match="init_point"):
-            NfProblem(small_traj, MU, init_point=(0.0, 0.0))
+            NfProblem(brusselator_trajectory(1.0, 2.1, init_point=(0.0, 0.0), n_samples=80), MU)
 
     @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
     def test_negative_weight_rejected(self, small_traj, name):
@@ -303,5 +304,5 @@ class TestNfSolve:
             calls.clear()
             nf_solve(NfProblem(small_traj, MU), config=DescentConfig(max_iters=max_iters))
             counts.append(len(calls))
-        # the trajectory's features and those of the initial point
-        assert counts == [2, 2]
+        # the trajectory's features, whose first row is the anchor's
+        assert counts == [1, 1]

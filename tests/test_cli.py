@@ -46,6 +46,13 @@ class TestRun:
         # a u = 0 sample breaks the 1/u^2 precondition of both first-order equations alike
         {"experiment": "first-order", "ic": "multi-2"},
         {"experiment": "cgc-pde", "ic": "multi-2"},
+        # json.load reads NaN and Infinity, and the schema's bounds let them through
+        {"experiment": "cole-hopf-discrete", "dx": float("nan")},
+        {"experiment": "brusselator-nf", "dt": float("nan"), "n_samples": 20, "max_iters": 3},
+        {"experiment": "brusselator-nf", "A": float("nan"), "n_samples": 20, "max_iters": 3},
+        {"experiment": "brusselator-nf", "lambda1": float("nan"), "n_samples": 20, "max_iters": 3},
+        {"experiment": "cole-hopf", "theta": float("inf")},
+        {"experiment": "cgc-pde", "gamma": float("inf")},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -266,15 +273,18 @@ class TestEvaluate:
         assert main(["evaluate", str(interp), "--points", str(pts), "--deriv", deriv,
                      "--output", str(tmp_path / "vals.csv")]) == 2
 
-    @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5"])
+    @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5", "theta inf",
+                                      "points nan"])
     def test_malformed_input_exits_2(self, tmp_path, case):
         system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
         cfg = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
-        points = "u\nabc\n" if case == "points abc" else "u\n0.5\n"
+        points = {"points abc": "u\nabc\n", "points nan": "u\n0.5\nnan\n"}.get(case, "u\n0.5\n")
         if case == "interpolant a list":
             cfg = [cfg]
         elif case.startswith("order"):
             cfg["functionals"][0][0][1] = "x" if case == "order x" else 1.5
+        elif case == "theta inf":
+            cfg["kernel"]["theta"] = float("inf")
         interp = tmp_path / "interpolant.json"
         interp.write_text(json.dumps(cfg))
         pts = tmp_path / "pts.csv"

@@ -119,6 +119,18 @@ class TestGramMatchesReference:
         ref = gram_reference(functionals, Matern52(theta))
         assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
+    def test_three_order_functionals_to_rounding(self, theta):
+        # no experiment mixes orders 0, 1 and 2 in one functional; for those an
+        # entry sums its (a, b) blocks in another order than the scatter-adds
+        rng = np.random.default_rng(7)
+        functionals = tuple(LinearFunctional.of_terms(*((rng.uniform(), order, rng.normal()) for order in orders))
+                            for orders in ((0, 1, 2), (2, 0, 1), (1, 2, 0, 1), (0, 2)) * 8)
+        gram = assemble_gram(functionals, Matern52(theta))
+        ref = gram_reference(functionals, Matern52(theta))
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_evaluate_matches_cross_times_alpha(self, exact_systems, order):
         pts = np.linspace(-0.2, 1.3, 57)
@@ -393,6 +405,7 @@ def malformed(cfg):
         "nan alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("nan"))),
         "infinite alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("inf"))),
         "nan nugget": edit(lambda doc: doc.update(nugget=float("nan"))),
+        "infinite theta": edit(lambda doc: doc["kernel"].update(theta=float("inf"))),
         "functionals not a list": edit(lambda doc: doc.update(functionals=3)),
     }
 

@@ -130,6 +130,8 @@ class TestMatern:
     def test_invalid_theta(self):
         with pytest.raises(InvalidInputError):
             Matern52(0.0)
+        with pytest.raises(InvalidInputError):
+            Matern52(float("inf"))
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedDerivativeError):

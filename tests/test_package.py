@@ -11,8 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gpmaps
-from gpmaps import cli
+from gpmaps import cgc, cli, dynamics
 from gpmaps.kernel_learning import REFINE_ITERS, THETA_GRID
 
 
@@ -190,6 +192,18 @@ def test_readme_states_the_theta_search_budget():
     for phrase in (f"{n_grid} log-spaced lengthscales", f"{REFINE_ITERS} golden-section steps",
                    f"{n_grid + REFINE_ITERS} loss evaluations per system"):
         assert phrase in readme
+
+
+def test_readme_states_the_cgc_pde_result():
+    # the README quotes the default cgc-pde solve; its stop reason and slope
+    # count are left out, since the rounding of the Gram can flip them
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.search(r"a = (-?\d+\.\d+) with loss (\d+\.\d+)", readme)
+    assert quoted is not None
+    _, u_data = dynamics.get_initial_condition("firstorder-paper").sample(100)
+    result = cgc.cgc_pde_solve(cgc.CgcPdeProblem(u_data=u_data))
+    assert float(quoted[1]) == pytest.approx(result.state.a, rel=1e-12)
+    assert quoted[2] == f"{result.loss_trace[-1]:.4f}"
 
 
 def test_package_logs_nothing_by_default():
