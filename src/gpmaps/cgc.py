@@ -13,27 +13,32 @@ Two instances are provided:
 
 The first solve is exact: for a fixed ``a`` the best map is kernel ridge
 regression on the weighted equation and anchor functionals, so the loss
-profiles to a function of ``a`` whose value and slope cost one Cholesky
-factorization (``gp._cholesky``, which raises rather than escalate the
-identity nugget, a part of the loss), and a 1-D root find on the slope
-finishes it. The second runs its own Armijo gradient descent with a fixed
-diagonal rescaling, at one residual pass per trial point, reading one
-residual function for its loss terms, gradient and steps. Each problem
-builds its fixed matrices (the three kernel blocks of the functionals'
-Gram, or the quartic features of the trajectory) once, on first use.
+profiles to a function of ``a``. One evaluation at ``a`` factors the scaled
+Gram plus identity once (``gp._cholesky``, which raises rather than escalate
+the identity nugget, a part of the loss) and gives the named loss terms,
+their sum, the slope and the best map's coefficients. A 1-D root find on
+the slope finishes the solve, which returns the map and the loss terms of
+its last accepted evaluation. The second runs its own Armijo gradient
+descent with a fixed diagonal rescaling, at one residual pass per trial
+point, reading one residual function for its start weights, loss terms,
+gradient and steps. Each problem builds its fixed matrices (the three kernel
+blocks of the functionals' Gram, or the quartic features of the trajectory)
+once, on first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
 
 from .dynamics import first_difference
 from .exceptions import DivergedError, InvalidInputError
-from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, fit
+from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, _flatten, fit
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig
 
@@ -65,6 +70,19 @@ PDE_KERNEL = Matern52(1.0)
 NF_KERNEL = HomogeneousPolynomial(4)
 
 
+def _balanced(factor, norm, term):
+    """The weight that makes ``term`` cost ``factor`` times the squared norm ``norm``, both floored away from 0."""
+    return factor * max(norm, 1e-8) / max(term, 1e-12)
+
+
+def _check_weights(problem, names):
+    """Raise :class:`InvalidInputError` unless each named weight of ``problem`` is None or finite and nonnegative."""
+    for name in names:
+        w = getattr(problem, name)
+        if w is not None and not (math.isfinite(w) and w >= 0):
+            raise InvalidInputError(f"{name} must be finite and nonnegative when given, got {w}")
+
+
 # ---------------------------------------------------------------------------
 # learning the map and the unknown linear-PDE coefficient
 # ---------------------------------------------------------------------------
@@ -92,10 +110,7 @@ class CgcPdeProblem:
         object.__setattr__(self, "u_data", u)
         if not self.gamma > 0:
             raise InvalidInputError("gamma must be positive")
-        for name in ("lambda2", "lambda3"):
-            w = getattr(self, name)
-            if w is not None and w < 0:
-                raise InvalidInputError(f"{name} must be nonnegative when given")
+        _check_weights(self, ("lambda2", "lambda3"))
 
     @property
     def nodes(self):
@@ -132,50 +147,66 @@ def _scales(problem, weights):
     return np.r_[np.full(problem.u_data.size, np.sqrt(lam2)), np.sqrt(lam3)]
 
 
-def _profile(problem, weights, a):
-    """Scaled Gram Phi~ = D (B0 + a B1 + a^2 B2) D, targets y~ and alpha~ = (Phi~ + I)^-1 y~ at ``a``."""
+class _Evaluation(NamedTuple):
+    """The profile at one ``a``: the named loss terms, their sum f(a), the slope f'(a) and the map's alpha~."""
+
+    terms: dict
+    loss: float
+    slope: float
+    alpha: np.ndarray
+
+
+def _evaluate(problem, weights, a):
+    """The :class:`_Evaluation` of the best map for ``a``, from one factorization of Phi~(a) + I.
+
+    Phi~ = D (B0 + a B1 + a^2 B2) D is the Gram of the scaled functionals, y~
+    their targets and alpha~ = (Phi~ + I)^-1 y~ the coefficients of the best
+    map sum_j alpha~_j phi~_j. Its squared RKHS norm is alpha~^T Phi~ alpha~
+    and its scaled residuals are Phi~ alpha~ - y~: the equation residual on
+    the data (weight lambda2) and G(1) - 1 (lambda3). The data-fit term
+    ``l1_weighted`` is identically zero: the output column of the data array
+    is the map itself evaluated at the data. The loss
+    f(a) = a^2 / gamma^2 + y~^T (Phi~ + I)^-1 y~ is the sum of the named
+    terms, and its exact slope is
+    f'(a) = 2a / gamma^2 - (D alpha~)^T (B1 + 2a B2) (D alpha~).
+    """
+    _, lam2, lam3 = weights
     b0, b1, b2 = problem._blocks
     d = _scales(problem, weights)
     phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
     y = np.r_[np.zeros(d.size - 1), d[-1]]
-    return phi, y, cho_solve((_cholesky(phi, 1.0, f"map system at a = {a!r}"), True), y)
-
-
-def cgc_pde_loss_terms(problem, state, weights):
-    """Named weighted loss terms of the best map for ``state.a``; their sum is :func:`cgc_pde_loss`.
-
-    The map is sum_j alpha~_j phi~_j, so its squared RKHS norm is
-    alpha~^T Phi~ alpha~ and its scaled residuals are Phi~ alpha~ - y~: the
-    equation residual on the data (weight lambda2) and G(1) - 1 (lambda3).
-    The data-fit term ``l1_weighted`` is identically zero: the output column
-    of the data array is the map itself evaluated at the data.
-    """
-    _, lam2, lam3 = weights
-    phi, y, alpha = _profile(problem, weights, state.a)
+    alpha = cho_solve((_cholesky(phi, 1.0, f"map system at a = {a!r}"), True), y)
     fitted = phi @ alpha
     resid = fitted - y
-    return {
+    terms = {
         "norm_g": float(alpha @ fitted),
-        "a_prior": float((state.a / problem.gamma) ** 2),
+        "a_prior": float((a / problem.gamma) ** 2),
         "l1_weighted": 0.0,
         "l2_weighted": float(resid[:-1] @ resid[:-1]),
         "anchor_weighted": float(resid[-1] ** 2),
         "lambda2": lam2,
         "lambda3": lam3,
     }
+    loss = terms["norm_g"] + terms["a_prior"] + terms["l1_weighted"] + terms["l2_weighted"] + terms["anchor_weighted"]
+    z = d * alpha
+    # the prior's slope 2a / gamma^2, in an order that neither overflows nor warns for a huge gamma
+    slope = 2.0 * (a / problem.gamma) / problem.gamma - float(z @ ((b1 + (2.0 * a) * b2) @ z))
+    return _Evaluation(terms, loss, slope, alpha)
+
+
+def cgc_pde_loss_terms(problem, state, weights):
+    """Named weighted loss terms of the best map for ``state.a`` (see :func:`_evaluate`)."""
+    return _evaluate(problem, weights, state.a).terms
 
 
 def cgc_pde_loss(problem, state, weights):
     """Profiled loss f(a) = a^2 / gamma^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
-    t = cgc_pde_loss_terms(problem, state, weights)
-    return t["norm_g"] + t["a_prior"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
+    return _evaluate(problem, weights, state.a).loss
 
 
 def cgc_pde_grad(problem, state, weights):
     """Exact slope f'(a) = 2a / gamma^2 - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
-    _, b1, b2 = problem._blocks
-    z = _scales(problem, weights) * _profile(problem, weights, state.a)[2]
-    return 2.0 * state.a / problem.gamma**2 - float(z @ ((b1 + (2.0 * state.a) * b2) @ z))
+    return _evaluate(problem, weights, state.a).slope
 
 
 @dataclass
@@ -183,6 +214,7 @@ class CgcPdeResult:
     state: CgcPdeState
     interpolant: Interpolant
     loss_trace: list
+    terms: dict
     weights: tuple
     iterations: int
     converged: bool
@@ -204,9 +236,9 @@ def _start(problem):
     g0 = fit(ConstraintSystem(tuple(map(LinearFunctional.dirac, x)), x), PDE_KERNEL)
     z1, z = g0(u), g0.evaluate(u, 1) / u**2
     norm, fit_sq = float(x @ g0.coefficients), float(z1 @ z1)
-    lam2 = problem.lambda2 if problem.lambda2 is not None else BALANCE_FACTOR * max(norm, 1e-8) / max(fit_sq, 1e-12)
+    lam2 = problem.lambda2 if problem.lambda2 is not None else _balanced(BALANCE_FACTOR, norm, fit_sq)
     lam3 = problem.lambda3 if problem.lambda3 is not None else lam2 * u.size
-    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / (1.0 / problem.gamma**2 + lam2 * (z @ z)))
+    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / ((1.0 / problem.gamma) / problem.gamma + lam2 * (z @ z)))
 
 
 def cgc_pde_solve(problem, config=None):
@@ -216,39 +248,39 @@ def cgc_pde_solve(problem, config=None):
     functionals sqrt(lambda2) (delta_(u_i) + (a / u_i^2) delta'_(u_i)),
     target 0, and sqrt(lambda3) delta_1, target sqrt(lambda3), so the loss
     profiles to f(a) (:func:`cgc_pde_loss`) with the exact slope
-    :func:`cgc_pde_grad`. From :func:`_start` the search walks downhill in
-    steps doubling from 1e-3 to the slope's first sign change and bisects to
-    adjacent floats (``bracket_closed``), unless the slope is 0
+    :func:`cgc_pde_grad`; :func:`_evaluate` gives f, its slope, its terms
+    and the best map from one factorization. From :func:`_start` the search walks
+    downhill in steps doubling from 1e-3 to the slope's first sign change and
+    bisects to adjacent floats (``bracket_closed``), unless the slope is 0
     (``zero_slope``) or ``config.max_iters`` slopes are spent (``max_iters``).
-    The loss trace is [f at the start, f at the returned ``a``], and the
-    interpolant is the best map there, fitted with unit nugget.
+    Each ``a`` it visits is evaluated once. The loss trace is [f at the start,
+    f at the returned ``a``]; the terms and the interpolant, the best map
+    with unit nugget, are those of the evaluation at the returned ``a``.
     """
     weights, a = _start(problem)
-    slope = cgc_pde_grad(problem, CgcPdeState(a), weights)
-    trace = [cgc_pde_loss(problem, CgcPdeState(a), weights)]
-    evals, direction, step, hi = 1, (-1.0 if slope > 0.0 else 1.0), 1e-3, None
+    best = _evaluate(problem, weights, a)
+    trace = [best.loss]
+    evals, direction, step, hi = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None
     cap = (config or DescentConfig()).max_iters
-    while slope != 0.0 and evals < cap:
+    while best.slope != 0.0 and evals < cap:
         trial = a + direction * step if hi is None else 0.5 * (a + hi)
         if trial in (a, hi):
             break
         step *= 2.0
-        trial_slope = cgc_pde_grad(problem, CgcPdeState(trial), weights)
+        evaluation = _evaluate(problem, weights, trial)
         evals += 1
-        if direction * trial_slope <= 0.0:
-            a, slope = trial, trial_slope
+        if direction * evaluation.slope <= 0.0:
+            a, best = trial, evaluation
         else:
             hi = trial
     closed = hi is not None and 0.5 * (a + hi) in (a, hi)
-    reason = "zero_slope" if slope == 0.0 else "bracket_closed" if closed else "max_iters"
-    state = CgcPdeState(a)
-    trace.append(cgc_pde_loss(problem, state, weights))
+    reason = "zero_slope" if best.slope == 0.0 else "bracket_closed" if closed else "max_iters"
+    trace.append(best.loss)
     d = _scales(problem, weights)
-    system = ConstraintSystem(
-        tuple(LinearFunctional.of_terms((u, 0, s), (u, 1, s * a / u**2)) for u, s in zip(problem.u_data, d))
-        + (LinearFunctional.dirac(1.0, d[-1]),), np.r_[np.zeros(problem.u_data.size), d[-1]])
-    interp = fit(system, PDE_KERNEL, nugget=1.0)
-    return CgcPdeResult(state, interp, trace, weights, evals, reason != "max_iters", reason)
+    functionals = tuple(LinearFunctional.of_terms((u, 0, s), (u, 1, s * a / u**2)) for u, s in zip(problem.u_data, d))
+    table = _flatten(functionals + (LinearFunctional.dirac(1.0, d[-1]),))
+    interp = Interpolant(PDE_KERNEL, table, best.alpha, nugget=1.0)
+    return CgcPdeResult(CgcPdeState(a), interp, trace, best.terms, weights, evals, reason != "max_iters", reason)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +309,9 @@ class NfProblem:
             raise InvalidInputError("trajectory must be uniformly sampled in time")
         if self.trajectory.states.shape[1] != 2:
             raise InvalidInputError("trajectory states must be planar (u, v)")
-        for name in ("lambda1", "lambda2", "lambda3"):
-            w = getattr(self, name)
-            if w is not None and w < 0:
-                raise InvalidInputError(f"{name} must be nonnegative when given")
+        if not math.isfinite(self.mu):
+            raise InvalidInputError(f"mu must be finite, got {self.mu}")
+        _check_weights(self, ("lambda1", "lambda2", "lambda3"))
         if self.r0_target == 0.0:
             # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
             raise InvalidInputError("the trajectory's first state (init_point) must differ from the fixed point (0, 0)")
@@ -366,31 +397,22 @@ NF_ODE_FACTOR = 100.0
 NF_ANCHOR_FACTOR = 10.0
 
 
-def _nf_weights(problem, init_state):
-    # unit weights leave the raw terms
-    t = nf_loss_terms(problem, init_state, (1.0, 1.0, 1.0))
-    base = max(t["norm_h"], 1e-8)
-    lam1 = problem.lambda1 if problem.lambda1 is not None else NF_FIT_FACTOR * base / max(t["l1_weighted"], 1e-12)
-    lam2 = problem.lambda2 if problem.lambda2 is not None else NF_ODE_FACTOR * base / max(t["l2_weighted"], 1e-12)
-    lam3 = (problem.lambda3 if problem.lambda3 is not None
-            else NF_ANCHOR_FACTOR * base / max(t["anchor_weighted"], 1e-12))
-    return lam1, lam2, lam3
+def _nf_weights(problem, raw):
+    """Loss weights; each one left unset balances its term of ``raw``, the unit-weight terms at the start."""
+    norm = raw[0]
+    given = (problem.lambda1, problem.lambda2, problem.lambda3)
+    factors = (NF_FIT_FACTOR, NF_ODE_FACTOR, NF_ANCHOR_FACTOR)
+    return tuple(w if w is not None else _balanced(f, norm, t) for w, f, t in zip(given, factors, raw[1:]))
+
+
+#: Names of the weighted terms that :func:`_nf_loss_at` returns, then of the three weights.
+_NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted", "lambda1", "lambda2", "lambda3")
 
 
 def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
-    (norm_h, l1, l2, anchor), _ = _nf_loss_at(problem, state.h_coeffs, weights, residuals)
-    lam1, lam2, lam3 = weights
-    return {
-        "norm_h": norm_h,
-        "l1_weighted": l1,
-        "l2_weighted": l2,
-        "anchor_weighted": anchor,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "lambda3": lam3,
-    }
+    return dict(zip(_NF_TERM_NAMES, (*_nf_loss_at(problem, state.h_coeffs, weights, residuals)[0], *weights)))
 
 
 def nf_loss(problem, state, weights):
@@ -416,6 +438,7 @@ class NfResult:
     state: NfState
     xy: np.ndarray
     loss_trace: list
+    terms: dict
     weights: tuple
     iterations: int
     converged: bool
@@ -446,20 +469,22 @@ def nf_solve(problem, config=None):
     step that grows after each accepted step; the first trial step has unit
     length. Each trial point costs one residual pass (one product with the
     quartic features of the trajectory and one first difference), and an
-    accepted point's gradient reuses its residuals. The accepted-step loss
-    trace is nonincreasing. It stops at a small gradient (``grad_tol``), a
+    accepted point's gradient and loss terms reuse its residuals; the start's
+    one pass also sets the weights left unset. The accepted-step loss trace is
+    nonincreasing. It stops at a small gradient (``grad_tol``), a
     vanishing step (``step_tol``) or after ``config.max_iters`` steps.
 
     The phase advances at unit rate from the angle of the initial point, so
     the reconstruction is x = r cos(t + theta0), y = r sin(t + theta0).
     """
     state0 = _nf_default_init(problem)
-    weights = _nf_weights(problem, state0)
-    precond = _nf_precond(problem, state0, weights)
     n_c = state0.h_coeffs.size
     x = np.concatenate([state0.h_coeffs, state0.r_values])
     residuals = _nf_residuals(problem, x[:n_c], x[n_c:])
-    _, f = _nf_loss_at(problem, x[:n_c], weights, residuals)
+    # unit weights leave the raw terms
+    weights = _nf_weights(problem, _nf_loss_at(problem, x[:n_c], (1.0, 1.0, 1.0), residuals)[0])
+    precond = _nf_precond(problem, state0, weights)
+    terms, f = _nf_loss_at(problem, x[:n_c], weights, residuals)
     if not np.isfinite(f):
         raise DivergedError("non-finite loss at the initial point", trace=[f])
     trace = [f]
@@ -476,21 +501,22 @@ def nf_solve(problem, config=None):
         while step > STEP_TOL:
             x_new = x - step * d
             residuals_new = _nf_residuals(problem, x_new[:n_c], x_new[n_c:])
-            _, f_new = _nf_loss_at(problem, x_new[:n_c], weights, residuals_new)
+            terms_new, f_new = _nf_loss_at(problem, x_new[:n_c], weights, residuals_new)
             if np.isfinite(f_new) and f_new <= f - ARMIJO * step * slope:
                 break
             step *= SHRINK
         else:
             reason = "step_tol"
             break
-        x, f, residuals = x_new, f_new, residuals_new
+        x, f, terms, residuals = x_new, f_new, terms_new, residuals_new
         trace.append(f)
         step *= GROW
     state = NfState(x[:n_c], x[n_c:])
     theta0 = float(np.arctan2(problem.trajectory.states[0, 1], problem.trajectory.states[0, 0]))
     phase = problem.trajectory.times + theta0
     xy = np.stack([state.r_values * np.cos(phase), state.r_values * np.sin(phase)], axis=1)
-    return NfResult(state, xy, trace, weights, it, reason != "max_iters", reason, theta0)
+    named = dict(zip(_NF_TERM_NAMES, (*terms, *weights)))
+    return NfResult(state, xy, trace, named, weights, it, reason != "max_iters", reason, theta0)
 
 
 def _nf_precond(problem, state, weights):

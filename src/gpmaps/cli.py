@@ -223,13 +223,12 @@ def _experiment_cgc_pde(cfg, out):
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, result.interpolant(u_data), transforms.first_order_truth(u_data)])
     interp_path = _write_interpolant(out / "interpolant.json", result.interpolant)
-    final_terms = cgc.cgc_pde_loss_terms(problem, result.state, result.weights)
     metrics = {"a_learned": float(result.state.a), "loss_final": float(result.loss_trace[-1]),
                "iterations": int(result.iterations), "converged": bool(result.converged),
                "stop_reason": result.reason,
-               "loss_norm_g": float(final_terms["norm_g"]), "loss_a_prior": float(final_terms["a_prior"]),
-               "loss_l1": float(final_terms["l1_weighted"]), "loss_l2": float(final_terms["l2_weighted"]),
-               "loss_anchor": float(final_terms["anchor_weighted"]),
+               "loss_norm_g": float(result.terms["norm_g"]), "loss_a_prior": float(result.terms["a_prior"]),
+               "loss_l1": float(result.terms["l1_weighted"]), "loss_l2": float(result.terms["l2_weighted"]),
+               "loss_anchor": float(result.terms["anchor_weighted"]),
                # loss_anchor weights the square of G(1) - 1
                "anchor_residual": float(result.interpolant(1.0) - 1.0)}
     return {"weights": list(result.weights)}, metrics, {"csv": csv_path, "interpolant": interp_path}
@@ -250,12 +249,11 @@ def _experiment_brusselator_nf(cfg, out):
     late = traj.times >= 0.5 * traj.times[-1]
     radius = float(np.mean(r[late]))
     rel_late = float(np.linalg.norm(r[late] - r_ex[late]) / np.linalg.norm(r_ex[late]))
-    final_terms = cgc.nf_loss_terms(problem, result.state, result.weights)
     metrics = {"radius_learned": radius, "relative_l2": rel_late,
                "loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
                "converged": bool(result.converged), "stop_reason": result.reason,
-               "loss_norm_h": float(final_terms["norm_h"]), "loss_l1": float(final_terms["l1_weighted"]),
-               "loss_l2": float(final_terms["l2_weighted"]), "loss_anchor": float(final_terms["anchor_weighted"])}
+               "loss_norm_h": float(result.terms["norm_h"]), "loss_l1": float(result.terms["l1_weighted"]),
+               "loss_l2": float(result.terms["l2_weighted"]), "loss_anchor": float(result.terms["anchor_weighted"])}
     return {"mu": mu, "weights": list(result.weights)}, metrics, {"csv": csv_path}
 
 

@@ -17,6 +17,7 @@ float locals, giving the same bits, and stores only the samples it returns.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -275,22 +276,24 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
     bits of ``rk4(brusselator_rhs(A, B), ...).states[::stride]``. Only the
     samples are stored; the fine states are never kept.
 
-    Raises :class:`InvalidInputError` for ``A = 0``, a non-positive
-    ``gen_dt``, a ``sample_dt`` that is not a multiple of it, fewer than two
-    samples or an ``init_point`` that is not two finite floats, and
+    Raises :class:`InvalidInputError` for ``A = 0``, a ``gen_dt`` or
+    ``sample_dt`` that is not finite and positive, a ``sample_dt`` that is not
+    a multiple of ``gen_dt``, an ``n_samples`` that is not an integer of at
+    least 2 or an ``init_point`` that is not two finite floats, and
     :class:`NumericalOverflowError` for a non-finite state.
     """
     A = float(A)
     B = float(B)
     if A == 0:
         raise InvalidInputError("A must be nonzero")
-    if not gen_dt > 0:
-        raise InvalidInputError(f"gen_dt must be positive, got {gen_dt}")
+    for name, value in (("gen_dt", gen_dt), ("sample_dt", sample_dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
     stride = int(round(sample_dt / gen_dt))
     if abs(stride * gen_dt - sample_dt) > 1e-12 * sample_dt:
         raise InvalidInputError("sample_dt must be an integer multiple of gen_dt")
-    if n_samples < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise InvalidInputError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     try:
         u, v = map(float, init_point)
     except (TypeError, ValueError) as exc:

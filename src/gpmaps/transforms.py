@@ -9,6 +9,7 @@ as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +280,8 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
 
 def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper"):
     """Discrete-stepper problem on a uniform grid over the IC's interval."""
+    if not (math.isfinite(dx) and dx > 0):
+        raise InvalidInputError(f"dx must be finite and positive, got {dx}")
     ic = get_initial_condition(ic_name, nu=nu)
     n = int(round((ic.x_hi - ic.x_lo) / dx)) + 1
     grid = Grid1D(ic.x_lo, dx, n)

@@ -78,6 +78,12 @@ class TestPdeLoss:
             assert t["a_prior"] == 0.0
             assert cgc_pde_loss(prob, CgcPdeState(a), w) == t["norm_g"] + t["l2_weighted"] + t["anchor_weighted"]
 
+    def test_gamma_infinity_solves(self, u_data):
+        # 1 / gamma^2 and the prior's slope are formed without squaring gamma, which overflows a float
+        res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=1e300), config=DescentConfig(max_iters=200))
+        assert res.terms["a_prior"] == 0.0
+        assert np.isfinite(res.loss_trace).all()
+
     def test_gamma_rescale_changes_only_prior(self, u_data):
         state = CgcPdeState(0.7)
         w = (0.0, 3.0, 7.0)
@@ -88,6 +94,22 @@ class TestPdeLoss:
     def test_zero_u_rejected(self):
         with pytest.raises(InvalidInputError):
             CgcPdeProblem(u_data=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("name", ["lambda2", "lambda3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, u_data, name, value):
+        # NaN fails no comparison with 0, so a sign check alone lets it through
+        with pytest.raises(InvalidInputError, match=name):
+            CgcPdeProblem(u_data=u_data, **{name: value})
+
+    def test_public_functions_are_views_of_one_evaluation(self, u_data):
+        prob = CgcPdeProblem(u_data=u_data)
+        state, w = CgcPdeState(0.3), (0.0, 3.0, 7.0)
+        ev = cgc_module._evaluate(prob, w, state.a)
+        assert (cgc_pde_loss_terms(prob, state, w), cgc_pde_loss(prob, state, w), cgc_pde_grad(prob, state, w)) \
+            == (ev.terms, ev.loss, ev.slope)
+        t = ev.terms
+        assert ev.loss == t["norm_g"] + t["a_prior"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
     def test_failed_factorization_raises_singular(self, u_data, monkeypatch):
         def failing(matrix, **options):
@@ -167,12 +189,34 @@ class TestPdeSolve:
 
     @pytest.mark.parametrize("max_iters", [3, 100, 300])
     def test_final_loss_is_loss_at_returned_state(self, u_data, max_iters):
+        # the returned terms and the trace's end come from the evaluation at the returned a
         prob = CgcPdeProblem(u_data=u_data)
         res = cgc_pde_solve(prob, config=DescentConfig(max_iters=max_iters))
-        terms = cgc_pde_loss_terms(prob, res.state, res.weights)
+        terms = res.terms
         total = terms["norm_g"] + terms["a_prior"] + terms["l1_weighted"] + terms["l2_weighted"] \
             + terms["anchor_weighted"]
-        assert total == pytest.approx(res.loss_trace[-1], rel=1e-12)
+        assert total == res.loss_trace[-1]
+        assert terms == cgc_pde_loss_terms(prob, res.state, res.weights)
+
+    def test_each_a_factored_once(self, u_data, monkeypatch):
+        # one factorization per slope evaluation: no a is factored again for its loss, its map or its terms
+        whats = []
+        original = cgc_module._cholesky
+
+        def counting(matrix, lam, what):
+            whats.append(what)
+            return original(matrix, lam, what)
+
+        monkeypatch.setattr(cgc_module, "_cholesky", counting)
+        res = cgc_pde_solve(CgcPdeProblem(u_data=u_data))
+        assert res.reason == "bracket_closed"
+        assert len(whats) == len(set(whats)) == res.iterations
+
+    def test_interpolant_is_the_evaluated_map(self, u_data):
+        # the saved map's coefficients are the evaluation's alpha~, not those of a second fit
+        prob = CgcPdeProblem(u_data=u_data)
+        res = cgc_pde_solve(prob, config=DescentConfig(max_iters=200))
+        assert np.array_equal(res.interpolant.coefficients, cgc_module._evaluate(prob, res.weights, res.state.a).alpha)
 
     def test_kernel_blocks_built_once_per_problem(self, u_data, monkeypatch):
         calls = []
@@ -220,6 +264,17 @@ class TestNfLoss:
     def test_negative_weight_rejected(self, small_traj, name):
         with pytest.raises(InvalidInputError, match=name):
             NfProblem(small_traj, MU, **{name: -1.0})
+
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, small_traj, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            NfProblem(small_traj, MU, **{name: value})
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_rejected(self, small_traj, mu):
+        with pytest.raises(InvalidInputError, match="mu"):
+            NfProblem(small_traj, mu)
 
     def test_h_at_origin_is_zero(self, small_traj):
         prob = NfProblem(small_traj, MU)
@@ -281,6 +336,25 @@ class TestNfSolve:
         res = nf_solve(prob, config=DescentConfig(max_iters=max_iters))
         assert len(res.loss_trace) == max_iters + 1
         assert res.loss_trace[-1] == nf_loss(prob, res.state, res.weights)
+        assert res.terms == nf_loss_terms(prob, res.state, res.weights)
+
+    def test_one_residual_pass_before_the_first_step(self, small_traj, monkeypatch):
+        # the start's residuals set both the unset weights and the initial loss
+        passes, before_first_gradient = [], []
+        residuals, gradient = cgc_module._nf_residuals, cgc_module._nf_gradient
+
+        def counting_residuals(*args):
+            passes.append(1)
+            return residuals(*args)
+
+        def recording_gradient(*args):
+            before_first_gradient.append(len(passes))
+            return gradient(*args)
+
+        monkeypatch.setattr(cgc_module, "_nf_residuals", counting_residuals)
+        monkeypatch.setattr(cgc_module, "_nf_gradient", recording_gradient)
+        nf_solve(NfProblem(small_traj, MU), config=DescentConfig(max_iters=5))
+        assert before_first_gradient[0] == 1
 
     def test_non_finite_initial_loss_diverges(self, small_traj):
         # the default start's radius is about 1e59 here: the squared decay-law residual overflows

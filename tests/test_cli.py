@@ -309,6 +309,22 @@ class TestCgcExperiments:
         assert lines[0] == "u,G_learned,G_truth"
         assert len(lines) == 26
 
+    def test_cgc_pde_run_factors_once_per_a(self, tmp_path, monkeypatch):
+        # one factorization for the identity map's fit and one per evaluated a:
+        # the summary's terms and the saved map are the solve's own, not re-solved
+        factorizations = []
+        dpotrf = gp.dpotrf
+
+        def counting(matrix, **options):
+            factorizations.append(matrix.shape)
+            return dpotrf(matrix, **options)
+
+        monkeypatch.setattr(gp, "dpotrf", counting)
+        summary = run_experiment({"experiment": "cgc-pde", "N": 25, "output_dir": str(tmp_path / "out")})
+        m = summary["metrics"]
+        assert len(factorizations) == m["iterations"] + 1
+        assert m["loss_final"] == m["loss_norm_g"] + m["loss_a_prior"] + m["loss_l1"] + m["loss_l2"] + m["loss_anchor"]
+
     @pytest.mark.parametrize("key, value", [
         ("free_z", True), ("l2_squared", False), ("method", "nelder-mead"),
         ("ode_form", "appendix"), ("eval_domain", "anchored"), ("theta_grid", [0.5, 1.0]),

@@ -334,8 +334,14 @@ class TestBrusselator:
             (1.0, {"n_samples": 1}),
             (1.0, {"init_point": (0.1, -0.1, 0.0)}),
             (1.0, {"init_point": (0.1, np.nan)}),
+            (1.0, {"sample_dt": np.nan}),
+            (1.0, {"sample_dt": np.inf}),
+            (1.0, {"sample_dt": 0.0}),
+            (1.0, {"gen_dt": np.inf}),
+            (1.0, {"n_samples": 10.5}),
         ],
-        ids=["zero-A", "sample-dt-not-multiple", "zero-gen-dt", "one-sample", "three-components", "nan"],
+        ids=["zero-A", "sample-dt-not-multiple", "zero-gen-dt", "one-sample", "three-components", "nan",
+             "nan-sample-dt", "inf-sample-dt", "zero-sample-dt", "inf-gen-dt", "fractional-n-samples"],
     )
     def test_trajectory_bad_input_rejected(self, A, kwargs):
         with pytest.raises(InvalidInputError):

@@ -206,6 +206,33 @@ def test_readme_states_the_cgc_pde_result():
     assert quoted[2] == f"{result.loss_trace[-1]:.4f}"
 
 
+def test_readme_states_the_weighted_cgc_pde_result():
+    # the README's lambda2 = 200 profile: the solve's end, the other local
+    # minimum (where the slope changes sign within the quoted digits) and f(-1)
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.search(r"lambda2 = 200 and lambda3 = 2e4 the solve converges to a = (-?[\d.]+) with loss ([\d.]+) "
+                       r"\(the other local minimum is a = \+([\d.]+), loss ([\d.]+)\), while f\(-1\) = ([\d.]+)\.",
+                       readme)
+    assert quoted is not None
+    a_end, loss_end, a_other, loss_other, loss_truth = quoted.groups()
+
+    def as_quoted(value, text):
+        return f"{value:.{len(text.split('.')[1])}f}" == text
+
+    _, u_data = dynamics.get_initial_condition("firstorder-paper").sample(100)
+    problem = cgc.CgcPdeProblem(u_data=u_data, lambda2=200.0, lambda3=2e4)
+    result = cgc.cgc_pde_solve(problem)
+    assert as_quoted(result.state.a, a_end) and as_quoted(result.loss_trace[-1], loss_end)
+
+    def at(a):
+        return cgc._evaluate(problem, result.weights, a)
+
+    half_digit = 0.5 * 10.0 ** -len(a_other.split(".")[1])
+    assert as_quoted(at(float(a_other)).loss, loss_other)
+    assert at(float(a_other) - half_digit).slope < 0.0 < at(float(a_other) + half_digit).slope
+    assert as_quoted(at(-1.0).loss, loss_truth)
+
+
 def test_package_logs_nothing_by_default():
     # a library leaves logging to its application: the gpmaps logger has a null
     # handler, so an unconfigured run does not print the edge warning of learn_theta

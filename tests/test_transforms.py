@@ -137,6 +137,11 @@ class TestColeHopfDiscrete:
         rel = np.linalg.norm(d_disc.evaluate(pts) - d_ode.evaluate(pts)) / np.linalg.norm(d_ode.evaluate(pts))
         assert rel <= 1e-2
 
+    @pytest.mark.parametrize("dx", [np.nan, np.inf, 0.0, -0.01])
+    def test_bad_dx_rejected(self, dx):
+        with pytest.raises(InvalidInputError, match="dx"):
+            cole_hopf_discrete_problem(dx=dx)
+
     def test_too_small_grid(self):
         grid = Grid1D(0.0, 0.25, 4)
         with pytest.raises(InvalidInputError):
