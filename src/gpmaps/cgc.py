@@ -292,8 +292,9 @@ class NfProblem:
     """Trajectory data and weights for the radius-map problem.
 
     The anchor is the trajectory's first state: the map must send it to its
-    radius. The quartic features of the trajectory are built on first use and
-    kept with the problem, so the trajectory must not be modified afterwards.
+    radius. The sampling step, the anchor's radius and the quartic features of
+    the trajectory are computed once and kept with the problem, so the
+    trajectory must not be modified afterwards.
     """
 
     trajectory: object
@@ -316,12 +317,14 @@ class NfProblem:
             # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
             raise InvalidInputError("the trajectory's first state (init_point) must differ from the fixed point (0, 0)")
 
-    @property
+    @cached_property
     def dt(self):
+        """The uniform sampling step of the trajectory."""
         return float(self.trajectory.times[1] - self.trajectory.times[0])
 
-    @property
+    @cached_property
     def r0_target(self):
+        """The radius of the anchor, the trajectory's first state."""
         u0, v0 = self.trajectory.states[0]
         return float(np.hypot(u0, v0))
 

@@ -380,3 +380,32 @@ class TestNfSolve:
             counts.append(len(calls))
         # the trajectory's features, whose first row is the anchor's
         assert counts == [1, 1]
+
+    def test_step_and_anchor_radius_computed_once_per_problem(self, small_traj, monkeypatch):
+        # dt and r0_target are read by every residual pass; they are computed
+        # once per problem, so neither the times nor np.hypot is touched per step
+        reads = {"times": 0, "hypot": 0}
+        hypot = np.hypot
+
+        class CountingTrajectory:
+            states = small_traj.states
+
+            @property
+            def times(self):
+                reads["times"] += 1
+                return small_traj.times
+
+        def counting_hypot(*args):
+            reads["hypot"] += 1
+            return hypot(*args)
+
+        counts = []
+        for max_iters in (50, 150):
+            prob = NfProblem(CountingTrajectory(), MU)
+            monkeypatch.setattr(np, "hypot", counting_hypot)
+            reads.update(times=0, hypot=0)
+            nf_solve(prob, config=DescentConfig(max_iters=max_iters))
+            monkeypatch.undo()
+            counts.append(dict(reads))
+        # per solve: dt's two reads of the times and the phase's one; the default start's radii
+        assert counts == [{"times": 3, "hypot": 1}] * 2

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +319,12 @@ class TestReadValidation:
         with pytest.raises(UnsupportedDerivativeError):
             interp.evaluate(0.5)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1, 1)])
+    def test_two_dimensional_points_rejected(self, shape):
+        interp = fit(cole_hopf_problem(10).system, K1)
+        with pytest.raises(InvalidInputError, match="1-D"):
+            interp.evaluate(np.full(shape, 0.5))
+
 
 @pytest.fixture(scope="module")
 def fitted_systems():
@@ -398,6 +406,8 @@ def malformed(cfg):
         "infinite location": edit(set_term([float("inf"), 0, 1.0])),
         "nan weight": edit(set_term([0.5, 0, float("nan")])),
         "two-entry term": edit(set_term([0.5, 0])),
+        "four-entry term": edit(set_term([0.5, 0, 1.0, 2.0])),
+        "three-character term": edit(set_term("123")),
         "empty functional": edit(lambda doc: doc["functionals"].append([])),
         "no functionals": edit(lambda doc: doc.update(functionals=[], alpha=[])),
         "extra coefficient": edit(lambda doc: doc["alpha"].append(1.0)),
@@ -423,3 +433,99 @@ class TestLoaderValidation:
         doc = json.loads(json.dumps(self.CFG))
         doc["functionals"][0][1][1] = 1.0
         assert interpolant_from_config(doc).evaluate(0.3, 1) == interpolant_from_config(self.CFG).evaluate(0.3, 1)
+
+
+def fresh(interp):
+    """A copy of ``interp`` that has read nothing yet."""
+    return Interpolant(interp.kernel, interp.terms, interp.coefficients, interp.nugget)
+
+
+class CountingExp:
+    """Counts the ``np.exp`` calls made while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls, exp = 0, np.exp
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+
+
+class TestThreeOrderRead:
+    @pytest.mark.parametrize("kind", ["cgc-pde", "pooled", "discrete", "first-order", "cole-hopf"])
+    def test_any_order_sequence_reads_the_single_order_bits(self, saved_kinds, kind):
+        interp = saved_kinds[kind]
+        locs = interp.terms[0]
+        pts = np.r_[np.linspace(locs.min(), locs.max(), 57), locs[:5]]
+        alone = [fresh(interp).evaluate(pts, order) for order in (0, 1, 2)]
+        for orders in itertools.permutations((0, 1, 2)):
+            reader = fresh(interp)
+            for order in orders:
+                np.testing.assert_array_equal(reader.evaluate(pts, order), alone[order])
+
+    def test_one_exp_per_node_set(self, saved_kinds, monkeypatch):
+        # the pooled map's terms sit on two node sets; a per-order read computes 2 exps, so 6 in all
+        interp = fresh(saved_kinds["pooled"])
+        exp = CountingExp(monkeypatch)
+        pts = np.linspace(0.0, 1.0, 200)
+        for order in (0, 1, 2):
+            interp.evaluate(pts, order)
+        assert exp.calls == len(interp._read_plan[1]) == 2
+
+    def test_other_points_are_read_afresh(self, saved_kinds, monkeypatch):
+        interp = fresh(saved_kinds["cole-hopf"])
+        pts = np.linspace(0.0, 1.0, 9)
+        moved = pts.copy()
+        moved[4] += 0.01
+        expected = fresh(interp).evaluate(moved, 1)
+        per_read = len(interp._read_plan[1])  # one exp per node set
+        exp = CountingExp(monkeypatch)
+        interp.evaluate(pts, 0)
+        interp.evaluate(pts, 1)
+        assert exp.calls == per_read
+        pts[4] += 0.01  # the same array, changed in place
+        np.testing.assert_array_equal(interp.evaluate(pts, 1), expected)
+        assert exp.calls == 2 * per_read
+        interp.evaluate(np.linspace(0.0, 1.0, 8), 1)
+        assert exp.calls == 3 * per_read
+        for u in (0.0, -0.0, np.array([-0.0]), -0.0, 0.0):
+            interp.evaluate(u, 2)
+        assert exp.calls == 8 * per_read
+        interp.evaluate(0.0, 0)
+        assert exp.calls == 8 * per_read
+
+    def test_scalar_and_one_element_reads_keep_their_types(self, saved_kinds):
+        interp = fresh(saved_kinds["first-order"])
+        value = interp.evaluate(0.4, 1)
+        array = interp.evaluate(np.array([0.4]), 1)
+        assert isinstance(value, float) and array.shape == (1,) and array[0] == value
+
+    def test_returned_array_is_the_callers(self, saved_kinds):
+        interp = fresh(saved_kinds["cgc-pde"])
+        pts = np.linspace(0.2, 1.0, 50)
+        first = interp.evaluate(pts, 1)
+        expected = first.copy()
+        first[:] = 0.0
+        np.testing.assert_array_equal(interp.evaluate(pts, 1), expected)
+        assert interp.evaluate(pts, 1) is not interp.evaluate(pts, 1)
+
+    def test_kept_vectors_bound_the_extra_memory(self):
+        # traced peak of orders 0, 1, 2 read at the pooled map's 404 data points, less its three
+        # 404 x 401 basis matrices: the per-order reads this replaced peaked at 3,908,840 bytes,
+        # 20,696 over the matrices; the shared read peaks at 3,911,817. The bound adds the kept
+        # vectors: three results and the key, 4 x 404 floats
+        problem = cole_hopf_multi_problem()
+        interp = fit(problem.system, Matern52(0.7))
+        # the read plan is built here, outside the traced reads
+        basis = problem.us.size * max(nodes.size for nodes, *_ in interp._read_plan[1]) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reads = [interp.evaluate(problem.us, order) for order in (0, 1, 2)]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert problem.us.size == 404 and len(reads) == 3
+        assert peak - 3 * basis <= 20_696 + 4 * 404 * 8
