@@ -23,7 +23,8 @@ descent with a fixed diagonal rescaling, at one residual pass per trial
 point, reading one residual function for its start weights, loss terms,
 gradient and steps. Each problem builds its fixed matrices (the three kernel
 blocks of the functionals' Gram, or the quartic features of the trajectory)
-once, on first use.
+once, on first use. The time difference D of the decay law, its transpose
+and diag(D^T D) live in :mod:`gpmaps.dynamics` beside ``first_difference``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .dynamics import first_difference
+from .dynamics import _fd_column_norms, _fd_transpose, first_difference
 from .exceptions import DivergedError, InvalidInputError
 from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, _flatten, fit
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
@@ -65,6 +66,9 @@ BALANCE_FACTOR = 10.0
 
 #: Kernel of the map G learned by :func:`cgc_pde_solve`.
 PDE_KERNEL = Matern52(1.0)
+
+#: Names of the weighted terms whose sum is the :func:`cgc_pde_solve` loss, in the order summed, then of the weights.
+_PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted", "lambda2", "lambda3")
 
 #: Kernel of the radius map H learned by :func:`nf_solve`.
 NF_KERNEL = HomogeneousPolynomial(4)
@@ -178,20 +182,14 @@ def _evaluate(problem, weights, a):
     alpha = cho_solve((_cholesky(phi, 1.0, f"map system at a = {a!r}"), True), y)
     fitted = phi @ alpha
     resid = fitted - y
-    terms = {
-        "norm_g": float(alpha @ fitted),
-        "a_prior": float((a / problem.gamma) ** 2),
-        "l1_weighted": 0.0,
-        "l2_weighted": float(resid[:-1] @ resid[:-1]),
-        "anchor_weighted": float(resid[-1] ** 2),
-        "lambda2": lam2,
-        "lambda3": lam3,
-    }
-    loss = terms["norm_g"] + terms["a_prior"] + terms["l1_weighted"] + terms["l2_weighted"] + terms["anchor_weighted"]
+    # the prior (a / gamma)^2 and its slope 2a / gamma^2 go through a / gamma: no float ** raises, no gamma^2 overflows
+    a_scaled = a / problem.gamma
+    values = (float(alpha @ fitted), float(a_scaled * a_scaled), 0.0, float(resid[:-1] @ resid[:-1]),
+              float(resid[-1] ** 2))
+    loss = values[0] + values[1] + values[2] + values[3] + values[4]
     z = d * alpha
-    # the prior's slope 2a / gamma^2, in an order that neither overflows nor warns for a huge gamma
-    slope = 2.0 * (a / problem.gamma) / problem.gamma - float(z @ ((b1 + (2.0 * a) * b2) @ z))
-    return _Evaluation(terms, loss, slope, alpha)
+    slope = 2.0 * a_scaled / problem.gamma - float(z @ ((b1 + (2.0 * a) * b2) @ z))
+    return _Evaluation(dict(zip(_PDE_TERM_NAMES, (*values, lam2, lam3))), loss, slope, alpha)
 
 
 def cgc_pde_loss_terms(problem, state, weights):
@@ -349,20 +347,6 @@ class NfState:
             raise InvalidInputError("state entries must be finite")
 
 
-def _fd_time_adjoint(w, dt):
-    """Adjoint of :func:`first_difference` (checked against it in the test suite)."""
-    out = np.zeros_like(w)
-    out[2:] += w[1:-1] / (2 * dt)
-    out[:-2] -= w[1:-1] / (2 * dt)
-    out[0] += -3 * w[0] / (2 * dt)
-    out[1] += 4 * w[0] / (2 * dt)
-    out[2] += -w[0] / (2 * dt)
-    out[-1] += 3 * w[-1] / (2 * dt)
-    out[-2] += -4 * w[-1] / (2 * dt)
-    out[-3] += w[-1] / (2 * dt)
-    return out
-
-
 def _nf_residuals(problem, coeffs, r):
     """Fit residual H(x_t) - r_t, decay-law residual r' - (mu - r^2) r, and anchor residual H(x_0) - |x_0|."""
     phi, phi0 = problem._features
@@ -385,7 +369,7 @@ def _nf_gradient(problem, coeffs, r, weights, residuals):
     phi, phi0 = problem._features
     fit, ode, anchor = residuals
     grad_c = 2.0 * coeffs / NF_KERNEL.binomials + lam1 * 2.0 * (phi.T @ fit) + lam3 * 2.0 * anchor * phi0
-    grad_r = -lam1 * 2.0 * fit + lam2 * 2.0 * (_fd_time_adjoint(ode, problem.dt) - (problem.mu - 3.0 * r**2) * ode)
+    grad_r = -lam1 * 2.0 * fit + lam2 * 2.0 * (_fd_transpose(ode, problem.dt) - (problem.mu - 3.0 * r**2) * ode)
     return grad_c, grad_r
 
 
@@ -526,13 +510,6 @@ def _nf_precond(problem, state, weights):
     lam1, lam2, lam3 = weights
     phi, phi0 = problem._features
     diag_c = 2.0 / NF_KERNEL.binomials + 2.0 * lam1 * np.sum(phi**2, axis=0) + 2.0 * lam3 * phi0**2
-    n = state.r_values.size
-    dt = problem.dt
-    # diagonal of D^T D for the one-sided/central first-derivative stencil
-    dtd = np.full(n, 2.0, dtype=float)
-    if n >= 6:
-        dtd[:3] = (10.0, 17.0, 3.0)
-        dtd[-3:] = (3.0, 17.0, 10.0)
-    dtd /= (2.0 * dt) ** 2
+    dtd = _fd_column_norms(state.r_values.size, problem.dt)
     diag_r = 2.0 * lam1 + 2.0 * lam2 * ((problem.mu - 3.0 * state.r_values**2) ** 2 + dtd)
     return 1.0 / np.maximum(np.concatenate([diag_c, diag_r]), 1e-12)

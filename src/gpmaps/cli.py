@@ -215,6 +215,14 @@ def _experiment_first_order(cfg, out):
     return _run_transform_problem(cfg, out, problem, "first_order.csv")
 
 
+def _joint_metrics(result):
+    """How a joint solve ended, and ``loss_<name>`` per weighted term ``<name>[_weighted]`` (not the weights)."""
+    return {"loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
+            "converged": bool(result.converged), "stop_reason": result.reason,
+            **{f"loss_{name.removesuffix('_weighted')}": float(value)
+               for name, value in result.terms.items() if not name.startswith("lambda")}}
+
+
 @_runner("cgc-pde", N=100, ic="firstorder-paper", gamma=1.0, lambda2=None, lambda3=None, max_iters=40000)
 def _experiment_cgc_pde(cfg, out):
     _, u_data = dynamics.get_initial_condition(cfg["ic"]).sample(cfg["N"])
@@ -223,12 +231,7 @@ def _experiment_cgc_pde(cfg, out):
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, result.interpolant(u_data), transforms.first_order_truth(u_data)])
     interp_path = _write_interpolant(out / "interpolant.json", result.interpolant)
-    metrics = {"a_learned": float(result.state.a), "loss_final": float(result.loss_trace[-1]),
-               "iterations": int(result.iterations), "converged": bool(result.converged),
-               "stop_reason": result.reason,
-               "loss_norm_g": float(result.terms["norm_g"]), "loss_a_prior": float(result.terms["a_prior"]),
-               "loss_l1": float(result.terms["l1_weighted"]), "loss_l2": float(result.terms["l2_weighted"]),
-               "loss_anchor": float(result.terms["anchor_weighted"]),
+    metrics = {"a_learned": float(result.state.a), **_joint_metrics(result),
                # loss_anchor weights the square of G(1) - 1
                "anchor_residual": float(result.interpolant(1.0) - 1.0)}
     return {"weights": list(result.weights)}, metrics, {"csv": csv_path, "interpolant": interp_path}
@@ -247,13 +250,8 @@ def _experiment_brusselator_nf(cfg, out):
     csv_path = _write_csv(out / "brusselator_nf.csv", ["t", "u", "v", "r_learned", "r_exact", "x_rec", "y_rec"],
                           [traj.times, traj.states[:, 0], traj.states[:, 1], r, r_ex, result.xy[:, 0], result.xy[:, 1]])
     late = traj.times >= 0.5 * traj.times[-1]
-    radius = float(np.mean(r[late]))
-    rel_late = float(np.linalg.norm(r[late] - r_ex[late]) / np.linalg.norm(r_ex[late]))
-    metrics = {"radius_learned": radius, "relative_l2": rel_late,
-               "loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
-               "converged": bool(result.converged), "stop_reason": result.reason,
-               "loss_norm_h": float(result.terms["norm_h"]), "loss_l1": float(result.terms["l1_weighted"]),
-               "loss_l2": float(result.terms["l2_weighted"]), "loss_anchor": float(result.terms["anchor_weighted"])}
+    metrics = {"radius_learned": float(np.mean(r[late])), **_joint_metrics(result),
+               "relative_l2": float(np.linalg.norm(r[late] - r_ex[late]) / np.linalg.norm(r_ex[late]))}
     return {"mu": mu, "weights": list(result.weights)}, metrics, {"csv": csv_path}
 
 

@@ -117,16 +117,43 @@ class Burgers:
             raise InvalidInputError(f"viscosity must be positive, got {self.nu}")
 
 
+#: The one-sided end rows of :func:`first_difference` as (columns, weights), the weights in units of 1 / (2h).
+_FD_END_ROWS = (((0, 1, 2), (-3.0, 4.0, -1.0)), ((-1, -2, -3), (3.0, -4.0, 1.0)))
+
+
 def first_difference(v, h):
     """Second-order first derivative of samples ``v`` (at least 3) spaced ``h`` apart.
 
     Central in the interior, one-sided second-order at the two end samples.
+    D^T and diag(D^T D) of its matrix D are :func:`_fd_transpose` and :func:`_fd_column_norms`.
     """
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
+    for (i, j, k), (a, b, c) in _FD_END_ROWS:
+        out[i] = (a * v[i] + b * v[j] + c * v[k]) / (2 * h)
     return out
+
+
+def _fd_transpose(w, h):
+    """D^T w for the matrix D of :func:`first_difference`."""
+    out = np.zeros_like(w)
+    out[2:] += w[1:-1] / (2 * h)
+    out[:-2] -= w[1:-1] / (2 * h)
+    for cols, weights in _FD_END_ROWS:
+        end = float(w[cols[0]])  # a Python float keeps the scalar updates cheap; the gradient runs this every step
+        for col, c in zip(cols, weights):
+            out[col] += c * end / (2 * h)
+    return out
+
+
+def _fd_column_norms(n, h):
+    """diag(D^T D) for the matrix D of :func:`first_difference` on ``n`` samples: interior row i is +-1 at i +- 1."""
+    out = np.zeros(n)
+    out[2:] += 1.0
+    out[:-2] += 1.0
+    for cols, weights in _FD_END_ROWS:
+        out[list(cols)] += np.square(weights)
+    return out / (2.0 * h) ** 2
 
 
 def diff(field, order):
@@ -365,7 +392,8 @@ def hopf_polar_rhs(mu):
 
 def mu_from_AB(A, B):
     """Bifurcation parameter of the normal form matching a Brusselator (A, B)."""
-    radicand = 4.0 * A * A - (B - A * A - 1.0) ** 2
+    d = B - A * A - 1.0  # squared as d * d: a float ** overflows with an untyped OverflowError
+    radicand = 4.0 * A * A - d * d
     if radicand <= 0:
         raise InvalidInputError(f"4A^2 - (B - A^2 - 1)^2 = {radicand} must be positive")
     return (B - (A * A + 1.0)) / np.sqrt(radicand)
@@ -408,20 +436,15 @@ class InitialCondition:
 
 
 def _burgers_paper(nu):
-    def v0(x):
-        return 28.0 * nu * np.pi * np.sin(np.pi * x) / (7.0 + 3.2 * np.cos(np.pi * x))
-
-    def u0(x):
-        return (28.0 * nu / 3.2) * np.log(10.2 / (7.0 + 3.2 * np.cos(np.pi * x)))
-
-    return InitialCondition("burgers-paper", 0.0, 1.0, u0, v0)
+    if nu is None:
+        raise InvalidInputError("burgers-paper requires a viscosity nu")
+    return InitialCondition("burgers-paper", 0.0, 1.0,
+                            lambda x: (28.0 * nu / 3.2) * np.log(10.2 / (7.0 + 3.2 * np.cos(np.pi * x))),
+                            lambda x: 28.0 * nu * np.pi * np.sin(np.pi * x) / (7.0 + 3.2 * np.cos(np.pi * x)))
 
 
-def _firstorder_paper():
-    def u0(x):
-        return (3.0 * np.log(np.cosh(-x) * np.exp(x)) + 1.0) ** (1.0 / 3.0)
-
-    return InitialCondition("firstorder-paper", 0.0, 1.0, u0)
+_FIRSTORDER = InitialCondition("firstorder-paper", 0.0, 1.0,
+                               lambda x: (3.0 * np.log(np.cosh(-x) * np.exp(x)) + 1.0) ** (1.0 / 3.0))
 
 
 # Antiderivatives are anchored at each window's left edge (u(x_lo) = 0), so
@@ -440,19 +463,17 @@ _MULTI = (
 )
 
 
+#: Every built-in initial condition by name: the condition itself, or its builder from a viscosity nu.
+_REGISTRY = {"burgers-paper": _burgers_paper, **{ic.name: ic for ic in _MULTI}, "firstorder-paper": _FIRSTORDER}
+
+
 def list_initial_conditions():
-    return ("burgers-paper", "multi-1", "multi-2", "multi-3", "multi-4", "firstorder-paper")
+    return tuple(_REGISTRY)
 
 
 def get_initial_condition(name, nu=None):
     """Look up a built-in initial condition; ``burgers-paper`` needs nu."""
-    if name == "burgers-paper":
-        if nu is None:
-            raise InvalidInputError("burgers-paper requires a viscosity nu")
-        return _burgers_paper(nu)
-    if name == "firstorder-paper":
-        return _firstorder_paper()
-    for ic in _MULTI:
-        if ic.name == name:
-            return ic
-    raise InvalidInputError(f"unknown initial condition {name!r}; known: {list_initial_conditions()}")
+    if name not in _REGISTRY:
+        raise InvalidInputError(f"unknown initial condition {name!r}; known: {list_initial_conditions()}")
+    entry = _REGISTRY[name]
+    return entry if isinstance(entry, InitialCondition) else entry(nu)

@@ -218,8 +218,7 @@ def relative_l2(learned, truth, eval_points):
     denom = np.linalg.norm(tv)
     if denom == 0.0:
         raise InvalidInputError("truth vanishes on all evaluation points")
-    lv = learned.evaluate(pts) if hasattr(learned, "evaluate") else np.asarray(learned(pts), float)
-    return float(np.linalg.norm(lv - tv) / denom)
+    return float(np.linalg.norm(np.asarray(learned(pts), dtype=float) - tv) / denom)
 
 
 def norm_growth_diagnostic(builder, sample_counts, kernel, nugget=1e-10):
@@ -283,6 +282,8 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper")
     if not (math.isfinite(dx) and dx > 0):
         raise InvalidInputError(f"dx must be finite and positive, got {dx}")
     ic = get_initial_condition(ic_name, nu=nu)
+    if ic.v0 is None:
+        raise InvalidInputError(f"initial condition {ic_name!r} has no field v0 to step")
     n = int(round((ic.x_hi - ic.x_lo) / dx)) + 1
     grid = Grid1D(ic.x_lo, dx, n)
     v0 = Field1D(grid, ic.v0(grid.xs))

@@ -8,7 +8,6 @@ from gpmaps.cgc import (
     CgcPdeState,
     NfProblem,
     NfState,
-    _fd_time_adjoint,
     cgc_pde_grad,
     cgc_pde_loss,
     cgc_pde_loss_terms,
@@ -19,7 +18,15 @@ from gpmaps.cgc import (
     nf_loss_terms,
     nf_solve,
 )
-from gpmaps.dynamics import Trajectory, brusselator_trajectory, first_difference, mu_from_AB, r_exact
+from gpmaps.dynamics import (
+    Trajectory,
+    _fd_column_norms,
+    _fd_transpose,
+    brusselator_trajectory,
+    first_difference,
+    mu_from_AB,
+    r_exact,
+)
 from gpmaps.exceptions import DivergedError, InvalidInputError, SingularSystemError
 from gpmaps.kernels import k_deriv
 from gpmaps.optim import DescentConfig
@@ -83,6 +90,13 @@ class TestPdeLoss:
         res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=1e300), config=DescentConfig(max_iters=200))
         assert res.terms["a_prior"] == 0.0
         assert np.isfinite(res.loss_trace).all()
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_tiny_gamma_solves(self, u_data, gamma):
+        # (a / gamma)^2 is a product: as a float ** it raised OverflowError; the prior now pins a to 0
+        res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=gamma))
+        assert res.converged
+        assert abs(res.state.a) < 1e-300
 
     def test_gamma_rescale_changes_only_prior(self, u_data):
         state = CgcPdeState(0.7)
@@ -236,12 +250,18 @@ class TestPdeSolve:
 
 class TestFdTime:
     def test_adjoint_identity(self):
-        for n in (7, 33, 100):
+        # the two one-sided end rows share columns when n < 6
+        for n in (3, 4, 5, 6, 7, 33, 100):
             r = RNG.normal(size=n)
             w = RNG.normal(size=n)
             lhs = np.dot(first_difference(r, 0.1), w)
-            rhs = np.dot(r, _fd_time_adjoint(w, 0.1))
+            rhs = np.dot(r, _fd_transpose(w, 0.1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_column_norms_are_the_diagonal_of_the_dense_operator(self, n):
+        dense = np.column_stack([first_difference(e, 0.1) for e in np.eye(n)])
+        np.testing.assert_allclose(_fd_column_norms(n, 0.1), np.diag(dense.T @ dense), rtol=1e-13)
 
     def test_exact_on_linear(self):
         t = 0.1 * np.arange(20)

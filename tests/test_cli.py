@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpmaps import gp
+from gpmaps import cgc, gp
 from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.kernels import Matern52
@@ -53,6 +53,10 @@ class TestRun:
         {"experiment": "brusselator-nf", "lambda1": float("nan"), "n_samples": 20, "max_iters": 3},
         {"experiment": "cole-hopf", "theta": float("inf")},
         {"experiment": "cgc-pde", "gamma": float("inf")},
+        # firstorder-paper has no field v0 to step
+        {"experiment": "cole-hopf-discrete", "ic": "firstorder-paper"},
+        # 4A^2 - (B - A^2 - 1)^2 overflows to -inf
+        {"experiment": "brusselator-nf", "B": 1e200},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -358,6 +362,27 @@ class TestCgcExperiments:
         monkeypatch.setattr(gp, "dpotrf", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf-multi", "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
+
+    @pytest.mark.parametrize("solver, cfg, keys", [
+        ("cgc_pde_solve", {"experiment": "cgc-pde", "N": 25},
+         {"loss_norm_g": "norm_g", "loss_a_prior": "a_prior", "loss_l1": "l1_weighted", "loss_l2": "l2_weighted",
+          "loss_anchor": "anchor_weighted"}),
+        ("nf_solve", {"experiment": "brusselator-nf", "n_samples": 60, "max_iters": 50},
+         {"loss_norm_h": "norm_h", "loss_l1": "l1_weighted", "loss_l2": "l2_weighted",
+          "loss_anchor": "anchor_weighted"}),
+    ])
+    def test_summary_reports_each_weighted_term(self, tmp_path, monkeypatch, solver, cfg, keys):
+        results = []
+        solve = getattr(cgc, solver)
+
+        def recording(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cgc, solver, recording)
+        metrics = run_experiment({**cfg, "output_dir": str(tmp_path / "out")})["metrics"]
+        assert {k for k in metrics if k.startswith("loss_")} == {"loss_final", *keys}
+        assert {k: metrics[k] for k in keys} == {k: results[0].terms[name] for k, name in keys.items()}
 
     def test_brusselator_nf_csv_schema(self, tmp_path):
         out = tmp_path / "out"
