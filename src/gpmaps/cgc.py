@@ -249,29 +249,33 @@ def cgc_pde_solve(problem, config=None):
     :func:`cgc_pde_grad`; :func:`_evaluate` gives f, its slope, its terms
     and the best map from one factorization. From :func:`_start` the search walks
     downhill in steps doubling from 1e-3 to the slope's first sign change and
-    bisects to adjacent floats (``bracket_closed``), unless the slope is 0
-    (``zero_slope``) or ``config.max_iters`` slopes are spent (``max_iters``).
-    Each ``a`` it visits is evaluated once. The loss trace is [f at the start,
-    f at the returned ``a``]; the terms and the interpolant, the best map
-    with unit nugget, are those of the evaluation at the returned ``a``.
+    bisects until the bracket's ends are adjacent floats or its width is at
+    most machine epsilon times the last walk step (``bracket_closed``),
+    unless the slope is 0 (``zero_slope``) or ``config.max_iters`` slopes are
+    spent (``max_iters``). Each ``a`` it visits is evaluated once. The loss
+    trace is [f at the start, f at the returned ``a``]; the terms and the
+    interpolant, the best map with unit nugget, are those of the evaluation
+    at the returned ``a``.
     """
     weights, a = _start(problem)
     best = _evaluate(problem, weights, a)
     trace = [best.loss]
-    evals, direction, step, hi = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None
+    evals, direction, step, hi, closed = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None, False
     cap = (config or DescentConfig()).max_iters
-    while best.slope != 0.0 and evals < cap:
+    while best.slope != 0.0 and evals < cap and not closed:
         trial = a + direction * step if hi is None else 0.5 * (a + hi)
-        if trial in (a, hi):
+        if trial == a:
             break
         step *= 2.0
         evaluation = _evaluate(problem, weights, trial)
         evals += 1
         if direction * evaluation.slope <= 0.0:
             a, best = trial, evaluation
+        elif hi is None:  # the first sign change: the bracket is the last walk step
+            hi, tol = trial, np.finfo(float).eps * abs(trial - a)
         else:
             hi = trial
-    closed = hi is not None and 0.5 * (a + hi) in (a, hi)
+        closed = hi is not None and (0.5 * (a + hi) in (a, hi) or abs(hi - a) <= tol)
     reason = "zero_slope" if best.slope == 0.0 else "bracket_closed" if closed else "max_iters"
     trace.append(best.loss)
     d = _scales(problem, weights)

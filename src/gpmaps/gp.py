@@ -29,12 +29,16 @@ that follows it and every fit at a fixed lengthscale share one plan.
 
 One coefficient table, checked against finite differences, defines every
 Matern profile derivative (see :mod:`gpmaps.kernels`). The Gram evaluates it
-on the plan's gap arrays; an interpolant folds it into the summed term
-coefficients once. A read then computes orders 0, 1 and 2 of the map
-together from one basis per distinct set of term locations (one gap array,
-one exp and one set of powers, with no (points x terms) matrix) and keeps the
-last point set's three results, so a read of another order at the same points
-is a copy. A lone single-order read pays for all three orders' products.
+on the plan's gap arrays. Every derivative it defines is a combination of
+five basis matrices, g e, g sr e, e, sr e and sr^2 e (g the scaled gap,
+sr = |g|, e = exp(-sr)), so an interpolant folds the table into the summed
+term coefficients once, as one (nodes x 3) weight matrix per basis and
+distinct set of term locations, column d for order d. A read then computes
+orders 0, 1 and 2 of the map together, per location set from one gap array,
+one exp, in-place powers and five (points x 3) products, with no
+(points x terms) matrix, and keeps the last point set's three results, so a
+read of another order at the same points is a copy. A lone single-order read
+pays for all three orders' products.
 """
 
 from __future__ import annotations
@@ -314,60 +318,45 @@ class Interpolant:
 
     @cached_property
     def _read_plan(self):
-        """``(s, [(s * nodes, odd, even)])``: each distinct node set once, with its read weights.
+        """``(s, [(s * nodes, w)])``: each distinct node set once, with its (5, nodes, 3) read weights.
 
         c_b sums w_t * alpha[owner_t] over the order-b terms at a node, and a
-        read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c_b. For each d,
-        ``even`` folds the b with d + b even into weight rows of the basis
-        matrices e, sr e and sr^2 e, ``odd`` the others into rows of g e and
-        g sr e, where g = s (u - node), sr = |g| and e = exp(-sr). Each is a
-        list with one entry per basis matrix, the ``(d, row)`` pairs of the
-        orders d that have that parity; a parity that no d has is empty.
+        read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c_b. With
+        g = s (u - node), sr = |g| and e = exp(-sr), every P_n is a combination
+        of the five basis matrices g e, g sr e, e, sr e and sr^2 e; column d of
+        ``w[k]`` weighs basis k in the read of order d.
         """
         s = math.sqrt(5.0) / self.kernel.theta
         node_sets = {}
         for b, (locs, weights, owner) in _order_groups(self.terms).items():
             nodes, at = np.unique(locs, return_inverse=True)
             c = np.bincount(at, weights * self.coefficients[owner])
-            node_sets.setdefault(nodes.tobytes(), (nodes, {}))[1][b] = c
-
-        def rows(coeffs, parity):
-            by_order = {}
+            nodes, w = node_sets.setdefault(nodes.tobytes(), (nodes, np.zeros((5, nodes.size, 3))))
             for d in (0, 1, 2):
-                folded = [_MATERN_PROFILE_COEFFS[d + b, parity:, None] * ((-1) ** b * s ** (d + b) * c)
-                          for b, c in coeffs.items() if (d + b) % 2 == parity]
-                if folded:
-                    by_order[d] = sum(folded)
-            return [[(d, w[i]) for d, w in by_order.items()] for i in range(3 - parity)] if by_order else []
-
-        return s, [(s * nodes, rows(coeffs, 1), rows(coeffs, 0)) for nodes, coeffs in node_sets.values()]
+                n = d + b  # odd n weighs g e and g sr e by c1, c2; even n weighs e, sr e and sr^2 e by c0, c1, c2
+                bases = slice(0, 2) if n % 2 else slice(2, 5)
+                w[bases, :, d] += _MATERN_PROFILE_COEFFS[n, n % 2:, None] * ((-1) ** b * s ** n * c)
+        return s, [(s * nodes, w) for nodes, w in node_sets.values()]
 
     def _read(self, u):
         """The map's orders 0, 1 and 2 at the 1-D points ``u``, as the rows of one (3, len(u)) array.
 
-        Per node set one gap array, one exp, at most four in-place products,
-        and each basis matrix times each order's weight row of ``_read_plan``.
-        Every order adds its products in the order of a read of that order
-        alone (odd basis first, then even, node set by node set), so it is
-        bit-identical to that read.
+        Per node set one gap array, one exp, four in-place products and one
+        (points x 3) product per basis matrix with its weights in ``_read_plan``.
         """
         s, plan = self._read_plan
-        points = s * u
-        vals = np.zeros((3, points.shape[0]))
-        for nodes, odd, even in plan:
-            g = points[:, None] - nodes[None, :]
+        vals = np.zeros((u.shape[0], 3))
+        for nodes, w in plan:
+            g = s * u[:, None] - nodes[None, :]
             sr = np.abs(g)
             e = np.negative(sr)
             np.exp(e, out=e)
-            if odd:
-                g *= e
-            for basis, powers in ((g, odd), (e, even)):
-                for i, rows in enumerate(powers):
-                    if i:  # each later basis weighs one more power of sr
-                        basis *= sr
-                    for d, row in rows:
-                        vals[d] += basis @ row
-        return vals
+            g *= e
+            for k, basis in enumerate((g, g, e, e, e)):
+                if k in (1, 3, 4):  # each later basis of a kind weighs one more power of sr
+                    basis *= sr
+                vals += basis @ w[k]
+        return vals.T
 
     def evaluate(self, u, deriv_order=0):
         """Value (or derivative) of the fitted map at a scalar or 1-D array ``u``.
@@ -378,8 +367,13 @@ class Interpolant:
         ``u`` as floats, so a read of another order at the same points is a
         copy; any other ``u`` (a new point, the same array changed in place,
         -0.0 for 0.0, a scalar for a one-element array) is read afresh. A lone
-        single-order read therefore pays for all three orders' products: 1.15 to
-        1.5 times a one-order read at 200 points and 2.2 times at one point.
+        single-order read therefore pays for all three orders' products.
+
+        A value's last bits depend on the other points of the call, since BLAS
+        sums a one-row and a many-row product in different orders: a point
+        read alone and inside a 62-point array differs by up to 2.6e-13
+        relative on the saved ``first-order`` map's first derivative (OpenBLAS
+        0.3.31, Haswell kernels).
         """
         if deriv_order not in (0, 1, 2) or not isinstance(self.kernel, Matern52):
             raise UnsupportedDerivativeError(f"reads take orders 0-2 of a Matern52: {deriv_order}, {self.kernel!r}")

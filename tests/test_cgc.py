@@ -97,6 +97,9 @@ class TestPdeLoss:
         res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=gamma))
         assert res.converged
         assert abs(res.state.a) < 1e-300
+        # near a = 0 the bracket closes at machine epsilon times the last walk step, one slope per
+        # halving, not at adjacent floats, one slope per binade down to the subnormals (1,066 slopes)
+        assert res.reason == "bracket_closed" and res.iterations <= 60
 
     def test_gamma_rescale_changes_only_prior(self, u_data):
         state = CgcPdeState(0.7)
@@ -223,7 +226,7 @@ class TestPdeSolve:
 
         monkeypatch.setattr(cgc_module, "_cholesky", counting)
         res = cgc_pde_solve(CgcPdeProblem(u_data=u_data))
-        assert res.reason == "bracket_closed"
+        assert res.converged
         assert len(whats) == len(set(whats)) == res.iterations
 
     def test_interpolant_is_the_evaluated_map(self, u_data):

@@ -175,6 +175,18 @@ class TestReadRounding:
             got = interp.evaluate(pts, order)
             assert np.all(np.abs(got - ref) <= 1e-14 * scale), name
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_cgc_pde_map_within_dot_product_rounding(self, saved_kinds, order):
+        # the saved cgc-pde map weighs its value and slope terms by the data's scales and a / u^2
+        interp = saved_kinds["cgc-pde"]
+        locs, orders, weights, owner = interp.terms
+        pts = np.linspace(locs.min() - 0.1, locs.max() + 0.1, 57)
+        coeffs = np.abs(weights * interp.coefficients[owner])
+        scale = sum(np.abs(k_deriv(interp.kernel, pts[:, None], locs[orders == b][None, :], order, int(b)))
+                    @ coeffs[orders == b] for b in np.unique(orders))
+        ref = functional_cross_reference(interp.kernel, interp.functionals, pts, order) @ interp.coefficients
+        assert np.all(np.abs(interp.evaluate(pts, order) - ref) <= 1e-14 * scale)
+
 
 class TestFit:
     def test_empty_system_rejected(self):
