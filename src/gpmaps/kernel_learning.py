@@ -24,7 +24,7 @@ from .gp import _cholesky, assemble_gram
 from .kernels import Matern52
 from .optim import golden_section
 
-__all__ = ["THETA_GRID", "REFINE_ITERS", "rho_loo", "rho_loo_naive", "learn_theta"]
+__all__ = ["THETA_GRID", "REFINE_WIDTH", "rho_loo", "rho_loo_naive", "learn_theta"]
 
 #: Fixed nugget added to the Gram matrix of every leave-one-out solve.
 LOO_NUGGET = 1e-8
@@ -35,10 +35,13 @@ LOO_NUGGET = 1e-8
 #: because nothing generalizes).
 THETA_GRID = np.logspace(-1, 2, 7)
 
-#: Golden-section steps in log-theta around the best grid point. The bracket,
-#: two grid spacings wide, ends 2.303 * 0.618**22 = 5.80e-5 wide in log-theta:
-#: no wider than 0.345 * 0.618**18 = 5.98e-5 for 41 points and 20 steps.
-REFINE_ITERS = 24
+#: Width in log-theta at which the search around the best grid point stops,
+#: the 2.303 * 0.618**22 = 5.80e-5 that 24 golden-section steps reached from
+#: two grid spacings. Trial points lie on a lattice of half this spacing; on
+#: one of a quarter, theta* of Table 1's N = 25 and N = 50 fits changes when
+#: rho is read off an explicit inverse, since neighbouring points then differ
+#: in rho by less than its rounding.
+REFINE_WIDTH = 5.8e-5
 
 _log = logging.getLogger(__name__)
 
@@ -100,10 +103,12 @@ def rho_loo_naive(theta, system, removable):
 
 
 def learn_theta(system, removable):
-    """Grid search over the Matern-5/2 lengthscale by rho, then golden-section in log-theta.
+    """Grid search over the Matern-5/2 lengthscale by rho, then Brent's method in log-theta.
 
-    Searches :data:`THETA_GRID`, then refines for :data:`REFINE_ITERS` steps
-    between the best grid point's neighbours. Returns (theta_star, rho_star);
+    Searches :data:`THETA_GRID`, then refines between the best grid point's
+    neighbours with :func:`gpmaps.optim.golden_section`, Brent's method on a
+    lattice of half :data:`REFINE_WIDTH` through the best grid point, until
+    the bracket is :data:`REFINE_WIDTH` wide. Returns (theta_star, rho_star);
     refinement can only improve on the best grid point. Logs a warning when
     the best grid point is an end of the grid, where rho may still be
     falling outside it.
@@ -122,7 +127,7 @@ def learn_theta(system, removable):
         lambda s: rho_of(float(np.exp(s))),
         np.log(lo),
         np.log(hi),
-        REFINE_ITERS,
+        REFINE_WIDTH,
         seed=(np.log(THETA_GRID[i]), values[i]),
     )
     return float(np.exp(log_best)), float(rho_best)

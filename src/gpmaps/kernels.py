@@ -90,8 +90,8 @@ def _matern_profile_derivs(orders, gap, theta):
             p = c2 * sr
             p += c1
             p *= g
-        else:  # not Horner's form: the pooled Cole-Hopf fit's leave-one-out loss is flat to
-            # rounding at its minimum, and Horner's rounding moves its learned theta by 2e-5 relative
+        else:  # summed from sr^2 down, not in Horner's form, which rounds differently; the
+            # learned thetas of Table 1 and the pooled Cole-Hopf fit are the same bits either way
             p = sr * sr
             p *= c2
             p += c1 * sr

@@ -526,8 +526,8 @@ class TestThreeOrderRead:
     def test_kept_vectors_bound_the_extra_memory(self):
         # traced peak of orders 0, 1, 2 read at the pooled map's 404 data points, less its three
         # 404 x 401 basis matrices: the per-order reads this replaced peaked at 3,908,840 bytes,
-        # 20,696 over the matrices; the shared read peaks at 3,911,817. The bound adds the kept
-        # vectors: three results and the key, 4 x 404 floats
+        # 20,696 over the matrices; the shared read peaks at 3,912,193, 24,097 over them. The
+        # bound adds the kept vectors: three results and the key, 4 x 404 floats
         problem = cole_hopf_multi_problem()
         interp = fit(problem.system, Matern52(0.7))
         # the read plan is built here, outside the traced reads

@@ -6,7 +6,7 @@ import pytest
 from gpmaps import gp, kernel_learning
 from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import ConstraintSystem, assemble_gram, fit
-from gpmaps.kernel_learning import LOO_NUGGET, REFINE_ITERS, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
+from gpmaps.kernel_learning import LOO_NUGGET, REFINE_WIDTH, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import (
     cole_hopf_multi_problem,
@@ -20,6 +20,34 @@ from gpmaps.transforms import (
 @pytest.fixture(scope="module")
 def cole25():
     return cole_hopf_problem(25)
+
+
+#: Table 1's systems and the pooled fit, each with the number of rho evaluations learn_theta makes on it
+SEARCHES = {
+    "N25": (lambda: cole_hopf_problem(25), 17),
+    "N50": (lambda: cole_hopf_problem(50), 19),
+    "N100": (lambda: cole_hopf_problem(100), 15),
+    "N200": (lambda: cole_hopf_problem(200), 18),
+    "pooled": (cole_hopf_multi_problem, 16),
+}
+
+
+@pytest.fixture(scope="module", params=list(SEARCHES))
+def searched(request):
+    return SEARCHES[request.param][0]()
+
+
+def learn_theta_recording(problem, monkeypatch):
+    """learn_theta's result and every lengthscale it passes to rho_loo, in order."""
+    thetas = []
+
+    def recording(theta, system, removable):
+        thetas.append(theta)
+        return rho_loo(theta, system, removable)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_learning, "rho_loo", recording)
+        return learn_theta(problem.system, problem.interior), thetas
 
 
 def rho_loo_inverse_reference(theta, system, removable):
@@ -119,26 +147,28 @@ class TestLearnTheta:
         t2, _ = learn_theta(scaled, cole25.interior)
         assert t1 == pytest.approx(t2, rel=1e-12)
 
+    def test_theta_star_bit_identical_under_target_scaling(self, searched):
+        # rho is invariant to the scale of the targets up to rounding; the search's
+        # lattice keeps that rounding out of theta*
+        theta, _ = learn_theta(searched.system, searched.interior)
+        for scale in (-3.0, 0.7, 1e3, -1.3e-2):
+            scaled = ConstraintSystem(searched.system.functionals, scale * searched.system.targets)
+            assert learn_theta(scaled, searched.interior)[0] == theta, scale
+
 
 class TestSearchBudget:
-    def test_one_rho_per_grid_point_and_golden_step(self, cole25, monkeypatch):
-        thetas = []
+    def test_fewer_rho_evaluations_than_the_golden_section_search(self, monkeypatch):
+        # 7 grid points and 24 golden-section steps made 31 on every system
+        for name, (build, calls) in SEARCHES.items():
+            _, thetas = learn_theta_recording(build(), monkeypatch)
+            assert len(thetas) <= calls < 31, name
 
-        def counting(theta, system, removable):
-            thetas.append(theta)
-            return rho_loo(theta, system, removable)
-
-        monkeypatch.setattr(kernel_learning, "rho_loo", counting)
-        learn_theta(cole25.system, cole25.interior)
-        assert len(thetas) == len(THETA_GRID) + REFINE_ITERS == 31
-
-    def test_final_bracket_no_wider_than_the_41_point_search(self):
-        # the bracket starts at the best grid point's two neighbours; the first
-        # two golden steps place its interior points, each later one shrinks it
-        spacing = np.diff(np.log(THETA_GRID))
-        assert np.allclose(spacing, spacing[0])
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        assert 2.0 * spacing[0] * invphi ** (REFINE_ITERS - 2) <= 5.98e-5
+    def test_search_stops_at_the_refine_width(self, searched, monkeypatch):
+        # the nearest points evaluated on either side of theta* bound the final bracket
+        (theta, _), thetas = learn_theta_recording(searched, monkeypatch)
+        logs = np.log(thetas) - np.log(theta)
+        left, right = logs[logs < 0.0].max(), logs[logs > 0.0].min()
+        assert right - left <= REFINE_WIDTH * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("build, theta_61", [
         (lambda: cole_hopf_problem(25), 23.078539),
@@ -172,7 +202,7 @@ class TestEdgeDiagnostic:
 
 class TestPlanReuse:
     def test_learn_theta_flattens_the_functionals_once(self, monkeypatch):
-        # the grid and golden-section sweep (7 + 24 = 31 rho evaluations) share one Gram plan
+        # every rho evaluation of the grid and the refinement shares one Gram plan
         prob = cole_hopf_problem(25)
         flatten, calls = gp._flatten, []
 

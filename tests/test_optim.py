@@ -1,0 +1,110 @@
+import math
+
+import numpy as np
+import pytest
+
+from gpmaps.exceptions import InvalidInputError
+from gpmaps.optim import golden_section
+
+WIDTH = 1e-3
+H = WIDTH / 2.0
+
+
+def search(fn, lo, hi, seed_x):
+    """golden_section's result on [lo, hi] from seed_x, and every point it passed to fn."""
+    points = []
+
+    def recording(x):
+        points.append(x)
+        return fn(x)
+
+    return golden_section(recording, lo, hi, WIDTH, (seed_x, fn(seed_x))), points
+
+
+CASES = {
+    # name: (fn, lo, hi, seed_x)
+    "inside": (lambda x: (x - 0.3137) ** 2, -1.0, 1.0, 0.0),
+    "lower end": (lambda x: x, -1.0, 1.0, 0.2003),
+    "upper end": (lambda x: -x, -1.0, 1.0, 0.2003),
+    "seed at the upper end": (lambda x: -x, -1.0, 1.0, 1.0),
+    "constant": (lambda x: 2.5, -1.0, 1.0, 0.0),
+    "two minima": (lambda x: math.cos(7.0 * x) + 0.1 * x, -1.2, 1.3, 0.1),
+}
+
+
+@pytest.fixture(params=list(CASES))
+def case(request):
+    fn, lo, hi, seed_x = CASES[request.param]
+    (x, fx), points = search(fn, lo, hi, seed_x)
+    return fn, lo, hi, seed_x, x, fx, points
+
+
+class TestInvariants:
+    def test_every_trial_point_on_the_lattice_inside_the_bracket(self, case):
+        _, lo, hi, seed_x, _, _, points = case
+        for p in points:
+            assert p == seed_x + round((p - seed_x) / H) * H
+            assert lo < p < hi
+
+    def test_no_point_evaluated_twice(self, case):
+        points = case[-1]
+        assert len(set(points)) == len(points)
+
+    def test_returned_bracket_no_wider_than_the_width(self, case):
+        # the nearest points seen on either side of x, or the ends, close the bracket
+        _, lo, hi, _, x, _, points = case
+        left = max([p for p in points if p < x], default=lo)
+        right = min([p for p in points if p > x], default=hi)
+        assert right - left <= WIDTH * (1.0 + 1e-9)
+
+    def test_never_worse_than_the_seed(self, case):
+        fn, _, _, seed_x, x, fx, _ = case
+        assert fx <= fn(seed_x)
+        assert fx == fn(x)
+
+
+class TestMinimum:
+    def test_inside_the_bracket_at_the_nearest_lattice_point(self):
+        (x, _), points = search(*CASES["inside"])
+        assert abs(x - 0.3137) <= H / 2.0 + 1e-12
+        # golden-section steps alone need about 16 to shrink [-1, 1] to WIDTH
+        assert len(points) < 10
+
+    @pytest.mark.parametrize("name, end", [("lower end", -1.0), ("upper end", 1.0)])
+    def test_at_an_end_the_lattice_point_next_to_it(self, name, end):
+        fn, lo, hi, seed_x = CASES[name]
+        (x, _), _ = search(fn, lo, hi, seed_x)
+        assert abs(x - end) <= H
+
+    def test_seed_at_the_falling_end_is_returned(self):
+        # the best grid point is an end of the grid and the loss still falls past it
+        (x, fx), points = search(*CASES["seed at the upper end"])
+        assert (x, fx) == (1.0, -1.0)
+        assert all(p < 1.0 for p in points)
+
+    def test_constant_returns_the_seed(self):
+        (x, fx), points = search(*CASES["constant"])
+        assert (x, fx) == (0.0, 2.5)
+        assert 0 < len(points) < 40
+
+    def test_seed_lower_than_every_trial_point_wins(self):
+        (x, fx) = golden_section(lambda x: x * x, -1.0, 1.0, WIDTH, (0.5, -1.0))
+        assert (x, fx) == (0.5, -1.0)
+
+    def test_two_minima_ends_at_a_local_one(self):
+        fn, lo, hi, seed_x = CASES["two minima"]
+        (x, _), _ = search(fn, lo, hi, seed_x)
+        # cos(7x) + 0.1x has minima near +-pi/7; the returned point is one of them to the lattice
+        slope = lambda t: -7.0 * math.sin(7.0 * t) + 0.1
+        assert np.sign(slope(x - H)) != np.sign(slope(x + H))
+
+
+class TestInput:
+    @pytest.mark.parametrize("lo, hi, width", [(1.0, 1.0, WIDTH), (1.0, 0.0, WIDTH), (0.0, 1.0, 0.0)])
+    def test_rejects_an_empty_bracket_or_width(self, lo, hi, width):
+        with pytest.raises(InvalidInputError):
+            golden_section(lambda x: x, lo, hi, width, (lo, lo))
+
+    def test_bracket_already_narrower_than_the_width_evaluates_nothing(self):
+        (x, fx), points = search(lambda x: x, 0.0, WIDTH, WIDTH / 2.0)
+        assert (x, fx, points) == (WIDTH / 2.0, WIDTH / 2.0, [])

@@ -15,7 +15,7 @@ import pytest
 
 import gpmaps
 from gpmaps import cgc, cli, dynamics
-from gpmaps.kernel_learning import REFINE_ITERS, THETA_GRID
+from gpmaps.kernel_learning import REFINE_WIDTH, THETA_GRID
 
 
 def test_exports_and_schema_enums_match_the_code():
@@ -188,9 +188,8 @@ def test_no_unreferenced_private_helpers():
 def test_readme_states_the_theta_search_budget():
     # the README's count of the lengthscale search follows the module constants
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    n_grid = len(THETA_GRID)
-    for phrase in (f"{n_grid} log-spaced lengthscales", f"{REFINE_ITERS} golden-section steps",
-                   f"{n_grid + REFINE_ITERS} loss evaluations per system"):
+    for phrase in (f"{len(THETA_GRID)} log-spaced lengthscales", f"bracket is {REFINE_WIDTH:g} wide",
+                   f"lattice of step {REFINE_WIDTH / 2:g}"):
         assert phrase in readme
 
 
