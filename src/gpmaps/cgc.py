@@ -35,11 +35,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .dynamics import _fd_column_norms, _fd_transpose, first_difference
 from .exceptions import DivergedError, InvalidInputError
-from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, _flatten, fit
+from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, _factor_inverse, _flatten, fit
 from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig
 
@@ -179,7 +178,8 @@ def _evaluate(problem, weights, a):
     d = _scales(problem, weights)
     phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
     y = np.r_[np.zeros(d.size - 1), d[-1]]
-    alpha = cho_solve((_cholesky(phi, 1.0, f"map system at a = {a!r}"), True), y)
+    inverse = _factor_inverse(_cholesky(phi, 1.0, f"map system at a = {a!r}"))
+    alpha = inverse.T @ (inverse @ y)
     fitted = phi @ alpha
     resid = fitted - y
     # the prior (a / gamma)^2 and its slope 2a / gamma^2 go through a / gamma: no float ** raises, no gamma^2 overflows

@@ -14,10 +14,13 @@ a setting of each solve, ``fit(system, kernel, nugget=None)``, not of the
 constraints; None picks ``NUGGET_SCALE * trace(G) / M`` for the kernel in use.
 
 Every factorization in the package is :func:`_cholesky`: factor a copy of
-the matrix shifted by a nugget, or raise :class:`SingularSystemError` naming
-it, with its condition number. Only fits escalate the nugget on failure; the
-leave-one-out loss and the ``cgc-pde`` profile raise at once, since their
-nugget is part of the value they compute.
+the matrix shifted by a nugget with ``numpy.linalg.cholesky``, or raise
+:class:`SingularSystemError` naming it, with its condition number. Only fits
+escalate the nugget on failure; the leave-one-out loss and the ``cgc-pde``
+profile raise at once, since their nugget is part of the value they compute.
+Every solve with a factor goes through its inverse, which
+:func:`_factor_inverse` builds by blocks with ``matmul``, so the package
+needs numpy alone.
 
 The Gram matrix is assembled in blocks of terms with equal derivative
 orders. A :class:`ConstraintSystem` builds the lengthscale-free part of that
@@ -49,8 +52,7 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from numpy.linalg import LinAlgError, cholesky
 
 from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
 from .kernels import _MATERN_PROFILE_COEFFS, Matern52, _matern_profile_derivs, kernel_from_config, kernel_to_config
@@ -271,13 +273,45 @@ def _cholesky(matrix, lam, what):
     On failure raises :class:`SingularSystemError` naming ``what``, with the shifted matrix's condition number.
     """
     shifted = matrix.copy()
-    shifted[np.diag_indices_from(shifted)] += lam
-    # a symmetric C-ordered copy is its own Fortran layout: factor it in place
-    factor, info = dpotrf(shifted.T, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
+    shifted.ravel()[:: len(shifted) + 1] += lam  # the diagonal, through a view of the C-ordered copy
+    try:
+        return cholesky(shifted)
+    except LinAlgError:
         raise SingularSystemError(f"{what} is not positive definite (nugget {lam:.3e})",
-                                  condition=float(np.linalg.cond(matrix + lam * np.eye(len(matrix)))))
-    return factor
+                                  condition=float(np.linalg.cond(shifted))) from None
+
+
+def _factor_inverse(factor):
+    """L^-1 of a contiguous lower-triangular factor L, by blocks with matmul; L's upper triangle is not read.
+
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]] joins the inverses
+    of two neighbouring diagonal blocks of width w into that of their block of
+    width 2w. Starting from 1 / diag(L), one pass per w = 1, 2, 4, ... joins
+    every whole pair of w-blocks at once, as batched products over strided
+    views of the two diagonals, then the shorter last pair, if there is one.
+    The inverse's upper triangle stays zero. Solves with L L^T are
+    ``inv.T @ (inv @ y)``.
+    """
+    n = factor.shape[0]
+    inverse = np.diag(1.0 / np.diagonal(factor))
+    w = 1
+    while w < n:
+        pairs = n // (2 * w)
+        if pairs:
+            x, lower = _diagonal_blocks(inverse, 2 * w, pairs), _diagonal_blocks(factor, 2 * w, pairs)
+            x[:, w:, :w] = -(x[:, w:, w:] @ (lower[:, w:, :w] @ x[:, :w, :w]))
+        lo = 2 * w * pairs
+        mid = lo + w
+        if mid < n:
+            inverse[mid:, lo:mid] = -(inverse[mid:, mid:] @ (factor[mid:, lo:mid] @ inverse[lo:mid, lo:mid]))
+        w *= 2
+    return inverse
+
+
+def _diagonal_blocks(a, width, count):
+    """A (count, width, width) view of the first ``count`` diagonal blocks of the contiguous square ``a``."""
+    s0, s1 = a.strides
+    return np.ndarray((count, width, width), a.dtype, a, 0, (width * (s0 + s1), s0, s1))
 
 
 def _factor_with_escalation(gram, lam):
@@ -401,7 +435,8 @@ def fit(system, kernel, nugget=None):
         raise InvalidInputError(f"nugget must be positive, got {nugget}")
     gram = system._gram_plan.gram(kernel)
     factor, lam_used = _factor_with_escalation(gram, nugget if nugget is not None else default_nugget(gram))
-    return Interpolant(kernel, system._terms, cho_solve((factor, True), system.targets), nugget=lam_used)
+    inverse = _factor_inverse(factor)
+    return Interpolant(kernel, system._terms, inverse.T @ (inverse @ system.targets), nugget=lam_used)
 
 
 def rkhs_norm_sq(system, kernel, nugget=None):

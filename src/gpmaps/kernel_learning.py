@@ -9,7 +9,8 @@ plan (:mod:`gpmaps.gp`) is built on the first evaluation and reused for
 every lengthscale after it, so one evaluation of the loss costs the Matern
 profile arithmetic and block adds of one Gram, one Cholesky factorization
 (``gp._cholesky``, which raises rather than escalate ``LOO_NUGGET``, a part
-of the loss) and one in-place triangular inverse; no reduced system is solved.
+of the loss) and one blocked inverse of its factor (``gp._factor_inverse``);
+no reduced system is solved.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtri
 
 from .exceptions import InvalidInputError
-from .gp import _cholesky, assemble_gram
+from .gp import _cholesky, _factor_inverse, assemble_gram
 from .kernels import Matern52
 from .optim import golden_section
 
@@ -66,21 +66,19 @@ def rho_loo(theta, system, removable):
     With B = (G + lam I)^{-1} and q = Y^T B Y, deleting row and column j
     leaves the quadratic form q_{-j} with q - q_{-j} = (BY)_j^2 / B_jj for
     any targets Y (a Schur-complement identity), so the whole sum costs one
-    Cholesky factorization plus a triangular inverse: BY comes from the
-    factor, and with G + lam I = L L^T the diagonal of B is the column sums
-    of squares of L^{-1}. Matches :func:`rho_loo_naive` to floating-point
+    Cholesky factorization plus a triangular inverse: with G + lam I = L L^T,
+    BY is L^{-T} (L^{-1} Y) and the diagonal of B is the column sums of
+    squares of L^{-1}. Matches :func:`rho_loo_naive` to floating-point
     accuracy.
     """
     removable = _check_removable(system, removable)
-    # the factor's upper triangle is zero, so the inverse below is L^{-1} alone
-    factor = _cholesky(system._gram_plan.gram(Matern52(theta)), LOO_NUGGET,
-                       f"leave-one-out Gram at theta={float(theta)!r}")
+    l_inv = _factor_inverse(_cholesky(system._gram_plan.gram(Matern52(theta)), LOO_NUGGET,
+                                      f"leave-one-out Gram at theta={float(theta)!r}"))
     y = system.targets
-    by, _ = dpotrs(factor, y, lower=1)
+    by = l_inv.T @ (l_inv @ y)
     q_full = float(y @ by)
     if q_full <= 0.0:
         raise InvalidInputError("degenerate system: full quadratic form is nonpositive")
-    l_inv, _ = dtrtri(factor, lower=1, overwrite_c=1)
     b_diag = np.einsum("ij,ij->j", l_inv, l_inv)
     terms = by[removable] ** 2 / (b_diag[removable] * q_full)
     return float(np.mean(terms))

@@ -129,10 +129,10 @@ class TestPdeLoss:
         assert ev.loss == t["norm_g"] + t["a_prior"] + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
     def test_failed_factorization_raises_singular(self, u_data, monkeypatch):
-        def failing(matrix, **options):
-            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")  # numpy's report of a failed Cholesky
 
-        monkeypatch.setattr(gp, "dpotrf", failing)
+        monkeypatch.setattr(gp, "cholesky", failing)
         with pytest.raises(SingularSystemError, match="a = 0.25") as err:
             cgc_pde_grad(CgcPdeProblem(u_data=u_data), CgcPdeState(0.25), (0.0, 3.0, 7.0))
         assert err.value.condition is not None

@@ -317,13 +317,13 @@ class TestCgcExperiments:
         # one factorization for the identity map's fit and one per evaluated a:
         # the summary's terms and the saved map are the solve's own, not re-solved
         factorizations = []
-        dpotrf = gp.dpotrf
+        cholesky = gp.cholesky
 
-        def counting(matrix, **options):
+        def counting(matrix):
             factorizations.append(matrix.shape)
-            return dpotrf(matrix, **options)
+            return cholesky(matrix)
 
-        monkeypatch.setattr(gp, "dpotrf", counting)
+        monkeypatch.setattr(gp, "cholesky", counting)
         summary = run_experiment({"experiment": "cgc-pde", "N": 25, "output_dir": str(tmp_path / "out")})
         m = summary["metrics"]
         assert len(factorizations) == m["iterations"] + 1
@@ -348,18 +348,18 @@ class TestCgcExperiments:
         assert main(["run", cfg]) == 2
 
     def test_cgc_pde_singular_map_system_exits_3(self, tmp_path, monkeypatch):
-        def failing(matrix, **options):
-            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")  # numpy's report of a failed Cholesky
 
-        monkeypatch.setattr(gp, "dpotrf", failing)
+        monkeypatch.setattr(gp, "cholesky", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cgc-pde", "N": 10, "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 
     def test_singular_leave_one_out_gram_exits_3(self, tmp_path, monkeypatch):
-        def failing(matrix, **options):
-            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")  # numpy's report of a failed Cholesky
 
-        monkeypatch.setattr(gp, "dpotrf", failing)
+        monkeypatch.setattr(gp, "cholesky", failing)
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf-multi", "output_dir": str(tmp_path / "o")})
         assert main(["run", cfg]) == 3
 

@@ -12,10 +12,13 @@ from gpmaps.gp import (
     FunctionalTerm,
     Interpolant,
     LinearFunctional,
+    _cholesky,
+    _factor_inverse,
     _factor_with_escalation,
     _flatten,
     assemble_gram,
     constraint_residuals,
+    default_nugget,
     fit,
     interpolant_from_config,
     interpolant_to_config,
@@ -317,6 +320,48 @@ class TestJitter:
         with pytest.raises(SingularSystemError) as err:
             _factor_with_escalation(m, 1e-10)
         assert err.value.condition is not None
+
+
+def solved_system(name):
+    """(A, Y) of a system the package solves: a Table 1 fit ("N25"-"N200") or the pooled fit, as G + lam I at the
+    fixed lengthscale and default nugget, or the cgc-pde map system Phi~ + I at its start a on 100 samples."""
+    if name == "cgc-pde-start":
+        _, u = dynamics.get_initial_condition("firstorder-paper").sample(100)
+        problem = cgc.CgcPdeProblem(u_data=u)
+        weights, a = cgc._start(problem)
+        d = cgc._scales(problem, weights)
+        b0, b1, b2 = problem._blocks
+        phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
+        return phi + np.eye(d.size), np.r_[np.zeros(d.size - 1), d[-1]]
+    system = cole_hopf_multi_problem().system if name == "pooled" else cole_hopf_problem(int(name[1:])).system
+    gram = system._gram_plan.gram(K1)
+    return gram + default_nugget(gram) * np.eye(len(system)), system.targets
+
+
+class TestFactorInverse:
+    # the inverse joins diagonal blocks pairwise at widths 1, 2, 4, ...: sizes at and around a
+    # power of two have only whole pairs, or a short last pair at some widths
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 64, 65, 406])
+    def test_matches_solve_on_random_factors(self, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        factor = np.linalg.cholesky(x @ x.T / n + 1e-2 * np.eye(n))
+        inverse = _factor_inverse(factor)
+        reference = np.linalg.solve(factor, np.eye(n))
+        assert np.all(np.triu(inverse, 1) == 0.0)
+        assert np.linalg.norm(inverse - reference) <= 1e-14 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("name", ["N25", "N50", "N100", "N200", "pooled", "cgc-pde-start"])
+    def test_solves_like_solve(self, name):
+        # the pooled matrix has condition 4e9, so the two solutions agree to about cond * eps;
+        # each is backward stable, with a residual below eps relative to ||A|| ||x||
+        matrix, targets = solved_system(name)
+        inverse = _factor_inverse(_cholesky(matrix, 0.0, "test matrix"))
+        solution = inverse.T @ (inverse @ targets)
+        reference = np.linalg.solve(matrix, targets)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(solution - reference) <= 50 * eps * np.linalg.cond(matrix) * np.linalg.norm(reference)
+        residual = np.linalg.norm(matrix @ solution - targets)
+        assert residual <= eps * np.linalg.norm(matrix, 2) * np.linalg.norm(solution)
 
 
 class TestReadValidation:

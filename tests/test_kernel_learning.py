@@ -103,10 +103,10 @@ class TestRhoLoo:
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_failed_factorization_raises_singular(self, cole25, monkeypatch):
-        def failing(matrix, **options):
-            return matrix, 1  # LAPACK's report of a leading minor that is not positive definite
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")  # numpy's report of a failed Cholesky
 
-        monkeypatch.setattr(gp, "dpotrf", failing)
+        monkeypatch.setattr(gp, "cholesky", failing)
         with pytest.raises(SingularSystemError, match="theta=7.3"):
             rho_loo(7.3, cole25.system, cole25.interior)
 

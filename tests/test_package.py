@@ -101,14 +101,24 @@ def test_demo_keywords_match_the_signatures():
     assert unknown == []
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # importing scipy.optimize adds about 20 MB of peak memory and 0.3 s to every CLI start;
-    # scipy.sparse would add to both as well
+def test_cli_import_leaves_out_scipy():
+    # gpmaps factors and solves through numpy alone: importing scipy.linalg would
+    # add about 0.3 s and 26 MB of peak memory to every CLI start, and no module
+    # of the library may import any part of scipy, at module level or in a function
     src = str(Path(gpmaps.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, gpmaps.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    probe = "import sys, gpmaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    imports = []
+    for f in sorted(Path(src, "gpmaps").glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [f"{f.name}:{node.lineno} {a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append(f"{f.name}:{node.lineno} {node.module}")
+    assert [i for i in imports if i.split()[1].split(".")[0] == "scipy"] == []
+    assert any(i.endswith(" numpy") for i in imports)
 
 
 def test_config_keys_schema_and_flags_agree():
