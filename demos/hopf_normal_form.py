@@ -3,14 +3,19 @@
 A planar chemical-oscillator model just past its oscillation threshold is
 integrated from a small initial point; the goal is a quartic map H(u, v)
 whose output behaves like the radius variable r of the canonical rotation
-form dr/dt = (mu - r^2) r, dtheta/dt = 1. The radius samples are free
-variables tied to H by a data-fit term and to the decay law by a
-finite-difference residual; one anchor matches H at the initial point.
+form dr/dt = (mu - r^2) r, dtheta/dt = omega. The radius samples follow the
+closed form of that radial law from an unknown initial radius r0, tied to H
+by a data-fit term; one anchor matches H at the initial point. For each r0
+the best quartic solves one 5 x 5 linear system, and a slope search on
+ln r0 finishes the solve. Since the radius obeys the law exactly, its
+relative L2 error against the closed form from the initial point is small
+by construction; H itself misses its own radius by about 87%, because the
+anchor term carries most of the loss.
 """
 
 import numpy as np
 
-from gpmaps.cgc import NfProblem, nf_solve
+from gpmaps.cgc import NfProblem, nf_h_values, nf_solve
 from gpmaps.dynamics import brusselator_trajectory, mu_from_AB, r_exact
 from gpmaps.optim import DescentConfig
 
@@ -25,9 +30,12 @@ result = nf_solve(problem, config=DescentConfig(max_iters=15000))
 r = result.state.r_values
 late = trajectory.times >= 100.0
 r_true = r_exact(problem.r0_target, mu, trajectory.times)
+h_values = nf_h_values(problem, result.state.h_coeffs, trajectory.states)
+print(f"initial radius r0 = {result.r0:.6f} after {result.iterations} slope evaluations ({result.reason})")
 print(f"learned quartic coefficients: {np.round(result.state.h_coeffs, 2)}")
 print(f"mean learned radius on t in [100, 200]: {r[late].mean():.4f}")
 print(f"relative L2 vs the closed-form radius:  {np.linalg.norm(r[late] - r_true[late]) / np.linalg.norm(r_true[late]):.4f}")
+print(f"relative L2 of H against its own radius: {np.linalg.norm(h_values - r) / np.linalg.norm(r):.4f}")
 
 try:
     import matplotlib

@@ -238,20 +238,22 @@ def _experiment_cgc_pde(cfg, out):
 
 
 @_runner("brusselator-nf", A=1.0, B=2.1, n_samples=2000, dt=0.1, gen_dt=1e-3, init_point=(0.1, -0.1),
-         lambda1=None, lambda2=None, lambda3=None, max_iters=15000)
+         lambda1=None, lambda3=None, max_iters=15000)
 def _experiment_brusselator_nf(cfg, out):
     mu = dynamics.mu_from_AB(cfg["A"], cfg["B"])
     traj = dynamics.brusselator_trajectory(cfg["A"], cfg["B"], init_point=tuple(cfg["init_point"]),
                                            n_samples=cfg["n_samples"], sample_dt=cfg["dt"], gen_dt=cfg["gen_dt"])
-    problem = cgc.NfProblem(traj, mu, lambda1=cfg["lambda1"], lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
+    problem = cgc.NfProblem(traj, mu, lambda1=cfg["lambda1"], lambda3=cfg["lambda3"])
     result = cgc.nf_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
     r = result.state.r_values
     r_ex = dynamics.r_exact(problem.r0_target, mu, traj.times)
     csv_path = _write_csv(out / "brusselator_nf.csv", ["t", "u", "v", "r_learned", "r_exact", "x_rec", "y_rec"],
                           [traj.times, traj.states[:, 0], traj.states[:, 1], r, r_ex, result.xy[:, 0], result.xy[:, 1]])
     late = traj.times >= 0.5 * traj.times[-1]
+    lead = np.arctan2(result.xy[:, 1], result.xy[:, 0]) - np.arctan2(traj.states[:, 1], traj.states[:, 0])
     metrics = {"radius_learned": float(np.mean(r[late])), **_joint_metrics(result),
-               "relative_l2": float(np.linalg.norm(r[late] - r_ex[late]) / np.linalg.norm(r_ex[late]))}
+               "relative_l2": float(np.linalg.norm(r[late] - r_ex[late]) / np.linalg.norm(r_ex[late])),
+               "phase_rms_rad": float(np.sqrt(np.mean(((lead + np.pi) % (2.0 * np.pi) - np.pi) ** 2)))}
     return {"mu": mu, "weights": list(result.weights)}, metrics, {"csv": csv_path}
 
 

@@ -125,7 +125,6 @@ def first_difference(v, h):
     """Second-order first derivative of samples ``v`` (at least 3) spaced ``h`` apart.
 
     Central in the interior, one-sided second-order at the two end samples.
-    D^T and diag(D^T D) of its matrix D are :func:`_fd_transpose` and :func:`_fd_column_norms`.
     """
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
@@ -144,16 +143,6 @@ def _fd_transpose(w, h):
         for col, c in zip(cols, weights):
             out[col] += c * end / (2 * h)
     return out
-
-
-def _fd_column_norms(n, h):
-    """diag(D^T D) for the matrix D of :func:`first_difference` on ``n`` samples: interior row i is +-1 at i +- 1."""
-    out = np.zeros(n)
-    out[2:] += 1.0
-    out[:-2] += 1.0
-    for cols, weights in _FD_END_ROWS:
-        out[list(cols)] += np.square(weights)
-    return out / (2.0 * h) ** 2
 
 
 def diff(field, order):
@@ -407,11 +396,16 @@ def r_exact(r0, mu, t):
     if r0 < 0:
         raise InvalidInputError(f"r0 must be nonnegative, got {r0}")
     t = np.asarray(t, dtype=float)
+    return _radius_law(r0, mu, t, np.exp(-2.0 * mu * t))
+
+
+def _radius_law(r0, mu, t, decay):
+    """:func:`r_exact` at times ``t`` from their factors decay = exp(-2 mu t), for callers that vary r0 only."""
     if r0 == 0.0:
         return np.zeros_like(t)[()] if t.ndim == 0 else np.zeros_like(t)
     if mu == 0.0:
         return r0 / np.sqrt(1.0 + 2.0 * r0 * r0 * t)
-    q = mu / (1.0 + (mu / r0**2 - 1.0) * np.exp(-2.0 * mu * t))
+    q = mu / (1.0 + (mu / r0**2 - 1.0) * decay)
     return np.sqrt(np.maximum(q, 0.0))
 
 

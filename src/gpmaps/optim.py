@@ -1,4 +1,4 @@
-"""Small deterministic optimizer pieces: the iteration cap of the CGC solvers and a lattice line search."""
+"""Small deterministic optimizer pieces: the joint solves' iteration cap and slope search, and a lattice line search."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .exceptions import InvalidInputError
 
-__all__ = ["DescentConfig", "golden_section"]
+__all__ = ["DescentConfig", "slope_search", "golden_section"]
 
 #: Fraction of the larger bracket segment a golden-section step covers, (3 - sqrt(5)) / 2.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
@@ -16,6 +16,35 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 @dataclass(frozen=True)
 class DescentConfig:
     max_iters: int = 100_000
+
+
+def slope_search(evaluate, x, best, max_evals):
+    """Walk downhill from ``x`` in steps doubling from 1e-3 to the slope's first sign change, then bisect.
+
+    ``evaluate(x)`` returns an evaluation with the derivative at ``x`` as its
+    ``slope``; ``best`` is the start's. Bisection stops once the bracket's
+    ends are adjacent floats or it is at most machine epsilon times the last
+    walk step wide (``bracket_closed``), at a zero slope (``zero_slope``) or
+    after ``max_evals`` evaluations, the start's included (``max_iters``).
+    Returns the best point, its evaluation, the evaluation count and the stop reason.
+    """
+    evals, direction, step, hi, closed = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None, False
+    while best.slope != 0.0 and evals < max_evals and not closed:
+        trial = x + direction * step if hi is None else 0.5 * (x + hi)
+        if trial == x:
+            break
+        step *= 2.0
+        evaluation = evaluate(trial)
+        evals += 1
+        if direction * evaluation.slope <= 0.0:
+            x, best = trial, evaluation
+        elif hi is None:  # the first sign change: the bracket is the last walk step
+            hi, tol = trial, math.ulp(1.0) * abs(trial - x)
+        else:
+            hi = trial
+        closed = hi is not None and (0.5 * (x + hi) in (x, hi) or abs(hi - x) <= tol)
+    reason = "zero_slope" if best.slope == 0.0 else "bracket_closed" if closed else "max_iters"
+    return x, best, evals, reason
 
 
 def golden_section(fn, lo, hi, width, seed):

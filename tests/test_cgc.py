@@ -20,7 +20,6 @@ from gpmaps.cgc import (
 )
 from gpmaps.dynamics import (
     Trajectory,
-    _fd_column_norms,
     _fd_transpose,
     brusselator_trajectory,
     first_difference,
@@ -46,6 +45,13 @@ def small_traj():
 
 
 MU = mu_from_AB(1.0, 2.1)
+
+
+@pytest.fixture(scope="module")
+def paper_nf():
+    """The paper configuration's problem and its solve under the benchmark's 1,000 cap."""
+    prob = NfProblem(brusselator_trajectory(1.0, 2.1), MU)
+    return prob, nf_solve(prob, config=DescentConfig(max_iters=1000))
 
 
 def fd_gradient(loss, x, h=1e-6):
@@ -261,11 +267,6 @@ class TestFdTime:
             rhs = np.dot(r, _fd_transpose(w, 0.1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_column_norms_are_the_diagonal_of_the_dense_operator(self, n):
-        dense = np.column_stack([first_difference(e, 0.1) for e in np.eye(n)])
-        np.testing.assert_allclose(_fd_column_norms(n, 0.1), np.diag(dense.T @ dense), rtol=1e-13)
-
     def test_exact_on_linear(self):
         t = 0.1 * np.arange(20)
         np.testing.assert_allclose(first_difference(2.0 + 3.0 * t, 0.1), 3.0, rtol=1e-12)
@@ -283,16 +284,21 @@ class TestNfLoss:
         with pytest.raises(InvalidInputError, match="init_point"):
             NfProblem(brusselator_trajectory(1.0, 2.1, init_point=(0.0, 0.0), n_samples=80), MU)
 
-    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda3"])
     def test_negative_weight_rejected(self, small_traj, name):
         with pytest.raises(InvalidInputError, match=name):
             NfProblem(small_traj, MU, **{name: -1.0})
 
-    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda3"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, small_traj, name, value):
         with pytest.raises(InvalidInputError, match=name):
             NfProblem(small_traj, MU, **{name: value})
+
+    def test_decay_law_weight_is_not_an_option(self, small_traj):
+        # on the radial law the decay-law term is negligible, so its weight is always balanced
+        with pytest.raises(TypeError, match="lambda2"):
+            NfProblem(small_traj, MU, lambda2=1.0)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_non_finite_mu_rejected(self, small_traj, mu):
@@ -306,14 +312,14 @@ class TestNfLoss:
 
     def test_zero_state_boundary_term(self, small_traj):
         # with everything zeroed only the anchor pays: (sqrt(0.02))^2 = 0.02
-        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda2=1.0, lambda3=1.0)
+        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda3=1.0)
         state = NfState(np.zeros(5), np.zeros(len(small_traj)))
         terms = nf_loss_terms(prob, state, (1.0, 1.0, 1.0))
         assert terms["l2_weighted"] == 0.0
         assert terms["anchor_weighted"] == pytest.approx(0.02, rel=1e-12)
 
     def test_exact_radius_has_small_ode_term(self, small_traj):
-        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda2=1.0, lambda3=1.0)
+        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda3=1.0)
         r = r_exact(np.sqrt(2) / 10, MU, small_traj.times)
         phi_fit = np.linalg.lstsq(
             np.stack([small_traj.states[:, 0] ** (4 - k) * small_traj.states[:, 1] ** k for k in range(5)], axis=1),
@@ -354,30 +360,28 @@ class TestNfSolve:
 
     @pytest.mark.parametrize("max_iters", [1, 50, 300])
     def test_final_loss_is_loss_at_returned_state(self, small_traj, max_iters):
-        # the descent sums its terms in nf_loss's order, so the two agree bit for bit
+        # the solve sums its terms in nf_loss's order, so the two agree bit for bit
         prob = NfProblem(small_traj, MU)
         res = nf_solve(prob, config=DescentConfig(max_iters=max_iters))
-        assert len(res.loss_trace) == max_iters + 1
+        assert len(res.loss_trace) == 2
         assert res.loss_trace[-1] == nf_loss(prob, res.state, res.weights)
         assert res.terms == nf_loss_terms(prob, res.state, res.weights)
 
-    def test_one_residual_pass_before_the_first_step(self, small_traj, monkeypatch):
-        # the start's residuals set both the unset weights and the initial loss
-        passes, before_first_gradient = [], []
-        residuals, gradient = cgc_module._nf_residuals, cgc_module._nf_gradient
+    def test_one_residual_pass_per_evaluation(self, small_traj, monkeypatch):
+        # one pass at the default start sets the unset weights; each slope evaluation takes one more
+        passes = []
+        residuals = cgc_module._nf_residuals
 
         def counting_residuals(*args):
             passes.append(1)
             return residuals(*args)
 
-        def recording_gradient(*args):
-            before_first_gradient.append(len(passes))
-            return gradient(*args)
-
         monkeypatch.setattr(cgc_module, "_nf_residuals", counting_residuals)
-        monkeypatch.setattr(cgc_module, "_nf_gradient", recording_gradient)
-        nf_solve(NfProblem(small_traj, MU), config=DescentConfig(max_iters=5))
-        assert before_first_gradient[0] == 1
+        for max_iters in (1, 5, 300):
+            passes.clear()
+            res = nf_solve(NfProblem(small_traj, MU), config=DescentConfig(max_iters=max_iters))
+            assert len(passes) == 1 + res.iterations
+        assert res.iterations < 300
 
     def test_non_finite_initial_loss_diverges(self, small_traj):
         # the default start's radius is about 1e59 here: the squared decay-law residual overflows
@@ -406,9 +410,10 @@ class TestNfSolve:
 
     def test_step_and_anchor_radius_computed_once_per_problem(self, small_traj, monkeypatch):
         # dt and r0_target are read by every residual pass; they are computed
-        # once per problem, so neither the times nor np.hypot is touched per step
-        reads = {"times": 0, "hypot": 0}
-        hypot = np.hypot
+        # once per problem, so neither the times nor np.hypot is touched per
+        # evaluation, and the radial law's time factors are built once per solve
+        reads = {"times": 0, "hypot": 0, "decay": 0}
+        hypot, exp = np.hypot, np.exp
 
         class CountingTrajectory:
             states = small_traj.states
@@ -422,13 +427,96 @@ class TestNfSolve:
             reads["hypot"] += 1
             return hypot(*args)
 
+        def counting_exp(x):
+            reads["decay"] += np.shape(x) == small_traj.times.shape
+            return exp(x)
+
         counts = []
-        for max_iters in (50, 150):
+        for max_iters in (5, 300):
             prob = NfProblem(CountingTrajectory(), MU)
             monkeypatch.setattr(np, "hypot", counting_hypot)
-            reads.update(times=0, hypot=0)
+            monkeypatch.setattr(np, "exp", counting_exp)
+            reads.update(times=0, hypot=0, decay=0)
             nf_solve(prob, config=DescentConfig(max_iters=max_iters))
             monkeypatch.undo()
             counts.append(dict(reads))
-        # per solve: dt's two reads of the times and the phase's one; the default start's radii
-        assert counts == [{"times": 3, "hypot": 1}] * 2
+        # per solve: dt's two reads of the times, the profile's one and the phase's one;
+        # the default start's radii; the factors e^(-2 mu t) of the radial law
+        assert counts == [{"times": 4, "hypot": 1, "decay": 1}] * 2
+
+
+class TestNfProfile:
+    @pytest.mark.parametrize("r0", [0.003, 0.05, 0.3])
+    def test_slope_matches_central_differences(self, paper_nf, r0):
+        prob, res = paper_nf
+        profile = cgc_module._nf_profile(prob, res.weights)
+        s, h = np.log(r0), 1e-4
+        fd = (profile(s + h).loss - profile(s - h).loss) / (2 * h)
+        assert profile(s).slope == pytest.approx(fd, rel=1e-6)
+
+    def test_returned_r0_is_a_local_minimum(self, paper_nf):
+        prob, res = paper_nf
+        profile = cgc_module._nf_profile(prob, res.weights)
+        s = np.log(res.r0)
+        assert profile(s).loss == res.loss_trace[-1]
+        for d in (1e-4, 1e-2):
+            assert profile(s - d).loss > res.loss_trace[-1] < profile(s + d).loss
+
+    def test_coefficient_gradient_vanishes_at_the_returned_state(self, paper_nf):
+        # the best quartic for the returned radius: the 5 x 5 solve leaves no coefficient slope
+        prob, res = paper_nf
+        grad_c, grad_r = nf_grad(prob, res.state, res.weights)
+        assert np.max(np.abs(grad_c)) <= 1e-12 * np.max(np.abs(grad_r))
+
+    def test_radius_is_the_radial_law_bit_for_bit(self, paper_nf):
+        prob, res = paper_nf
+        expected = r_exact(res.r0, MU, prob.trajectory.times)
+        assert res.state.r_values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("max_iters", [1000, 15000])
+    def test_paper_config_closes_its_bracket(self, paper_nf, max_iters):
+        prob, res = paper_nf
+        if max_iters != 1000:
+            res = nf_solve(prob, config=DescentConfig(max_iters=max_iters))
+        assert res.reason == "bracket_closed" and res.converged
+        assert res.iterations < 100
+        assert res.loss_trace[-1] <= 97111.1 < res.loss_trace[0]
+        assert res.r0 == pytest.approx(0.011652, rel=1e-4)
+
+    def test_decay_overflow_below_the_threshold_keeps_the_slope_finite(self):
+        # mu < 0: e^(-2 mu t) overflows past t = 614, where the law's radius is 0 and so is its slope factor
+        mu = mu_from_AB(1.0, 1.0)
+        traj = brusselator_trajectory(1.0, 1.0, n_samples=7000, gen_dt=1e-2)
+        with np.errstate(over="ignore"):
+            res = nf_solve(NfProblem(traj, mu))
+        assert res.reason == "bracket_closed" and np.all(np.isfinite(res.loss_trace))
+        assert res.state.r_values[-1] == 0.0
+
+    def test_non_finite_loss_during_the_walk_diverges(self, small_traj, monkeypatch):
+        # the third residual pass is the walk's first step, after the default start and the search's start
+        passes = []
+        residuals = cgc_module._nf_residuals
+
+        def failing_third(*args):
+            passes.append(1)
+            fit, ode, anchor = residuals(*args)
+            return (fit, ode * np.nan, anchor) if len(passes) == 3 else (fit, ode, anchor)
+
+        monkeypatch.setattr(cgc_module, "_nf_residuals", failing_third)
+        with pytest.raises(DivergedError, match="ln r0") as info:
+            nf_solve(NfProblem(small_traj, MU))
+        assert len(info.value.trace) == 1 and np.isnan(info.value.trace[0])
+
+    def test_non_finite_slope_during_the_walk_diverges(self, small_traj, monkeypatch):
+        calls = []
+        gradient = cgc_module._nf_gradient
+
+        def failing_second(*args):
+            calls.append(1)
+            grad_c, grad_r = gradient(*args)
+            return grad_c, grad_r * np.inf if len(calls) == 2 else grad_r
+
+        monkeypatch.setattr(cgc_module, "_nf_gradient", failing_second)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergedError, match="ln r0") as info:
+            nf_solve(NfProblem(small_traj, MU))
+        assert len(info.value.trace) == 1 and np.isfinite(info.value.trace[0])

@@ -340,10 +340,19 @@ class TestCgcExperiments:
         })
         assert main(["run", cfg]) == 2
 
+    def test_brusselator_nf_rejects_removed_options(self, tmp_path):
+        # the decay-law weight: with the radius on its law the term is negligible, so it is always balanced
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "brusselator-nf", "n_samples": 20, "max_iters": 5, "output_dir": str(tmp_path / "o"),
+            "lambda2": 1.0,
+        })
+        assert main(["run", cfg]) == 2
+
     @pytest.mark.parametrize("experiment", ["cgc-pde", "brusselator-nf"])
     def test_negative_weight_exits_2(self, tmp_path, experiment):
+        key = {"cgc-pde": "lambda2", "brusselator-nf": "lambda1"}[experiment]  # a weight each one reads
         cfg = write_config(tmp_path, "c.json", {
-            "experiment": experiment, "lambda2": -1.0, "max_iters": 5, "output_dir": str(tmp_path / "o"),
+            "experiment": experiment, key: -1.0, "max_iters": 5, "output_dir": str(tmp_path / "o"),
         })
         assert main(["run", cfg]) == 2
 
@@ -396,5 +405,32 @@ class TestCgcExperiments:
         assert lines[0] == "t,u,v,r_learned,r_exact,x_rec,y_rec"
         assert len(lines) == 61
         assert np.isfinite(summary["metrics"]["radius_learned"])
-        assert summary["metrics"]["stop_reason"] in ("grad_tol", "step_tol", "max_iters")
+        assert summary["metrics"]["stop_reason"] in ("zero_slope", "bracket_closed", "max_iters")
         assert summary["metrics"]["converged"] == (summary["metrics"]["stop_reason"] != "max_iters")
+
+    def test_brusselator_nf_reconstruction_turns_with_the_orbit(self, tmp_path):
+        # far above the threshold the orbit turns clockwise at about 1.9 rad per unit time
+        out = tmp_path / "out"
+        summary = run_experiment({"experiment": "brusselator-nf", "A": 2.0, "B": 5.2, "n_samples": 300,
+                                  "output_dir": str(out)})
+        data = np.loadtxt(out / "brusselator_nf.csv", delimiter=",", skiprows=1)
+        turn = [np.unwrap(np.arctan2(data[:, i + 1], data[:, i]))[[0, -1]] @ [-1.0, 1.0] for i in (1, 5)]
+        assert turn[1] == pytest.approx(turn[0], rel=1e-12)
+        assert turn[0] / data[-1, 0] == pytest.approx(-1.966, rel=1e-3)
+        assert 0.0 < summary["metrics"]["phase_rms_rad"] < 0.6
+
+    def test_brusselator_nf_non_finite_loss_exits_3(self, tmp_path, monkeypatch):
+        # the third residual pass is the slope search's first step
+        passes = []
+        residuals = cgc._nf_residuals
+
+        def non_finite(*args):
+            passes.append(1)
+            fit, ode, anchor = residuals(*args)
+            return fit, ode * (np.nan if len(passes) == 3 else 1.0), anchor
+
+        monkeypatch.setattr(cgc, "_nf_residuals", non_finite)
+        cfg = write_config(tmp_path, "c.json", {"experiment": "brusselator-nf", "n_samples": 60,
+                                                "output_dir": str(tmp_path / "o")})
+        assert main(["run", cfg]) == 3
+        assert len(passes) == 3

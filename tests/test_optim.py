@@ -1,10 +1,11 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from gpmaps.exceptions import InvalidInputError
-from gpmaps.optim import golden_section
+from gpmaps.optim import golden_section, slope_search
 
 WIDTH = 1e-3
 H = WIDTH / 2.0
@@ -108,3 +109,44 @@ class TestInput:
     def test_bracket_already_narrower_than_the_width_evaluates_nothing(self):
         (x, fx), points = search(lambda x: x, 0.0, WIDTH, WIDTH / 2.0)
         assert (x, fx, points) == (WIDTH / 2.0, WIDTH / 2.0, [])
+
+
+class Slope(NamedTuple):
+    slope: float
+
+
+def slopes(fn, x, max_evals):
+    """slope_search's result from x on the slope ``fn``, and every point it evaluated."""
+    points = [x]
+
+    def evaluate(t):
+        points.append(t)
+        return Slope(fn(t))
+
+    return slope_search(evaluate, x, Slope(fn(x)), max_evals), points
+
+
+class TestSlopeSearch:
+    @pytest.mark.parametrize("start", [0.25, 1.0, 7.5])
+    def test_closes_a_bracket_at_the_root(self, start):
+        # the slope of t^3 / 3 - 2t: t^2 - 2 is 0 at no float
+        root = math.sqrt(2.0)
+        (x, best, evals, reason), points = slopes(lambda t: t * t - 2.0, start, 1000)
+        assert reason == "bracket_closed"
+        assert x == pytest.approx(root, abs=1e-15) and best.slope == x * x - 2.0
+        assert best.slope * (start - root) >= 0.0  # on the start's side of the sign change
+        assert evals == len(points) == len(set(points)) < 100
+
+    def test_returns_the_last_point_on_the_downhill_side(self):
+        (x, best, _, _), points = slopes(lambda t: math.tanh(t - 0.3), -2.0, 1000)
+        assert best.slope <= 0.0 and x < 0.3
+        assert min(p for p in points if p > x) == pytest.approx(x, abs=1e-15)
+
+    def test_zero_slope_at_the_start_evaluates_once(self):
+        (x, best, evals, reason), points = slopes(lambda t: 0.0, 3.0, 1000)
+        assert (x, evals, reason, points) == (3.0, 1, "zero_slope", [3.0])
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 10])
+    def test_stops_at_the_evaluation_cap(self, max_evals):
+        (_, _, evals, reason), points = slopes(lambda t: t - 1e6, 0.0, max_evals)
+        assert (evals, reason, len(points)) == (max_evals, "max_iters", max_evals)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpmaps
@@ -240,6 +241,26 @@ def test_readme_states_the_weighted_cgc_pde_result():
     assert as_quoted(at(float(a_other)).loss, loss_other)
     assert at(float(a_other) - half_digit).slope < 0.0 < at(float(a_other) + half_digit).slope
     assert as_quoted(at(-1.0).loss, loss_truth)
+
+
+def test_readme_states_the_normal_form_result():
+    # the README quotes the paper-configuration normal-form solve; its slope
+    # count is left out, since the rounding of the loss can move it
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.search(r"at r0 = ([\d.]+), with loss ([\d.]+) \(([\d.]+) at the start\)\. .* `relative_l2` "
+                       r"\(([\d.]+),.* misses its own radius by about (\d+)% .* anchor term carries (\d+) of the loss",
+                       readme)
+    assert quoted is not None
+    problem = cgc.NfProblem(dynamics.brusselator_trajectory(1.0, 2.1), dynamics.mu_from_AB(1.0, 2.1))
+    result = cgc.nf_solve(problem)
+    r, times = result.state.r_values, problem.trajectory.times
+    late = times >= 0.5 * times[-1]
+    r_ex = dynamics.r_exact(problem.r0_target, problem.mu, times)[late]
+    miss = cgc.nf_h_values(problem, result.state.h_coeffs, problem.trajectory.states) - r
+    assert quoted.groups() == (
+        f"{result.r0:.6f}", f"{result.loss_trace[-1]:.2f}", f"{result.loss_trace[0]:.2f}",
+        f"{np.linalg.norm(r[late] - r_ex) / np.linalg.norm(r_ex):.4f}",
+        f"{100 * np.linalg.norm(miss) / np.linalg.norm(r):.0f}", f"{result.terms['anchor_weighted']:.0f}")
 
 
 def test_package_logs_nothing_by_default():
