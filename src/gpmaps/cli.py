@@ -7,7 +7,10 @@ Commands:
 * ``gpmaps table1 <config.json>`` -- the learned-vs-fixed kernel error table
   over a list of data sizes.
 * ``gpmaps evaluate <interpolant.json> --points <csv>`` -- evaluate a saved
-  interpolant at points from a CSV file.
+  interpolant at points from a CSV file. ``interpolant.json`` holds one
+  column per key (``kernel``, ``nodes``, ``node``, ``order``, ``weight``,
+  ``sizes``, ``alpha``, ``nugget``; see :func:`gpmaps.gp.interpolant_to_config`);
+  a file in the nested layout of earlier versions exits 2.
 
 Config contract: a config is a JSON object that must match
 ``schemas/config.schema.json`` (types and bounds), hold finite numbers only
@@ -181,7 +184,8 @@ def _run_transform_problem(cfg, out, problem, csv_name):
         columns = [list(problem.labels)] + columns
     csv_path = _write_csv(out / csv_name, header, columns)
     interp_path = _write_interpolant(out / "interpolant.json", interp)
-    metrics = {"relative_l2": rel, "rkhs_norm": norm, "theta_learned": theta if rho_star is not None else None}
+    metrics = {"relative_l2": rel, "rkhs_norm": norm, "theta_learned": theta if rho_star is not None else None,
+               "nugget": interp.nugget}
     if rho_star is not None:
         metrics["rho_star"] = rho_star
     return {"theta": theta}, metrics, {"csv": csv_path, "interpolant": interp_path}
@@ -231,7 +235,7 @@ def _experiment_cgc_pde(cfg, out):
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, result.interpolant(u_data), transforms.first_order_truth(u_data)])
     interp_path = _write_interpolant(out / "interpolant.json", result.interpolant)
-    metrics = {"a_learned": float(result.state.a), **_joint_metrics(result),
+    metrics = {"a_learned": float(result.state.a), "nugget": result.interpolant.nugget, **_joint_metrics(result),
                # loss_anchor weights the square of G(1) - 1
                "anchor_residual": float(result.interpolant(1.0) - 1.0)}
     return {"weights": list(result.weights)}, metrics, {"csv": csv_path, "interpolant": interp_path}

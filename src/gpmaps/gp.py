@@ -35,13 +35,17 @@ Matern profile derivative (see :mod:`gpmaps.kernels`). The Gram evaluates it
 on the plan's gap arrays. Every derivative it defines is a combination of
 five basis matrices, g e, g sr e, e, sr e and sr^2 e (g the scaled gap,
 sr = |g|, e = exp(-sr)), so an interpolant folds the table into the summed
-term coefficients once, as one (nodes x 3) weight matrix per basis and
-distinct set of term locations, column d for order d. A read then computes
-orders 0, 1 and 2 of the map together, per location set from one gap array,
-one exp, in-place powers and five (points x 3) products, with no
-(points x terms) matrix, and keeps the last point set's three results, so a
-read of another order at the same points is a copy. A lone single-order read
-pays for all three orders' products.
+term coefficients once, as one (nodes x 3) weight matrix per basis on the
+distinct term locations, column d for order d. A read then computes orders
+0, 1 and 2 of the map together from one gap array, one exp, in-place powers
+and five (points x 3) products, with no (points x terms) matrix, and keeps
+the last point set's three results, so a read of another order at the same
+points is a copy. A lone single-order read pays for all three orders'
+products.
+
+A saved interpolant (:func:`interpolant_to_config`) is column-oriented: each
+distinct term location once, in ``nodes``, and per term its index into
+``nodes``, its order and its weight, so loading one parses flat lists only.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import groupby
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
@@ -75,6 +79,15 @@ NUGGET_SCALE = 1e-8
 
 #: Number of tenfold nugget escalations attempted before giving up.
 MAX_JITTER_ESCALATIONS = 4
+
+#: Row n: the weights of the basis matrices g e, g sr e, e, sr e and sr^2 e in P_n / s^n, from
+#: :data:`~gpmaps.kernels._MATERN_PROFILE_COEFFS`: odd n weigh g e and g sr e by c1, c2, even n weigh
+#: e, sr e and sr^2 e by c0, c1, c2.
+_PROFILE_BASIS = np.array([[c1, c2, 0, 0, 0] if n % 2 else [0, 0, c0, c1, c2]
+                           for n, (c0, c1, c2) in enumerate(_MATERN_PROFILE_COEFFS)])
+#: n = b + d: the order-b terms of a read of order d weigh P_n.
+_READ_POWERS = np.add.outer(np.arange(3), np.arange(3))
+_READ_SIGNS = np.array([[1.0], [-1.0], [1.0]])  # d^b/dy^b of a profile in x - y carries (-1)^b
 
 
 @dataclass(frozen=True)
@@ -348,55 +361,55 @@ class Interpolant:
     @cached_property
     def functionals(self):
         """The functionals phi_i as :class:`LinearFunctional` objects, rebuilt from the term table."""
-        return tuple(LinearFunctional.of_terms(*rows) for rows in _term_rows(self.terms))
+        locs, orders, weights, owners = self.terms
+        rows = zip(owners.tolist(), locs.tolist(), orders.tolist(), weights.tolist())
+        return tuple(LinearFunctional.of_terms(*(row[1:] for row in group))
+                     for _, group in groupby(rows, key=lambda row: row[0]))
 
     @cached_property
     def _read_plan(self):
-        """``(s, [(s * nodes, w)])``: each distinct node set once, with its (5, nodes, 3) read weights.
+        """``(s, s * nodes, w)``: the distinct term locations and their (5, nodes, 3) read weights.
 
-        c_b sums w_t * alpha[owner_t] over the order-b terms at a node, and a
-        read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c_b. With
+        c[:, b] sums w_t * alpha[owner_t] over the order-b terms at a node, and
+        a read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c[:, b]. With
         g = s (u - node), sr = |g| and e = exp(-sr), every P_n is a combination
-        of the five basis matrices g e, g sr e, e, sr e and sr^2 e; column d of
-        ``w[k]`` weighs basis k in the read of order d.
+        of the five basis matrices g e, g sr e, e, sr e and sr^2 e
+        (:data:`_PROFILE_BASIS`), so ``w[k][:, d]``, the weight of basis k in the
+        read of order d, is one product of c with that table scaled by
+        (-1)^b s^(d+b).
         """
         s = math.sqrt(5.0) / self.kernel.theta
-        node_sets = {}
-        for b, (locs, weights, owner) in _order_groups(self.terms).items():
-            nodes, at = np.unique(locs, return_inverse=True)
-            c = np.bincount(at, weights * self.coefficients[owner])
-            nodes, w = node_sets.setdefault(nodes.tobytes(), (nodes, np.zeros((5, nodes.size, 3))))
-            for d in (0, 1, 2):
-                n = d + b  # odd n weighs g e and g sr e by c1, c2; even n weighs e, sr e and sr^2 e by c0, c1, c2
-                bases = slice(0, 2) if n % 2 else slice(2, 5)
-                w[bases, :, d] += _MATERN_PROFILE_COEFFS[n, n % 2:, None] * ((-1) ** b * s ** n * c)
-        return s, [(s * nodes, w) for nodes, w in node_sets.values()]
+        locs, orders, weights, owner = self.terms
+        nodes, at = np.unique(locs, return_inverse=True)
+        c = np.bincount(3 * at + orders, weights * self.coefficients[owner], minlength=3 * nodes.size)
+        table = _PROFILE_BASIS[_READ_POWERS] * (_READ_SIGNS * s ** _READ_POWERS)[:, :, None]  # (b, d, basis)
+        w = c.reshape(-1, 3) @ table.transpose(0, 2, 1).reshape(3, 15)
+        return s, s * nodes, np.ascontiguousarray(w.reshape(-1, 5, 3).transpose(1, 0, 2))
 
     def _read(self, u):
         """The map's orders 0, 1 and 2 at the 1-D points ``u``, as the rows of one (3, len(u)) array.
 
-        Per node set one gap array, one exp, four in-place products and one
-        (points x 3) product per basis matrix with its weights in ``_read_plan``.
+        One gap array, one exp, four in-place products and one (points x 3)
+        product per basis matrix with its weights in ``_read_plan``.
         """
-        s, plan = self._read_plan
+        s, nodes, w = self._read_plan
+        g = s * u[:, None] - nodes[None, :]
+        sr = np.abs(g)
+        e = np.negative(sr)
+        np.exp(e, out=e)
+        g *= e
         vals = np.zeros((u.shape[0], 3))
-        for nodes, w in plan:
-            g = s * u[:, None] - nodes[None, :]
-            sr = np.abs(g)
-            e = np.negative(sr)
-            np.exp(e, out=e)
-            g *= e
-            for k, basis in enumerate((g, g, e, e, e)):
-                if k in (1, 3, 4):  # each later basis of a kind weighs one more power of sr
-                    basis *= sr
-                vals += basis @ w[k]
+        for k, basis in enumerate((g, g, e, e, e)):
+            if k in (1, 3, 4):  # each later basis of a kind weighs one more power of sr
+                basis *= sr
+            vals += basis @ w[k]
         return vals.T
 
     def evaluate(self, u, deriv_order=0):
         """Value (or derivative) of the fitted map at a scalar or 1-D array ``u``.
 
         One read computes orders 0, 1 and 2 together (see :meth:`_read`): the
-        three share each node set's gap array, exp and powers of sr. The last
+        three share one gap array, exp and powers of sr. The last
         point set's three results are kept, keyed by the shape and bytes of
         ``u`` as floats, so a read of another order at the same points is a
         copy; any other ``u`` (a new point, the same array changed in place,
@@ -405,9 +418,10 @@ class Interpolant:
 
         A value's last bits depend on the other points of the call, since BLAS
         sums a one-row and a many-row product in different orders: a point
-        read alone and inside a 62-point array differs by up to 2.6e-13
-        relative on the saved ``first-order`` map's first derivative (OpenBLAS
-        0.3.31, Haswell kernels).
+        read alone and inside an array of 62 evenly spaced points differs by
+        up to 2.6e-11 of the order's largest value on the saved pooled map,
+        whose coefficients reach 1.1e5 and cancel (OpenBLAS 0.3.31, Haswell
+        kernels).
         """
         if deriv_order not in (0, 1, 2) or not isinstance(self.kernel, Matern52):
             raise UnsupportedDerivativeError(f"reads take orders 0-2 of a Matern52: {deriv_order}, {self.kernel!r}")
@@ -455,46 +469,61 @@ def constraint_residuals(interp, system):
     return np.abs(applied - system.targets)
 
 
-def _term_rows(terms):
-    """``[location, order, weight]`` rows of a term table as Python numbers, one list per functional."""
-    locs, orders, weights, owners = terms
-    rows = [list(r) for r in zip(locs.tolist(), orders.tolist(), weights.tolist())]
-    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(rows)]
-    return [rows[i:j] for i, j in zip(cuts, cuts[1:])]
-
-
 def interpolant_to_config(interp):
-    """JSON-ready dictionary: kernel spec, functional terms and coefficients."""
+    """JSON-ready dictionary, one column per key: each distinct term location once, and per term its node.
+
+    ``nodes`` holds the sorted distinct term locations; ``node``, ``order``
+    and ``weight`` hold one entry per term, in term order; ``sizes`` the
+    number of terms of each functional, in order; ``alpha`` one coefficient
+    per functional. The term locations are ``nodes[node]``, bit for bit.
+    """
+    locs, orders, weights, owners = interp.terms
+    nodes, node = np.unique(locs, return_inverse=True)
     return {
         "kernel": kernel_to_config(interp.kernel),
-        "functionals": _term_rows(interp.terms),
-        "alpha": [float(a) for a in interp.coefficients],
+        "nodes": nodes.tolist(),
+        "node": node.tolist(),
+        "order": orders.tolist(),
+        "weight": weights.tolist(),
+        "sizes": np.bincount(owners).tolist(),
+        "alpha": interp.coefficients.tolist(),
         "nugget": interp.nugget,
     }
 
 
 def interpolant_from_config(cfg):
-    """Inverse of :func:`interpolant_to_config`, reading all terms into the term table in one flat pass.
+    """Inverse of :func:`interpolant_to_config`: each column read into an array once and checked as a whole.
 
-    Malformed input raises :class:`InvalidInputError`: a term that is not three finite numbers with an
-    order of 0, 1 or 2, a functional without terms, not one coefficient per functional, or a coefficient
-    or nugget that is not finite (``json.load`` reads ``NaN`` and ``Infinity``).
+    The term table is ``(nodes[node], order, weight, owners)``, with the
+    owners repeated from ``sizes``. Malformed input raises
+    :class:`InvalidInputError`: a missing key or a column that is not a flat
+    list of numbers, a file in the nested layout of earlier versions (a
+    ``functionals`` key in place of the columns), ``node``, ``order`` and
+    ``weight`` not one entry per term or ``sizes`` not summing to their
+    length, a functional without terms, a node index outside ``nodes``, an
+    order other than 0, 1 or 2, not one coefficient per functional, or a
+    location, weight, coefficient or nugget that is not finite (``json.load``
+    reads ``NaN`` and ``Infinity``).
     """
+    if isinstance(cfg, dict) and "functionals" in cfg:
+        raise InvalidInputError("interpolant config in the nested layout of earlier versions: refit the map to save it")
     try:
         kernel = kernel_from_config(cfg["kernel"])
-        sizes = [len(f) for f in cfg["functionals"]]
-        terms = list(chain.from_iterable(cfg["functionals"]))
-        if set(map(len, terms)) - {3} or set(map(type, terms)) - {list, tuple}:
-            raise ValueError("each functional term must be a list [location, order, weight]")
-        table = np.fromiter(chain.from_iterable(terms), dtype=float, count=3 * len(terms)).reshape(-1, 3)
-        alpha = np.asarray(cfg["alpha"], dtype=float)
+        nodes, node, order, weight, sizes, alpha = (
+            np.asarray(cfg[key], dtype=float) for key in ("nodes", "node", "order", "weight", "sizes", "alpha"))
         nugget = float(cfg.get("nugget", 0.0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed interpolant config: {exc!r}") from exc
-    if not sizes or min(sizes) == 0:
-        raise InvalidInputError("an interpolant needs at least one functional, each with at least one term")
-    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(alpha)) and math.isfinite(nugget)
-            and np.all(np.isin(table[:, 1], (0, 1, 2)))):
-        raise InvalidInputError("terms, coefficients and nugget must be finite, with term orders 0, 1 or 2")
-    owners = np.repeat(np.arange(len(sizes)), sizes)
-    return Interpolant(kernel, (table[:, 0], table[:, 1].astype(int), table[:, 2], owners), alpha, nugget=nugget)
+    columns = (nodes, node, order, weight, sizes, alpha)
+    if any(a.ndim != 1 for a in columns) or not (np.isfinite(np.concatenate(columns)).all() and math.isfinite(nugget)):
+        raise InvalidInputError("interpolant columns must be flat lists of finite numbers, and its nugget finite")
+    if not (sizes.size == alpha.size and node.size == order.size == weight.size == sizes.sum()
+            and sizes.size and sizes.min() >= 1 and 0 <= node.min() and node.max() < nodes.size
+            and 0 <= order.min() and order.max() <= 2):
+        raise InvalidInputError("an interpolant needs one coefficient and at least one term per functional, "
+                                "one node, order and weight per term, node indices into nodes and orders 0-2")
+    at, orders, counts = (a.astype(int) for a in (node, order, sizes))  # bounded by the checks above
+    if not ((at == node).all() and (orders == order).all() and (counts == sizes).all()):
+        raise InvalidInputError("node indices, orders and sizes must be whole numbers")
+    return Interpolant(kernel, (nodes[at], orders, weight, np.repeat(np.arange(counts.size), counts)), alpha,
+                       nugget=nugget)

@@ -121,6 +121,21 @@ class TestRun:
         assert main(["run", write_config(tmp_path, "c.json", {**cfg, "lam": 1e-7, "output_dir": str(out)})]) == 0
         assert json.loads((out / "interpolant.json").read_text())["nugget"] == 1e-7
 
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "cole-hopf"},
+        {"experiment": "cole-hopf-discrete", "dx": 0.05},
+        {"experiment": "cole-hopf-multi", "points_per_ic": 11, "learn_kernel": False},
+        {"experiment": "first-order", "N": 30},
+        {"experiment": "cgc-pde", "N": 25},
+    ])
+    def test_summary_reports_the_saved_nugget(self, tmp_path, cfg):
+        # the nugget each saved map was solved with: the fits' automatic one, cgc-pde's unit ridge
+        out = tmp_path / "out"
+        nugget = run_experiment({**cfg, "output_dir": str(out)})["metrics"]["nugget"]
+        assert nugget == json.loads((out / "interpolant.json").read_text())["nugget"]
+        assert read_summary(out)["metrics"]["nugget"] == nugget
+        assert (nugget == 1.0) == (cfg["experiment"] == "cgc-pde")
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPMAPS_OUTPUT_DIR", str(tmp_path / "env-out"))
         cfg = write_config(tmp_path, "c.json", {"experiment": "first-order", "N": 10})
@@ -278,7 +293,7 @@ class TestEvaluate:
                      "--output", str(tmp_path / "vals.csv")]) == 2
 
     @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5", "theta inf",
-                                      "points nan"])
+                                      "points nan", "nested layout"])
     def test_malformed_input_exits_2(self, tmp_path, case):
         system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
         cfg = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
@@ -286,9 +301,12 @@ class TestEvaluate:
         if case == "interpolant a list":
             cfg = [cfg]
         elif case.startswith("order"):
-            cfg["functionals"][0][0][1] = "x" if case == "order x" else 1.5
+            cfg["order"][0] = "x" if case == "order x" else 1.5
         elif case == "theta inf":
             cfg["kernel"]["theta"] = float("inf")
+        elif case == "nested layout":  # the layout of earlier versions: [location, order, weight] per term
+            cfg = {"kernel": cfg["kernel"], "functionals": [[[0.0, 0, 1.0]], [[1.0, 0, 1.0]]],
+                   "alpha": cfg["alpha"], "nugget": cfg["nugget"]}
         interp = tmp_path / "interpolant.json"
         interp.write_text(json.dumps(cfg))
         pts = tmp_path / "pts.csv"

@@ -406,12 +406,27 @@ def saved_kinds(fitted_systems):
 
 def per_term_config(interp, functionals):
     """The config as a writer walking :class:`FunctionalTerm` objects lays it out."""
+    terms = [t for f in functionals for t in f.terms]
+    nodes = sorted({t.location for t in terms})
+    index = {x: i for i, x in enumerate(nodes)}
     return {
         "kernel": {"kind": "matern52", "theta": interp.kernel.theta},
-        "functionals": [[[t.location, t.deriv_order, t.weight] for t in f.terms] for f in functionals],
+        "nodes": nodes,
+        "node": [index[t.location] for t in terms],
+        "order": [t.deriv_order for t in terms],
+        "weight": [t.weight for t in terms],
+        "sizes": [len(f.terms) for f in functionals],
         "alpha": [float(a) for a in interp.coefficients],
         "nugget": interp.nugget,
     }
+
+
+def nested_config(cfg):
+    """``cfg`` in the nested layout of earlier versions: a list of ``[location, order, weight]`` per functional."""
+    rows = [[cfg["nodes"][i], a, w] for i, a, w in zip(cfg["node"], cfg["order"], cfg["weight"])]
+    cuts = np.cumsum([0, *cfg["sizes"]]).tolist()
+    return {"kernel": cfg["kernel"], "functionals": [rows[i:j] for i, j in zip(cuts, cuts[1:])],
+            "alpha": cfg["alpha"], "nugget": cfg["nugget"]}
 
 
 class TestSerialization:
@@ -445,35 +460,50 @@ class TestSerialization:
 
 
 def malformed(cfg):
-    """Copies of a valid config, each broken in one way."""
+    """Copies of a valid config, each broken in one way.
+
+    The config holds the terms (0.5, 0, 1), (0.5, 1, 2) and (1, 0, 1) on the
+    nodes [0.5, 1], in two functionals of sizes [2, 1]. The cases named after
+    a term of the nested layout of earlier versions break a term's columns
+    the same way.
+    """
     def edit(change):
         doc = json.loads(json.dumps(cfg))
         change(doc)
         return doc
 
-    def set_term(value):
-        return lambda doc: doc["functionals"][0].__setitem__(0, value)
+    def set_first(key, value):
+        return edit(lambda doc: doc[key].__setitem__(0, value))
 
     return {
         "a list": [cfg],
-        "order x": edit(set_term([0.5, "x", 1.0])),
-        "order 1.5": edit(set_term([0.5, 1.5, 1.0])),
-        "order 3": edit(set_term([0.5, 3, 1.0])),
-        "order -1": edit(set_term([0.5, -1, 1.0])),
-        "infinite location": edit(set_term([float("inf"), 0, 1.0])),
-        "nan weight": edit(set_term([0.5, 0, float("nan")])),
-        "two-entry term": edit(set_term([0.5, 0])),
-        "four-entry term": edit(set_term([0.5, 0, 1.0, 2.0])),
-        "three-character term": edit(set_term("123")),
-        "empty functional": edit(lambda doc: doc["functionals"].append([])),
-        "no functionals": edit(lambda doc: doc.update(functionals=[], alpha=[])),
+        "order x": set_first("order", "x"),
+        "order 1.5": set_first("order", 1.5),
+        "order 3": set_first("order", 3),
+        "order -1": set_first("order", -1),
+        "infinite location": set_first("nodes", float("inf")),
+        "nan weight": set_first("weight", float("nan")),
+        "two-entry term": edit(lambda doc: doc["weight"].pop()),  # the last term has no weight
+        "four-entry term": set_first("weight", [1.0, 2.0]),  # the first term has two weights
+        "three-character term": edit(lambda doc: doc.update(order="100")),
+        "empty functional": edit(lambda doc: (doc["sizes"].append(0), doc["alpha"].append(1.0))),
+        "no functionals": edit(lambda doc: doc.update(nodes=[], node=[], order=[], weight=[], sizes=[], alpha=[])),
         "extra coefficient": edit(lambda doc: doc["alpha"].append(1.0)),
         "missing alpha": edit(lambda doc: doc.pop("alpha")),
-        "nan alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("nan"))),
-        "infinite alpha": edit(lambda doc: doc["alpha"].__setitem__(0, float("inf"))),
+        "nan alpha": set_first("alpha", float("nan")),
+        "infinite alpha": set_first("alpha", float("inf")),
         "nan nugget": edit(lambda doc: doc.update(nugget=float("nan"))),
         "infinite theta": edit(lambda doc: doc["kernel"].update(theta=float("inf"))),
-        "functionals not a list": edit(lambda doc: doc.update(functionals=3)),
+        "functionals not a list": edit(lambda doc: doc.update(sizes=3)),
+        "node out of range": set_first("node", 2),
+        "negative node": set_first("node", -1),
+        "non-integral node": set_first("node", 0.5),
+        "size zero": edit(lambda doc: doc.update(sizes=[3, 0])),
+        "negative size": edit(lambda doc: doc.update(sizes=[4, -1])),
+        "non-integral sizes": edit(lambda doc: doc.update(sizes=[1.5, 1.5])),
+        "sizes short of the terms": edit(lambda doc: doc.update(sizes=[1, 1])),
+        "order column longer": edit(lambda doc: doc["order"].append(0)),
+        "nested layout": nested_config(cfg),
     }
 
 
@@ -488,7 +518,7 @@ class TestLoaderValidation:
 
     def test_integral_float_orders_accepted(self):
         doc = json.loads(json.dumps(self.CFG))
-        doc["functionals"][0][1][1] = 1.0
+        doc["order"][1] = 1.0
         assert interpolant_from_config(doc).evaluate(0.3, 1) == interpolant_from_config(self.CFG).evaluate(0.3, 1)
 
 
@@ -523,13 +553,14 @@ class TestThreeOrderRead:
                 np.testing.assert_array_equal(reader.evaluate(pts, order), alone[order])
 
     def test_one_exp_per_node_set(self, saved_kinds, monkeypatch):
-        # the pooled map's terms sit on two node sets; a per-order read computes 2 exps, so 6 in all
+        # the pooled map's order-1 and order-2 terms sit on two location sets, 402 distinct
+        # locations in all; a read takes them as one node set, so orders 0-2 cost one exp
         interp = fresh(saved_kinds["pooled"])
         exp = CountingExp(monkeypatch)
         pts = np.linspace(0.0, 1.0, 200)
         for order in (0, 1, 2):
             interp.evaluate(pts, order)
-        assert exp.calls == len(interp._read_plan[1]) == 2
+        assert exp.calls == 1 and interp._read_plan[1].size == 402
 
     def test_other_points_are_read_afresh(self, saved_kinds, monkeypatch):
         interp = fresh(saved_kinds["cole-hopf"])
@@ -537,21 +568,20 @@ class TestThreeOrderRead:
         moved = pts.copy()
         moved[4] += 0.01
         expected = fresh(interp).evaluate(moved, 1)
-        per_read = len(interp._read_plan[1])  # one exp per node set
         exp = CountingExp(monkeypatch)
         interp.evaluate(pts, 0)
         interp.evaluate(pts, 1)
-        assert exp.calls == per_read
+        assert exp.calls == 1  # one exp per read
         pts[4] += 0.01  # the same array, changed in place
         np.testing.assert_array_equal(interp.evaluate(pts, 1), expected)
-        assert exp.calls == 2 * per_read
+        assert exp.calls == 2
         interp.evaluate(np.linspace(0.0, 1.0, 8), 1)
-        assert exp.calls == 3 * per_read
+        assert exp.calls == 3
         for u in (0.0, -0.0, np.array([-0.0]), -0.0, 0.0):
             interp.evaluate(u, 2)
-        assert exp.calls == 8 * per_read
+        assert exp.calls == 8
         interp.evaluate(0.0, 0)
-        assert exp.calls == 8 * per_read
+        assert exp.calls == 8
 
     def test_scalar_and_one_element_reads_keep_their_types(self, saved_kinds):
         interp = fresh(saved_kinds["first-order"])
@@ -570,13 +600,14 @@ class TestThreeOrderRead:
 
     def test_kept_vectors_bound_the_extra_memory(self):
         # traced peak of orders 0, 1, 2 read at the pooled map's 404 data points, less its three
-        # 404 x 401 basis matrices: the per-order reads this replaced peaked at 3,908,840 bytes,
-        # 20,696 over the matrices; the shared read peaks at 3,912,193, 24,097 over them. The
-        # bound adds the kept vectors: three results and the key, 4 x 404 floats
+        # 404 x 402 basis matrices: per-order reads peaked at 3,908,840 bytes, 20,696 over the
+        # 404 x 401 matrices of each order's own nodes; the shared read on all 402 distinct
+        # locations peaks at 3,921,841, 24,049 over them. The bound adds the kept vectors: three
+        # results and the key, 4 x 404 floats
         problem = cole_hopf_multi_problem()
         interp = fit(problem.system, Matern52(0.7))
         # the read plan is built here, outside the traced reads
-        basis = problem.us.size * max(nodes.size for nodes, *_ in interp._read_plan[1]) * 8
+        basis = problem.us.size * interp._read_plan[1].size * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

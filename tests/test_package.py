@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import gpmaps
-from gpmaps import cgc, cli, dynamics
+from gpmaps import cgc, cli, dynamics, gp
 from gpmaps.kernel_learning import REFINE_WIDTH, THETA_GRID
+from gpmaps.kernels import Matern52
 
 
 def test_exports_and_schema_enums_match_the_code():
@@ -202,6 +203,16 @@ def test_readme_states_the_theta_search_budget():
     for phrase in (f"{len(THETA_GRID)} log-spaced lengthscales", f"bracket is {REFINE_WIDTH:g} wide",
                    f"lattice of step {REFINE_WIDTH / 2:g}"):
         assert phrase in readme
+
+
+def test_readme_states_the_interpolant_layout():
+    # the README lists the keys of interpolant.json in the order the writer writes them
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.search(r"saves its map as `interpolant\.json`, one column per key: ((?:`\w+`, )+`\w+`)\.", readme)
+    assert quoted is not None
+    system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0),), [1.0])
+    written = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
+    assert re.findall(r"`(\w+)`", quoted[1]) == list(written)
 
 
 def test_readme_states_the_cgc_pde_result():
