@@ -10,7 +10,7 @@ needs no kernel derivatives at all.
 The explicit Euler step of the diffusion is stable only while the diffusion
 number h*nu/dx^2 is at most 0.5; with dx = 0.01 and nu = 0.5 that means
 h <= 1e-4, so the h sweep below stays at or under that bound. (A larger h
-makes ``pde_step`` emit a ``CflWarning``.)
+makes ``burgers_step`` emit a ``CflWarning``.)
 
 Smaller steps do not keep helping under the automatic nugget: it is set by
 the two anchor constraints (2.0e-10 at theta = 1), while an interior

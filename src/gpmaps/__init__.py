@@ -20,7 +20,6 @@ from .cgc import (
     nf_solve,
 )
 from .dynamics import (
-    Burgers,
     Field1D,
     Grid1D,
     Trajectory,
@@ -31,7 +30,6 @@ from .dynamics import (
     get_initial_condition,
     hopf_polar_rhs,
     mu_from_AB,
-    pde_step,
     r_exact,
     rk4,
 )

@@ -4,8 +4,8 @@ Two instances are provided:
 
 * :func:`cgc_pde_solve` learns a scalar map G together with the unknown
   coefficient ``a`` of the linear first-order target equation, by minimizing
-  a loss combining G's RKHS norm, a Gaussian prior on ``a``, the equation
-  residual on the data, and an anchor pinning G(1) = 1.
+  a loss combining G's RKHS norm, the standard Gaussian prior a^2 on ``a``,
+  the equation residual on the data, and an anchor pinning G(1) = 1.
 * :func:`nf_solve` learns a homogeneous-quartic map H from a planar
   oscillator trajectory to the radius r of its rotation normal form, with r
   on the closed form of the radial law from an unknown initial radius r0,
@@ -74,14 +74,6 @@ def _balanced(factor, norm, term):
     return factor * max(norm, 1e-8) / max(term, 1e-12)
 
 
-def _check_weights(problem, names):
-    """Raise :class:`InvalidInputError` unless each named weight of ``problem`` is None or finite and nonnegative."""
-    for name in names:
-        w = getattr(problem, name)
-        if w is not None and not (math.isfinite(w) and w >= 0):
-            raise InvalidInputError(f"{name} must be finite and nonnegative when given, got {w}")
-
-
 # ---------------------------------------------------------------------------
 # learning the map and the unknown linear-PDE coefficient
 # ---------------------------------------------------------------------------
@@ -96,7 +88,6 @@ class CgcPdeProblem:
     """
 
     u_data: np.ndarray
-    gamma: float = 1.0
     lambda2: float | None = None
     lambda3: float | None = None
 
@@ -107,9 +98,10 @@ class CgcPdeProblem:
         if np.any(u == 0.0):
             raise InvalidInputError("u_data entries must be nonzero (the residual divides by u^2)")
         object.__setattr__(self, "u_data", u)
-        if not self.gamma > 0:
-            raise InvalidInputError("gamma must be positive")
-        _check_weights(self, ("lambda2", "lambda3"))
+        for name in ("lambda2", "lambda3"):
+            w = getattr(self, name)
+            if w is not None and not (math.isfinite(w) and w >= 0):
+                raise InvalidInputError(f"{name} must be finite and nonnegative when given, got {w}")
 
     @property
     def nodes(self):
@@ -165,9 +157,8 @@ def _evaluate(problem, weights, a):
     the data (weight lambda2) and G(1) - 1 (lambda3). The data-fit term
     ``l1_weighted`` is identically zero: the output column of the data array
     is the map itself evaluated at the data. The loss
-    f(a) = a^2 / gamma^2 + y~^T (Phi~ + I)^-1 y~ is the sum of the named
-    terms, and its exact slope is
-    f'(a) = 2a / gamma^2 - (D alpha~)^T (B1 + 2a B2) (D alpha~).
+    f(a) = a^2 + y~^T (Phi~ + I)^-1 y~ is the sum of the named terms, and
+    its exact slope is f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~).
     """
     _, lam2, lam3 = weights
     b0, b1, b2 = problem._blocks
@@ -178,13 +169,10 @@ def _evaluate(problem, weights, a):
     alpha = inverse.T @ (inverse @ y)
     fitted = phi @ alpha
     resid = fitted - y
-    # the prior (a / gamma)^2 and its slope 2a / gamma^2 go through a / gamma: no float ** raises, no gamma^2 overflows
-    a_scaled = a / problem.gamma
-    values = (float(alpha @ fitted), float(a_scaled * a_scaled), 0.0, float(resid[:-1] @ resid[:-1]),
-              float(resid[-1] ** 2))
+    values = (float(alpha @ fitted), float(a * a), 0.0, float(resid[:-1] @ resid[:-1]), float(resid[-1] ** 2))
     loss = values[0] + values[1] + values[2] + values[3] + values[4]
     z = d * alpha
-    slope = 2.0 * a_scaled / problem.gamma - float(z @ ((b1 + (2.0 * a) * b2) @ z))
+    slope = 2.0 * a - float(z @ ((b1 + (2.0 * a) * b2) @ z))
     return _Evaluation(dict(zip(_PDE_TERM_NAMES, (*values, lam2, lam3))), loss, slope, alpha)
 
 
@@ -194,12 +182,12 @@ def cgc_pde_loss_terms(problem, state, weights):
 
 
 def cgc_pde_loss(problem, state, weights):
-    """Profiled loss f(a) = a^2 / gamma^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
+    """Profiled loss f(a) = a^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
     return _evaluate(problem, weights, state.a).loss
 
 
 def cgc_pde_grad(problem, state, weights):
-    """Exact slope f'(a) = 2a / gamma^2 - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
+    """Exact slope f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
     return _evaluate(problem, weights, state.a).slope
 
 
@@ -224,7 +212,7 @@ def _start(problem):
     balance the equation term against ||G0||^2, and the anchor, a single
     sample, is weighted like the whole equation block. The start is the
     exact best ``a`` for G0: with z = G0'(u) / u^2 the ``a``-dependent part
-    of its loss, a^2 / gamma^2 + lambda2 ||G0(u) + a z||^2, is a quadratic.
+    of its loss, a^2 + lambda2 ||G0(u) + a z||^2, is a quadratic.
     """
     x, u = problem.nodes, problem.u_data
     g0 = fit(ConstraintSystem(tuple(map(LinearFunctional.dirac, x)), x), PDE_KERNEL)
@@ -232,7 +220,7 @@ def _start(problem):
     norm, fit_sq = float(x @ g0.coefficients), float(z1 @ z1)
     lam2 = problem.lambda2 if problem.lambda2 is not None else _balanced(BALANCE_FACTOR, norm, fit_sq)
     lam3 = problem.lambda3 if problem.lambda3 is not None else lam2 * u.size
-    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / ((1.0 / problem.gamma) / problem.gamma + lam2 * (z @ z)))
+    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / (1.0 + lam2 * (z @ z)))
 
 
 def cgc_pde_solve(problem, config=None):
@@ -266,19 +254,17 @@ def cgc_pde_solve(problem, config=None):
 
 @dataclass(frozen=True)
 class NfProblem:
-    """Trajectory data and weights for the radius-map problem.
+    """Trajectory data for the radius-map problem.
 
     The anchor is the trajectory's first state: the map must send it to its
     radius. The sampling step, the anchor's radius and the quartic features of
     the trajectory are computed once and kept with the problem, so the
-    trajectory must not be modified afterwards. The decay-law weight is
-    always balanced: its term is negligible with r on the radial law.
+    trajectory must not be modified afterwards. The loss weights are always
+    balanced when solving (:func:`_nf_weights`).
     """
 
     trajectory: object
     mu: float
-    lambda1: float | None = None
-    lambda3: float | None = None
 
     def __post_init__(self):
         t = self.trajectory.times
@@ -289,7 +275,6 @@ class NfProblem:
             raise InvalidInputError("trajectory states must be planar (u, v)")
         if not math.isfinite(self.mu):
             raise InvalidInputError(f"mu must be finite, got {self.mu}")
-        _check_weights(self, ("lambda1", "lambda3"))
         if self.r0_target == 0.0:
             # the exact radius r(t) would vanish identically, leaving no scale to learn or compare with
             raise InvalidInputError("the trajectory's first state (init_point) must differ from the fixed point (0, 0)")
@@ -361,29 +346,43 @@ NF_ODE_FACTOR = 100.0
 NF_ANCHOR_FACTOR = 10.0
 
 
-def _nf_weights(problem, raw):
-    """Loss weights; the decay law's, and each one left unset, balances its term of ``raw``, the unit-weight terms."""
-    given = (problem.lambda1, None, problem.lambda3)
+def _nf_weights(raw):
+    """Loss weights, each balancing its term of ``raw``, the unit-weight terms, against the norm ``raw[0]``."""
     factors = (NF_FIT_FACTOR, NF_ODE_FACTOR, NF_ANCHOR_FACTOR)
-    return tuple(w if w is not None else _balanced(f, raw[0], t) for w, f, t in zip(given, factors, raw[1:]))
+    return tuple(_balanced(f, raw[0], t) for f, t in zip(factors, raw[1:]))
 
 
 #: Names of the weighted terms that :func:`_nf_loss_at` returns, then of the three weights.
 _NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted", "lambda1", "lambda2", "lambda3")
 
 
+def _checked_nf_weights(weights):
+    """``weights`` (lambda1, lambda2, lambda3), once each is finite and nonnegative.
+
+    The problem holds no weights, so the public loss functions check the ones
+    they are given; :func:`nf_solve` balances its own (:func:`_nf_weights`).
+    """
+    for name, w in zip(_NF_TERM_NAMES[4:], weights):
+        if not (math.isfinite(w) and w >= 0):
+            raise InvalidInputError(f"{name} must be finite and nonnegative, got {w}")
+    return weights
+
+
 def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
+    weights = _checked_nf_weights(weights)
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
     return dict(zip(_NF_TERM_NAMES, (*_nf_loss_at(problem, state.h_coeffs, weights, residuals)[0], *weights)))
 
 
 def nf_loss(problem, state, weights):
+    weights = _checked_nf_weights(weights)
     return _nf_loss_at(problem, state.h_coeffs, weights, _nf_residuals(problem, state.h_coeffs, state.r_values))[1]
 
 
 def nf_grad(problem, state, weights):
     """Hand-coded gradient w.r.t. (h_coeffs, r_values)."""
+    weights = _checked_nf_weights(weights)
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
     return _nf_gradient(problem, state.h_coeffs, state.r_values, weights, residuals)
 
@@ -463,10 +462,10 @@ def nf_solve(problem, config=None):
     """Minimize the radius-map loss with r on its radial law, and reconstruct the planar orbit.
 
     :func:`gpmaps.optim.slope_search` minimizes the profile of
-    :func:`_nf_profile` over s = ln r0 from r0 = |x0|, once the weights left
-    unset are balanced at :func:`_nf_default_init`, whose loss must be
-    finite. The loss trace is [f at the start, f at the returned r0] and
-    ``iterations`` counts the slope evaluations. r differs from the closed
+    :func:`_nf_profile` over s = ln r0 from r0 = |x0|, once the weights are
+    balanced at :func:`_nf_default_init`, whose loss must be finite. The
+    loss trace is [f at the start, f at the returned r0] and ``iterations``
+    counts the slope evaluations. r differs from the closed
     form from |x0| only through r0 (``relative_l2`` 0.0018 at the paper
     configuration); H misses its own r by about 87% there.
 
@@ -477,7 +476,7 @@ def nf_solve(problem, config=None):
     state0 = _nf_default_init(problem)
     residuals = _nf_residuals(problem, state0.h_coeffs, state0.r_values)
     # unit weights leave the raw terms
-    weights = _nf_weights(problem, _nf_loss_at(problem, state0.h_coeffs, (1.0, 1.0, 1.0), residuals)[0])
+    weights = _nf_weights(_nf_loss_at(problem, state0.h_coeffs, (1.0, 1.0, 1.0), residuals)[0])
     f = _nf_loss_at(problem, state0.h_coeffs, weights, residuals)[1]
     if not np.isfinite(f):
         raise DivergedError("non-finite loss at the initial point", trace=[f])

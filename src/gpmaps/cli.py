@@ -24,7 +24,8 @@ summary's ``parameters`` is the resolved config (every key the experiment
 reads, defaults filled in, less ``output_dir``) plus what the run derived:
 the lengthscale used, the loss ``weights``, ``mu`` or ``thetas_learned``.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 config/validation error or an input or output path
+that cannot be read or written, 3 numerical failure.
 All numeric output is written with full round-trip precision so re-running a
 config byte-reproduces the artifacts (the summary's wall time is the one
 intentionally varying field).
@@ -45,6 +46,7 @@ import os
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,10 +229,10 @@ def _joint_metrics(result):
                for name, value in result.terms.items() if not name.startswith("lambda")}}
 
 
-@_runner("cgc-pde", N=100, ic="firstorder-paper", gamma=1.0, lambda2=None, lambda3=None, max_iters=40000)
+@_runner("cgc-pde", N=100, ic="firstorder-paper", max_iters=40000)
 def _experiment_cgc_pde(cfg, out):
     _, u_data = dynamics.get_initial_condition(cfg["ic"]).sample(cfg["N"])
-    problem = cgc.CgcPdeProblem(u_data=u_data, gamma=cfg["gamma"], lambda2=cfg["lambda2"], lambda3=cfg["lambda3"])
+    problem = cgc.CgcPdeProblem(u_data=u_data)
     result = cgc.cgc_pde_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
     csv_path = _write_csv(out / "cgc_pde.csv", ["u", "G_learned", "G_truth"],
                           [u_data, result.interpolant(u_data), transforms.first_order_truth(u_data)])
@@ -242,12 +244,12 @@ def _experiment_cgc_pde(cfg, out):
 
 
 @_runner("brusselator-nf", A=1.0, B=2.1, n_samples=2000, dt=0.1, gen_dt=1e-3, init_point=(0.1, -0.1),
-         lambda1=None, lambda3=None, max_iters=15000)
+         max_iters=15000)
 def _experiment_brusselator_nf(cfg, out):
     mu = dynamics.mu_from_AB(cfg["A"], cfg["B"])
     traj = dynamics.brusselator_trajectory(cfg["A"], cfg["B"], init_point=tuple(cfg["init_point"]),
                                            n_samples=cfg["n_samples"], sample_dt=cfg["dt"], gen_dt=cfg["gen_dt"])
-    problem = cgc.NfProblem(traj, mu, lambda1=cfg["lambda1"], lambda3=cfg["lambda3"])
+    problem = cgc.NfProblem(traj, mu)
     result = cgc.nf_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
     r = result.state.r_values
     r_ex = dynamics.r_exact(problem.r0_target, mu, traj.times)
@@ -321,9 +323,14 @@ def run_evaluate(interp_path, points_path, deriv, output):
     with open(interp_path) as fh:
         interp = interpolant_from_config(json.load(fh))
     try:
-        pts = np.loadtxt(points_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        with warnings.catch_warnings():
+            # a header-only file: reported below as an error, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            pts = np.loadtxt(points_path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
     except ValueError as exc:
         raise InvalidInputError(f"points CSV {points_path} does not hold numbers: {exc}") from exc
+    if pts.size == 0:
+        raise InvalidInputError(f"points CSV {points_path} holds no points")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError(f"points CSV {points_path} holds a non-finite point")
     vals = interp.evaluate(pts, deriv)
@@ -380,7 +387,7 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (GpmapsError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (GpmapsError, OSError, UnicodeDecodeError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     return 0

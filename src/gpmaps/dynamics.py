@@ -30,11 +30,10 @@ __all__ = [
     "Grid1D",
     "Field1D",
     "Trajectory",
-    "Burgers",
     "CflWarning",
     "first_difference",
     "diff",
-    "pde_step",
+    "burgers_step",
     "antiderivative",
     "rk4",
     "brusselator_rhs",
@@ -108,15 +107,6 @@ class Trajectory:
         return self.times.shape[0]
 
 
-@dataclass(frozen=True)
-class Burgers:
-    nu: float
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise InvalidInputError(f"viscosity must be positive, got {self.nu}")
-
-
 #: The one-sided end rows of :func:`first_difference` as (columns, weights), the weights in units of 1 / (2h).
 _FD_END_ROWS = (((0, 1, 2), (-3.0, 4.0, -1.0)), ((-1, -2, -3), (3.0, -4.0, 1.0)))
 
@@ -169,14 +159,14 @@ def diff(field, order):
     return Field1D(field.grid, out)
 
 
-def pde_step(kind, field, h):
+def burgers_step(field, nu, h):
     """One explicit Euler step of viscous Burgers, v_t = nu v_xx - v v_x."""
-    if not isinstance(kind, Burgers):
-        raise InvalidInputError(f"unknown PDE kind {kind!r}")
+    if not nu > 0:
+        raise InvalidInputError(f"viscosity must be positive, got {nu}")
     if not h > 0:
         raise InvalidInputError(f"time step must be positive, got {h}")
     v = field.values
-    cfl = h * kind.nu / field.grid.dx**2
+    cfl = h * nu / field.grid.dx**2
     if cfl > 0.5:
         warnings.warn(
             f"diffusion number h*nu/dx^2 = {cfl:.3g} exceeds 0.5; explicit step may be unstable",
@@ -184,7 +174,7 @@ def pde_step(kind, field, h):
             stacklevel=2,
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = v + h * (kind.nu * diff(field, 2).values - v * diff(field, 1).values)
+        out = v + h * (nu * diff(field, 2).values - v * diff(field, 1).values)
     if not np.all(np.isfinite(out)):
         raise NumericalOverflowError("non-finite field after Euler step (CFL violation?)")
     return Field1D(field.grid, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Burgers, Field1D, Grid1D, antiderivative, diff, get_initial_condition, pde_step
+from .dynamics import Field1D, Grid1D, antiderivative, burgers_step, diff, get_initial_condition
 from .exceptions import InvalidInputError
 from .gp import ConstraintSystem, FunctionalTerm, LinearFunctional, rkhs_norm_sq
 
@@ -170,7 +170,7 @@ def build_cole_hopf_discrete(v0, nu, h):
     if n < 5:
         raise InvalidInputError(f"need at least 5 grid nodes, got {n}")
     u0 = antiderivative(v0).values
-    v1 = pde_step(Burgers(nu), v0, h)
+    v1 = burgers_step(v0, nu, h)
     drift = h * (nu * diff(v0, 1).values[0] - 0.5 * v0.values[0] ** 2)
     u1 = antiderivative(v1, drift).values
     dx = v0.grid.dx
@@ -278,13 +278,16 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
 
 
 def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper"):
-    """Discrete-stepper problem on a uniform grid over the IC's interval."""
+    """Discrete-stepper problem on a uniform grid over the IC's interval; ``dx`` must divide the interval."""
     if not (math.isfinite(dx) and dx > 0):
         raise InvalidInputError(f"dx must be finite and positive, got {dx}")
     ic = get_initial_condition(ic_name, nu=nu)
     if ic.v0 is None:
         raise InvalidInputError(f"initial condition {ic_name!r} has no field v0 to step")
-    n = int(round((ic.x_hi - ic.x_lo) / dx)) + 1
+    width = ic.x_hi - ic.x_lo
+    n = int(round(width / dx)) + 1
+    if abs((n - 1) * dx - width) > 1e-9 * width:
+        raise InvalidInputError(f"dx = {dx} does not divide the interval [{ic.x_lo}, {ic.x_hi}] of {ic_name!r}")
     grid = Grid1D(ic.x_lo, dx, n)
     v0 = Field1D(grid, ic.v0(grid.xs))
     system = build_cole_hopf_discrete(v0, nu, h)

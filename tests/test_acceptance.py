@@ -173,7 +173,7 @@ def test_criterion_7_property_suites():
     def advance(h, t_end=0.016):
         f = v0
         for _ in range(int(round(t_end / h))):
-            f = dynamics.pde_step(dynamics.Burgers(0.5), f, h)
+            f = dynamics.burgers_step(f, 0.5, h)
         return f.values
 
     ref = advance(1.25e-5)

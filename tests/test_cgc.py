@@ -83,36 +83,14 @@ class TestPdeLoss:
         assert np.isfinite(cgc_pde_loss(prob, init, w))
         assert cgc_pde_loss(prob, init, w) > cgc_pde_loss(prob, truth, w)
 
-    def test_gamma_infinity_removes_prior(self, u_data):
-        prob = CgcPdeProblem(u_data=u_data, gamma=1e300, lambda2=3.0, lambda3=7.0)
-        w = (0.0, 3.0, 7.0)
-        for a in (0.4, 1.9):
+    def test_prior_is_a_squared(self, u_data):
+        # the standard Gaussian prior on a: the terms other than a^2 do not see it
+        prob, w = CgcPdeProblem(u_data=u_data), (0.0, 3.0, 7.0)
+        for a in (-1.9, 0.4):
             t = cgc_pde_loss_terms(prob, CgcPdeState(a), w)
-            assert t["a_prior"] == 0.0
-            assert cgc_pde_loss(prob, CgcPdeState(a), w) == t["norm_g"] + t["l2_weighted"] + t["anchor_weighted"]
-
-    def test_gamma_infinity_solves(self, u_data):
-        # 1 / gamma^2 and the prior's slope are formed without squaring gamma, which overflows a float
-        res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=1e300), config=DescentConfig(max_iters=200))
-        assert res.terms["a_prior"] == 0.0
-        assert np.isfinite(res.loss_trace).all()
-
-    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
-    def test_tiny_gamma_solves(self, u_data, gamma):
-        # (a / gamma)^2 is a product: as a float ** it raised OverflowError; the prior now pins a to 0
-        res = cgc_pde_solve(CgcPdeProblem(u_data=u_data, gamma=gamma))
-        assert res.converged
-        assert abs(res.state.a) < 1e-300
-        # near a = 0 the bracket closes at machine epsilon times the last walk step, one slope per
-        # halving, not at adjacent floats, one slope per binade down to the subnormals (1,066 slopes)
-        assert res.reason == "bracket_closed" and res.iterations <= 60
-
-    def test_gamma_rescale_changes_only_prior(self, u_data):
-        state = CgcPdeState(0.7)
-        w = (0.0, 3.0, 7.0)
-        l1 = cgc_pde_loss(CgcPdeProblem(u_data=u_data, gamma=1.0), state, w)
-        l2 = cgc_pde_loss(CgcPdeProblem(u_data=u_data, gamma=2.0), state, w)
-        assert l1 - l2 == pytest.approx(0.7**2 * (1.0 - 0.25), rel=1e-9)
+            assert t["a_prior"] == a * a
+            assert cgc_pde_loss(prob, CgcPdeState(a), w) == \
+                t["norm_g"] + a * a + t["l1_weighted"] + t["l2_weighted"] + t["anchor_weighted"]
 
     def test_zero_u_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -124,6 +102,11 @@ class TestPdeLoss:
         # NaN fails no comparison with 0, so a sign check alone lets it through
         with pytest.raises(InvalidInputError, match=name):
             CgcPdeProblem(u_data=u_data, **{name: value})
+
+    @pytest.mark.parametrize("name", ["lambda2", "lambda3"])
+    def test_negative_weight_rejected(self, u_data, name):
+        with pytest.raises(InvalidInputError, match=name):
+            CgcPdeProblem(u_data=u_data, **{name: -1.0})
 
     def test_public_functions_are_views_of_one_evaluation(self, u_data):
         prob = CgcPdeProblem(u_data=u_data)
@@ -286,19 +269,28 @@ class TestNfLoss:
 
     @pytest.mark.parametrize("name", ["lambda1", "lambda3"])
     def test_negative_weight_rejected(self, small_traj, name):
-        with pytest.raises(InvalidInputError, match=name):
-            NfProblem(small_traj, MU, **{name: -1.0})
+        # the problem holds no weights: each loss function checks the ones it is given
+        prob, state = NfProblem(small_traj, MU), NfState(np.zeros(5), np.zeros(len(small_traj)))
+        weights = tuple(-1.0 if n == name else 1.0 for n in ("lambda1", "lambda2", "lambda3"))
+        for f in (nf_loss_terms, nf_loss, nf_grad):
+            with pytest.raises(InvalidInputError, match=name):
+                f(prob, state, weights)
 
     @pytest.mark.parametrize("name", ["lambda1", "lambda3"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, small_traj, name, value):
-        with pytest.raises(InvalidInputError, match=name):
-            NfProblem(small_traj, MU, **{name: value})
+        prob, state = NfProblem(small_traj, MU), NfState(np.zeros(5), np.zeros(len(small_traj)))
+        weights = tuple(value if n == name else 1.0 for n in ("lambda1", "lambda2", "lambda3"))
+        for f in (nf_loss_terms, nf_loss, nf_grad):
+            with pytest.raises(InvalidInputError, match=name):
+                f(prob, state, weights)
 
     def test_decay_law_weight_is_not_an_option(self, small_traj):
-        # on the radial law the decay-law term is negligible, so its weight is always balanced
-        with pytest.raises(TypeError, match="lambda2"):
-            NfProblem(small_traj, MU, lambda2=1.0)
+        # on the radial law the decay-law term is negligible, so its weight is always balanced,
+        # and so are the fit and anchor weights: no run ever set them
+        for name in ("lambda1", "lambda2", "lambda3"):
+            with pytest.raises(TypeError, match=name):
+                NfProblem(small_traj, MU, **{name: 1.0})
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_non_finite_mu_rejected(self, small_traj, mu):
@@ -312,14 +304,14 @@ class TestNfLoss:
 
     def test_zero_state_boundary_term(self, small_traj):
         # with everything zeroed only the anchor pays: (sqrt(0.02))^2 = 0.02
-        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda3=1.0)
+        prob = NfProblem(small_traj, MU)
         state = NfState(np.zeros(5), np.zeros(len(small_traj)))
         terms = nf_loss_terms(prob, state, (1.0, 1.0, 1.0))
         assert terms["l2_weighted"] == 0.0
         assert terms["anchor_weighted"] == pytest.approx(0.02, rel=1e-12)
 
     def test_exact_radius_has_small_ode_term(self, small_traj):
-        prob = NfProblem(small_traj, MU, lambda1=1.0, lambda3=1.0)
+        prob = NfProblem(small_traj, MU)
         r = r_exact(np.sqrt(2) / 10, MU, small_traj.times)
         phi_fit = np.linalg.lstsq(
             np.stack([small_traj.states[:, 0] ** (4 - k) * small_traj.states[:, 1] ** k for k in range(5)], axis=1),

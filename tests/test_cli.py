@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +51,38 @@ class TestRun:
         {"experiment": "cole-hopf-discrete", "dx": float("nan")},
         {"experiment": "brusselator-nf", "dt": float("nan"), "n_samples": 20, "max_iters": 3},
         {"experiment": "brusselator-nf", "A": float("nan"), "n_samples": 20, "max_iters": 3},
-        {"experiment": "brusselator-nf", "lambda1": float("nan"), "n_samples": 20, "max_iters": 3},
+        {"experiment": "brusselator-nf", "init_point": [0.1, float("nan")], "n_samples": 20, "max_iters": 3},
         {"experiment": "cole-hopf", "theta": float("inf")},
-        {"experiment": "cgc-pde", "gamma": float("inf")},
+        {"experiment": "diagnose-norm", "lam": float("inf")},
         # firstorder-paper has no field v0 to step
         {"experiment": "cole-hopf-discrete", "ic": "firstorder-paper"},
         # 4A^2 - (B - A^2 - 1)^2 overflows to -inf
         {"experiment": "brusselator-nf", "B": 1e200},
+        # the grid's last node would sit at x = 1.005, outside the interval [0, 1]
+        {"experiment": "cole-hopf-discrete", "dx": 0.015},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 2
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("case", ["config a directory", "config not UTF-8", "output dir a file",
+                                      "interpolant a directory"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, case):
+        config = write_config(tmp_path, "c.json", {"experiment": "cole-hopf", "output_dir": str(tmp_path / "o")})
+        if case == "config a directory":
+            argv = ["run", str(tmp_path)]
+        elif case == "config not UTF-8":
+            (tmp_path / "latin1.json").write_bytes('{"ic": "caf\u00e9"}'.encode("latin-1"))
+            argv = ["run", str(tmp_path / "latin1.json")]
+        elif case == "output dir a file":
+            argv = ["run", config, "--output-dir", config]
+        else:
+            (tmp_path / "pts.csv").write_text("u\n0.5\n")
+            argv = ["evaluate", str(tmp_path), "--points", str(tmp_path / "pts.csv"),
+                    "--output", str(tmp_path / "vals.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
 
     def test_config_schema_rejects_unknown_keys(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf", "NN": 25})
@@ -172,14 +193,14 @@ class TestRun:
 
 #: A schema key, with a valid value, that each experiment does not read.
 UNREAD_KEY = {
-    "cole-hopf": ("gamma", 5.0),
+    "cole-hopf": ("A", 7.0),
     "cole-hopf-discrete": ("N", 20),
     "cole-hopf-multi": ("N", 20),
     "first-order": ("nu", 0.5),
     "cgc-pde": ("A", 7.0),
     "brusselator-nf": ("N", 20),
     "diagnose-norm": ("max_iters", 3),
-    "table1": ("gamma", 5.0),
+    "table1": ("max_iters", 3),
 }
 
 
@@ -199,9 +220,9 @@ class TestConfigContract:
             runner(cfg)
 
     def test_every_unread_key_is_named(self, tmp_path):
-        cfg = {"experiment": "first-order", "gamma": 5, "max_iters": 3, "A": 7, "output_dir": str(tmp_path / "o")}
+        cfg = {"experiment": "first-order", "B": 5, "max_iters": 3, "A": 7, "output_dir": str(tmp_path / "o")}
         assert main(["run", write_config(tmp_path, "c.json", cfg)]) == 2
-        with pytest.raises(InvalidInputError, match="first-order does not read A, gamma, max_iters$"):
+        with pytest.raises(InvalidInputError, match="first-order does not read A, B, max_iters$"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("key, value", [("N", 0), ("N", "20x"), ("nu", -1)])
@@ -210,7 +231,7 @@ class TestConfigContract:
             run_experiment({"experiment": "cole-hopf", key: value, "output_dir": str(tmp_path / "o")})
 
     @pytest.mark.parametrize("cfg, flag, value, expected", [
-        ({"experiment": "cgc-pde", "N": 10, "gamma": 1.0, "max_iters": 5}, "--gamma", "2.5", 2.5),
+        ({"experiment": "cgc-pde", "N": 10, "max_iters": 5}, "--max-iters", "7", 7),
         ({"experiment": "brusselator-nf", "n_samples": 60, "gen_dt": 1e-3, "max_iters": 5}, "--gen-dt", "0.002", 0.002),
         ({"experiment": "diagnose-norm"}, "--N-list", "[50, 100]", [50, 100]),
     ])
@@ -293,11 +314,12 @@ class TestEvaluate:
                      "--output", str(tmp_path / "vals.csv")]) == 2
 
     @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5", "theta inf",
-                                      "points nan", "nested layout"])
+                                      "points nan", "nested layout", "points header only"])
     def test_malformed_input_exits_2(self, tmp_path, case):
         system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
         cfg = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
-        points = {"points abc": "u\nabc\n", "points nan": "u\n0.5\nnan\n"}.get(case, "u\n0.5\n")
+        points = {"points abc": "u\nabc\n", "points nan": "u\n0.5\nnan\n", "points header only": "u\n"}.get(
+            case, "u\n0.5\n")
         if case == "interpolant a list":
             cfg = [cfg]
         elif case.startswith("order"):
@@ -311,7 +333,10 @@ class TestEvaluate:
         interp.write_text(json.dumps(cfg))
         pts = tmp_path / "pts.csv"
         pts.write_text(points)
-        assert main(["evaluate", str(interp), "--points", str(pts), "--output", str(tmp_path / "vals.csv")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # silent by default: a warning, such as numpy's on an empty file, raises
+            assert main(["evaluate", str(interp), "--points", str(pts), "--output", str(tmp_path / "vals.csv")]) == 2
+        assert not (tmp_path / "vals.csv").exists()
 
 
 class TestCgcExperiments:
@@ -351,6 +376,8 @@ class TestCgcExperiments:
         ("free_z", True), ("l2_squared", False), ("method", "nelder-mead"),
         ("ode_form", "appendix"), ("eval_domain", "anchored"), ("theta_grid", [0.5, 1.0]),
         ("refine_iters", 20), ("rho_nugget", 1e-8), ("lambda1", 1.0), ("lam", 1e-6),
+        # the prior and the weights: every run used a^2 and weights balanced at the identity map
+        ("gamma", 1.0), ("lambda2", 1.0), ("lambda2", -1.0), ("lambda3", 1.0),
     ])
     def test_cgc_pde_rejects_removed_options(self, tmp_path, key, value):
         cfg = write_config(tmp_path, "c.json", {
@@ -366,11 +393,12 @@ class TestCgcExperiments:
         })
         assert main(["run", cfg]) == 2
 
-    @pytest.mark.parametrize("experiment", ["cgc-pde", "brusselator-nf"])
-    def test_negative_weight_exits_2(self, tmp_path, experiment):
-        key = {"cgc-pde": "lambda2", "brusselator-nf": "lambda1"}[experiment]  # a weight each one reads
+    @pytest.mark.parametrize("key,value", [("lambda1", 1.0), ("lambda1", -1.0), ("lambda3", 1.0)])
+    def test_brusselator_nf_rejects_removed_weights(self, tmp_path, key, value):
+        # the fit and anchor weights are always balanced too: no run set them
         cfg = write_config(tmp_path, "c.json", {
-            "experiment": experiment, key: -1.0, "max_iters": 5, "output_dir": str(tmp_path / "o"),
+            "experiment": "brusselator-nf", "n_samples": 20, "max_iters": 5, "output_dir": str(tmp_path / "o"),
+            key: value,
         })
         assert main(["run", cfg]) == 2
 
@@ -403,22 +431,24 @@ class TestCgcExperiments:
         solve = getattr(cgc, solver)
 
         def recording(*args, **kwargs):
+            # the benchmark unpacks the solver's positional arguments as (problem,)
+            assert len(args) == 1
             results.append(solve(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(cgc, solver, recording)
         metrics = run_experiment({**cfg, "output_dir": str(tmp_path / "out")})["metrics"]
+        assert len(results) == 1
         assert {k for k in metrics if k.startswith("loss_")} == {"loss_final", *keys}
         assert {k: metrics[k] for k in keys} == {k: results[0].terms[name] for k, name in keys.items()}
 
     def test_brusselator_nf_csv_schema(self, tmp_path):
         out = tmp_path / "out"
         summary = run_experiment({
-            "experiment": "brusselator-nf", "n_samples": 60, "max_iters": 300, "lambda1": 2.5,
-            "output_dir": str(out),
+            "experiment": "brusselator-nf", "n_samples": 60, "max_iters": 300, "output_dir": str(out),
         })
-        # lambda1 is rejected by cgc-pde only
-        assert summary["parameters"]["weights"][0] == 2.5
+        weights = summary["parameters"]["weights"]
+        assert len(weights) == 3 and all(np.isfinite(w) and w > 0 for w in weights)
         lines = (out / "brusselator_nf.csv").read_text().splitlines()
         assert lines[0] == "t,u,v,r_learned,r_exact,x_rec,y_rec"
         assert len(lines) == 61

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from gpmaps.dynamics import (
-    Burgers,
     CflWarning,
     Field1D,
     Grid1D,
     antiderivative,
     brusselator_rhs,
     brusselator_trajectory,
+    burgers_step,
     diff,
     get_initial_condition,
     hopf_polar_rhs,
     list_initial_conditions,
     mu_from_AB,
-    pde_step,
     r_exact,
     rk4,
 )
@@ -57,7 +56,7 @@ class TestDiff:
 class TestPdeStep:
     def test_constant_field_burgers_unchanged(self):
         f = field(lambda x: np.full_like(x, 1.3))
-        out = pde_step(Burgers(0.5), f, 1e-5)
+        out = burgers_step(f, 0.5, 1e-5)
         np.testing.assert_array_equal(out.values, f.values)
 
     def test_euler_first_order_convergence(self):
@@ -70,7 +69,7 @@ class TestPdeStep:
             f = v0
             steps = int(round(t_end / h))
             for _ in range(steps):
-                f = pde_step(Burgers(0.5), f, h)
+                f = burgers_step(f, 0.5, h)
             return f.values
 
         t_end = 0.016
@@ -82,13 +81,19 @@ class TestPdeStep:
     def test_cfl_warning(self):
         f = field(lambda x: np.sin(np.pi * x))
         with pytest.warns(CflWarning):
-            pde_step(Burgers(0.5), f, 2e-4)
+            burgers_step(f, 0.5, 2e-4)
+
+    @pytest.mark.parametrize("nu, h", [(0.0, 1e-5), (-0.5, 1e-5), (float("nan"), 1e-5), (0.5, 0.0)])
+    def test_nonpositive_viscosity_or_step_rejected(self, nu, h):
+        f = field(lambda x: np.sin(np.pi * x))
+        with pytest.raises(InvalidInputError):
+            burgers_step(f, nu, h)
 
     def test_overflow_detection(self):
         grid = Grid1D(0.0, 1e-3, 101)
         alternating = 1e300 * np.where(np.arange(101) % 2 == 0, 1.0, -1.0)
         with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError), pytest.warns(CflWarning):
-            pde_step(Burgers(0.5), Field1D(grid, alternating), 1e3)
+            burgers_step(Field1D(grid, alternating), 0.5, 1e3)
 
 
 class TestAntiderivative:

@@ -137,6 +137,14 @@ class TestSlopeSearch:
         assert best.slope * (start - root) >= 0.0  # on the start's side of the sign change
         assert evals == len(points) == len(set(points)) < 100
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_closes_a_bracket_at_zero_on_the_walk_scale(self, scale):
+        # near a root at 0 adjacent floats are subnormally close: the bracket closes at machine
+        # epsilon times the last walk step, one slope per halving, not after one slope per binade
+        (x, best, evals, reason), points = slopes(lambda t: scale * t, 0.5, 5000)
+        assert reason == "bracket_closed" and evals == len(points) < 70
+        assert abs(x) <= 1e-15 and best.slope == scale * x
+
     def test_returns_the_last_point_on_the_downhill_side(self):
         (x, best, _, _), points = slopes(lambda t: math.tanh(t - 0.3), -2.0, 1000)
         assert best.slope <= 0.0 and x < 0.3

@@ -303,3 +303,36 @@ def test_benchmark_names_resolve_in_gpmaps():
     unbound = sorted(f"{module}.{attr}" for module, attr in wrapped | called
                      if not hasattr(importlib.import_module(module), attr))
     assert unbound == []
+
+
+def test_benchmark_configs_resolve_with_every_key_read():
+    # the benchmark runs each experiment through the CLI with dict literals of
+    # its own; a key the experiment no longer reads would fail every pass, so
+    # each is resolved here, with the module constants it names and each key
+    # of a dict it loops over (the map fits' names) filled in
+    worker = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "worker.py").read_text())
+    constants = {target.id: node.value.value for node in worker.body if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant) for target in node.targets}
+    configs = []
+    for function in (node for node in worker.body if isinstance(node, ast.FunctionDef)):
+        literals = {target.id: node.value for node in ast.walk(function) if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Dict) for target in node.targets if isinstance(target, ast.Name)}
+        loops = []  # a loop variable's values: the keys of the dict literal it loops over
+        for node in ast.walk(function):
+            looped = getattr(getattr(getattr(node, "iter", None), "func", None), "value", None)
+            if isinstance(node, ast.For) and getattr(looped, "id", None) in literals:  # for name, _ in a.items()
+                loops = [{node.target.elts[0].id: ast.literal_eval(key)} for key in literals[looped.id].keys]
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "experiment":
+                arg = call.args[0]
+                code = compile(ast.Expression(literals[arg.id] if isinstance(arg, ast.Name) else arg), "worker", "eval")
+                table1 = any(k.arg == "table1" and k.value.value for k in call.keywords)
+                uses = [loop for loop in loops if loop.keys() & set(code.co_names)] or [{}]
+                configs += [(eval(code, {"__builtins__": {}}, {**constants, **loop}), table1) for loop in uses]
+    # table1, cgc-pde, brusselator-nf, the three map fits and diagnose-norm
+    assert len(configs) == 7 and {"CGC_PDE_MAX_ITERS", "NF_MAX_ITERS"} <= constants.keys()
+    for cfg, table1 in configs:
+        cfg = {**cfg, "seed": 1, "output_dir": "out"}  # as the worker's Pass.experiment adds them
+        experiments, default = (("table1",), "table1") if table1 else (cli.EXPERIMENTS, None)
+        experiment, resolved = cli._resolve(cfg, experiments, default)
+        assert cfg.keys() - {"experiment"} <= resolved.keys(), experiment

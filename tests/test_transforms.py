@@ -142,6 +142,12 @@ class TestColeHopfDiscrete:
         with pytest.raises(InvalidInputError, match="dx"):
             cole_hopf_discrete_problem(dx=dx)
 
+    @pytest.mark.parametrize("dx", [0.015, 0.03, 0.07])
+    def test_dx_not_dividing_the_interval_rejected(self, dx):
+        # the grid would end at x = 1.005, 0.99 or 0.98, not at the interval's end x = 1
+        with pytest.raises(InvalidInputError, match="does not divide"):
+            cole_hopf_discrete_problem(dx=dx)
+
     def test_too_small_grid(self):
         grid = Grid1D(0.0, 0.25, 4)
         with pytest.raises(InvalidInputError):
