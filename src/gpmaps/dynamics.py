@@ -3,15 +3,20 @@
 Contains the deterministic machinery every experiment builds on: spatial
 finite differences on uniform 1-D grids, a single explicit Euler step of
 viscous Burgers, antiderivatives from the grid's left edge, classical RK4 for
-ODE trajectories, the Brusselator right-hand side and the radial law of its
-Hopf normal form, closed-form reference solutions, and a registry of
-built-in initial conditions with their exact antiderivatives.
+ODE trajectories, the Brusselator right-hand side, its sampled trajectory
+and the radial law of its Hopf normal form, closed-form reference solutions,
+and a registry of built-in initial conditions with their exact
+antiderivatives.
 
 ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
 floats and return a sequence of floats; ``rk4`` steps every state length
-with one loop over lists of Python floats. ``brusselator_trajectory`` takes
-``rk4``'s step sequence with the Brusselator field written inline on two
-float locals, giving the same bits, and stores only the samples it returns.
+with one loop over lists of Python floats. ``brusselator_trajectory`` does
+not use it: the Brusselator field is polynomial, so the Taylor coefficients
+of its solution follow a recurrence with two Cauchy products per order.
+It takes one Taylor series per sample interval, with the order and any
+equal substeps read off the coefficients, and raises
+:class:`NumericalOverflowError` for non-finite coefficients or a substep
+too small to move the clock. Only the samples are stored.
 """
 
 from __future__ import annotations
@@ -271,33 +276,50 @@ def brusselator_rhs(A, B):
     return rhs
 
 
-def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_dt=0.1, gen_dt=1e-3):
-    """Shifted-Brusselator trajectory sampled on a uniform coarse time grid.
+#: Highest Taylor order of a substep; a series that has not converged by it splits its sample interval further.
+_TAYLOR_MAX_ORDER = 30
 
-    Integrated at the fine step ``gen_dt`` and subsampled, so data accuracy
-    is never the bottleneck of a downstream fit; ``sample_dt`` must be an
-    integer multiple of ``gen_dt``. The loop takes :func:`rk4`'s step
-    sequence, final partial step included, with :func:`brusselator_rhs`'s
-    arithmetic written inline on two float locals, so the samples have the
-    bits of ``rk4(brusselator_rhs(A, B), ...).states[::stride]``. Only the
-    samples are stored; the fine states are never kept.
+#: A series stops once its last two terms at the step sum below this fraction of the state's size.
+_TAYLOR_EPS = 2.0**-52
 
-    Raises :class:`InvalidInputError` for ``A = 0``, a ``gen_dt`` or
-    ``sample_dt`` that is not finite and positive, a ``sample_dt`` that is not
-    a multiple of ``gen_dt``, an ``n_samples`` that is not an integer of at
+
+def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_dt=0.1):
+    """Shifted-Brusselator trajectory sampled on a uniform time grid, one Taylor series per substep.
+
+    The field is polynomial, so the Taylor coefficients of the solution
+    follow a recurrence. In p = u + A and q = v + B/A the system reads
+    p' = A + p^2 q - (B+1) p and q' = B p - p^2 q; with (p^2)_k and
+    (p^2 q)_k the two Cauchy products at order k,
+
+        p_{k+1} = (A [k = 0] + (p^2 q)_k - (B+1) p_k) / (k+1),
+        q_{k+1} = (B p_k - (p^2 q)_k) / (k+1).
+
+    Orders are added until the last two terms at the step h, (|p_k| + |q_k|) h^k,
+    sum below 2^-52 (|p| + |q| + h (|p_1| + |q_1|)), the state and its
+    first-order change (the second keeps the bound positive at p = q = 0);
+    the series is then summed by Horner's rule. Each sample interval starts
+    as one step. A series still short of that at order ``_TAYLOR_MAX_ORDER``
+    halves the interval's substeps, those taken included, and starts again
+    from the same state, so the order and the step come from the coefficients
+    alone. The samples are the states at ``sample_dt * k``, shifted back to
+    (u, v). Far from the cycle the system is stiff, q relaxing onto B / p at
+    rate p^2, and the substeps shrink with it: the cost of a start far out
+    grows about as p^2.
+
+    Raises :class:`InvalidInputError` for ``A = 0``, a ``sample_dt`` that is
+    not finite and positive, an ``n_samples`` that is not an integer of at
     least 2 or an ``init_point`` that is not two finite floats, and
-    :class:`NumericalOverflowError` for a non-finite state.
+    :class:`NumericalOverflowError` naming the time t for non-finite
+    coefficients or a substep too small to move the clock (t + h == t), so a
+    series that never reaches its bound ends in an error, not in endless
+    halving.
     """
     A = float(A)
     B = float(B)
     if A == 0:
         raise InvalidInputError("A must be nonzero")
-    for name, value in (("gen_dt", gen_dt), ("sample_dt", sample_dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
-    stride = int(round(sample_dt / gen_dt))
-    if abs(stride * gen_dt - sample_dt) > 1e-12 * sample_dt:
-        raise InvalidInputError("sample_dt must be an integer multiple of gen_dt")
+    if not (math.isfinite(sample_dt) and sample_dt > 0):
+        raise InvalidInputError(f"sample_dt must be finite and positive, got {sample_dt}")
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise InvalidInputError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     try:
@@ -306,55 +328,63 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
         raise InvalidInputError(f"init_point must be two floats: {exc}") from exc
     if not (math.isfinite(u) and math.isfinite(v)):
         raise InvalidInputError("init_point must be finite")
-    # brusselator_rhs's constants; the stages below repeat its operations in order
     b_over_a = B / A
     b_plus_1 = B + 1.0
-    t1 = (n_samples - 1) * sample_dt
-    t_stop = t1 - 1e-12 * max(1.0, abs(t1))
-    t = 0.0
+    p = u + A
+    q = v + b_over_a
+    mul = float.__mul__
     samples = array("d", (u, v))
-    isfinite = math.isfinite
-    countdown = stride
-    while t < t_stop:
-        # min(gen_dt, t1 - t) as rk4 takes it, without the call
-        step = t1 - t
-        if step > gen_dt:
-            step = gen_dt
-        half = 0.5 * step
-        p = u + A
-        q = v + b_over_a
-        ppq = p * p * q
-        a1 = A + ppq - b_plus_1 * p
-        b1 = B * p - ppq
-        p = u + half * a1 + A
-        q = v + half * b1 + b_over_a
-        ppq = p * p * q
-        a2 = A + ppq - b_plus_1 * p
-        b2 = B * p - ppq
-        p = u + half * a2 + A
-        q = v + half * b2 + b_over_a
-        ppq = p * p * q
-        a3 = A + ppq - b_plus_1 * p
-        b3 = B * p - ppq
-        p = u + step * a3 + A
-        q = v + step * b3 + b_over_a
-        ppq = p * p * q
-        a4 = A + ppq - b_plus_1 * p
-        b4 = B * p - ppq
-        sixth = step / 6.0
-        u = u + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        v = v + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-        if not (isfinite(u) and isfinite(v)):
-            raise NumericalOverflowError(f"non-finite state at t = {t + step}")
-        t = t + step
-        countdown -= 1
-        if not countdown:
-            countdown = stride
-            samples.append(u)
-            samples.append(v)
-    # a copy owning its data, cut to n_samples as rk4's states[::stride][:n_samples] would be
-    states = np.frombuffer(samples).reshape(-1, 2)[:n_samples].copy()
-    return Trajectory(sample_dt * np.arange(n_samples), states)
+    for i in range(1, n_samples):
+        h = sample_dt
+        substeps = 1
+        taken = 0
+        while taken < substeps:
+            # order 1 is the field itself; P and S run from order 0, Pr and Qr from the highest order down
+            s = p * p
+            w = s * q
+            pk = A + w - b_plus_1 * p
+            qk = B * p - w
+            tol = _TAYLOR_EPS * (abs(p) + abs(q) + (abs(pk) + abs(qk)) * h)
+            P = [p, pk]
+            Pr = [pk, p]
+            Qr = [qk, q]
+            S = [s]
+            hk = h
+            last = (abs(pk) + abs(qk)) * hk
+            k = 1
+            while True:
+                S.append(sum(map(mul, P, Pr)))
+                w = sum(map(mul, S, Qr))
+                k += 1
+                qk = (B * pk - w) / k
+                pk = (w - b_plus_1 * pk) / k
+                P.append(pk)
+                Pr.insert(0, pk)
+                Qr.insert(0, qk)
+                hk *= h
+                term = (abs(pk) + abs(qk)) * hk
+                # a non-finite coefficient makes every later one non-finite, so a series that passes is finite
+                if term + last < tol or k == _TAYLOR_MAX_ORDER:
+                    break
+                last = term
+            if not term + last < tol:
+                t = (i - 1) * sample_dt + taken * h
+                if not (math.isfinite(pk) and math.isfinite(qk)):
+                    raise NumericalOverflowError(f"non-finite Taylor coefficients at t = {t}")
+                h *= 0.5
+                substeps *= 2
+                taken *= 2
+                if t + h == t:
+                    raise NumericalOverflowError(f"substep {h} too small to move the clock at t = {t}")
+                continue
+            p = q = 0.0  # Horner's rule, highest order first
+            for a, b in zip(Pr, Qr):
+                p = p * h + a
+                q = q * h + b
+            taken += 1
+        samples.append(p - A)
+        samples.append(q - b_over_a)
+    return Trajectory(sample_dt * np.arange(n_samples), np.frombuffer(samples).reshape(n_samples, 2).copy())
 
 
 def hopf_polar_rhs(mu):

@@ -478,7 +478,7 @@ class TestNfProfile:
     def test_decay_overflow_below_the_threshold_keeps_the_slope_finite(self):
         # mu < 0: e^(-2 mu t) overflows past t = 614, where the law's radius is 0 and so is its slope factor
         mu = mu_from_AB(1.0, 1.0)
-        traj = brusselator_trajectory(1.0, 1.0, n_samples=7000, gen_dt=1e-2)
+        traj = brusselator_trajectory(1.0, 1.0, n_samples=7000)
         with np.errstate(over="ignore"):
             res = nf_solve(NfProblem(traj, mu))
         assert res.reason == "bracket_closed" and np.all(np.isfinite(res.loss_trace))

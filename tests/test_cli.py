@@ -60,6 +60,8 @@ class TestRun:
         {"experiment": "brusselator-nf", "B": 1e200},
         # the grid's last node would sit at x = 1.005, outside the interval [0, 1]
         {"experiment": "cole-hopf-discrete", "dx": 0.015},
+        # gen_dt has no effect, and the schema still bounds it
+        {"experiment": "brusselator-nf", "gen_dt": 0.0},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -89,12 +91,22 @@ class TestRun:
         assert main(["run", cfg]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # a wildly unstable integration step blows up and must map to exit 3
+        # a state whose square overflows makes the trajectory's Taylor coefficients non-finite: exit 3
         cfg = write_config(tmp_path, "c.json", {
-            "experiment": "brusselator-nf", "gen_dt": 10.0, "dt": 10.0,
+            "experiment": "brusselator-nf", "init_point": [1e200, 1e200],
             "n_samples": 20, "output_dir": str(tmp_path / "o"),
         })
         assert main(["run", cfg]) == 3
+
+    def test_gen_dt_has_no_effect(self, tmp_path):
+        # the key is still declared and validated; the trajectory takes its steps from its Taylor coefficients
+        csvs = []
+        for gen_dt in (1e-3, 1e-2):
+            out = tmp_path / f"o{gen_dt}"
+            cfg = {"experiment": "brusselator-nf", "n_samples": 60, "gen_dt": gen_dt, "output_dir": str(out)}
+            assert main(["run", write_config(tmp_path, "c.json", cfg)]) == 0
+            csvs.append((out / "brusselator_nf.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_flag_overrides_file(self, tmp_path):
         out = tmp_path / "out"

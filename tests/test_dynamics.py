@@ -1,8 +1,10 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gpmaps import dynamics
 from gpmaps.dynamics import (
     CflWarning,
     Field1D,
@@ -295,31 +297,48 @@ class TestBrusselator:
         assert np.array_equal(as_numpy.times, as_float.times)
         assert np.array_equal(as_numpy.states, as_float.states)
 
-    @pytest.mark.parametrize(
-        "A, B, kwargs",
-        [
-            # 199,900 steps, the last 5.9e-10 short of gen_dt
-            (1.0, 2.1, {}),
-            (1.0, 2.1, {"n_samples": 200}),
-            (1.3, 2.6, {"n_samples": 60}),
-            (1.0, 2.1, {"sample_dt": 0.05}),
-            (1.0, 2.1, {"sample_dt": 0.3, "gen_dt": 1e-2, "init_point": (0.3, 0.2)}),
-        ],
-        ids=["paper", "200-samples", "A1.3-B2.6", "sample-dt-0.05", "gen-dt-1e-2"],
-    )
-    def test_trajectory_same_bits_as_rk4_subsampled(self, A, B, kwargs):
-        # the trajectory writes the field inline; rk4 on brusselator_rhs is its reference
+    # the five configs the trajectory is checked on; the last keeps the sample_dt of a former gen_dt = 1e-2 case
+    TRAJECTORY_CASES = [
+        (1.0, 2.1, {}),
+        (1.0, 2.1, {"n_samples": 200}),
+        (1.3, 2.6, {"n_samples": 60}),
+        (1.0, 2.1, {"sample_dt": 0.05}),
+        (1.0, 2.1, {"sample_dt": 0.3, "init_point": (0.3, 0.2)}),
+    ]
+    TRAJECTORY_IDS = ["paper", "200-samples", "A1.3-B2.6", "sample-dt-0.05", "sample-dt-0.3"]
+
+    @pytest.mark.parametrize("A, B, kwargs", TRAJECTORY_CASES, ids=TRAJECTORY_IDS)
+    def test_trajectory_agrees_with_four_substeps_per_sample(self, A, B, kwargs):
+        # the same integrator on a grid four times finer, read at every fourth sample
         n_samples = kwargs.get("n_samples", 2000)
         sample_dt = kwargs.get("sample_dt", 0.1)
-        gen_dt = kwargs.get("gen_dt", 1e-3)
-        stride = int(round(sample_dt / gen_dt))
-        fine = rk4(brusselator_rhs(A, B), kwargs.get("init_point", (0.1, -0.1)), 0.0,
-                   (n_samples - 1) * sample_dt, gen_dt)
-        # every config ends in rk4's final partial step min(dt, t1 - t)
-        assert fine.times[-1] - fine.times[-2] < gen_dt
         traj = brusselator_trajectory(A, B, **kwargs)
         assert np.array_equal(traj.times, sample_dt * np.arange(n_samples))
-        assert np.array_equal(traj.states, fine.states[::stride][:n_samples])
+        fine = brusselator_trajectory(A, B, init_point=kwargs.get("init_point", (0.1, -0.1)),
+                                      n_samples=4 * (n_samples - 1) + 1, sample_dt=sample_dt / 4)
+        assert np.max(np.abs(traj.states - fine.states[::4])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "A, B, kwargs, bound",
+        # twice the largest error of rk4 at step 1e-3 against four Taylor substeps per sample:
+        # 8.1e-11, 3.3e-13, 4.2e-14, 6.2e-11 and 3.9e-12
+        [(*case, bound) for case, bound in zip(TRAJECTORY_CASES, [1.7e-10, 7e-13, 9e-14, 1.3e-10, 8e-12])],
+        ids=TRAJECTORY_IDS,
+    )
+    def test_trajectory_agrees_with_rk4_to_its_error(self, A, B, kwargs, bound):
+        n_samples = kwargs.get("n_samples", 2000)
+        sample_dt = kwargs.get("sample_dt", 0.1)
+        fine = rk4(brusselator_rhs(A, B), kwargs.get("init_point", (0.1, -0.1)), 0.0,
+                   (n_samples - 1) * sample_dt, 1e-3)
+        stride = int(round(sample_dt / 1e-3))
+        traj = brusselator_trajectory(A, B, **kwargs)
+        assert np.max(np.abs(traj.states - fine.states[::stride][:n_samples])) <= bound
+
+    @pytest.mark.parametrize("A, B, kwargs", TRAJECTORY_CASES, ids=TRAJECTORY_IDS)
+    def test_trajectory_from_the_equilibrium_stays_there(self, A, B, kwargs):
+        # every coefficient past order 0 is exactly 0, so each Horner sum returns the state's bits
+        traj = brusselator_trajectory(A, B, **{**kwargs, "init_point": (0.0, 0.0)})
+        assert np.array_equal(traj.states, np.zeros((len(traj), 2)))
 
     def test_trajectory_owns_its_samples(self):
         # only the samples are stored, in an array of their own
@@ -327,33 +346,41 @@ class TestBrusselator:
         assert traj.states.base is None and traj.states.flags.owndata
 
     def test_trajectory_overflow_raises_typed_error(self):
-        with pytest.raises(NumericalOverflowError, match=r"non-finite state at t = 0\.001$"):
+        # (1e200)^2 overflows in the first coefficient of the first step
+        with pytest.raises(NumericalOverflowError, match=r"non-finite Taylor coefficients at t = 0\.0$"):
             brusselator_trajectory(1.0, 2.1, init_point=(1e200, 1e200))
+
+    def test_trajectory_needing_ever_smaller_substeps_raises_in_bounded_time(self, monkeypatch):
+        # The Brusselator has no finite-time blow-up to integrate towards: p' = A + p^2 q - (B+1) p and
+        # q' = B p - p^2 q pull q onto q = B / p at rate p^2. A zero tolerance makes every series fall short
+        # of it instead, so the first interval halves its substep until the step no longer moves the clock.
+        monkeypatch.setattr(dynamics, "_TAYLOR_EPS", 0.0)
+        start = time.perf_counter()
+        with pytest.raises(NumericalOverflowError, match=r"substep 0\.0 too small to move the clock at t = 0\.0$"):
+            brusselator_trajectory(1.0, 2.1, n_samples=5)
+        assert time.perf_counter() - start < 10.0
 
     @pytest.mark.parametrize(
         "A, kwargs",
         [
             (0.0, {}),
-            (1.0, {"sample_dt": 0.1005}),
-            (1.0, {"gen_dt": 0.0}),
             (1.0, {"n_samples": 1}),
             (1.0, {"init_point": (0.1, -0.1, 0.0)}),
             (1.0, {"init_point": (0.1, np.nan)}),
             (1.0, {"sample_dt": np.nan}),
             (1.0, {"sample_dt": np.inf}),
             (1.0, {"sample_dt": 0.0}),
-            (1.0, {"gen_dt": np.inf}),
             (1.0, {"n_samples": 10.5}),
         ],
-        ids=["zero-A", "sample-dt-not-multiple", "zero-gen-dt", "one-sample", "three-components", "nan",
-             "nan-sample-dt", "inf-sample-dt", "zero-sample-dt", "inf-gen-dt", "fractional-n-samples"],
+        ids=["zero-A", "one-sample", "three-components", "nan", "nan-sample-dt", "inf-sample-dt", "zero-sample-dt",
+             "fractional-n-samples"],
     )
     def test_trajectory_bad_input_rejected(self, A, kwargs):
         with pytest.raises(InvalidInputError):
             brusselator_trajectory(A, 2.1, **kwargs)
 
     def test_trajectory_stores_only_its_samples(self):
-        # 4,901 fine states would take 78 kB; the 50 samples take 0.8 kB.
+        # the 50 samples take 0.8 kB; each step's series lives only for its step.
         # Tracing slows the loop 5-100x, so this is not the paper's 2000
         tracemalloc.start()
         try:
