@@ -24,11 +24,9 @@ from .dynamics import (
     Grid1D,
     Trajectory,
     antiderivative,
-    brusselator_rhs,
     brusselator_trajectory,
     diff,
     get_initial_condition,
-    hopf_polar_rhs,
     mu_from_AB,
     r_exact,
     rk4,
@@ -43,7 +41,7 @@ from .gp import (
     rkhs_norm_sq,
 )
 from .kernel_learning import learn_theta, rho_loo
-from .kernels import HomogeneousPolynomial, Matern52, k_deriv, k_eval
+from .kernels import HomogeneousPolynomial, Matern52, k_deriv
 from .transforms import (
     build_cole_hopf_discrete,
     build_cole_hopf_ode,

@@ -2,11 +2,12 @@
 
 Contains the deterministic machinery every experiment builds on: spatial
 finite differences on uniform 1-D grids, a single explicit Euler step of
-viscous Burgers, antiderivatives from the grid's left edge, classical RK4 for
-ODE trajectories, the Brusselator right-hand side, its sampled trajectory
-and the radial law of its Hopf normal form, closed-form reference solutions,
-and a registry of built-in initial conditions with their exact
-antiderivatives.
+viscous Burgers, antiderivatives from the grid's left edge, the Brusselator's
+sampled trajectory and the radial law of its Hopf normal form, closed-form
+reference solutions, and a registry of built-in initial conditions with their
+exact antiderivatives. Classical RK4 for ODE trajectories is kept as the
+reference integrator that the tests and the benchmark name; no experiment
+calls it.
 
 ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
 floats and return a sequence of floats; ``rk4`` steps every state length
@@ -41,9 +42,7 @@ __all__ = [
     "burgers_step",
     "antiderivative",
     "rk4",
-    "brusselator_rhs",
     "brusselator_trajectory",
-    "hopf_polar_rhs",
     "mu_from_AB",
     "r_exact",
     "InitialCondition",
@@ -252,30 +251,6 @@ def rk4(rhs, y0, t0, t1, dt):
     return Trajectory(np.frombuffer(times), np.frombuffer(states).reshape(len(times), n))
 
 
-def brusselator_rhs(A, B):
-    """Right-hand side of the Brusselator shifted so the equilibrium sits at the origin.
-
-    ``A`` and ``B`` become Python floats, so the step stays on Python floats
-    when they arrive as numpy scalars. Takes the state ``(u, v)`` as a
-    sequence of floats and returns a tuple.
-    """
-    A = float(A)
-    B = float(B)
-    if A == 0:
-        raise InvalidInputError("A must be nonzero")
-    b_over_a = B / A
-    b_plus_1 = B + 1.0
-
-    def rhs(t, state):
-        u, v = state
-        p = u + A
-        q = v + b_over_a
-        ppq = p * p * q
-        return (A + ppq - b_plus_1 * p, B * p - ppq)
-
-    return rhs
-
-
 #: Highest Taylor order of a substep; a series that has not converged by it splits its sample interval further.
 _TAYLOR_MAX_ORDER = 30
 
@@ -385,18 +360,6 @@ def brusselator_trajectory(A, B, init_point=(0.1, -0.1), n_samples=2000, sample_
         samples.append(p - A)
         samples.append(q - b_over_a)
     return Trajectory(sample_dt * np.arange(n_samples), np.frombuffer(samples).reshape(n_samples, 2).copy())
-
-
-def hopf_polar_rhs(mu):
-    """dr/dt = (mu - r^2) r, on a one-element sequence; returns a one-element tuple."""
-    mu = float(mu)  # mu_from_AB gives a numpy scalar; keep the step on Python floats
-
-    def rhs(t, state):
-        (r,) = state
-        # r * r, not r**2: a float ** overflows with an untyped OverflowError
-        return ((mu - r * r) * r,)
-
-    return rhs
 
 
 def mu_from_AB(A, B):

@@ -15,7 +15,8 @@ constraints; None picks ``NUGGET_SCALE * trace(G) / M`` for the kernel in use.
 
 Every factorization in the package is :func:`_cholesky`: factor a copy of
 the matrix shifted by a nugget with ``numpy.linalg.cholesky``, or raise
-:class:`SingularSystemError` naming it, with its condition number. Only fits
+:class:`SingularSystemError` naming it, with its condition number (inf when
+the factor is not finite, which numpy does not raise on). Only fits
 escalate the nugget on failure; the leave-one-out loss and the ``cgc-pde``
 profile raise at once, since their nugget is part of the value they compute.
 Every solve with a factor goes through its inverse, which
@@ -125,10 +126,6 @@ class LinearFunctional:
     def of_terms(cls, *spec):
         """Build from ``(location, deriv_order, weight)`` triples."""
         return cls(tuple(FunctionalTerm(*t) for t in spec))
-
-    def apply(self, fn):
-        """Apply the functional to ``fn(u, deriv_order)``."""
-        return float(sum(t.weight * fn(t.location, t.deriv_order) for t in self.terms))
 
 
 @dataclass(frozen=True)
@@ -284,14 +281,20 @@ def _cholesky(matrix, lam, what):
     """Lower Cholesky factor, upper triangle zeroed, of a shifted copy ``matrix + lam*I`` of a symmetric matrix.
 
     On failure raises :class:`SingularSystemError` naming ``what``, with the shifted matrix's condition number.
+    numpy factors a matrix with NaN or inf entries without raising, and a non-finite entry leaves a non-finite
+    diagonal in the factor, so a factor with one raises too, with the condition reported as inf (the SVD that
+    ``np.linalg.cond`` takes does not converge on NaN).
     """
     shifted = matrix.copy()
     shifted.ravel()[:: len(shifted) + 1] += lam  # the diagonal, through a view of the C-ordered copy
     try:
-        return cholesky(shifted)
+        factor = cholesky(shifted)
     except LinAlgError:
         raise SingularSystemError(f"{what} is not positive definite (nugget {lam:.3e})",
                                   condition=float(np.linalg.cond(shifted))) from None
+    if not np.isfinite(np.diagonal(factor)).all():
+        raise SingularSystemError(f"{what} has a non-finite Cholesky factor (nugget {lam:.3e})", condition=math.inf)
+    return factor
 
 
 def _factor_inverse(factor):
@@ -461,12 +464,6 @@ def rkhs_norm_sq(system, kernel, nugget=None):
     map's squared RKHS norm when the constraints are consistent.
     """
     return float(max(system.targets @ fit(system, kernel, nugget).coefficients, 0.0))
-
-
-def constraint_residuals(interp, system):
-    """|phi_i(D) - Y_i| for every constraint of a fitted system."""
-    applied = np.array([f.apply(interp.evaluate) for f in system.functionals])
-    return np.abs(applied - system.targets)
 
 
 def interpolant_to_config(interp):

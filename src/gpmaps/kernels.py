@@ -12,8 +12,9 @@ Two kernels cover every regression problem in this package:
 
 One coefficient table, ``_MATERN_PROFILE_COEFFS``, checked against central
 finite differences, defines every Matern profile derivative; the Gram,
-:func:`k_eval`, :func:`k_deriv` and interpolant reads all evaluate it exactly,
-with no autodiff or numeric differentiation on the hot path.
+:func:`k_deriv` (whose (0, 0) entry is the kernel's value) and interpolant
+reads all evaluate it exactly, with no autodiff or numeric differentiation on
+the hot path.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .exceptions import InvalidInputError, UnsupportedDerivativeError
 __all__ = [
     "Matern52",
     "HomogeneousPolynomial",
-    "k_eval",
     "k_deriv",
     "homogeneous_features",
     "homogeneous_norm_sq",
@@ -99,28 +99,6 @@ def _matern_profile_derivs(orders, gap, theta):
         p *= e
         out.append(p)
     return out
-
-
-def _check_vector(v, name):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2,):
-        raise InvalidInputError(f"{name} must be a vector of length 2, got shape {v.shape}")
-    return v
-
-
-def k_eval(spec, x, y):
-    """Evaluate K(x, y) for any kernel spec.
-
-    Matern52 takes scalars (arrays broadcast elementwise); HomogeneousPolynomial
-    takes vectors of length 2.
-    """
-    if isinstance(spec, Matern52):
-        return _matern_profile_derivs((0,), np.asarray(x, float) - np.asarray(y, float), spec.theta)[0]
-    if isinstance(spec, HomogeneousPolynomial):
-        xv = _check_vector(x, "x")
-        yv = _check_vector(y, "y")
-        return float(np.dot(xv, yv) ** spec.degree)
-    raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 
 def k_deriv(spec, x, y, a, b):

@@ -21,9 +21,7 @@ from .gp import ConstraintSystem, FunctionalTerm, LinearFunctional, rkhs_norm_sq
 __all__ = [
     "TransformProblem",
     "cole_hopf_truth",
-    "cole_hopf_truth_fn",
     "first_order_truth",
-    "first_order_truth_fn",
     "build_cole_hopf_ode",
     "build_cole_hopf_discrete",
     "build_first_order",
@@ -76,43 +74,11 @@ def cole_hopf_truth(u, nu):
     return float(out) if out.ndim == 0 else out
 
 
-def cole_hopf_truth_fn(nu):
-    """Truth with derivatives, as ``fn(u, order)`` for order in {0, 1, 2}.
-
-    Order 0 is :func:`cole_hopf_truth` itself.
-    """
-    if not nu > 0:
-        raise InvalidInputError(f"nu must be positive, got {nu}")
-    denom = 1.0 - np.exp(-1.0 / (2.0 * nu))
-
-    def fn(u, order=0):
-        if order == 0:
-            return cole_hopf_truth(u, nu)
-        return (-1.0 / (2.0 * nu)) ** order * np.exp(-np.asarray(u, dtype=float) / (2.0 * nu)) / denom
-
-    return fn
-
-
 def first_order_truth(u):
     """Exponential-of-cubic map; equals 1 at u = 1."""
     u = np.asarray(u, dtype=float)
     out = np.exp((u**3 - 1.0) / 3.0)
     return float(out) if out.ndim == 0 else out
-
-
-def first_order_truth_fn():
-    """First-order truth with derivatives, as ``fn(u, order)``."""
-
-    def fn(u, order=0):
-        u = np.asarray(u, dtype=float)
-        g = np.exp((u**3 - 1.0) / 3.0)
-        if order == 0:
-            return g
-        if order == 1:
-            return u**2 * g
-        return (2.0 * u + u**4) * g
-
-    return fn
 
 
 def _bracketed(interior_functionals):
@@ -210,11 +176,18 @@ def build_first_order(u_samples):
 
 
 def relative_l2(learned, truth, eval_points):
-    """Discrete relative L2 distance ||learned - truth||_2 / ||truth||_2."""
+    """Discrete relative L2 distance ||learned - truth||_2 / ||truth||_2.
+
+    Raises :class:`InvalidInputError` when the truth is not finite at every
+    evaluation point (the Cole-Hopf truth is 0/0 once nu is so large that
+    1 - exp(-1/(2 nu)) rounds to 0) or vanishes at all of them.
+    """
     pts = np.asarray(eval_points, dtype=float)
     if pts.size == 0:
         raise InvalidInputError("eval_points must be nonempty")
     tv = np.asarray(truth(pts), dtype=float)
+    if not np.isfinite(tv).all():
+        raise InvalidInputError("truth is not finite at every evaluation point")
     denom = np.linalg.norm(tv)
     if denom == 0.0:
         raise InvalidInputError("truth vanishes on all evaluation points")

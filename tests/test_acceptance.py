@@ -13,10 +13,11 @@ import pytest
 
 from gpmaps import cgc, dynamics, transforms
 from gpmaps.cli import run_experiment, run_table1
-from gpmaps.gp import ConstraintSystem, assemble_gram, constraint_residuals, fit
-from gpmaps.kernel_learning import learn_theta, rho_loo, rho_loo_naive
-from gpmaps.kernels import Matern52, k_deriv, k_eval
+from gpmaps.gp import ConstraintSystem, assemble_gram, fit
+from gpmaps.kernel_learning import learn_theta, rho_loo
+from gpmaps.kernels import Matern52, k_deriv
 from gpmaps.optim import DescentConfig
+from oracles import constraint_residuals, cole_hopf_truth_fn, first_order_truth_fn, hopf_polar_rhs, rho_loo_naive
 
 PAPER_B = {25: 1.9232e-2, 50: 5.2601e-3, 100: 1.3532e-3, 200: 3.4103e-4}
 PAPER_A = {25: 2.9675e-4, 50: 7.6794e-5, 100: 1.9450e-5}
@@ -128,7 +129,10 @@ def test_criterion_7_property_suites():
     rng = np.random.default_rng(42)
     k1 = Matern52(1.0)
 
-    # kernel derivatives vs finite differences (see test_kernels for the full grid)
+    def value(x, y):
+        return k_deriv(k1, x, y, 0, 0)
+
+    # kernel derivatives vs finite differences of the value (see test_kernels for the full grid)
     for a, b in ((1, 0), (1, 1), (2, 0)):
         for _ in range(25):
             x, y = rng.uniform(-2, 2, 2)
@@ -136,12 +140,12 @@ def test_criterion_7_property_suites():
                 continue
             h = 1e-6 if a + b < 2 else 2e-4
             if a + b < 2:
-                fd = (k_eval(k1, x + h, y) - k_eval(k1, x - h, y)) / (2 * h)
+                fd = (value(x + h, y) - value(x - h, y)) / (2 * h)
             elif (a, b) == (1, 1):
-                fd = (k_eval(k1, x + h, y + h) - k_eval(k1, x + h, y - h)
-                      - k_eval(k1, x - h, y + h) + k_eval(k1, x - h, y - h)) / (4 * h * h)
+                fd = (value(x + h, y + h) - value(x + h, y - h)
+                      - value(x - h, y + h) + value(x - h, y - h)) / (4 * h * h)
             else:
-                fd = (k_eval(k1, x + h, y) - 2 * k_eval(k1, x, y) + k_eval(k1, x - h, y)) / h**2
+                fd = (value(x + h, y) - 2 * value(x, y) + value(x - h, y)) / h**2
             assert k_deriv(k1, x, y, a, b) == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     # Gram symmetry and PSD; representer residual; target-scaling linearity
@@ -188,14 +192,14 @@ def test_criterion_7_property_suites():
 
     # closed-form radius vs RK4 over the full experiment horizon
     mu = dynamics.mu_from_AB(1.0, 2.1)
-    traj = dynamics.rk4(dynamics.hopf_polar_rhs(mu), [np.sqrt(2) / 10], 0.0, 200.0, 1e-3)
+    traj = dynamics.rk4(hopf_polar_rhs(mu), [np.sqrt(2) / 10], 0.0, 200.0, 1e-3)
     assert np.max(np.abs(traj.states[:, 0] - dynamics.r_exact(np.sqrt(2) / 10, mu, traj.times))) <= 1e-6
 
     # truth oracles annihilate their defining functionals
-    fn_d = transforms.cole_hopf_truth_fn(0.5)
+    fn_d = cole_hopf_truth_fn(0.5)
     u = rng.uniform(-3, 6, 10_000)
     assert np.max(np.abs(0.5 * fn_d(u, 2) + 0.5 * fn_d(u, 1)) / np.abs(0.5 * fn_d(u, 2))) <= 1e-12
-    fn_g = transforms.first_order_truth_fn()
+    fn_g = first_order_truth_fn()
     u = rng.uniform(0.2, 2.0, 10_000)
     assert np.max(np.abs(fn_g(u, 1) / u**2 - fn_g(u, 0)) / np.abs(fn_g(u, 0))) <= 1e-12
 

@@ -62,6 +62,11 @@ class TestRun:
         {"experiment": "cole-hopf-discrete", "dx": 0.015},
         # gen_dt has no effect, and the schema still bounds it
         {"experiment": "brusselator-nf", "gen_dt": 0.0},
+        # 1 - exp(-1/(2 nu)) rounds to 0, so the Cole-Hopf truth is 0/0 at every evaluation point
+        pytest.param({"experiment": "cole-hopf", "nu": 1e17},
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "learn_kernel": False},
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -90,13 +95,20 @@ class TestRun:
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf", "NN": 25})
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_code(self, tmp_path):
-        # a state whose square overflows makes the trajectory's Taylor coefficients non-finite: exit 3
-        cfg = write_config(tmp_path, "c.json", {
-            "experiment": "brusselator-nf", "init_point": [1e200, 1e200],
-            "n_samples": 20, "output_dir": str(tmp_path / "o"),
-        })
-        assert main(["run", cfg]) == 3
+        configs = [
+            # a state whose square overflows makes the trajectory's Taylor coefficients non-finite
+            {"experiment": "brusselator-nf", "init_point": [1e200, 1e200], "n_samples": 20},
+            # s^4 = (sqrt(5) / theta)^4 overflows, so the Gram and its factor hold NaN
+            {"experiment": "cole-hopf", "theta": 1e-100},
+            {"experiment": "diagnose-norm", "theta": 1e-300},
+        ]
+        for i, cfg in enumerate(configs):
+            out = tmp_path / f"o{i}"
+            assert main(["run", write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 3, cfg
+            assert not (out / "summary.json").exists()
+            assert not (out / "interpolant.json").exists()
 
     def test_gen_dt_has_no_effect(self, tmp_path):
         # the key is still declared and validated; the trajectory takes its steps from its Taylor coefficients
@@ -274,6 +286,14 @@ class TestTable1:
     def test_rejects_empty(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {"N_list": [], "output_dir": str(tmp_path / "o")})
         assert main(["table1", cfg]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_a_truth_that_is_not_finite(self, tmp_path):
+        # at nu = 1e17 the Cole-Hopf truth is 0/0 at every evaluation point
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "t.json", {"N_list": [25], "nu": 1e17, "output_dir": str(out)})
+        assert main(["table1", cfg]) == 2
+        assert not (out / "summary.json").exists()
 
     def test_rejects_repeated_sizes(self, tmp_path):
         # a repeated size would write two identical columns and one metric pair for both

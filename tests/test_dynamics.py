@@ -10,18 +10,17 @@ from gpmaps.dynamics import (
     Field1D,
     Grid1D,
     antiderivative,
-    brusselator_rhs,
     brusselator_trajectory,
     burgers_step,
     diff,
     get_initial_condition,
-    hopf_polar_rhs,
     list_initial_conditions,
     mu_from_AB,
     r_exact,
     rk4,
 )
 from gpmaps.exceptions import InvalidInputError, NumericalOverflowError
+from oracles import brusselator_rhs, hopf_polar_rhs
 
 RNG = np.random.default_rng(3)
 

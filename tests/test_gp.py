@@ -17,7 +17,6 @@ from gpmaps.gp import (
     _factor_with_escalation,
     _flatten,
     assemble_gram,
-    constraint_residuals,
     default_nugget,
     fit,
     interpolant_from_config,
@@ -32,6 +31,7 @@ from gpmaps.transforms import (
     cole_hopf_problem,
     first_order_problem,
 )
+from oracles import constraint_residuals
 
 RNG = np.random.default_rng(11)
 K1 = Matern52(1.0)
@@ -320,6 +320,17 @@ class TestJitter:
         with pytest.raises(SingularSystemError) as err:
             _factor_with_escalation(m, 1e-10)
         assert err.value.condition is not None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_raises(self, bad):
+        # numpy factors a NaN or inf entry without raising; the factor's diagonal shows it
+        m = np.eye(3)
+        m[2, 0] = m[0, 2] = bad
+        with pytest.raises(SingularSystemError, match="test matrix has a non-finite") as err:
+            _cholesky(m, 1e-8, "test matrix")
+        assert err.value.condition == np.inf
+        with pytest.raises(SingularSystemError, match="after 4 jitter escalations"):
+            _factor_with_escalation(m, 1e-8)
 
 
 def solved_system(name):

@@ -6,7 +6,7 @@ import pytest
 from gpmaps import gp, kernel_learning
 from gpmaps.exceptions import InvalidInputError, SingularSystemError
 from gpmaps.gp import ConstraintSystem, assemble_gram, fit
-from gpmaps.kernel_learning import LOO_NUGGET, REFINE_WIDTH, THETA_GRID, learn_theta, rho_loo, rho_loo_naive
+from gpmaps.kernel_learning import LOO_NUGGET, REFINE_WIDTH, THETA_GRID, learn_theta, rho_loo
 from gpmaps.kernels import Matern52
 from gpmaps.transforms import (
     cole_hopf_multi_problem,
@@ -15,6 +15,7 @@ from gpmaps.transforms import (
     first_order_problem,
     relative_l2,
 )
+from oracles import rho_loo_naive
 
 
 @pytest.fixture(scope="module")

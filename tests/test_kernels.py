@@ -9,7 +9,6 @@ from gpmaps.kernels import (
     homogeneous_features,
     homogeneous_norm_sq,
     k_deriv,
-    k_eval,
     kernel_from_config,
     kernel_to_config,
 )
@@ -18,7 +17,7 @@ RNG = np.random.default_rng(7)
 
 
 def _nested_fd(spec, x, y, a, b, h):
-    """Nested central differences of k_eval for the (a, b) mixed partial."""
+    """Nested central differences of the kernel value k_deriv(..., 0, 0) for the (a, b) mixed partial."""
 
     def dx(f, order):
         if order == 0:
@@ -34,7 +33,7 @@ def _nested_fd(spec, x, y, a, b, h):
             return lambda xx, yy: (f(xx, yy + h) - f(xx, yy - h)) / (2 * h)
         return lambda xx, yy: (f(xx, yy + h) - 2 * f(xx, yy) + f(xx, yy - h)) / h**2
 
-    return dy(dx(lambda xx, yy: k_eval(spec, xx, yy), a), b)(x, y)
+    return dy(dx(lambda xx, yy: k_deriv(spec, xx, yy, 0, 0), a), b)(x, y)
 
 
 def fd_mixed(spec, x, y, a, b, h):
@@ -45,33 +44,33 @@ def fd_mixed(spec, x, y, a, b, h):
 class TestMatern:
     def test_self_value_is_one(self):
         spec = Matern52(1.0)
-        assert k_eval(spec, 0.0, 0.0) == 1.0
-        assert k_eval(spec, 2.3, 2.3) == 1.0
+        assert k_deriv(spec, 0.0, 0.0, 0, 0) == 1.0
+        assert k_deriv(spec, 2.3, 2.3, 0, 0) == 1.0
 
     def test_unit_gap_value(self):
         # direct evaluation of the closed form (1 + sqrt5 + 5/3) exp(-sqrt5)
         expected = (1 + np.sqrt(5) + 5 / 3) * np.exp(-np.sqrt(5))
-        assert k_eval(Matern52(1.0), 0.0, 1.0) == pytest.approx(expected, rel=1e-14)
-        assert k_eval(Matern52(1.0), 0.0, 1.0) == pytest.approx(0.523994, abs=5e-7)
+        assert k_deriv(Matern52(1.0), 0.0, 1.0, 0, 0) == pytest.approx(expected, rel=1e-14)
+        assert k_deriv(Matern52(1.0), 0.0, 1.0, 0, 0) == pytest.approx(0.523994, abs=5e-7)
 
     def test_range(self):
         spec = Matern52(0.7)
         for _ in range(50):
             x, y = RNG.uniform(-5, 5, 2)
-            v = k_eval(spec, x, y)
+            v = k_deriv(spec, x, y, 0, 0)
             assert 0.0 < v <= 1.0
 
     def test_symmetry(self):
         spec = Matern52(1.3)
         for _ in range(50):
             x, y = RNG.uniform(-5, 5, 2)
-            assert k_eval(spec, x, y) == k_eval(spec, y, x)
+            assert k_deriv(spec, x, y, 0, 0) == k_deriv(spec, y, x, 0, 0)
 
     def test_stationarity(self):
         spec = Matern52(2.0)
         for _ in range(20):
             x, y, shift = RNG.uniform(-3, 3, 3)
-            assert k_eval(spec, x + shift, y + shift) == pytest.approx(k_eval(spec, x, y), rel=1e-15)
+            assert k_deriv(spec, x + shift, y + shift, 0, 0) == pytest.approx(k_deriv(spec, x, y, 0, 0), rel=1e-15)
 
     def test_zero_lag_derivatives(self):
         spec = Matern52(1.0)
@@ -85,7 +84,7 @@ class TestMatern:
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0, 1, 2])
     def test_derivatives_match_finite_differences(self, a, b):
-        # Totals <= 2 difference k_eval directly. Higher totals would drown in
+        # Totals <= 2 difference the kernel value directly. Higher totals would drown in
         # the eps/h^4 roundoff of a nested stencil, so they apply one central
         # difference to the already-validated next-lower closed form. The steps
         # scale with theta, the length on which the kernel varies: fixed steps
@@ -123,7 +122,7 @@ class TestMatern:
     def test_gram_psd(self):
         spec = Matern52(1.0)
         pts = np.unique(RNG.uniform(-4, 4, 50))
-        gram = np.asarray(k_eval(spec, pts[:, None], pts[None, :]))
+        gram = np.asarray(k_deriv(spec, pts[:, None], pts[None, :], 0, 0))
         eig = np.linalg.eigvalsh(gram)
         assert eig.min() >= -1e-8 * eig.max()
 
@@ -156,17 +155,21 @@ class TestMatern:
 
 
 class TestPolynomial:
+    @staticmethod
+    def kernel_value(spec, x, y):
+        # K(x, y) = (x . y)^d through the features: sum_k binom(d, k) phi_k(x) phi_k(y)
+        phi = homogeneous_features(spec, np.array([x, y]))
+        return phi[0] @ (spec.binomials * phi[1])
+
     def test_orthogonal_inputs(self):
-        spec = HomogeneousPolynomial(4)
-        assert k_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert self.kernel_value(HomogeneousPolynomial(4), [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_parallel_inputs(self):
-        spec = HomogeneousPolynomial(4)
-        assert k_eval(spec, np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 16.0
+        assert self.kernel_value(HomogeneousPolynomial(4), [1.0, 1.0], [1.0, 1.0]) == 16.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            k_eval(HomogeneousPolynomial(4), np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+            homogeneous_features(HomogeneousPolynomial(4), np.array([[1.0, 2.0, 3.0]]))
 
     def test_derivatives_unsupported(self):
         # the polynomial kernel is handled through its feature expansion only
@@ -182,7 +185,7 @@ class TestPolynomial:
         gram_feat = phi @ np.diag(binoms) @ phi.T
         for i in range(12):
             for j in range(12):
-                assert gram_feat[i, j] == pytest.approx(k_eval(spec, pts[i], pts[j]), rel=1e-12, abs=1e-14)
+                assert gram_feat[i, j] == pytest.approx((pts[i] @ pts[j]) ** spec.degree, rel=1e-12, abs=1e-14)
 
     def test_norm_matches_pseudoinverse_quadratic_form(self):
         # RKHS norm of H via features equals g^T K^+ g on 5 independent points
@@ -191,7 +194,7 @@ class TestPolynomial:
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         coeffs = RNG.normal(size=5)
         gvals = homogeneous_features(spec, pts) @ coeffs
-        gram = np.array([[k_eval(spec, p, q) for q in pts] for p in pts])
+        gram = np.array([[(p @ q) ** spec.degree for q in pts] for p in pts])
         quad = gvals @ np.linalg.pinv(gram) @ gvals
         assert homogeneous_norm_sq(spec, coeffs) == pytest.approx(quad, rel=1e-8)
 

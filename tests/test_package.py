@@ -197,6 +197,46 @@ def test_no_unreferenced_private_helpers():
     assert unread == []
 
 
+def _reads(tree):
+    """``(identifier, node)`` for every name a module reads and every attribute it names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public function or class that only the tests call is a test reference, and
+    # lives beside them in tests/oracles.py. A name counts as called when another
+    # library module reads it (a re-export by import does not count), its own module
+    # reads it outside its own definition, or a demo or a benchmark script names it;
+    # the benchmark's strings count too, since bench/spans.LAYERS names attributes as strings
+    root = Path(__file__).resolve().parents[1]
+    trees = {f.name: ast.parse(f.read_text()) for f in sorted((root / "src/gpmaps").glob("*.py"))}
+    assert len(trees) > 5
+    outside = set()
+    for f in sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        tree = ast.parse(f.read_text())
+        outside.update(ident for ident, _ in _reads(tree))
+        if f.parent.name == "bench":
+            outside.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    assert {"fit", "rk4", "nf_loss"} <= outside
+    uncalled = []
+    for name, tree in trees.items():
+        public = {}  # name: the ids of its definition's nodes, none for an __all__ entry defined otherwise
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public[node.name] = {id(n) for n in ast.walk(node)}
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.update((entry, public.get(entry, set())) for entry in ast.literal_eval(node.value))
+        elsewhere = {ident for other, t in trees.items() if other != name for ident, _ in _reads(t)}
+        here = [(ident, id(node)) for ident, node in _reads(tree)]
+        uncalled += [f"{name}:{entry}" for entry, nodes in public.items() if entry not in outside | elsewhere
+                     and not any(ident == entry and i not in nodes for ident, i in here)]
+    assert uncalled == []
+
+
 def test_readme_states_the_theta_search_budget():
     # the README's count of the lengthscale search follows the module constants
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
