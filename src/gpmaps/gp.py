@@ -23,26 +23,28 @@ Every solve with a factor goes through its inverse, which
 :func:`_factor_inverse` builds by blocks with ``matmul``, so the package
 needs numpy alone.
 
-The Gram matrix is assembled in blocks of terms with equal derivative
-orders. A :class:`ConstraintSystem` builds the lengthscale-free part of that
-work once, on first use: the terms flattened and grouped by order, their
-Gram indices, and one gap array x - y per pair of location sets. Each
-lengthscale then costs only the Matern profile arithmetic on those gap
-arrays, the weighting and the block adds, so a lengthscale sweep, the fit
-that follows it and every fit at a fixed lengthscale share one plan.
-
 One coefficient table, checked against finite differences, defines every
-Matern profile derivative (see :mod:`gpmaps.kernels`). The Gram evaluates it
-on the plan's gap arrays. Every derivative it defines is a combination of
-five basis matrices, g e, g sr e, e, sr e and sr^2 e (g the scaled gap,
-sr = |g|, e = exp(-sr)), so an interpolant folds the table into the summed
-term coefficients once, as one (nodes x 3) weight matrix per basis on the
-distinct term locations, column d for order d. A read then computes orders
-0, 1 and 2 of the map together from one gap array, one exp, in-place powers
-and five (points x 3) products, with no (points x terms) matrix, and keeps
-the last point set's three results, so a read of another order at the same
-points is a copy. A lone single-order read pays for all three orders'
-products.
+Matern profile derivative (see :mod:`gpmaps.kernels`). Every derivative it
+defines is a combination of five basis matrices, g e, g sr e, e, sr e and
+sr^2 e (g the scaled gap, sr = |g|, e = exp(-sr)), with the weights of
+:data:`_PROFILE_BASIS`, and the Gram and the reads both work in that basis.
+
+The Gram folds the terms of each distinct (functional, location) pair into
+one row of per-order weights W. A :class:`ConstraintSystem` builds the
+lengthscale-free part of that work once, on first use: the rows, W, and one
+(rows x rows) gap array x - y. Each lengthscale then costs one exp, a few
+elementwise products and one thin product W M_k W^T per basis, whatever mix
+of derivative orders the functionals hold, and the owners' sums; a
+lengthscale sweep, the fit that follows it and every fit at a fixed
+lengthscale share one plan.
+
+An interpolant folds the table into the summed term coefficients once, as
+one (nodes x 3) weight matrix per basis on the distinct term locations,
+column d for order d. A read then computes orders 0, 1 and 2 of the map
+together from one gap array, one exp, in-place powers and five
+(points x 3) products, with no (points x terms) matrix, and keeps the last
+point set's three results, so a read of another order at the same points is
+a copy. A lone single-order read pays for all three orders' products.
 
 A saved interpolant (:func:`interpolant_to_config`) is column-oriented: each
 distinct term location once, in ``nodes``, and per term its index into
@@ -60,7 +62,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
 from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
-from .kernels import _MATERN_PROFILE_COEFFS, Matern52, _matern_profile_derivs, kernel_from_config, kernel_to_config
+from .kernels import _MATERN_PROFILE_COEFFS, Matern52, kernel_from_config, kernel_to_config
 
 __all__ = [
     "FunctionalTerm",
@@ -161,7 +163,13 @@ class ConstraintSystem:
 
 
 def _flatten(functionals):
-    """The term table: all terms of all functionals as parallel arrays (locations, orders, weights, sorted owners)."""
+    """The term table: the sorted distinct term locations, then per term its index into them, order, weight and owner.
+
+    ``(nodes, node, orders, weights, owners)``: the term locations are
+    ``nodes[node]``, bit for bit, and the owners are sorted. A saved map
+    stores the same columns (:func:`interpolant_to_config`), so a loaded one
+    takes its nodes from the file.
+    """
     locs, orders, weights, owner = [], [], [], []
     for i, f in enumerate(functionals):
         for t in f.terms:
@@ -169,86 +177,88 @@ def _flatten(functionals):
             orders.append(t.deriv_order)
             weights.append(t.weight)
             owner.append(i)
+    nodes, node = np.unique(np.asarray(locs, dtype=float), return_inverse=True)
     return (
-        np.asarray(locs, dtype=float),
+        nodes,
+        node,
         np.asarray(orders, dtype=int),
         np.asarray(weights, dtype=float),
         np.asarray(owner, dtype=int),
     )
 
 
-def _order_groups(terms):
-    """A term table split by derivative order: ``{order: (locs, weights, owners)}``, owners sorted."""
-    locs, orders, weights, owner = terms
-    groups = {}
-    for a in np.flatnonzero(np.bincount(orders)):
-        sel = orders == a
-        groups[int(a)] = (locs[sel], weights[sel], owner[sel])
-    return groups
-
-
-def _owner_index(owners):
-    """Segment starts of the sorted owners, and the Gram index of each segment.
-
-    The index is a slice when the segment owners are contiguous, else an array.
-    """
-    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
-    rows = owners[starts]
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return starts, slice(int(rows[0]), int(rows[-1]) + 1)
-    return starts, rows
-
-
 class _GramPlan:
     """The lengthscale-free part of the Matern Gram of a term table.
 
-    Built once per system: the terms grouped by derivative order, each order's
-    Gram index (a slice when its owners are contiguous) and ``reduceat``
-    starts, and one gap array x - y per pair of "homes", where an order's
-    home is the lowest order on the same locations. Evaluating the plan at a
-    lengthscale computes the Matern profile derivatives on each gap array,
-    weights them in place and adds the blocks; see :func:`assemble_gram`.
+    Built once per system: the distinct (owner, node) pairs of the terms as
+    rows, sorted by owner, with the owners' ``reduceat`` starts (None when
+    each owner has one row); the (rows x orders) weight matrix W, W[r, a]
+    the summed weights of row r's order-a terms; one (rows x rows) gap array
+    x_r - x_c; and per basis matrix k of :data:`_PROFILE_BASIS` the
+    (orders x orders) table M_k[a, b] = (-1)^b _PROFILE_BASIS[a + b, k] with
+    the powers a + b of s that scale it. Every system uses the three even
+    bases, since a + b is even for a = b; the two odd ones serve a system
+    with orders of both parities. See :meth:`gram`.
     """
 
     def __init__(self, terms):
-        self.size = int(terms[3][-1]) + 1
-        groups = _order_groups(terms)
-        orders = sorted(groups)
-        home = {a: next(c for c in orders if np.array_equal(groups[c][0], groups[a][0])) for a in orders}
-        place, self.starts = {}, {}
-        for a in orders:
-            starts, place[a] = _owner_index(groups[a][2])
-            self.starts[a] = starts if starts.size < groups[a][2].size else None
-        self.pairs = {}  # home pair -> [(a, b, row weights, column weights, Gram index)] for a <= b
-        for i, a in enumerate(orders):
-            for b in orders[i:]:
-                rows, cols = place[a], place[b]
-                if not isinstance(rows, slice) and not isinstance(cols, slice):
-                    rows, cols = np.ix_(rows, cols)
-                # d^b/dy^b of a profile in x - y carries (-1)^b; negating the
-                # row weights instead is exact
-                row_w = -groups[a][1] if b % 2 else groups[a][1]
-                self.pairs.setdefault((home[a], home[b]), []).append(
-                    (a, b, row_w[:, None], groups[b][1][None, :], (rows, cols)))
-        self.gaps = {(ha, hb): groups[ha][0][:, None] - groups[hb][0][None, :] for ha, hb in self.pairs}
+        nodes, node, orders, weights, owner = terms
+        used = np.flatnonzero(np.bincount(orders))
+        rows, row = np.unique(owner * nodes.size + node, return_inverse=True)
+        self.weights = np.bincount(row * used.size + np.searchsorted(used, orders), weights,
+                                   minlength=rows.size * used.size).reshape(-1, used.size)
+        x = nodes[rows % nodes.size]
+        self.gap = x[:, None] - x[None, :]
+        row_owner = rows // nodes.size
+        starts = np.flatnonzero(np.r_[True, row_owner[1:] != row_owner[:-1]])
+        self.starts = starts if starts.size < rows.size else None
+        self.powers = np.add.outer(used, used)
+        self.tables = _PROFILE_BASIS[self.powers].transpose(2, 0, 1) * (-1.0) ** used  # (basis, a, b)
+        self.odd = bool(self.tables[:2].any())
 
     def gram(self, kernel):
-        """The Gram matrix at a Matern52 ``kernel``, as :func:`assemble_gram` defines it."""
+        """The Gram matrix at a Matern52 ``kernel``, as :func:`assemble_gram` defines it.
+
+        With g = s gap, sr = |g| and e = exp(-sr), the row Gram is
+        e (sr^2 R_4 + sr R_3 + R_2 + g (R_0 + sr R_1)), elementwise, where
+        R_k = W (M_k s^(a+b)) W^T is one thin product per basis. The even part
+        is summed from sr^2 down, as :func:`~gpmaps.kernels.k_deriv` sums it, so
+        a system of unit-weight Diracs gets k_deriv's entries bit for bit. Each
+        R_k is dropped once added, and the odd part, made first, drops g
+        before the even part is made; e is made last, in sr's memory. The
+        owners' ``reduceat`` and (G + G^T) / 2 finish the Gram.
+        """
         if not isinstance(kernel, Matern52):
             raise UnsupportedDerivativeError(f"Gram assembly takes a Matern52 spec, got {kernel!r}")
-        gram = np.zeros((self.size, self.size))
-        for home_pair, pairs in self.pairs.items():
-            profiles = _matern_profile_derivs([a + b for a, b, *_ in pairs], self.gaps[home_pair], kernel.theta)
-            for (a, b, row_w, col_w, index), block in zip(pairs, profiles):
-                block *= row_w
-                block *= col_w
-                if self.starts[a] is not None:
-                    block = np.add.reduceat(block, self.starts[a], axis=0)
-                if self.starts[b] is not None:
-                    block = np.add.reduceat(block, self.starts[b], axis=1)
-                gram[index] += block
-                if a != b:  # the (b, a) block, this one's transpose, added through the transposed view
-                    gram.T[index] += block
+        s = math.sqrt(5.0) / kernel.theta
+        scaled, w = self.tables * s ** self.powers, self.weights
+
+        def product(k):
+            return (w @ scaled[k]) @ w.T
+
+        g = s * self.gap
+        sr = np.abs(g)
+        if self.odd:
+            odd = product(1)
+            odd *= sr
+            odd += product(0)
+            odd *= g
+        del g
+        gram = sr * sr
+        gram *= product(4)
+        term = product(3)
+        term *= sr
+        gram += term
+        del term
+        gram += product(2)
+        if self.odd:
+            gram += odd
+            del odd
+        np.negative(sr, out=sr)
+        np.exp(sr, out=sr)
+        gram *= sr
+        if self.starts is not None:
+            gram = np.add.reduceat(np.add.reduceat(gram, self.starts, axis=0), self.starts, axis=1)
         gram += gram.T  # numpy buffers the overlapping transpose: this is G + G^T
         gram *= 0.5
         return gram
@@ -257,14 +267,14 @@ class _GramPlan:
 def assemble_gram(functionals, kernel):
     """Gram matrix with entries [phi_i, K phi_j], symmetrized after assembly.
 
-    Terms are grouped by derivative order. Only the blocks with orders
-    a <= b are computed: the (b, a) block is the transpose of the (a, b)
-    one, exactly, since x - y and y - x are exact negatives. Order groups on
-    the same locations share one gap array and one exp. The terms of one
-    functional are summed with ``reduceat`` over the sorted owners. One pass
-    over the pairs of location sets computes the blocks of each pair and adds
-    each block, and its transpose when a < b, at once, so only one pair's
-    blocks are alive at a time. A :class:`ConstraintSystem` keeps the
+    Every Matern profile derivative P_(a+b) that an (a, b) term pair needs is
+    a combination of the five basis matrices g e, g sr e, e, sr e and
+    sr^2 e of :data:`_PROFILE_BASIS`, the same table the interpolant reads
+    use. So the terms of each distinct (functional, location) pair are
+    folded into one row of per-order weights, and the Gram of those rows
+    costs one gap array, one exp and one thin weight product per basis,
+    whatever mix of orders the functionals hold. The rows of one functional
+    are summed with ``reduceat``. A :class:`ConstraintSystem` keeps the
     lengthscale-free part of this work and reuses it for every kernel it is
     solved with.
     """
@@ -272,9 +282,16 @@ def assemble_gram(functionals, kernel):
 
 
 def default_nugget(gram):
-    """Automatic nugget: ``NUGGET_SCALE * trace(G) / M`` (floored away from zero)."""
-    m = gram.shape[0]
-    return max(NUGGET_SCALE * float(np.trace(gram)) / max(m, 1), 1e-300)
+    """Automatic nugget: ``NUGGET_SCALE * trace(G) / M`` (floored away from zero).
+
+    A trace that is not finite (a Gram whose entries overflowed to inf or NaN)
+    raises :class:`SingularSystemError`, since no nugget makes that Gram
+    factorizable.
+    """
+    trace = float(np.trace(gram))
+    if not math.isfinite(trace):
+        raise SingularSystemError(f"constraint Gram has a non-finite trace ({trace!r})", condition=math.inf)
+    return max(NUGGET_SCALE * trace / max(gram.shape[0], 1), 1e-300)
 
 
 def _cholesky(matrix, lam, what):
@@ -345,7 +362,8 @@ class Interpolant:
     """Representer-theorem solution: D(u) = sum_i alpha_i [phi_i, K(u, .)].
 
     The phi_i are held as one term table, ``terms``, laid out as :func:`_flatten`
-    returns it, so that loading a saved map makes no per-term objects.
+    returns it: each distinct term location once, as a saved map stores it, so
+    that loading one makes no per-term objects and reads it as it was fitted.
     """
 
     kernel: object
@@ -357,21 +375,21 @@ class Interpolant:
 
     def __post_init__(self):
         a = np.asarray(self.coefficients, dtype=float)
-        if a.shape != (int(self.terms[3][-1]) + 1,):
+        if a.shape != (int(self.terms[4][-1]) + 1,):
             raise InvalidInputError("coefficient vector must match the functional list")
         object.__setattr__(self, "coefficients", a)
 
     @cached_property
     def functionals(self):
         """The functionals phi_i as :class:`LinearFunctional` objects, rebuilt from the term table."""
-        locs, orders, weights, owners = self.terms
-        rows = zip(owners.tolist(), locs.tolist(), orders.tolist(), weights.tolist())
+        nodes, node, orders, weights, owners = self.terms
+        rows = zip(owners.tolist(), nodes[node].tolist(), orders.tolist(), weights.tolist())
         return tuple(LinearFunctional.of_terms(*(row[1:] for row in group))
                      for _, group in groupby(rows, key=lambda row: row[0]))
 
     @cached_property
     def _read_plan(self):
-        """``(s, s * nodes, w)``: the distinct term locations and their (5, nodes, 3) read weights.
+        """``(s, s * nodes, w)``: the term table's nodes and their (5, nodes, 3) read weights.
 
         c[:, b] sums w_t * alpha[owner_t] over the order-b terms at a node, and
         a read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c[:, b]. With
@@ -382,8 +400,7 @@ class Interpolant:
         (-1)^b s^(d+b).
         """
         s = math.sqrt(5.0) / self.kernel.theta
-        locs, orders, weights, owner = self.terms
-        nodes, at = np.unique(locs, return_inverse=True)
+        nodes, at, orders, weights, owner = self.terms
         c = np.bincount(3 * at + orders, weights * self.coefficients[owner], minlength=3 * nodes.size)
         table = _PROFILE_BASIS[_READ_POWERS] * (_READ_SIGNS * s ** _READ_POWERS)[:, :, None]  # (b, d, basis)
         w = c.reshape(-1, 3) @ table.transpose(0, 2, 1).reshape(3, 15)
@@ -422,7 +439,7 @@ class Interpolant:
         A value's last bits depend on the other points of the call, since BLAS
         sums a one-row and a many-row product in different orders: a point
         read alone and inside an array of 62 evenly spaced points differs by
-        up to 2.6e-11 of the order's largest value on the saved pooled map,
+        up to 2.1e-11 of the order's largest value on the saved pooled map,
         whose coefficients reach 1.1e5 and cancel (OpenBLAS 0.3.31, Haswell
         kernels).
         """
@@ -467,15 +484,14 @@ def rkhs_norm_sq(system, kernel, nugget=None):
 
 
 def interpolant_to_config(interp):
-    """JSON-ready dictionary, one column per key: each distinct term location once, and per term its node.
+    """JSON-ready dictionary, one column per key: the term table's columns (see :func:`_flatten`).
 
     ``nodes`` holds the sorted distinct term locations; ``node``, ``order``
     and ``weight`` hold one entry per term, in term order; ``sizes`` the
     number of terms of each functional, in order; ``alpha`` one coefficient
     per functional. The term locations are ``nodes[node]``, bit for bit.
     """
-    locs, orders, weights, owners = interp.terms
-    nodes, node = np.unique(locs, return_inverse=True)
+    nodes, node, orders, weights, owners = interp.terms
     return {
         "kernel": kernel_to_config(interp.kernel),
         "nodes": nodes.tolist(),
@@ -491,8 +507,9 @@ def interpolant_to_config(interp):
 def interpolant_from_config(cfg):
     """Inverse of :func:`interpolant_to_config`: each column read into an array once and checked as a whole.
 
-    The term table is ``(nodes[node], order, weight, owners)``, with the
-    owners repeated from ``sizes``. Malformed input raises
+    The term table is ``(nodes, node, order, weight, owners)``, with the
+    owners repeated from ``sizes``, so the map reads from the file's nodes as
+    the map it was saved from reads from its own. Malformed input raises
     :class:`InvalidInputError`: a missing key or a column that is not a flat
     list of numbers, a file in the nested layout of earlier versions (a
     ``functionals`` key in place of the columns), ``node``, ``order`` and
@@ -522,5 +539,5 @@ def interpolant_from_config(cfg):
     at, orders, counts = (a.astype(int) for a in (node, order, sizes))  # bounded by the checks above
     if not ((at == node).all() and (orders == order).all() and (counts == sizes).all()):
         raise InvalidInputError("node indices, orders and sizes must be whole numbers")
-    return Interpolant(kernel, (nodes[at], orders, weight, np.repeat(np.arange(counts.size), counts)), alpha,
+    return Interpolant(kernel, (nodes, at, orders, weight, np.repeat(np.arange(counts.size), counts)), alpha,
                        nugget=nugget)

@@ -6,11 +6,11 @@ are deleted from the Gram matrix; a kernel is good when removal barely
 changes the solution. Only interior constraints are removable: deleting a
 uniqueness anchor would make the problem degenerate. The system's Gram
 plan (:mod:`gpmaps.gp`) is built on the first evaluation and reused for
-every lengthscale after it, so one evaluation of the loss costs the Matern
-profile arithmetic and block adds of one Gram, one Cholesky factorization
-(``gp._cholesky``, which raises rather than escalate ``LOO_NUGGET``, a part
-of the loss) and one blocked inverse of its factor (``gp._factor_inverse``);
-no reduced system is solved.
+every lengthscale after it, so one evaluation of the loss costs one Gram in
+the plan's five-basis form (one exp and one thin weight product per basis),
+one Cholesky factorization (``gp._cholesky``, which raises rather than
+escalate ``LOO_NUGGET``, a part of the loss) and one blocked inverse of its
+factor (``gp._factor_inverse``); no reduced system is solved.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ Two kernels cover every regression problem in this package:
   explicit feature-space treatment possible (see :func:`homogeneous_features`).
 
 One coefficient table, ``_MATERN_PROFILE_COEFFS``, checked against central
-finite differences, defines every Matern profile derivative; the Gram,
-:func:`k_deriv` (whose (0, 0) entry is the kernel's value) and interpolant
-reads all evaluate it exactly, with no autodiff or numeric differentiation on
+finite differences, defines every Matern profile derivative; :func:`k_deriv`
+(whose (0, 0) entry is the kernel's value) evaluates it directly, and the Gram
+and interpolant reads through the five basis matrices it combines
+(``gpmaps.gp._PROFILE_BASIS``), with no autodiff or numeric differentiation on
 the hot path.
 """
 
@@ -90,8 +91,8 @@ def _matern_profile_derivs(orders, gap, theta):
             p = c2 * sr
             p += c1
             p *= g
-        else:  # summed from sr^2 down, not in Horner's form, which rounds differently; the
-            # learned thetas of Table 1 and the pooled Cole-Hopf fit are the same bits either way
+        else:  # summed from sr^2 down, not in Horner's form, which rounds differently, as the Gram
+            # sums its even part (gp._GramPlan): a Gram of unit-weight Diracs is k_deriv's bit for bit
             p = sr * sr
             p *= c2
             p += c1 * sr

@@ -222,14 +222,20 @@ def corrupt_targets(system, indices, seed=0):
     return ConstraintSystem(system.functionals, y)
 
 
-def _anchored_eval(u):
+def _anchored_eval(u, nu):
     """Evaluation points: the data inside the anchored unit interval.
 
     The reported error of the anchored experiments is measured between the
     two uniqueness constraints (u in [0, 1]) where the map is normalized.
+    Data with no point there (the heat-side values grow with ``nu``) raise
+    :class:`InvalidInputError`: an error measured far from the anchors says
+    nothing about the map they pin.
     """
     sel = (u >= 0.0) & (u <= 1.0)
-    return u[sel] if np.any(sel) else u
+    if not np.any(sel):
+        raise InvalidInputError(f"no datum lies in the anchored interval [0, 1] at nu={nu!r}: "
+                                f"the data span u in [{u.min():.4g}, {u.max():.4g}]")
+    return u[sel]
 
 
 def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
@@ -243,7 +249,7 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
     return TransformProblem(
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
-        eval_points=_anchored_eval(us),
+        eval_points=_anchored_eval(us, nu),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),
@@ -269,7 +275,7 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper")
     return TransformProblem(
         system=system,
         truth=lambda u: cole_hopf_truth(u, nu),
-        eval_points=_anchored_eval(us),
+        eval_points=_anchored_eval(us, nu),
         xs=xs,
         us=us,
         interior=np.arange(1, len(system) - 1),

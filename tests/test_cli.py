@@ -67,6 +67,8 @@ class TestRun:
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "learn_kernel": False},
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        # no datum lies in the anchored interval [0, 1], where the error is measured
+        {"experiment": "cole-hopf", "nu": 50},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"

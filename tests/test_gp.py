@@ -1,11 +1,12 @@
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gpmaps import cgc, dynamics
+from gpmaps import cgc, dynamics, gp
 from gpmaps.exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
 from gpmaps.gp import (
     ConstraintSystem,
@@ -23,7 +24,7 @@ from gpmaps.gp import (
     interpolant_to_config,
     rkhs_norm_sq,
 )
-from gpmaps.kernels import HomogeneousPolynomial, Matern52, k_deriv
+from gpmaps.kernels import _MATERN_PROFILE_COEFFS, HomogeneousPolynomial, Matern52, k_deriv
 from gpmaps.optim import DescentConfig
 from gpmaps.transforms import (
     cole_hopf_discrete_problem,
@@ -69,7 +70,8 @@ class TestGram:
 def gram_reference(functionals, kernel):
     """Gram assembly by scatter-adds over all (a, b) order pairs, one term pair at a time."""
     m = len(functionals)
-    locs, orders, weights, owner = _flatten(functionals)
+    nodes, node, orders, weights, owner = _flatten(functionals)
+    locs = nodes[node]
     gram = np.zeros((m, m))
     present = np.unique(orders)
     for a in present:
@@ -82,10 +84,39 @@ def gram_reference(functionals, kernel):
     return 0.5 * (gram + gram.T)
 
 
+def long_double_gram(functionals, theta):
+    """The Gram of ``functionals`` at Matern52(theta), computed from the term table's float64 data in np.longdouble.
+
+    The profile coefficients are the exact thirds of the kernel's table, each
+    rounded once to np.longdouble; every term pair is evaluated and scatter-added
+    on its own.
+    """
+    ld = np.longdouble
+    nodes, node, orders, weights, owner = _flatten(functionals)
+    locs, weights = nodes[node].astype(ld), weights.astype(ld)
+    thirds = [[Fraction(c).limit_denominator(3) for c in row] for row in _MATERN_PROFILE_COEFFS]
+    coeffs = [[ld(f.numerator) / ld(f.denominator) for f in row] for row in thirds]
+    s = np.sqrt(ld(5)) / ld(theta)
+    g = s * (locs[:, None] - locs[None, :])
+    sr = np.abs(g)
+    e = np.exp(-sr)
+    n = np.add.outer(orders, orders)
+    entries = np.zeros(g.shape, ld)
+    for k in np.unique(n):
+        c0, c1, c2 = coeffs[k]
+        profile = (c1 + c2 * sr) * g if k % 2 else c0 + c1 * sr + c2 * sr * sr
+        entries += np.where(n == k, profile * e * s ** int(k), 0)
+    entries *= np.outer(weights, weights * np.where(orders % 2, -1, 1))  # d^b/dy^b carries (-1)^b
+    gram = np.zeros((len(functionals),) * 2, ld)
+    np.add.at(gram, (owner[:, None], owner[None, :]), entries)
+    return (gram + gram.T) / 2
+
+
 def functional_cross_reference(kernel, functionals, points, point_order=0):
     """(points x functionals) matrix of phi_j applied to d^q/du^q K(u_p, .), by scatter-adds."""
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    locs, orders, weights, owner = _flatten(functionals)
+    nodes, node, orders, weights, owner = _flatten(functionals)
+    locs = nodes[node]
     out = np.zeros((points.shape[0], len(functionals)))
     for b in np.unique(orders):
         sel = orders == b
@@ -97,8 +128,7 @@ def functional_cross_reference(kernel, functionals, points, point_order=0):
 
 @pytest.fixture(scope="module")
 def exact_systems():
-    # every weight product of these systems is exact (powers of two, +-1 or
-    # a single non-trivial factor), so the blockwise Gram matches bit for bit
+    # term orders {0, 1, 2} (Table 1's smallest and largest N), {1, 2} and {0, 1}
     return {
         "cole-hopf-25": cole_hopf_problem(25).system,
         "cole-hopf-200": cole_hopf_problem(200).system,
@@ -107,13 +137,43 @@ def exact_systems():
     }
 
 
+LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                                 reason="np.longdouble is no wider than float64 on this platform")
+
+
 class TestGramMatchesReference:
+    @LONG_DOUBLE
     @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
-    def test_bit_identical(self, exact_systems, theta):
-        kernel = Matern52(theta)
+    def test_within_four_ulps_of_long_double(self, exact_systems, theta):
+        # the assembly sums each entry's products in its own order; every entry
+        # lies within 4 eps of the largest entry of a reference rounded far less
         for name, system in exact_systems.items():
-            gram = assemble_gram(system.functionals, kernel)
-            assert np.array_equal(gram, gram_reference(system.functionals, kernel)), name
+            gram = assemble_gram(system.functionals, Matern52(theta))
+            ref = long_double_gram(system.functionals, theta)
+            assert np.max(np.abs(gram - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
+    def test_unit_diracs_match_k_deriv_bits(self, theta):
+        # one derivative order and unit weights: each entry is k_deriv's, summed in its order
+        # (the cgc-pde start map is such a system)
+        x = np.random.default_rng(3).uniform(0.1, 1.0, 100)
+        gram = assemble_gram(tuple(map(LinearFunctional.dirac, x)), Matern52(theta))
+        assert np.array_equal(gram, k_deriv(Matern52(theta), x[:, None], x[None, :], 0, 0))
+
+    @LONG_DOUBLE
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
+    def test_orders_at_shared_and_distinct_locations(self, theta):
+        # terms drawn from six locations: one functional puts its orders at several
+        # locations, or two orders at one, and the functionals share locations
+        rng = np.random.default_rng(5)
+        pool = rng.uniform(size=6)
+        functionals = tuple(LinearFunctional.of_terms(*((pool[rng.integers(6)], order, rng.normal())
+                                                        for order in orders))
+                            for orders in ((0, 1, 2), (2, 2, 0), (1, 0), (0,), (2, 1, 1, 0)) * 6)
+        gram = assemble_gram(functionals, Matern52(theta))
+        ref = long_double_gram(functionals, theta)
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("theta", [0.1, 1.0, 17.0, 100.0])
     def test_discrete_to_rounding(self, theta):
@@ -170,7 +230,8 @@ class TestReadRounding:
         pts = np.linspace(-0.2, 1.3, 57)
         for name, system in read_systems.items():
             interp = fit(system, kernel)
-            locs, orders, weights, owner = _flatten(system.functionals)
+            nodes, node, orders, weights, owner = _flatten(system.functionals)
+            locs = nodes[node]
             coeffs = np.abs(weights * interp.coefficients[owner])
             scale = sum(np.abs(k_deriv(kernel, pts[:, None], locs[orders == b][None, :], order, int(b)))
                         @ coeffs[orders == b] for b in np.unique(orders))
@@ -182,7 +243,8 @@ class TestReadRounding:
     def test_cgc_pde_map_within_dot_product_rounding(self, saved_kinds, order):
         # the saved cgc-pde map weighs its value and slope terms by the data's scales and a / u^2
         interp = saved_kinds["cgc-pde"]
-        locs, orders, weights, owner = interp.terms
+        nodes, node, orders, weights, owner = interp.terms
+        locs = nodes[node]
         pts = np.linspace(locs.min() - 0.1, locs.max() + 0.1, 57)
         coeffs = np.abs(weights * interp.coefficients[owner])
         scale = sum(np.abs(k_deriv(interp.kernel, pts[:, None], locs[orders == b][None, :], order, int(b)))
@@ -332,6 +394,22 @@ class TestJitter:
         with pytest.raises(SingularSystemError, match="after 4 jitter escalations"):
             _factor_with_escalation(m, 1e-8)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gram_raises_before_factoring(self, monkeypatch):
+        # s^4 = (sqrt(5) / theta)^4 overflows, so the Gram and its trace are NaN: no nugget
+        # can make it factorizable, and the fit raises without escalating a NaN nugget;
+        # a fit given its nugget still factors and escalates it
+        system = cole_hopf_problem(10).system
+        with pytest.raises(SingularSystemError, match="after 4 jitter escalations"):
+            fit(system, Matern52(1e-100), nugget=1e-8)
+        calls = []
+        monkeypatch.setattr(gp, "_cholesky", lambda *args: calls.append(args))
+        with pytest.raises(SingularSystemError, match="non-finite trace") as err:
+            fit(system, Matern52(1e-100))
+        assert calls == [] and err.value.condition == np.inf
+        with pytest.raises(SingularSystemError, match="non-finite trace"):
+            default_nugget(np.array([[1.0, 0.0], [0.0, np.inf]]))
+
 
 def solved_system(name):
     """(A, Y) of a system the package solves: a Table 1 fit ("N25"-"N200") or the pooled fit, as G + lam I at the
@@ -447,12 +525,14 @@ class TestSerialization:
         # a reloaded interpolant reads bit for bit what the in-memory one reads
         interp = saved_kinds[kind]
         restored = interpolant_from_config(json.loads(json.dumps(interpolant_to_config(interp))))
-        locs = interp.terms[0]
+        nodes, node = interp.terms[:2]
+        locs = nodes[node]
         pts = np.r_[np.linspace(locs.min(), locs.max(), 57), locs[:5]]
         np.testing.assert_array_equal(restored.evaluate(pts, order), interp.evaluate(pts, order))
 
     def test_cgc_pde_map_has_value_and_slope_terms(self, saved_kinds):
-        locs, orders, _, owners = saved_kinds["cgc-pde"].terms
+        nodes, node, orders, _, owners = saved_kinds["cgc-pde"].terms
+        locs = nodes[node]
         assert np.array_equal(np.bincount(orders), [101, 100])
         assert locs[-1] == 1.0 and orders[-1] == 0 and np.sum(owners == owners[-1]) == 1
 
@@ -555,7 +635,8 @@ class TestThreeOrderRead:
     @pytest.mark.parametrize("kind", ["cgc-pde", "pooled", "discrete", "first-order", "cole-hopf"])
     def test_any_order_sequence_reads_the_single_order_bits(self, saved_kinds, kind):
         interp = saved_kinds[kind]
-        locs = interp.terms[0]
+        nodes, node = interp.terms[:2]
+        locs = nodes[node]
         pts = np.r_[np.linspace(locs.min(), locs.max(), 57), locs[:5]]
         alone = [fresh(interp).evaluate(pts, order) for order in (0, 1, 2)]
         for orders in itertools.permutations((0, 1, 2)):

@@ -110,6 +110,14 @@ class TestColeHopfOde:
         with pytest.raises(InvalidInputError):
             build_cole_hopf_ode(np.array([]), 0.5)
 
+    def test_error_measured_between_the_anchors(self):
+        # at nu = 0.5 ten of 25 data lie in [0, 1]; at nu = 50 none does (u from 1.002 to 429.3),
+        # and an error measured there would say nothing about the anchored map
+        prob = cole_hopf_problem(25)
+        assert prob.eval_points.size == 10 and np.all((prob.eval_points >= 0.0) & (prob.eval_points <= 1.0))
+        with pytest.raises(InvalidInputError, match=r"nu=50.*\[1\.002, 429\.3\]"):
+            cole_hopf_problem(25, nu=50)
+
 
 class TestColeHopfDiscrete:
     def test_structure(self):
