@@ -13,13 +13,15 @@ Two instances are provided:
 
 Both are exact in the map, so the loss profiles to a function of one
 scalar, which :func:`gpmaps.optim.slope_search` minimizes from its exact
-slope. For a fixed ``a`` one factorization of the scaled Gram plus identity
-(``gp._cholesky``, which raises rather than escalate the identity nugget, a
-part of the loss) gives the loss terms, their sum, the slope and the best
-G. For a fixed r0 the best H solves a 5 x 5 system factored once per solve;
-r obeys the law, so ``brusselator-nf``'s ``relative_l2`` is small by
-construction at the paper configuration, while H misses its own r there by
-about 87%. Each problem builds its fixed matrices (the kernel blocks of the
+slope. The solvers balance their own loss weights; the public loss views
+check the weights they are given (:func:`_checked_weights`). For a fixed
+``a`` one factorization of the scaled Gram plus identity (``gp._cholesky``,
+which raises rather than escalate the identity nugget, a part of the loss)
+gives the loss terms, their sum, the slope and the best G. For a fixed r0
+the best H solves a 5 x 5 system factored once per solve; r obeys the law,
+so ``brusselator-nf``'s ``relative_l2`` is small by construction at the
+paper configuration, while H misses its own r there by about 87%. Each
+problem builds its fixed matrices (the kernel blocks of the
 functionals' Gram, or the trajectory's quartic features) once.
 """
 
@@ -62,8 +64,11 @@ BALANCE_FACTOR = 10.0
 #: Kernel of the map G learned by :func:`cgc_pde_solve`.
 PDE_KERNEL = Matern52(1.0)
 
+#: Names of the three loss weights, in the order both solvers' weight tuples hold them.
+_WEIGHT_NAMES = ("lambda1", "lambda2", "lambda3")
+
 #: Names of the weighted terms whose sum is the :func:`cgc_pde_solve` loss, in the order summed, then of the weights.
-_PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted", "lambda2", "lambda3")
+_PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted", *_WEIGHT_NAMES[1:])
 
 #: Kernel of the radius map H learned by :func:`nf_solve`.
 NF_KERNEL = HomogeneousPolynomial(4)
@@ -74,22 +79,35 @@ def _balanced(factor, norm, term):
     return factor * max(norm, 1e-8) / max(term, 1e-12)
 
 
+def _checked_weights(weights):
+    """``weights`` (lambda1, lambda2, lambda3), once there are three and each is finite and nonnegative.
+
+    The problems hold no weights, so the public loss views check the ones
+    they are given; the solvers balance their own (:func:`_start`,
+    :func:`_nf_weights`) and evaluate unchecked.
+    """
+    if len(weights) != len(_WEIGHT_NAMES):
+        raise InvalidInputError(f"need the three weights (lambda1, lambda2, lambda3), got {len(weights)}")
+    for name, w in zip(_WEIGHT_NAMES, weights):
+        if not (math.isfinite(w) and w >= 0):
+            raise InvalidInputError(f"{name} must be finite and nonnegative, got {w}")
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # learning the map and the unknown linear-PDE coefficient
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CgcPdeProblem:
-    """Fixed data and weights for the map-plus-coefficient problem.
+    """Fixed data for the map-plus-coefficient problem.
 
     ``u_data`` is the fixed input column of the data array; the functionals
-    sit at ``u_data`` and at the anchor point u = 1. Weights left as None are
-    balanced against the identity map when solving.
+    sit at ``u_data`` and at the anchor point u = 1. The loss weights are
+    always balanced against the identity map when solving (:func:`_start`).
     """
 
     u_data: np.ndarray
-    lambda2: float | None = None
-    lambda3: float | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u_data, dtype=float)
@@ -98,10 +116,6 @@ class CgcPdeProblem:
         if np.any(u == 0.0):
             raise InvalidInputError("u_data entries must be nonzero (the residual divides by u^2)")
         object.__setattr__(self, "u_data", u)
-        for name in ("lambda2", "lambda3"):
-            w = getattr(self, name)
-            if w is not None and not (math.isfinite(w) and w >= 0):
-                raise InvalidInputError(f"{name} must be finite and nonnegative when given, got {w}")
 
     @property
     def nodes(self):
@@ -178,17 +192,17 @@ def _evaluate(problem, weights, a):
 
 def cgc_pde_loss_terms(problem, state, weights):
     """Named weighted loss terms of the best map for ``state.a`` (see :func:`_evaluate`)."""
-    return _evaluate(problem, weights, state.a).terms
+    return _evaluate(problem, _checked_weights(weights), state.a).terms
 
 
 def cgc_pde_loss(problem, state, weights):
     """Profiled loss f(a) = a^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
-    return _evaluate(problem, weights, state.a).loss
+    return _evaluate(problem, _checked_weights(weights), state.a).loss
 
 
 def cgc_pde_grad(problem, state, weights):
     """Exact slope f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
-    return _evaluate(problem, weights, state.a).slope
+    return _evaluate(problem, _checked_weights(weights), state.a).slope
 
 
 @dataclass
@@ -208,19 +222,19 @@ def _start(problem):
 
     G0 is the fit of G(x) = x at the data and the anchor. Slot 0 of the
     weights would weight a data-fit term, which is identically zero here; it
-    keeps the tuple in the solvers' common three-slot layout. Unset weights
-    balance the equation term against ||G0||^2, and the anchor, a single
-    sample, is weighted like the whole equation block. The start is the
-    exact best ``a`` for G0: with z = G0'(u) / u^2 the ``a``-dependent part
-    of its loss, a^2 + lambda2 ||G0(u) + a z||^2, is a quadratic.
+    keeps the tuple in the solvers' common three-slot layout. lambda2
+    balances the equation term against ||G0||^2, and the anchor, a single
+    sample, is weighted like the whole equation block: lambda3 = N lambda2.
+    The start is the exact best ``a`` for G0: with z = G0'(u) / u^2 the
+    ``a``-dependent part of its loss, a^2 + lambda2 ||G0(u) + a z||^2, is a
+    quadratic.
     """
     x, u = problem.nodes, problem.u_data
     g0 = fit(ConstraintSystem(tuple(map(LinearFunctional.dirac, x)), x), PDE_KERNEL)
     z1, z = g0(u), g0.evaluate(u, 1) / u**2
     norm, fit_sq = float(x @ g0.coefficients), float(z1 @ z1)
-    lam2 = problem.lambda2 if problem.lambda2 is not None else _balanced(BALANCE_FACTOR, norm, fit_sq)
-    lam3 = problem.lambda3 if problem.lambda3 is not None else lam2 * u.size
-    return (0.0, lam2, lam3), float(-lam2 * (z1 @ z) / (1.0 + lam2 * (z @ z)))
+    lam2 = _balanced(BALANCE_FACTOR, norm, fit_sq)
+    return (0.0, lam2, lam2 * u.size), float(-lam2 * (z1 @ z) / (1.0 + lam2 * (z @ z)))
 
 
 def cgc_pde_solve(problem, config=None):
@@ -353,36 +367,24 @@ def _nf_weights(raw):
 
 
 #: Names of the weighted terms that :func:`_nf_loss_at` returns, then of the three weights.
-_NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted", "lambda1", "lambda2", "lambda3")
-
-
-def _checked_nf_weights(weights):
-    """``weights`` (lambda1, lambda2, lambda3), once each is finite and nonnegative.
-
-    The problem holds no weights, so the public loss functions check the ones
-    they are given; :func:`nf_solve` balances its own (:func:`_nf_weights`).
-    """
-    for name, w in zip(_NF_TERM_NAMES[4:], weights):
-        if not (math.isfinite(w) and w >= 0):
-            raise InvalidInputError(f"{name} must be finite and nonnegative, got {w}")
-    return weights
+_NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted", *_WEIGHT_NAMES)
 
 
 def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
-    weights = _checked_nf_weights(weights)
+    weights = _checked_weights(weights)
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
     return dict(zip(_NF_TERM_NAMES, (*_nf_loss_at(problem, state.h_coeffs, weights, residuals)[0], *weights)))
 
 
 def nf_loss(problem, state, weights):
-    weights = _checked_nf_weights(weights)
+    weights = _checked_weights(weights)
     return _nf_loss_at(problem, state.h_coeffs, weights, _nf_residuals(problem, state.h_coeffs, state.r_values))[1]
 
 
 def nf_grad(problem, state, weights):
     """Hand-coded gradient w.r.t. (h_coeffs, r_values)."""
-    weights = _checked_nf_weights(weights)
+    weights = _checked_weights(weights)
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
     return _nf_gradient(problem, state.h_coeffs, state.r_values, weights, residuals)
 

@@ -72,47 +72,37 @@ _MATERN_PROFILE_COEFFS = np.array([[1, 1, 1 / 3], [0, -1 / 3, -1 / 3], [-1 / 3, 
                                    [1, -5 / 3, 1 / 3]])
 
 
-def _matern_profile_derivs(orders, gap, theta):
-    """[n-th derivative of the Matern-5/2 profile at ``gap`` for n in the sequence ``orders``].
-
-    Each is its row of :data:`_MATERN_PROFILE_COEFFS` times s^n on one basis
-    g = s gap, sr = |g|, e = exp(-sr): (c0 + c1 sr + c2 sr^2) e for even n and
-    (c1 + c2 sr) g e for odd n, exactly odd in the gap since sign(gap) sr is g.
-    Every entry, a repeat included, is a new array that a caller may scale in place.
-    """
-    s = np.sqrt(5.0) / theta
-    g = s * gap
-    sr = np.abs(g)
-    e = np.exp(-sr)
-    out = []
-    for n in orders:
-        c0, c1, c2 = s ** n * _MATERN_PROFILE_COEFFS[n]
-        if n % 2:
-            p = c2 * sr
-            p += c1
-            p *= g
-        else:  # summed from sr^2 down, not in Horner's form, which rounds differently, as the Gram
-            # sums its even part (gp._GramPlan): a Gram of unit-weight Diracs is k_deriv's bit for bit
-            p = sr * sr
-            p *= c2
-            p += c1 * sr
-            p += c0
-        p *= e
-        out.append(p)
-    return out
-
-
 def k_deriv(spec, x, y, a, b):
     """Mixed partial d^a/dx^a d^b/dy^b K(x, y) of a Matern52 kernel, for all a, b <= 2.
 
-    The polynomial kernel is handled in feature space
+    It is (-1)^b times the n-th derivative of the profile at the gap x - y,
+    n = a + b: row n of :data:`_MATERN_PROFILE_COEFFS` times s^n on one basis
+    g = s gap, sr = |g|, e = exp(-sr), that is (c0 + c1 sr + c2 sr^2) e for
+    even n and (c1 + c2 sr) g e for odd n, exactly odd in the gap since
+    sign(gap) sr is g. The polynomial kernel is handled in feature space
     (:func:`homogeneous_features`) and has no entry here.
     """
     if a not in (0, 1, 2) or b not in (0, 1, 2):
         raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {(a, b)}")
     if not isinstance(spec, Matern52):
         raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
-    return (-1) ** b * _matern_profile_derivs((a + b,), np.asarray(x, float) - np.asarray(y, float), spec.theta)[0]
+    n = a + b
+    s = np.sqrt(5.0) / spec.theta
+    g = s * (np.asarray(x, float) - np.asarray(y, float))
+    sr = np.abs(g)
+    c0, c1, c2 = s ** n * _MATERN_PROFILE_COEFFS[n]
+    if n % 2:
+        p = c2 * sr
+        p += c1
+        p *= g
+    else:  # summed from sr^2 down, not in Horner's form, which rounds differently, as the Gram
+        # sums its even part (gp._GramPlan): a Gram of unit-weight Diracs is k_deriv's bit for bit
+        p = sr * sr
+        p *= c2
+        p += c1 * sr
+        p += c0
+    p *= np.exp(-sr)
+    return (-1) ** b * p
 
 
 def homogeneous_features(spec, points):

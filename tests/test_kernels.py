@@ -5,7 +5,6 @@ from gpmaps.exceptions import InvalidInputError, UnsupportedDerivativeError
 from gpmaps.kernels import (
     HomogeneousPolynomial,
     Matern52,
-    _matern_profile_derivs,
     homogeneous_features,
     homogeneous_norm_sq,
     k_deriv,
@@ -138,20 +137,13 @@ class TestMatern:
 
     @pytest.mark.parametrize("theta", [0.3, 1.0, 17.0])
     def test_profile_parity_is_exact(self, theta):
-        # the Gram computes each (b, a) block as the transpose of the (a, b) one,
-        # which needs P_n(-gap) == (-1)^n P_n(gap) to the last bit
+        # cgc's kernel blocks take the (0, 1) block as the transpose of the (1, 0) one,
+        # which needs K_ab(x, y) == K_ba(y, x), so P_n(-gap) == (-1)^n P_n(gap), to the last bit
         gap = np.concatenate([RNG.uniform(-3, 3, 200) * theta, [-2.5, -0.1, 0.0, 0.1, 2.5]])
-        orders = range(5)
-        for n, pos, neg in zip(orders, _matern_profile_derivs(orders, gap, theta),
-                               _matern_profile_derivs(orders, -gap, theta)):
-            assert np.array_equal(neg, (-1) ** n * pos), f"order {n}"
-
-    def test_repeated_orders_get_separate_arrays(self):
-        # a Gram block scales its profile array in place, so two pairs of one order need two arrays
-        gap = np.array([[-0.4, 0.0], [0.3, 1.2]])
-        first, second = _matern_profile_derivs([2, 2], gap, 1.3)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, second)
+        spec = Matern52(theta)
+        for a in range(3):
+            for b in range(3):
+                assert np.array_equal(k_deriv(spec, gap, 0.0, a, b), k_deriv(spec, 0.0, gap, b, a)), (a, b)
 
 
 class TestPolynomial:
