@@ -67,8 +67,8 @@ PDE_KERNEL = Matern52(1.0)
 #: Names of the three loss weights, in the order both solvers' weight tuples hold them.
 _WEIGHT_NAMES = ("lambda1", "lambda2", "lambda3")
 
-#: Names of the weighted terms whose sum is the :func:`cgc_pde_solve` loss, in the order summed, then of the weights.
-_PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted", *_WEIGHT_NAMES[1:])
+#: Names of the weighted terms whose sum is the :func:`cgc_pde_solve` loss, in the order summed.
+_PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted")
 
 #: Kernel of the radius map H learned by :func:`nf_solve`.
 NF_KERNEL = HomogeneousPolynomial(4)
@@ -174,7 +174,6 @@ def _evaluate(problem, weights, a):
     f(a) = a^2 + y~^T (Phi~ + I)^-1 y~ is the sum of the named terms, and
     its exact slope is f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~).
     """
-    _, lam2, lam3 = weights
     b0, b1, b2 = problem._blocks
     d = _scales(problem, weights)
     phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
@@ -187,7 +186,7 @@ def _evaluate(problem, weights, a):
     loss = values[0] + values[1] + values[2] + values[3] + values[4]
     z = d * alpha
     slope = 2.0 * a - float(z @ ((b1 + (2.0 * a) * b2) @ z))
-    return _Evaluation(dict(zip(_PDE_TERM_NAMES, (*values, lam2, lam3))), loss, slope, alpha)
+    return _Evaluation(dict(zip(_PDE_TERM_NAMES, values)), loss, slope, alpha)
 
 
 def cgc_pde_loss_terms(problem, state, weights):
@@ -366,15 +365,15 @@ def _nf_weights(raw):
     return tuple(_balanced(f, raw[0], t) for f, t in zip(factors, raw[1:]))
 
 
-#: Names of the weighted terms that :func:`_nf_loss_at` returns, then of the three weights.
-_NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted", *_WEIGHT_NAMES)
+#: Names of the weighted terms that :func:`_nf_loss_at` returns.
+_NF_TERM_NAMES = ("norm_h", "l1_weighted", "l2_weighted", "anchor_weighted")
 
 
 def nf_loss_terms(problem, state, weights):
     """Named weighted loss terms; their sum is :func:`nf_loss`."""
     weights = _checked_weights(weights)
     residuals = _nf_residuals(problem, state.h_coeffs, state.r_values)
-    return dict(zip(_NF_TERM_NAMES, (*_nf_loss_at(problem, state.h_coeffs, weights, residuals)[0], *weights)))
+    return dict(zip(_NF_TERM_NAMES, _nf_loss_at(problem, state.h_coeffs, weights, residuals)[0]))
 
 
 def nf_loss(problem, state, weights):
@@ -489,6 +488,6 @@ def nf_solve(problem, config=None):
     angle = np.unwrap(np.arctan2(states[:, 1], states[:, 0]))
     phase = angle[0] + (angle[-1] - angle[0]) / (t[-1] - t[0]) * t
     xy = np.stack([best.r * np.cos(phase), best.r * np.sin(phase)], axis=1)
-    named = dict(zip(_NF_TERM_NAMES, (*best.terms, *weights)))
-    return NfResult(NfState(best.coeffs, best.r), xy, [first.loss, best.loss], named, weights, evals,
+    terms = dict(zip(_NF_TERM_NAMES, best.terms))
+    return NfResult(NfState(best.coeffs, best.r), xy, [first.loss, best.loss], terms, weights, evals,
                     reason != "max_iters", reason, float(angle[0]), float(np.exp(s)))

@@ -17,25 +17,35 @@ Config contract: a config is a JSON object that must match
 and may hold only keys its experiment reads; any other key is an error
 (exit 2), never ignored.
 ``gpmaps run`` has one flag per schema key, typed from the schema
-(``--max-iters 300``, ``--learn-kernel``/``--no-learn-kernel``, arrays as
-JSON: ``--N-list '[50, 100]'``); a flag overrides the file. The Python API
+(``--max-iters 300``, ``--inconsistent``/``--no-inconsistent``; arrays and
+the nullable ``theta`` and ``lam`` as JSON: ``--N-list '[50, 100]'``,
+``--theta null``); a flag overrides the file. The Python API
 (:func:`run_experiment`, :func:`run_table1`) validates the same way. A
 summary's ``parameters`` is the resolved config (every key the experiment
 reads, defaults filled in, less ``output_dir``) plus what the run derived:
 the lengthscale used, the loss ``weights``, ``mu`` or ``thetas_learned``.
 
+A map fit (``cole-hopf``, ``cole-hopf-discrete``, ``cole-hopf-multi``,
+``first-order``) makes one choice of lengthscale: ``theta`` is a number, or
+null to learn it by the leave-one-out loss. Its nugget is the automatic one;
+``lam`` is the nugget of ``diagnose-norm`` only. ``first-order`` reads no
+``ic``: it fits ``firstorder-paper``, the only registered condition it can.
+
 Exit codes: 0 success, 2 config/validation error or an input or output path
 that cannot be read or written, 3 numerical failure.
 All numeric output is written with full round-trip precision so re-running a
-config byte-reproduces the artifacts (the summary's wall time is the one
-intentionally varying field).
+config at the same BLAS thread count byte-reproduces the artifacts (the
+summary's wall time is the one intentionally varying field); README states
+how far results move across thread counts.
 
 ``brusselator-nf`` still reads ``gen_dt`` and has it validated, and the key
 has no effect: the trajectory takes its steps from its Taylor coefficients.
+``cgc-pde`` still reads ``ic``, where any condition but ``firstorder-paper``
+exits 2. Both stay only while the benchmark's configs pass them.
 
 Every experiment reads ``seed`` (0) and ``output_dir`` (default
 ``$GPMAPS_OUTPUT_DIR``, else ``gpmaps-out``). Its other keys, with their
-defaults (null: resolved by the solver), as the runners declare them:
+defaults (a null ``theta`` is learned), as the runners declare them:
 """
 
 from __future__ import annotations
@@ -174,10 +184,11 @@ def _run(cfg, experiments, default, summary_name):
 
 
 def _run_transform_problem(cfg, out, problem, csv_name):
+    """Fit the map with the given lengthscale, or with the one the leave-one-out loss picks when ``theta`` is null."""
     theta, rho_star = cfg["theta"], None
-    if cfg["learn_kernel"]:
+    if theta is None:
         theta, rho_star = learn_theta(problem.system, problem.interior)
-    interp = fit(problem.system, Matern52(theta), nugget=cfg["lam"])
+    interp = fit(problem.system, Matern52(theta))
     rel = transforms.relative_l2(interp, problem.truth, problem.eval_points)
     # Y^T (G + lam I)^{-1} Y from the fit's own solve, as gp.rkhs_norm_sq computes it
     norm = float(np.sqrt(max(problem.system.targets @ interp.coefficients, 0.0)))
@@ -197,44 +208,40 @@ def _run_transform_problem(cfg, out, problem, csv_name):
     return {"theta": theta}, metrics, {"csv": csv_path, "interpolant": interp_path}
 
 
-_FIT_KEYS = {"lam": None, "theta": 1.0, "learn_kernel": False}
-
-
-@_runner("cole-hopf", N=25, nu=0.5, ic="burgers-paper", **_FIT_KEYS)
+@_runner("cole-hopf", N=25, nu=0.5, ic="burgers-paper", theta=1.0)
 def _experiment_cole_hopf(cfg, out):
     problem = transforms.cole_hopf_problem(cfg["N"], nu=cfg["nu"], ic_name=cfg["ic"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf.csv")
 
 
-@_runner("cole-hopf-discrete", nu=0.5, dx=0.01, h=1e-4, ic="burgers-paper", **_FIT_KEYS)
+@_runner("cole-hopf-discrete", nu=0.5, dx=0.01, h=1e-4, ic="burgers-paper", theta=1.0)
 def _experiment_cole_hopf_discrete(cfg, out):
     problem = transforms.cole_hopf_discrete_problem(dx=cfg["dx"], h=cfg["h"], nu=cfg["nu"], ic_name=cfg["ic"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf_discrete.csv")
 
 
-@_runner("cole-hopf-multi", nu=0.5, points_per_ic=101, ics=transforms.MULTI_IC_NAMES,
-         **{**_FIT_KEYS, "learn_kernel": True})
+@_runner("cole-hopf-multi", nu=0.5, points_per_ic=101, ics=transforms.MULTI_IC_NAMES, theta=None)
 def _experiment_cole_hopf_multi(cfg, out):
     problem = transforms.cole_hopf_multi_problem(tuple(cfg["ics"]), cfg["points_per_ic"], cfg["nu"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf_multi.csv")
 
 
-@_runner("first-order", N=100, ic="firstorder-paper", **_FIT_KEYS)
+@_runner("first-order", N=100, theta=1.0)
 def _experiment_first_order(cfg, out):
-    problem = transforms.first_order_problem(cfg["N"], ic_name=cfg["ic"])
+    problem = transforms.first_order_problem(cfg["N"])
     return _run_transform_problem(cfg, out, problem, "first_order.csv")
 
 
 def _joint_metrics(result):
-    """How a joint solve ended, and ``loss_<name>`` per weighted term ``<name>[_weighted]`` (not the weights)."""
+    """How a joint solve ended, and ``loss_<name>`` per weighted term ``<name>[_weighted]``."""
     return {"loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
             "converged": bool(result.converged), "stop_reason": result.reason,
-            **{f"loss_{name.removesuffix('_weighted')}": float(value)
-               for name, value in result.terms.items() if not name.startswith("lambda")}}
+            **{f"loss_{name.removesuffix('_weighted')}": float(value) for name, value in result.terms.items()}}
 
 
 @_runner("cgc-pde", N=100, ic="firstorder-paper", max_iters=40000)
 def _experiment_cgc_pde(cfg, out):
+    # ic stays declared only while the benchmark's cgc-pde config passes it: every other condition exits 2
     _, u_data = dynamics.get_initial_condition(cfg["ic"]).sample(cfg["N"])
     problem = cgc.CgcPdeProblem(u_data=u_data)
     result = cgc.cgc_pde_solve(problem, config=DescentConfig(max_iters=cfg["max_iters"]))
@@ -289,14 +296,15 @@ def _experiment_diagnose_norm(cfg, out):
 def _table1(cfg, out):
     if not set(cfg["N_list"]) <= _TABLE1_SIZES:
         raise InvalidInputError(f"N_list must be a subset of {sorted(_TABLE1_SIZES)}")
+    fixed = Matern52(cfg["theta"])  # before any search: a theta that is no lengthscale exits 2 at once
     errors = {"learning": [], "no_learning": []}
     thetas = []
     for n in cfg["N_list"]:
         problem = transforms.cole_hopf_problem(n, nu=cfg["nu"], ic_name=cfg["ic"])
         theta, _ = learn_theta(problem.system, problem.interior)
         thetas.append(theta)
-        for row, th in (("learning", theta), ("no_learning", cfg["theta"])):
-            interp = fit(problem.system, Matern52(th))
+        for row, kernel in (("learning", Matern52(theta)), ("no_learning", fixed)):
+            interp = fit(problem.system, kernel)
             errors[row].append(transforms.relative_l2(interp, problem.truth, problem.eval_points))
     csv_path = _write_csv(out / "table1.csv", ["row"] + [f"N={n}" for n in cfg["N_list"]],
                           [["learning", "no_learning"], *zip(errors["learning"], errors["no_learning"])])
@@ -349,7 +357,7 @@ def _load_config(path, overrides):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise InvalidInputError("config must be a JSON object")
-    return {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
+    return {**cfg, **overrides}
 
 
 def _build_parser():
@@ -357,17 +365,20 @@ def _build_parser():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run one experiment from a JSON config", allow_abbrev=False)
+    # a flag left out sets nothing, so a flag given as null (--theta null) reaches the config
+    runp = sub.add_parser("run", help="run one experiment from a JSON config", allow_abbrev=False,
+                          argument_default=argparse.SUPPRESS)
     runp.add_argument("config", help="path to the experiment config (JSON)")
     for key, prop in _validator("config.schema.json").schema["properties"].items():
         flag, kind = "--" + key.replace("_", "-"), _kind(prop)
         if kind == "boolean":
             runp.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
         else:
+            json_typed = kind == "array" or isinstance(prop["type"], list)  # arrays and nullable keys
             runp.add_argument(flag, dest=key, choices=prop.get("enum"),
-                              type=json.loads if kind == "array" else _CASTS[kind])
+                              type=json.loads if json_typed else _CASTS[kind])
 
-    tab = sub.add_parser("table1", help="learned vs fixed kernel error table")
+    tab = sub.add_parser("table1", help="learned vs fixed kernel error table", argument_default=argparse.SUPPRESS)
     tab.add_argument("config")
     tab.add_argument("--output-dir", dest="output_dir")
 

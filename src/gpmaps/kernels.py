@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from numbers import Real
 
 import numpy as np
 
@@ -41,13 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Matern52:
-    """Matern kernel with smoothness 5/2 and lengthscale ``theta``."""
+    """Matern kernel with smoothness 5/2 and lengthscale ``theta``, a positive finite real number."""
 
     theta: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.theta < np.inf:
-            raise InvalidInputError(f"lengthscale must be positive and finite, got {self.theta}")
+        if not (isinstance(self.theta, Real) and 0 < self.theta < np.inf):
+            raise InvalidInputError(f"lengthscale must be a positive finite real number, got {self.theta!r}")
 
 
 @dataclass(frozen=True)

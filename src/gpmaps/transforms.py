@@ -306,11 +306,11 @@ def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5):
     )
 
 
-def first_order_problem(n_points=100, ic_name="firstorder-paper"):
-    """First-order problem sampled evenly over the IC's interval."""
+def first_order_problem(n_points=100):
+    """First-order problem sampled evenly over the interval of the ``firstorder-paper`` condition."""
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
-    ic = get_initial_condition(ic_name)
+    ic = get_initial_condition("firstorder-paper")
     xs, us = ic.sample(n_points)
     system = build_first_order(us)
     return TransformProblem(

@@ -54,6 +54,19 @@ def paper_nf():
     return prob, nf_solve(prob, config=DescentConfig(max_iters=1000))
 
 
+def test_term_dicts_hold_the_summed_terms_only(u_data, small_traj):
+    # the weights live in result.weights; a term dict names exactly the terms whose sum is the loss
+    pde, nf = CgcPdeProblem(u_data=u_data), NfProblem(small_traj, MU)
+    pde_res = cgc_pde_solve(pde, config=DescentConfig(max_iters=50))
+    nf_res = nf_solve(nf, config=DescentConfig(max_iters=50))
+    pde_names = ["norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted"]
+    nf_names = ["norm_h", "l1_weighted", "l2_weighted", "anchor_weighted"]
+    assert list(pde_res.terms) == list(cgc_pde_loss_terms(pde, pde_res.state, pde_res.weights)) == pde_names
+    assert list(nf_res.terms) == list(nf_loss_terms(nf, nf_res.state, nf_res.weights)) == nf_names
+    assert sum(pde_res.terms.values()) == pytest.approx(pde_res.loss_trace[-1], rel=1e-14)
+    assert sum(nf_res.terms.values()) == pytest.approx(nf_res.loss_trace[-1], rel=1e-14)
+
+
 def fd_gradient(loss, x, h=1e-6):
     out = np.empty_like(x)
     for i in range(x.size):
@@ -202,8 +215,9 @@ class TestPdeSolve:
         terms = cgc_pde_loss_terms(prob, res.state, res.weights)
         g = res.interpolant
         resid = g(u_data) + res.state.a * g.evaluate(u_data, 1) / u_data**2
-        assert terms["lambda2"] * float(resid @ resid) == pytest.approx(terms["l2_weighted"], rel=1e-8)
-        assert terms["lambda3"] * (g(1.0) - 1.0) ** 2 == pytest.approx(terms["anchor_weighted"], rel=1e-8)
+        _, lam2, lam3 = res.weights
+        assert lam2 * float(resid @ resid) == pytest.approx(terms["l2_weighted"], rel=1e-8)
+        assert lam3 * (g(1.0) - 1.0) ** 2 == pytest.approx(terms["anchor_weighted"], rel=1e-8)
         assert res.interpolant.nugget == 1.0
 
     @pytest.mark.parametrize("max_iters", [3, 100, 300])

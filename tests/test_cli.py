@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gpmaps import cgc, gp
+from gpmaps import cgc, cli, gp
 from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.kernels import Matern52
@@ -44,8 +48,9 @@ class TestRun:
     @pytest.mark.parametrize("cfg", [
         {"experiment": "cole-hopf-multi", "ics": []},
         {"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
-        # a u = 0 sample breaks the 1/u^2 precondition of both first-order equations alike
-        {"experiment": "first-order", "ic": "multi-2"},
+        # a null theta means "learn it" to the map fits only; diagnose-norm's fixed kernel rejects it
+        {"experiment": "diagnose-norm", "theta": None},
+        # a u = 0 sample breaks the 1/u^2 precondition of the first-order equation
         {"experiment": "cgc-pde", "ic": "multi-2"},
         # json.load reads NaN and Infinity, and the schema's bounds let them through
         {"experiment": "cole-hopf-discrete", "dx": float("nan")},
@@ -65,10 +70,13 @@ class TestRun:
         # 1 - exp(-1/(2 nu)) rounds to 0, so the Cole-Hopf truth is 0/0 at every evaluation point
         pytest.param({"experiment": "cole-hopf", "nu": 1e17},
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-        pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "learn_kernel": False},
+        pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "theta": 1.0},
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         # no datum lies in the anchored interval [0, 1], where the error is measured
         {"experiment": "cole-hopf", "nu": 50},
+        # the map fits take the automatic nugget, and first-order fits firstorder-paper, the one condition it can
+        {"experiment": "first-order", "lam": 1e-7},
+        {"experiment": "first-order", "ic": "firstorder-paper"},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -128,13 +136,39 @@ class TestRun:
         assert main(["run", cfg, "--N", "15"]) == 0
         assert read_summary(out)["parameters"]["N"] == 15
 
-    def test_learn_kernel_flag(self, tmp_path):
+    def test_theta_null_flag_learns(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, "c.json", {"experiment": "cole-hopf", "N": 25, "output_dir": str(out)})
-        assert main(["run", cfg, "--learn-kernel"]) == 0
+        assert main(["run", cfg, "--theta", "null"]) == 0
         summary = read_summary(out)
-        assert summary["metrics"]["theta_learned"] is not None
+        assert summary["metrics"]["theta_learned"] == pytest.approx(23.07866596496041, rel=1e-9)
+        assert summary["parameters"]["theta"] == summary["metrics"]["theta_learned"]
         assert summary["metrics"]["relative_l2"] < 3e-3
+
+    @pytest.mark.parametrize("experiment", ["cole-hopf", "cole-hopf-discrete", "cole-hopf-multi", "first-order"])
+    def test_a_given_theta_is_the_fit_lengthscale(self, tmp_path, experiment):
+        # a number is used as it is, over a learning default too: no key is read and then ignored
+        out = tmp_path / "out"
+        cfg = {"experiment": experiment, "theta": 5.0, "output_dir": str(out)}
+        if experiment == "cole-hopf-multi":
+            cfg["points_per_ic"] = 11
+        assert main(["run", write_config(tmp_path, "c.json", cfg), "--theta", "2.5"]) == 0
+        summary = read_summary(out)
+        assert summary["parameters"]["theta"] == 2.5
+        assert summary["metrics"]["theta_learned"] is None and "rho_star" not in summary["metrics"]
+        assert json.loads((out / "interpolant.json").read_text())["kernel"]["theta"] == 2.5
+
+    def test_far_brusselator_start_exits_3_within_a_second(self, tmp_path, capsys):
+        # from (1000, 0) q relaxes onto B / p at rate p^2, and the 11 samples would take 108,541 substeps
+        # (about 3 s); the trajectory's budget of 64 substeps per sample interval stops it first
+        out = tmp_path / "o"
+        cfg = {"experiment": "brusselator-nf", "init_point": [1000.0, 0.0], "n_samples": 11, "output_dir": str(out)}
+        start = time.perf_counter()
+        assert main(["run", write_config(tmp_path, "c.json", cfg)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "budget of 640 substeps" in err and "init_point (1000.0, 0.0)" in err and "with substep" in err
+        assert not (out / "summary.json").exists()
 
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -160,18 +194,7 @@ class TestRun:
     @pytest.mark.parametrize("cfg", [
         {"experiment": "cole-hopf"},
         {"experiment": "cole-hopf-discrete", "dx": 0.05},
-        {"experiment": "cole-hopf-multi", "points_per_ic": 11, "learn_kernel": False},
-        {"experiment": "first-order", "N": 30},
-    ])
-    def test_lam_is_the_nugget_of_the_fit(self, tmp_path, cfg):
-        out = tmp_path / "out"
-        assert main(["run", write_config(tmp_path, "c.json", {**cfg, "lam": 1e-7, "output_dir": str(out)})]) == 0
-        assert json.loads((out / "interpolant.json").read_text())["nugget"] == 1e-7
-
-    @pytest.mark.parametrize("cfg", [
-        {"experiment": "cole-hopf"},
-        {"experiment": "cole-hopf-discrete", "dx": 0.05},
-        {"experiment": "cole-hopf-multi", "points_per_ic": 11, "learn_kernel": False},
+        {"experiment": "cole-hopf-multi", "points_per_ic": 11, "theta": 1.0},
         {"experiment": "first-order", "N": 30},
         {"experiment": "cgc-pde", "N": 25},
     ])
@@ -217,6 +240,34 @@ class TestRun:
         validate(instance=read_summary(out), schema=schema)
 
 
+def run_in_subprocess(tmp_path, name, cfg, blas_threads):
+    """Run ``cfg`` in a fresh interpreter with ``blas_threads`` OpenBLAS threads; returns its output dir."""
+    src = str(Path(gp.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / name
+    config = write_config(tmp_path, f"{name}.json", {**cfg, "output_dir": str(out)})
+    subprocess.run([sys.executable, "-m", "gpmaps.cli", "run", config], env=env, capture_output=True, check=True)
+    return out
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs to run OpenBLAS on 2 threads")
+def test_blas_thread_count_moves_the_pooled_fit_within_its_bounds(tmp_path):
+    # Bit-reproducible at a fixed thread count; across counts, BLAS sums in another order. With OpenBLAS
+    # 0.3.31 the pooled fit at 1 and 2 threads had the same theta*, relative_l2 4.6e-7 apart (relative)
+    # and fitted values 8.9e-11 of their largest apart; the bounds below are ten times that spread or more.
+    cfg = {"experiment": "cole-hopf-multi"}
+    one, two, again = (run_in_subprocess(tmp_path, name, cfg, n) for name, n in (("one", 1), ("two", 2), ("again", 2)))
+    for name in ("cole_hopf_multi.csv", "interpolant.json"):
+        assert (two / name).read_bytes() == (again / name).read_bytes()
+    m1, m2, m2_again = ({**read_summary(out)["metrics"], "wall_time_s": 0.0} for out in (one, two, again))
+    assert m2 == m2_again
+    assert m1["theta_learned"] == m2["theta_learned"]
+    assert m2["relative_l2"] == pytest.approx(m1["relative_l2"], rel=5e-6, abs=0)
+    w1, w2 = (np.loadtxt(out / "cole_hopf_multi.csv", delimiter=",", skiprows=1, usecols=4) for out in (one, two))
+    assert np.max(np.abs(w1 - w2)) <= 1e-9 * np.max(np.abs(w1))
+
+
 #: A schema key, with a valid value, that each experiment does not read.
 UNREAD_KEY = {
     "cole-hopf": ("A", 7.0),
@@ -260,6 +311,9 @@ class TestConfigContract:
         ({"experiment": "cgc-pde", "N": 10, "max_iters": 5}, "--max-iters", "7", 7),
         ({"experiment": "brusselator-nf", "n_samples": 60, "gen_dt": 1e-3, "max_iters": 5}, "--gen-dt", "0.002", 0.002),
         ({"experiment": "diagnose-norm"}, "--N-list", "[50, 100]", [50, 100]),
+        # nullable keys parse JSON, so a flag's null overrides the file's number
+        ({"experiment": "diagnose-norm", "N_list": [50, 100], "lam": 1e-8}, "--lam", "null", None),
+        ({"experiment": "diagnose-norm", "N_list": [50, 100], "lam": 1e-8}, "--lam", "1e-9", 1e-9),
     ])
     def test_generated_flag_overrides_file(self, tmp_path, cfg, flag, value, expected):
         out = tmp_path / "out"
@@ -296,6 +350,17 @@ class TestTable1:
         cfg = write_config(tmp_path, "t.json", {"N_list": [25], "nu": 1e17, "output_dir": str(out)})
         assert main(["table1", cfg]) == 2
         assert not (out / "summary.json").exists()
+
+    def test_rejects_a_null_theta_before_any_search(self, tmp_path, monkeypatch):
+        # the fixed row needs a number; the config fails before the learned row's search
+        def searching(*args, **kwargs):
+            raise AssertionError("the lengthscale search ran")
+
+        monkeypatch.setattr(cli, "learn_theta", searching)
+        cfg = {"theta": None, "output_dir": str(tmp_path / "o")}
+        with pytest.raises(InvalidInputError, match="lengthscale must be a positive finite real number"):
+            run_table1(cfg)
+        assert main(["table1", write_config(tmp_path, "t.json", cfg)]) == 2
 
     def test_rejects_repeated_sizes(self, tmp_path):
         # a repeated size would write two identical columns and one metric pair for both
@@ -474,6 +539,7 @@ class TestCgcExperiments:
         metrics = run_experiment({**cfg, "output_dir": str(tmp_path / "out")})["metrics"]
         assert len(results) == 1
         assert {k for k in metrics if k.startswith("loss_")} == {"loss_final", *keys}
+        assert set(results[0].terms) == set(keys.values())  # terms only: the weights are in result.weights
         assert {k: metrics[k] for k in keys} == {k: results[0].terms[name] for k, name in keys.items()}
 
     def test_brusselator_nf_csv_schema(self, tmp_path):

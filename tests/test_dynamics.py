@@ -359,6 +359,14 @@ class TestBrusselator:
             brusselator_trajectory(1.0, 2.1, n_samples=5)
         assert time.perf_counter() - start < 10.0
 
+    def test_trajectory_past_its_substep_budget_raises(self):
+        # 64 substeps per sample interval on average: (100, 0) takes 16.6 over 101 samples, (300, 0) 130.4
+        assert len(brusselator_trajectory(1.0, 2.1, init_point=(100.0, 0.0), n_samples=101)) == 101
+        with pytest.raises(NumericalOverflowError, match=r"^the budget of 6400 substeps \(64 per sample interval\) "
+                                                         r"is spent: from init_point \(300\.0, 0\.0\) the trajectory "
+                                                         r"reached t = \S+, with substep \S+$"):
+            brusselator_trajectory(1.0, 2.1, init_point=(300.0, 0.0), n_samples=101)
+
     @pytest.mark.parametrize(
         "A, kwargs",
         [

@@ -131,6 +131,12 @@ class TestMatern:
         with pytest.raises(InvalidInputError):
             Matern52(float("inf"))
 
+    @pytest.mark.parametrize("theta", [None, "1.0", 1j])
+    def test_theta_that_is_no_real_number(self, theta):
+        # a config's null theta means "learn it" to the map fits only; a fixed kernel rejects it typed
+        with pytest.raises(InvalidInputError, match="lengthscale must be a positive finite real number"):
+            Matern52(theta)
+
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedDerivativeError):
             k_deriv(Matern52(1.0), 0.0, 1.0, 3, 0)

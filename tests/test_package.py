@@ -245,6 +245,20 @@ def test_readme_states_the_theta_search_budget():
         assert phrase in readme
 
 
+def test_readme_cli_examples_match_the_cli():
+    # the config example resolves with every key read, and each flag of the `gpmaps run` line exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    cfg = json.loads(re.search(r"```json\n(.*?)\n```", section, re.S)[1])
+    experiment, resolved = cli._resolve(cfg, cli.EXPERIMENTS)
+    assert experiment == cfg["experiment"] and cfg.keys() - {"experiment"} <= resolved.keys()
+    run_line = next(line for line in section.splitlines() if line.startswith("gpmaps run "))
+    flags = set(re.findall(r"--[\w-]+", run_line))
+    parser = cli._build_parser()
+    run = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    assert flags and flags <= {option for action in run._actions for option in action.option_strings}
+
+
 def test_readme_states_the_interpolant_layout():
     # the README lists the keys of interpolant.json in the order the writer writes them
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
