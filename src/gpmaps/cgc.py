@@ -146,10 +146,15 @@ class CgcPdeState:
             raise InvalidInputError("the coefficient a must be finite")
 
 
-def _scales(problem, weights):
-    """sqrt of each functional's weight: sqrt(lambda2) on the data, sqrt(lambda3) at the anchor."""
+def _scaled(problem, weights):
+    """The scales d and the targets y~ of the scaled functionals: fixed for a solve, so built once for it.
+
+    d holds the square root of each functional's weight, sqrt(lambda2) on the
+    data and sqrt(lambda3) at the anchor; y~ = (0, ..., 0, sqrt(lambda3)).
+    """
     _, lam2, lam3 = weights
-    return np.r_[np.full(problem.u_data.size, np.sqrt(lam2)), np.sqrt(lam3)]
+    d = np.r_[np.full(problem.u_data.size, np.sqrt(lam2)), np.sqrt(lam3)]
+    return d, np.r_[np.zeros(d.size - 1), d[-1]]
 
 
 class _Evaluation(NamedTuple):
@@ -161,12 +166,13 @@ class _Evaluation(NamedTuple):
     alpha: np.ndarray
 
 
-def _evaluate(problem, weights, a):
+def _evaluate(problem, scaled, a):
     """The :class:`_Evaluation` of the best map for ``a``, from one factorization of Phi~(a) + I.
 
     Phi~ = D (B0 + a B1 + a^2 B2) D is the Gram of the scaled functionals, y~
-    their targets and alpha~ = (Phi~ + I)^-1 y~ the coefficients of the best
-    map sum_j alpha~_j phi~_j. Its squared RKHS norm is alpha~^T Phi~ alpha~
+    their targets (``scaled`` is :func:`_scaled`'s pair of diag(D) and y~)
+    and alpha~ = (Phi~ + I)^-1 y~ the coefficients of the best map
+    sum_j alpha~_j phi~_j. Its squared RKHS norm is alpha~^T Phi~ alpha~
     and its scaled residuals are Phi~ alpha~ - y~: the equation residual on
     the data (weight lambda2) and G(1) - 1 (lambda3). The data-fit term
     ``l1_weighted`` is identically zero: the output column of the data array
@@ -175,9 +181,8 @@ def _evaluate(problem, weights, a):
     its exact slope is f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~).
     """
     b0, b1, b2 = problem._blocks
-    d = _scales(problem, weights)
+    d, y = scaled
     phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
-    y = np.r_[np.zeros(d.size - 1), d[-1]]
     inverse = _factor_inverse(_cholesky(phi, 1.0, f"map system at a = {a!r}"))
     alpha = inverse.T @ (inverse @ y)
     fitted = phi @ alpha
@@ -191,17 +196,17 @@ def _evaluate(problem, weights, a):
 
 def cgc_pde_loss_terms(problem, state, weights):
     """Named weighted loss terms of the best map for ``state.a`` (see :func:`_evaluate`)."""
-    return _evaluate(problem, _checked_weights(weights), state.a).terms
+    return _evaluate(problem, _scaled(problem, _checked_weights(weights)), state.a).terms
 
 
 def cgc_pde_loss(problem, state, weights):
     """Profiled loss f(a) = a^2 + y~^T (Phi~(a) + I)^-1 y~, as the sum of its terms."""
-    return _evaluate(problem, _checked_weights(weights), state.a).loss
+    return _evaluate(problem, _scaled(problem, _checked_weights(weights)), state.a).loss
 
 
 def cgc_pde_grad(problem, state, weights):
     """Exact slope f'(a) = 2a - (D alpha~)^T (B1 + 2a B2) (D alpha~) of the profiled loss."""
-    return _evaluate(problem, _checked_weights(weights), state.a).slope
+    return _evaluate(problem, _scaled(problem, _checked_weights(weights)), state.a).slope
 
 
 @dataclass
@@ -214,6 +219,7 @@ class CgcPdeResult:
     iterations: int
     converged: bool
     reason: str
+    slope: float
 
 
 def _start(problem):
@@ -244,21 +250,25 @@ def cgc_pde_solve(problem, config=None):
     target 0, and sqrt(lambda3) delta_1, target sqrt(lambda3), so the loss
     profiles to f(a) (:func:`cgc_pde_loss`, slope :func:`cgc_pde_grad`).
     From :func:`_start`, :func:`gpmaps.optim.slope_search` finds a local
-    minimum of f in at most ``config.max_iters`` slope evaluations. The loss
-    trace is [f at the start, f at the returned ``a``]; the terms and the
+    minimum of f in at most ``config.max_iters`` slope evaluations (16 at
+    the paper configuration). The loss trace is [f at the start, f at the
+    returned ``a``] and ``slope`` is f' there; the terms and the
     interpolant, the best map with unit nugget, are those of the evaluation
-    at the returned ``a``.
+    at the returned ``a``. The functionals' scales and targets are built
+    once per solve.
     """
     weights, a = _start(problem)
-    first = _evaluate(problem, weights, a)
-    a, best, evals, reason = slope_search(lambda trial: _evaluate(problem, weights, trial), a, first,
+    scaled = _scaled(problem, weights)
+    first = _evaluate(problem, scaled, a)
+    a, best, evals, reason = slope_search(lambda trial: _evaluate(problem, scaled, trial), a, first,
                                           (config or DescentConfig()).max_iters)
     trace = [first.loss, best.loss]
-    d = _scales(problem, weights)
+    d = scaled[0]
     functionals = tuple(LinearFunctional.of_terms((u, 0, s), (u, 1, s * a / u**2)) for u, s in zip(problem.u_data, d))
     table = _flatten(functionals + (LinearFunctional.dirac(1.0, d[-1]),))
     interp = Interpolant(PDE_KERNEL, table, best.alpha, nugget=1.0)
-    return CgcPdeResult(CgcPdeState(a), interp, trace, best.terms, weights, evals, reason != "max_iters", reason)
+    return CgcPdeResult(CgcPdeState(a), interp, trace, best.terms, weights, evals, reason != "max_iters", reason,
+                        best.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +460,7 @@ class NfResult:
     iterations: int
     converged: bool
     reason: str
+    slope: float
     theta0: float
     r0: float
 
@@ -465,10 +476,11 @@ def nf_solve(problem, config=None):
     :func:`gpmaps.optim.slope_search` minimizes the profile of
     :func:`_nf_profile` over s = ln r0 from r0 = |x0|, once the weights are
     balanced at :func:`_nf_default_init`, whose loss must be finite. The
-    loss trace is [f at the start, f at the returned r0] and ``iterations``
-    counts the slope evaluations. r differs from the closed
-    form from |x0| only through r0 (``relative_l2`` 0.0018 at the paper
-    configuration); H misses its own r by about 87% there.
+    loss trace is [f at the start, f at the returned r0], ``slope`` is
+    f'(ln r0) there and ``iterations`` counts the slope evaluations (24 at
+    the paper configuration). r differs from the closed form from |x0| only
+    through r0 (``relative_l2`` 0.0018 at the paper configuration); H misses
+    its own r by about 87% there.
 
     The reconstruction turns from the initial angle theta0 at the
     trajectory's mean angular rate omega, its unwrapped angle change over
@@ -490,4 +502,4 @@ def nf_solve(problem, config=None):
     xy = np.stack([best.r * np.cos(phase), best.r * np.sin(phase)], axis=1)
     terms = dict(zip(_NF_TERM_NAMES, best.terms))
     return NfResult(NfState(best.coeffs, best.r), xy, [first.loss, best.loss], terms, weights, evals,
-                    reason != "max_iters", reason, float(angle[0]), float(np.exp(s)))
+                    reason != "max_iters", reason, best.slope, float(angle[0]), float(np.exp(s)))

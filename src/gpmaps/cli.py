@@ -95,8 +95,8 @@ def _write_csv(path, header, columns):
 
 def _write_interpolant(path, interp):
     with open(path, "w") as fh:
-        json.dump(interpolant_to_config(interp), fh)
-        fh.write("\n")
+        # json.dumps without indent runs the C encoder; json.dump to a file runs the Python one
+        fh.write(json.dumps(interpolant_to_config(interp)) + "\n")
     return str(path)
 
 
@@ -233,9 +233,9 @@ def _experiment_first_order(cfg, out):
 
 
 def _joint_metrics(result):
-    """How a joint solve ended, and ``loss_<name>`` per weighted term ``<name>[_weighted]``."""
+    """How a joint solve ended, its final slope, and ``loss_<name>`` per weighted term ``<name>[_weighted]``."""
     return {"loss_final": float(result.loss_trace[-1]), "iterations": int(result.iterations),
-            "converged": bool(result.converged), "stop_reason": result.reason,
+            "final_slope": float(result.slope), "converged": bool(result.converged), "stop_reason": result.reason,
             **{f"loss_{name.removesuffix('_weighted')}": float(value) for name, value in result.terms.items()}}
 
 

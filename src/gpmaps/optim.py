@@ -19,32 +19,68 @@ class DescentConfig:
 
 
 def slope_search(evaluate, x, best, max_evals):
-    """Walk downhill from ``x`` in steps doubling from 1e-3 to the slope's first sign change, then bisect.
+    """Walk downhill from ``x`` in steps doubling from 1e-3 to the slope's first sign change, then close the bracket.
 
     ``evaluate(x)`` returns an evaluation with the derivative at ``x`` as its
-    ``slope``; ``best`` is the start's. Bisection stops once the bracket's
-    ends are adjacent floats or it is at most machine epsilon times the last
-    walk step wide (``bracket_closed``), at a zero slope (``zero_slope``) or
+    ``slope``; ``best`` is the start's. The walk's last step brackets a root
+    of the slope, and each later trial is :func:`_itp_trial`'s, strictly
+    inside the bracket. The search stops once the bracket's ends are
+    adjacent floats or it is at most machine epsilon times the last walk
+    step wide (``bracket_closed``), at a zero slope (``zero_slope``) or
     after ``max_evals`` evaluations, the start's included (``max_iters``).
-    Returns the best point, its evaluation, the evaluation count and the stop reason.
+    Returns the last point evaluated on the start's side of the sign change,
+    its evaluation, the evaluation count and the stop reason.
     """
     evals, direction, step, hi, closed = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None, False
     while best.slope != 0.0 and evals < max_evals and not closed:
-        trial = x + direction * step if hi is None else 0.5 * (x + hi)
-        if trial == x:
-            break
-        step *= 2.0
+        if hi is None:
+            trial = x + direction * step
+            if trial == x:
+                break
+            step *= 2.0
+        else:
+            trial = _itp_trial(x, best.slope, hi, hi_slope, reach)
+            reach *= 0.5
         evaluation = evaluate(trial)
         evals += 1
         if direction * evaluation.slope <= 0.0:
             x, best = trial, evaluation
-        elif hi is None:  # the first sign change: the bracket is the last walk step
-            hi, tol = trial, math.ulp(1.0) * abs(trial - x)
         else:
-            hi = trial
+            if hi is None:  # the first sign change: the bracket is the last walk step
+                reach = abs(trial - x)
+                tol = math.ulp(1.0) * reach
+            hi, hi_slope = trial, evaluation.slope
         closed = hi is not None and (0.5 * (x + hi) in (x, hi) or abs(hi - x) <= tol)
     reason = "zero_slope" if best.slope == 0.0 else "bracket_closed" if closed else "max_iters"
     return x, best, evals, reason
+
+
+def _itp_trial(x, slope, hi, hi_slope, reach):
+    """The ITP trial point between ``x`` and ``hi``, whose slopes have opposite signs.
+
+    The ITP method (I. F. D. Oliveira and R. H. C. Takahashi, ACM Trans.
+    Math. Softw. 47(1), 2021) with kappa1 = 0.1, kappa2 = 2 and n0 = 1, in
+    the walk's units (its first step is 1e-3). For a bracket of width w the
+    secant root moves 0.1 w^2 toward the midpoint, or is replaced by the
+    midpoint when that is nearer, and is then pulled to within ``reach`` -
+    w/2 of the midpoint. ``reach`` starts at the first bracket's width and
+    halves with each trial, so no bracket is wider than bisection's one
+    trial earlier: in exact arithmetic the search takes at most one trial
+    more than bisection.
+    The move toward the midpoint is at least one ulp of the secant root. A
+    smaller move rounds away, and where rounding leaves the slope's sign
+    unsettled the trials would then close the bracket one float at a time.
+    A trial that rounds onto an end becomes the midpoint.
+    """
+    width, mid = hi - x, 0.5 * (x + hi)
+    secant = x - width * (slope / (hi_slope - slope))
+    toward = math.copysign(1.0, mid - secant)
+    shift = max(0.1 * width * width, math.ulp(secant))
+    trial = secant + toward * shift if shift <= abs(mid - secant) else mid
+    radius = max(reach - 0.5 * abs(width), 0.0)
+    if abs(trial - mid) > radius:
+        trial = mid - toward * radius
+    return trial if min(x, hi) < trial < max(x, hi) else mid
 
 
 def golden_section(fn, lo, hi, width, seed):

@@ -7,8 +7,12 @@ A functional applied to a callable sums its terms point by point where a
 fit folds them into a Gram. The truths' derivatives are written out by
 hand, and the Brusselator and Hopf radial fields are plain right-hand sides
 for :func:`gpmaps.dynamics.rk4`, where ``brusselator_trajectory`` sums Taylor
-series and ``r_exact`` is the radial law's closed form.
+series and ``r_exact`` is the radial law's closed form. The bisecting
+slope search closes its bracket one bit per evaluation where
+:func:`gpmaps.optim.slope_search` interpolates.
 """
+
+import math
 
 import numpy as np
 
@@ -117,3 +121,24 @@ def hopf_polar_rhs(mu):
         return ((mu - r * r) * r,)
 
     return rhs
+
+
+def bisection_slope_search(evaluate, x, best, max_evals):
+    """:func:`gpmaps.optim.slope_search` with its bracket closed by bisection: the same walk, stop rules and return."""
+    evals, direction, step, hi, closed = 1, (-1.0 if best.slope > 0.0 else 1.0), 1e-3, None, False
+    while best.slope != 0.0 and evals < max_evals and not closed:
+        trial = x + direction * step if hi is None else 0.5 * (x + hi)
+        if trial == x:
+            break
+        step *= 2.0
+        evaluation = evaluate(trial)
+        evals += 1
+        if direction * evaluation.slope <= 0.0:
+            x, best = trial, evaluation
+        elif hi is None:  # the first sign change: the bracket is the last walk step
+            hi, tol = trial, math.ulp(1.0) * abs(trial - x)
+        else:
+            hi = trial
+        closed = hi is not None and (0.5 * (x + hi) in (x, hi) or abs(hi - x) <= tol)
+    reason = "zero_slope" if best.slope == 0.0 else "bracket_closed" if closed else "max_iters"
+    return x, best, evals, reason

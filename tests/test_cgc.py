@@ -143,7 +143,7 @@ class TestPdeLoss:
     def test_public_functions_are_views_of_one_evaluation(self, u_data):
         prob = CgcPdeProblem(u_data=u_data)
         state, w = CgcPdeState(0.3), (0.0, 3.0, 7.0)
-        ev = cgc_module._evaluate(prob, w, state.a)
+        ev = cgc_module._evaluate(prob, cgc_module._scaled(prob, w), state.a)
         assert (cgc_pde_loss_terms(prob, state, w), cgc_pde_loss(prob, state, w), cgc_pde_grad(prob, state, w)) \
             == (ev.terms, ev.loss, ev.slope)
         t = ev.terms
@@ -249,7 +249,8 @@ class TestPdeSolve:
         # the saved map's coefficients are the evaluation's alpha~, not those of a second fit
         prob = CgcPdeProblem(u_data=u_data)
         res = cgc_pde_solve(prob, config=DescentConfig(max_iters=200))
-        assert np.array_equal(res.interpolant.coefficients, cgc_module._evaluate(prob, res.weights, res.state.a).alpha)
+        expected = cgc_module._evaluate(prob, cgc_module._scaled(prob, res.weights), res.state.a)
+        assert np.array_equal(res.interpolant.coefficients, expected.alpha)
 
     def test_kernel_blocks_built_once_per_problem(self, u_data, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -454,6 +455,13 @@ class TestCgcExperiments:
         lines = (out / "cgc_pde.csv").read_text().splitlines()
         assert lines[0] == "u,G_learned,G_truth"
         assert len(lines) == 26
+
+    @pytest.mark.parametrize("experiment", ["cgc-pde", "brusselator-nf"])
+    def test_paper_config_reports_a_vanishing_final_slope(self, tmp_path, experiment):
+        # the profile's slope where the search stopped: f'(a), or f'(ln r0) for the normal form
+        metrics = run_experiment({"experiment": experiment, "output_dir": str(tmp_path)})["metrics"]
+        assert metrics["stop_reason"] == "bracket_closed"
+        assert math.isfinite(metrics["final_slope"]) and abs(metrics["final_slope"]) <= 1e-9
 
     def test_cgc_pde_run_factors_once_per_a(self, tmp_path, monkeypatch):
         # one factorization for the identity map's fit and one per evaluated a:

@@ -418,10 +418,10 @@ def solved_system(name):
         _, u = dynamics.get_initial_condition("firstorder-paper").sample(100)
         problem = cgc.CgcPdeProblem(u_data=u)
         weights, a = cgc._start(problem)
-        d = cgc._scales(problem, weights)
+        d, y = cgc._scaled(problem, weights)
         b0, b1, b2 = problem._blocks
         phi = d[:, None] * (b0 + a * b1 + (a * a) * b2) * d[None, :]
-        return phi + np.eye(d.size), np.r_[np.zeros(d.size - 1), d[-1]]
+        return phi + np.eye(d.size), y
     system = cole_hopf_multi_problem().system if name == "pooled" else cole_hopf_problem(int(name[1:])).system
     gram = system._gram_plan.gram(K1)
     return gram + default_nugget(gram) * np.eye(len(system)), system.targets

@@ -4,8 +4,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from gpmaps import cgc, dynamics
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.optim import golden_section, slope_search
+from oracles import bisection_slope_search
 
 WIDTH = 1e-3
 H = WIDTH / 2.0
@@ -115,15 +117,51 @@ class Slope(NamedTuple):
     slope: float
 
 
-def slopes(fn, x, max_evals):
-    """slope_search's result from x on the slope ``fn``, and every point it evaluated."""
+def slopes(fn, x, max_evals, search=slope_search):
+    """``search``'s result from x on the slope ``fn``, and every point it evaluated."""
     points = [x]
 
     def evaluate(t):
         points.append(t)
         return Slope(fn(t))
 
-    return slope_search(evaluate, x, Slope(fn(x)), max_evals), points
+    return search(evaluate, x, Slope(fn(x)), max_evals), points
+
+
+def brackets(fn, points):
+    """The bracket each trial after the first sign change was drawn in, as (trial, lo, hi)."""
+    direction = -1.0 if fn(points[0]) > 0.0 else 1.0
+    start_side, other_side, drawn = points[0], None, []
+    for trial in points[1:]:
+        if other_side is not None:
+            drawn.append((trial, min(start_side, other_side), max(start_side, other_side)))
+        if direction * fn(trial) <= 0.0:
+            start_side = trial
+        else:
+            other_side = trial
+    return drawn
+
+
+def step_slope(t):
+    return -1.0 if t < 0.3 else 1.0
+
+
+def paper_searches(monkeypatch, name):
+    """The paper solve's slope search and the bisection oracle's, both from the solve's start on its profile."""
+    runs = []
+
+    def both(evaluate, x, best, max_evals):
+        result = slope_search(evaluate, x, best, max_evals)
+        runs.append((result, bisection_slope_search(evaluate, x, best, max_evals)))
+        return result
+
+    monkeypatch.setattr(cgc, "slope_search", both)
+    if name == "cgc-pde":
+        cgc.cgc_pde_solve(cgc.CgcPdeProblem(u_data=dynamics.get_initial_condition("firstorder-paper").sample(100)[1]))
+    else:
+        cgc.nf_solve(cgc.NfProblem(dynamics.brusselator_trajectory(1.0, 2.1), dynamics.mu_from_AB(1.0, 2.1)))
+    (result,) = runs
+    return result
 
 
 class TestSlopeSearch:
@@ -158,3 +196,51 @@ class TestSlopeSearch:
     def test_stops_at_the_evaluation_cap(self, max_evals):
         (_, _, evals, reason), points = slopes(lambda t: t - 1e6, 0.0, max_evals)
         assert (evals, reason, len(points)) == (max_evals, "max_iters", max_evals)
+
+    def test_a_trial_on_a_zero_slope_stops_there(self):
+        # the slope vanishes on [0.2, 0.4]: the first trial that lands there is returned
+        (x, best, evals, reason), points = slopes(lambda t: math.copysign(max(abs(t - 0.3) - 0.1, 0.0), t - 0.3),
+                                                  -2.0, 1000)
+        assert reason == "zero_slope" and best.slope == 0.0
+        assert 0.2 <= x <= 0.4 and x == points[-1] and evals == len(points)
+
+    def test_returns_the_last_point_below_a_root_with_no_float_zero(self):
+        (x, best, _, reason), points = slopes(lambda t: t * t - 2.0, 0.25, 1000)
+        assert reason == "bracket_closed"
+        assert best.slope <= 0.0 and x < math.sqrt(2.0)
+        assert min(p for p in points if p > x) == pytest.approx(x, abs=1e-15)
+
+
+class TestSlopeSearchClosure:
+    @pytest.mark.parametrize("fn, start", [(lambda t: t * t - 2.0, 0.25), (lambda t: t * t - 2.0, 7.5),
+                                           (lambda t: t**3, 0.5), (step_slope, -2.0), (lambda t: t, 0.5)])
+    def test_every_trial_strictly_inside_its_bracket(self, fn, start):
+        _, points = slopes(fn, start, 1000)
+        drawn = brackets(fn, points)
+        assert drawn and all(lo < trial < hi for trial, lo, hi in drawn)
+
+    @pytest.mark.parametrize("start", [0.25, 7.5])
+    def test_interpolation_closes_a_simple_root_in_few_evaluations(self, start):
+        # t^2 - 2 has no float zero; bisection spends 64 and 66 evaluations here
+        (x, _, evals, reason), _ = slopes(lambda t: t * t - 2.0, start, 1000)
+        (_, _, bisection_evals, _), _ = slopes(lambda t: t * t - 2.0, start, 1000, bisection_slope_search)
+        assert reason == "bracket_closed" and x == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert evals <= 30 < bisection_evals
+
+    @pytest.mark.parametrize("fn, start", [(lambda t: t**3, 0.5), (step_slope, -2.0)])
+    def test_worst_case_is_bisections_plus_two(self, fn, start):
+        # a triple root and a jump defeat the interpolation; the projection onto
+        # bisection's schedule still closes the bracket
+        (x, _, evals, reason), _ = slopes(fn, start, 1000)
+        (x_ref, _, bisection_evals, reason_ref), _ = slopes(fn, start, 1000, bisection_slope_search)
+        assert reason == reason_ref == "bracket_closed"
+        assert evals <= bisection_evals + 2
+        assert abs(x - x_ref) <= 1e-15
+
+    @pytest.mark.parametrize("name, most", [("cgc-pde", 20), ("brusselator-nf", 30)])
+    def test_paper_solves_close_near_the_bisection_result(self, monkeypatch, name, most):
+        # bisection takes 56 and 64 slope evaluations on these profiles
+        (x, _, evals, reason), (x_ref, _, bisection_evals, reason_ref) = paper_searches(monkeypatch, name)
+        assert reason == reason_ref == "bracket_closed"
+        assert abs(x - x_ref) <= 4 * math.ulp(x_ref)
+        assert evals <= most < bisection_evals

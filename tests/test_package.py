@@ -295,10 +295,10 @@ def test_readme_states_the_cgc_pde_profile():
 
     _, u_data = dynamics.get_initial_condition("firstorder-paper").sample(100)
     problem = cgc.CgcPdeProblem(u_data=u_data)
-    weights = cgc.cgc_pde_solve(problem).weights
+    scaled = cgc._scaled(problem, cgc.cgc_pde_solve(problem).weights)
 
     def at(a):
-        return cgc._evaluate(problem, weights, a)
+        return cgc._evaluate(problem, scaled, a)
 
     half_digit = 0.5 * 10.0 ** -len(a_other.split(".")[1])
     assert as_quoted(at(float(a_other)).loss, loss_other)
