@@ -17,7 +17,6 @@ import numpy as np
 
 from gpmaps.cgc import NfProblem, nf_h_values, nf_solve
 from gpmaps.dynamics import brusselator_trajectory, mu_from_AB, r_exact
-from gpmaps.optim import DescentConfig
 
 A, B = 1.0, 2.1
 mu = mu_from_AB(A, B)
@@ -25,7 +24,7 @@ print(f"mu = {mu:.6f}, limit-cycle radius sqrt(mu) = {np.sqrt(mu):.4f}")
 
 trajectory = brusselator_trajectory(A, B)
 problem = NfProblem(trajectory, mu)
-result = nf_solve(problem, config=DescentConfig(max_iters=15000))
+result = nf_solve(problem)
 
 r = result.state.r_values
 late = trajectory.times >= 100.0

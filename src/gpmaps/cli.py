@@ -18,8 +18,8 @@ and may hold only keys its experiment reads; any other key is an error
 (exit 2), never ignored.
 ``gpmaps run`` has one flag per schema key, typed from the schema
 (``--max-iters 300``, ``--inconsistent``/``--no-inconsistent``; arrays and
-the nullable ``theta`` and ``lam`` as JSON: ``--N-list '[50, 100]'``,
-``--theta null``); a flag overrides the file. The Python API
+the nullable ``theta`` as JSON: ``--N-list '[50, 100]'``, ``--theta null``);
+a flag overrides the file. The Python API
 (:func:`run_experiment`, :func:`run_table1`) validates the same way. A
 summary's ``parameters`` is the resolved config (every key the experiment
 reads, defaults filled in, less ``output_dir``) plus what the run derived:
@@ -27,9 +27,14 @@ the lengthscale used, the loss ``weights``, ``mu`` or ``thetas_learned``.
 
 A map fit (``cole-hopf``, ``cole-hopf-discrete``, ``cole-hopf-multi``,
 ``first-order``) makes one choice of lengthscale: ``theta`` is a number, or
-null to learn it by the leave-one-out loss. Its nugget is the automatic one;
-``lam`` is the nugget of ``diagnose-norm`` only. ``first-order`` reads no
-``ic``: it fits ``firstorder-paper``, the only registered condition it can.
+null to learn it by the leave-one-out loss. Its nugget is the automatic one.
+``cole-hopf`` and ``cole-hopf-discrete`` sample the paper's Burgers
+condition and ``first-order`` samples ``firstorder-paper``; none reads
+``ic``. ``table1`` and ``diagnose-norm`` reproduce the paper's fixed setup
+(the Burgers condition at nu = 0.5, a fixed lengthscale of 1) and read only
+their sizes, plus ``inconsistent`` for ``diagnose-norm``, whose fits take
+a nugget of 1e-10 (``transforms.DIAGNOSTIC_NUGGET``, reported as the
+metric ``nugget``).
 
 Exit codes: 0 success, 2 config/validation error or an input or output path
 that cannot be read or written, 3 numerical failure.
@@ -208,15 +213,15 @@ def _run_transform_problem(cfg, out, problem, csv_name):
     return {"theta": theta}, metrics, {"csv": csv_path, "interpolant": interp_path}
 
 
-@_runner("cole-hopf", N=25, nu=0.5, ic="burgers-paper", theta=1.0)
+@_runner("cole-hopf", N=25, nu=0.5, theta=1.0)
 def _experiment_cole_hopf(cfg, out):
-    problem = transforms.cole_hopf_problem(cfg["N"], nu=cfg["nu"], ic_name=cfg["ic"])
+    problem = transforms.cole_hopf_problem(cfg["N"], nu=cfg["nu"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf.csv")
 
 
-@_runner("cole-hopf-discrete", nu=0.5, dx=0.01, h=1e-4, ic="burgers-paper", theta=1.0)
+@_runner("cole-hopf-discrete", nu=0.5, dx=0.01, h=1e-4, theta=1.0)
 def _experiment_cole_hopf_discrete(cfg, out):
-    problem = transforms.cole_hopf_discrete_problem(dx=cfg["dx"], h=cfg["h"], nu=cfg["nu"], ic_name=cfg["ic"])
+    problem = transforms.cole_hopf_discrete_problem(dx=cfg["dx"], h=cfg["h"], nu=cfg["nu"])
     return _run_transform_problem(cfg, out, problem, "cole_hopf_discrete.csv")
 
 
@@ -275,35 +280,33 @@ def _experiment_brusselator_nf(cfg, out):
     return {"mu": mu, "weights": list(result.weights)}, metrics, {"csv": csv_path}
 
 
-@_runner("diagnose-norm", N_list=(100, 200, 400), nu=0.5, ic="burgers-paper", theta=1.0, lam=1e-10,
-         inconsistent=False)
+@_runner("diagnose-norm", N_list=(100, 200, 400), inconsistent=False)
 def _experiment_diagnose_norm(cfg, out):
     def builder(n):
-        problem = transforms.cole_hopf_problem(n, nu=cfg["nu"], ic_name=cfg["ic"])
+        problem = transforms.cole_hopf_problem(n)
         system = problem.system
         if cfg["inconsistent"]:
             system = transforms.corrupt_targets(system, problem.interior, seed=cfg["seed"])
         return system
 
-    pairs = transforms.norm_growth_diagnostic(builder, cfg["N_list"], Matern52(cfg["theta"]), nugget=cfg["lam"])
+    pairs = transforms.norm_growth_diagnostic(builder, cfg["N_list"], Matern52(1.0))
     csv_path = _write_csv(out / "norm_growth.csv", ["N", "rkhs_norm"],
                           [[p[0] for p in pairs], [p[1] for p in pairs]])
     growth = pairs[-1][1] / pairs[0][1] if len(pairs) > 1 else 1.0
-    return {}, {"growth_ratio": float(growth)}, {"csv": csv_path}
+    return {}, {"growth_ratio": float(growth), "nugget": transforms.DIAGNOSTIC_NUGGET}, {"csv": csv_path}
 
 
-@_runner("table1", N_list=(25, 50, 100), nu=0.5, ic="burgers-paper", theta=1.0)
+@_runner("table1", N_list=(25, 50, 100))
 def _table1(cfg, out):
     if not set(cfg["N_list"]) <= _TABLE1_SIZES:
         raise InvalidInputError(f"N_list must be a subset of {sorted(_TABLE1_SIZES)}")
-    fixed = Matern52(cfg["theta"])  # before any search: a theta that is no lengthscale exits 2 at once
     errors = {"learning": [], "no_learning": []}
     thetas = []
     for n in cfg["N_list"]:
-        problem = transforms.cole_hopf_problem(n, nu=cfg["nu"], ic_name=cfg["ic"])
+        problem = transforms.cole_hopf_problem(n)
         theta, _ = learn_theta(problem.system, problem.interior)
         thetas.append(theta)
-        for row, kernel in (("learning", Matern52(theta)), ("no_learning", fixed)):
+        for row, kernel in (("learning", Matern52(theta)), ("no_learning", Matern52(1.0))):
             interp = fit(problem.system, kernel)
             errors[row].append(transforms.relative_l2(interp, problem.truth, problem.eval_points))
     csv_path = _write_csv(out / "table1.csv", ["row"] + [f"N={n}" for n in cfg["N_list"]],

@@ -4,10 +4,11 @@ Contains the deterministic machinery every experiment builds on: spatial
 finite differences on uniform 1-D grids, a single explicit Euler step of
 viscous Burgers, antiderivatives from the grid's left edge, the Brusselator's
 sampled trajectory and the radial law of its Hopf normal form, closed-form
-reference solutions, and a registry of built-in initial conditions with their
-exact antiderivatives. Classical RK4 for ODE trajectories is kept as the
-reference integrator that the tests and the benchmark name; no experiment
-calls it.
+reference solutions, and built-in initial conditions with their exact
+antiderivatives: the paper's Burgers condition, built from its viscosity,
+and a registry of the fixed ones. Classical RK4 for ODE trajectories is
+kept as the reference integrator that the tests and the benchmark name; no
+experiment calls it.
 
 ODE right-hand sides ``rhs(t, y)`` receive the state as a list of Python
 floats and return a sequence of floats; ``rk4`` steps every state length
@@ -46,6 +47,7 @@ __all__ = [
     "mu_from_AB",
     "r_exact",
     "InitialCondition",
+    "burgers_paper",
     "get_initial_condition",
     "list_initial_conditions",
 ]
@@ -436,9 +438,8 @@ class InitialCondition:
         return xs, self.u0(xs)
 
 
-def _burgers_paper(nu):
-    if nu is None:
-        raise InvalidInputError("burgers-paper requires a viscosity nu")
+def burgers_paper(nu):
+    """The paper's Burgers initial condition, whose field scales with the viscosity nu."""
     return InitialCondition("burgers-paper", 0.0, 1.0,
                             lambda x: (28.0 * nu / 3.2) * np.log(10.2 / (7.0 + 3.2 * np.cos(np.pi * x))),
                             lambda x: 28.0 * nu * np.pi * np.sin(np.pi * x) / (7.0 + 3.2 * np.cos(np.pi * x)))
@@ -464,17 +465,16 @@ _MULTI = (
 )
 
 
-#: Every built-in initial condition by name: the condition itself, or its builder from a viscosity nu.
-_REGISTRY = {"burgers-paper": _burgers_paper, **{ic.name: ic for ic in _MULTI}, "firstorder-paper": _FIRSTORDER}
+#: Every fixed built-in initial condition by name; :func:`burgers_paper` builds the one that depends on nu.
+_REGISTRY = {**{ic.name: ic for ic in _MULTI}, "firstorder-paper": _FIRSTORDER}
 
 
 def list_initial_conditions():
     return tuple(_REGISTRY)
 
 
-def get_initial_condition(name, nu=None):
-    """Look up a built-in initial condition; ``burgers-paper`` needs nu."""
+def get_initial_condition(name):
+    """Look up a fixed built-in initial condition by name."""
     if name not in _REGISTRY:
         raise InvalidInputError(f"unknown initial condition {name!r}; known: {list_initial_conditions()}")
-    entry = _REGISTRY[name]
-    return entry if isinstance(entry, InitialCondition) else entry(nu)
+    return _REGISTRY[name]

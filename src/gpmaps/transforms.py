@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Field1D, Grid1D, antiderivative, burgers_step, diff, get_initial_condition
+from .dynamics import Field1D, Grid1D, antiderivative, burgers_paper, burgers_step, diff, get_initial_condition
 from .exceptions import InvalidInputError
 from .gp import ConstraintSystem, FunctionalTerm, LinearFunctional, rkhs_norm_sq
 
@@ -33,9 +33,13 @@ __all__ = [
     "cole_hopf_multi_problem",
     "first_order_problem",
     "MULTI_IC_NAMES",
+    "DIAGNOSTIC_NUGGET",
 ]
 
 MULTI_IC_NAMES = ("multi-1", "multi-2", "multi-3", "multi-4")
+
+#: The nugget of the norm-growth diagnostic's fits.
+DIAGNOSTIC_NUGGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ def relative_l2(learned, truth, eval_points):
     return float(np.linalg.norm(np.asarray(learned(pts), dtype=float) - tv) / denom)
 
 
-def norm_growth_diagnostic(builder, sample_counts, kernel, nugget=1e-10):
+def norm_growth_diagnostic(builder, sample_counts, kernel, nugget=DIAGNOSTIC_NUGGET):
     """RKHS norm of the fitted map as the constraint count grows.
 
     A bounded sequence is evidence that a map matching the constraints
@@ -238,11 +242,11 @@ def _anchored_eval(u, nu):
     return u[sel]
 
 
-def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
-    """ODE-path problem on one initial condition, collocated at interior x-points."""
+def cole_hopf_problem(n_points, nu=0.5):
+    """ODE-path problem on the paper's Burgers condition, collocated at interior x-points."""
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
-    ic = get_initial_condition(ic_name, nu=nu)
+    ic = burgers_paper(nu)
     xs = np.linspace(ic.x_lo, ic.x_hi, n_points + 2)[1:-1]
     us = ic.u0(xs)
     system = build_cole_hopf_ode(us, nu)
@@ -256,17 +260,15 @@ def cole_hopf_problem(n_points, nu=0.5, ic_name="burgers-paper"):
     )
 
 
-def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5, ic_name="burgers-paper"):
-    """Discrete-stepper problem on a uniform grid over the IC's interval; ``dx`` must divide the interval."""
+def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5):
+    """Discrete-stepper problem on a uniform grid over the paper's Burgers condition; ``dx`` must divide [0, 1]."""
     if not (math.isfinite(dx) and dx > 0):
         raise InvalidInputError(f"dx must be finite and positive, got {dx}")
-    ic = get_initial_condition(ic_name, nu=nu)
-    if ic.v0 is None:
-        raise InvalidInputError(f"initial condition {ic_name!r} has no field v0 to step")
+    ic = burgers_paper(nu)
     width = ic.x_hi - ic.x_lo
     n = int(round(width / dx)) + 1
     if abs((n - 1) * dx - width) > 1e-9 * width:
-        raise InvalidInputError(f"dx = {dx} does not divide the interval [{ic.x_lo}, {ic.x_hi}] of {ic_name!r}")
+        raise InvalidInputError(f"dx = {dx} does not divide the interval [{ic.x_lo}, {ic.x_hi}]")
     grid = Grid1D(ic.x_lo, dx, n)
     v0 = Field1D(grid, ic.v0(grid.xs))
     system = build_cole_hopf_discrete(v0, nu, h)
@@ -291,7 +293,7 @@ def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5):
         raise InvalidInputError("points_per_ic must be >= 1")
     if len(ic_names) == 0:
         raise InvalidInputError("ic_names must name at least one initial condition")
-    samples = [get_initial_condition(name, nu=nu).sample(points_per_ic) for name in ic_names]
+    samples = [get_initial_condition(name).sample(points_per_ic) for name in ic_names]
     xs = np.concatenate([x for x, _ in samples])
     us = np.concatenate([u for _, u in samples])
     system = build_cole_hopf_ode(us, nu)

@@ -170,7 +170,7 @@ def test_criterion_7_property_suites():
     assert t1 == pytest.approx(t2, rel=1e-12)
 
     # Euler first order / RK4 fourth order
-    ic = dynamics.get_initial_condition("burgers-paper", nu=0.5)
+    ic = dynamics.burgers_paper(0.5)
     grid = dynamics.Grid1D(0.0, 0.02, 51)
     v0 = dynamics.Field1D(grid, ic.v0(grid.xs))
 

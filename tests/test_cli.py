@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpmaps import cgc, cli, gp
+from gpmaps import cgc, gp
 from gpmaps.cli import EXPERIMENTS, main, run_experiment, run_table1
 from gpmaps.exceptions import InvalidInputError
 from gpmaps.kernels import Matern52
@@ -49,8 +49,8 @@ class TestRun:
     @pytest.mark.parametrize("cfg", [
         {"experiment": "cole-hopf-multi", "ics": []},
         {"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
-        # a null theta means "learn it" to the map fits only; diagnose-norm's fixed kernel rejects it
-        {"experiment": "diagnose-norm", "theta": None},
+        # the diagnostic's sizes must grow strictly
+        {"experiment": "diagnose-norm", "N_list": [200, 100]},
         # a u = 0 sample breaks the 1/u^2 precondition of the first-order equation
         {"experiment": "cgc-pde", "ic": "multi-2"},
         # json.load reads NaN and Infinity, and the schema's bounds let them through
@@ -59,9 +59,9 @@ class TestRun:
         {"experiment": "brusselator-nf", "A": float("nan"), "n_samples": 20, "max_iters": 3},
         {"experiment": "brusselator-nf", "init_point": [0.1, float("nan")], "n_samples": 20, "max_iters": 3},
         {"experiment": "cole-hopf", "theta": float("inf")},
-        {"experiment": "diagnose-norm", "lam": float("inf")},
-        # firstorder-paper has no field v0 to step
-        {"experiment": "cole-hopf-discrete", "ic": "firstorder-paper"},
+        {"experiment": "cole-hopf-discrete", "h": float("inf")},
+        # burgers-paper is built from nu, so the registry of fixed conditions does not hold it
+        {"experiment": "cole-hopf-multi", "ics": ["burgers-paper"]},
         # 4A^2 - (B - A^2 - 1)^2 overflows to -inf
         {"experiment": "brusselator-nf", "B": 1e200},
         # the grid's last node would sit at x = 1.005, outside the interval [0, 1]
@@ -75,9 +75,12 @@ class TestRun:
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         # no datum lies in the anchored interval [0, 1], where the error is measured
         {"experiment": "cole-hopf", "nu": 50},
-        # the map fits take the automatic nugget, and first-order fits firstorder-paper, the one condition it can
+        # lam is no schema key: the map fits take the automatic nugget
         {"experiment": "first-order", "lam": 1e-7},
+        # first-order fits firstorder-paper, the one condition it can
         {"experiment": "first-order", "ic": "firstorder-paper"},
+        # twin constraints make the Gram exactly singular, and leaving one out would change nothing
+        {"experiment": "cole-hopf-multi", "ics": ["multi-2", "multi-2"]},
     ])
     def test_degenerate_input_exits_2(self, tmp_path, cfg):
         out = tmp_path / "o"
@@ -113,7 +116,6 @@ class TestRun:
             {"experiment": "brusselator-nf", "init_point": [1e200, 1e200], "n_samples": 20},
             # s^4 = (sqrt(5) / theta)^4 overflows, so the Gram and its factor hold NaN
             {"experiment": "cole-hopf", "theta": 1e-100},
-            {"experiment": "diagnose-norm", "theta": 1e-300},
         ]
         for i, cfg in enumerate(configs):
             out = tmp_path / f"o{i}"
@@ -282,6 +284,17 @@ UNREAD_KEY = {
 }
 
 
+def assert_rejected(tmp_path, experiment, key, value, match):
+    """A config of ``experiment`` holding ``key: value`` exits 2, and its API runner raises ``match``."""
+    cfg = {"output_dir": str(tmp_path / "o"), key: value}
+    command, runner = ("table1", run_table1) if experiment == "table1" else ("run", run_experiment)
+    if experiment != "table1":
+        cfg["experiment"] = experiment
+    assert main([command, write_config(tmp_path, "c.json", cfg)]) == 2
+    with pytest.raises(InvalidInputError, match=match):
+        runner(cfg)
+
+
 class TestConfigContract:
     def test_every_experiment_has_an_unread_key(self):
         assert sorted(UNREAD_KEY) == sorted([*EXPERIMENTS, "table1"])
@@ -289,19 +302,29 @@ class TestConfigContract:
     @pytest.mark.parametrize("experiment", sorted(UNREAD_KEY))
     def test_unread_key_is_rejected(self, tmp_path, experiment):
         key, value = UNREAD_KEY[experiment]
-        cfg = {"output_dir": str(tmp_path / "o"), key: value}
-        command, runner = ("table1", run_table1) if experiment == "table1" else ("run", run_experiment)
-        if experiment != "table1":
-            cfg["experiment"] = experiment
-        assert main([command, write_config(tmp_path, "c.json", cfg)]) == 2
-        with pytest.raises(InvalidInputError, match=f"does not read {key}"):
-            runner(cfg)
+        assert_rejected(tmp_path, experiment, key, value, f"does not read {key}")
 
     def test_every_unread_key_is_named(self, tmp_path):
         cfg = {"experiment": "first-order", "B": 5, "max_iters": 3, "A": 7, "output_dir": str(tmp_path / "o")}
         assert main(["run", write_config(tmp_path, "c.json", cfg)]) == 2
         with pytest.raises(InvalidInputError, match="first-order does not read A, B, max_iters$"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("cole-hopf", "ic", "burgers-paper"),
+        ("cole-hopf-discrete", "ic", "burgers-paper"),
+        ("diagnose-norm", "ic", "burgers-paper"),
+        ("diagnose-norm", "theta", 1.0),
+        ("diagnose-norm", "nu", 0.5),
+        ("diagnose-norm", "lam", 1e-10),
+        ("table1", "ic", "burgers-paper"),
+        ("table1", "theta", 1.0),
+        ("table1", "nu", 0.5),
+    ])
+    def test_the_fixed_setups_read_no_condition_lengthscale_or_viscosity(self, tmp_path, experiment, key, value):
+        # table1 and diagnose-norm fit the paper's Burgers condition at nu = 0.5 with a fixed theta of 1, and the
+        # Cole-Hopf fits sample that condition; lam is no schema key at all
+        assert_rejected(tmp_path, experiment, key, value, f"does not read {key}$|'{key}' was unexpected")
 
     @pytest.mark.parametrize("key, value", [("N", 0), ("N", "20x"), ("nu", -1)])
     def test_api_validates_against_the_schema(self, tmp_path, key, value):
@@ -312,16 +335,19 @@ class TestConfigContract:
         ({"experiment": "cgc-pde", "N": 10, "max_iters": 5}, "--max-iters", "7", 7),
         ({"experiment": "brusselator-nf", "n_samples": 60, "gen_dt": 1e-3, "max_iters": 5}, "--gen-dt", "0.002", 0.002),
         ({"experiment": "diagnose-norm"}, "--N-list", "[50, 100]", [50, 100]),
-        # nullable keys parse JSON, so a flag's null overrides the file's number
-        ({"experiment": "diagnose-norm", "N_list": [50, 100], "lam": 1e-8}, "--lam", "null", None),
-        ({"experiment": "diagnose-norm", "N_list": [50, 100], "lam": 1e-8}, "--lam", "1e-9", 1e-9),
+        # nullable keys parse JSON, so a flag's null overrides the file's number: the lengthscale is learned
+        ({"experiment": "first-order", "N": 20, "theta": 1.0}, "--theta", "null", None),
     ])
     def test_generated_flag_overrides_file(self, tmp_path, cfg, flag, value, expected):
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})
         assert main(["run", path, flag, value]) == 0
         key = flag[2:].replace("-", "_")
-        assert read_summary(out)["parameters"][key] == expected
+        summary = read_summary(out)
+        if expected is None:
+            assert isinstance(summary["metrics"]["theta_learned"], float)
+            expected = summary["metrics"]["theta_learned"]
+        assert summary["parameters"][key] == expected
 
 
 class TestTable1:
@@ -343,25 +369,6 @@ class TestTable1:
     def test_rejects_empty(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {"N_list": [], "output_dir": str(tmp_path / "o")})
         assert main(["table1", cfg]) == 2
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_rejects_a_truth_that_is_not_finite(self, tmp_path):
-        # at nu = 1e17 the Cole-Hopf truth is 0/0 at every evaluation point
-        out = tmp_path / "o"
-        cfg = write_config(tmp_path, "t.json", {"N_list": [25], "nu": 1e17, "output_dir": str(out)})
-        assert main(["table1", cfg]) == 2
-        assert not (out / "summary.json").exists()
-
-    def test_rejects_a_null_theta_before_any_search(self, tmp_path, monkeypatch):
-        # the fixed row needs a number; the config fails before the learned row's search
-        def searching(*args, **kwargs):
-            raise AssertionError("the lengthscale search ran")
-
-        monkeypatch.setattr(cli, "learn_theta", searching)
-        cfg = {"theta": None, "output_dir": str(tmp_path / "o")}
-        with pytest.raises(InvalidInputError, match="lengthscale must be a positive finite real number"):
-            run_table1(cfg)
-        assert main(["table1", write_config(tmp_path, "t.json", cfg)]) == 2
 
     def test_rejects_repeated_sizes(self, tmp_path):
         # a repeated size would write two identical columns and one metric pair for both

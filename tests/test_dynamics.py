@@ -11,6 +11,7 @@ from gpmaps.dynamics import (
     Grid1D,
     antiderivative,
     brusselator_trajectory,
+    burgers_paper,
     burgers_step,
     diff,
     get_initial_condition,
@@ -62,7 +63,7 @@ class TestPdeStep:
 
     def test_euler_first_order_convergence(self):
         # halving h halves the fixed-horizon error against a fine reference
-        ic = get_initial_condition("burgers-paper", nu=0.5)
+        ic = burgers_paper(0.5)
         grid = Grid1D(0.0, 0.02, 51)
         v0 = Field1D(grid, ic.v0(grid.xs))
 
@@ -447,7 +448,7 @@ class TestMuAndRExact:
 class TestRegistry:
     def test_names(self):
         assert set(list_initial_conditions()) == {
-            "burgers-paper", "multi-1", "multi-2", "multi-3", "multi-4", "firstorder-paper",
+            "multi-1", "multi-2", "multi-3", "multi-4", "firstorder-paper",
         }
 
     def test_unknown_name(self):
@@ -455,13 +456,14 @@ class TestRegistry:
             get_initial_condition("nope")
 
     def test_burgers_needs_nu(self):
-        with pytest.raises(InvalidInputError):
+        # its field scales with nu, so burgers_paper(nu) builds it and the registry of fixed conditions leaves it out
+        with pytest.raises(InvalidInputError, match="unknown initial condition 'burgers-paper'"):
             get_initial_condition("burgers-paper")
 
     def test_antiderivatives_match_quadrature(self):
         # closed-form u0 vs dense trapezoid integration of v0 over the window
-        for name in ("burgers-paper", "multi-1", "multi-2", "multi-3", "multi-4"):
-            ic = get_initial_condition(name, nu=0.5)
+        multi = (get_initial_condition(name) for name in ("multi-1", "multi-2", "multi-3", "multi-4"))
+        for ic in (burgers_paper(0.5), *multi):
             grid = Grid1D(ic.x_lo, (ic.x_hi - ic.x_lo) / 4000, 4001)
             numeric = antiderivative(Field1D(grid, ic.v0(grid.xs))).values
             closed = ic.u0(grid.xs) - ic.u0(np.array([grid.x0]))[0]

@@ -136,6 +136,16 @@ def test_config_keys_schema_and_flags_agree():
     assert sorted(flags) == sorted(props)
 
 
+def test_schema_descriptions_name_only_experiments_that_read_the_key():
+    # a description that names an experiment goes stale once the key leaves that experiment's runner;
+    # the longest name matches first, so cole-hopf is not found inside cole-hopf-discrete
+    props = cli._validator("config.schema.json").schema["properties"]
+    pattern = re.compile("|".join(re.escape(name) for name in sorted(cli._RUNNERS, key=len, reverse=True)))
+    named = [(key, name) for key, prop in props.items() for name in pattern.findall(prop.get("description", ""))]
+    assert len(named) > 4
+    assert [f"{key}: {name}" for key, name in named if key not in cli._RUNNERS[name][1]] == []
+
+
 def test_library_has_no_scatter_adds_inverses_or_tril_copies():
     # Grams are built blockwise, not by np.add.at scatters; rho_loo works from
     # a Cholesky factor, with no explicit inverse and no np.tril copy of it
