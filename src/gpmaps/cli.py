@@ -7,10 +7,10 @@ Commands:
 * ``gpmaps table1 <config.json>`` -- the learned-vs-fixed kernel error table
   over a list of data sizes.
 * ``gpmaps evaluate <interpolant.json> --points <csv>`` -- evaluate a saved
-  interpolant at points from a CSV file. ``interpolant.json`` holds one
-  column per key (``kernel``, ``nodes``, ``node``, ``order``, ``weight``,
-  ``sizes``, ``alpha``, ``nugget``; see :func:`gpmaps.gp.interpolant_to_config`);
-  a file in the nested layout of earlier versions exits 2.
+  interpolant at points from a CSV file. ``interpolant.json`` holds the map
+  itself (``kernel``, ``nodes``, ``weights``, ``nugget``: three weights per
+  node; see :func:`gpmaps.gp.interpolant_to_config`); a file in an earlier
+  layout has no ``weights`` and exits 2.
 
 Config contract: a config is a JSON object that must match
 ``schemas/config.schema.json`` (types and bounds), hold finite numbers only

@@ -38,17 +38,16 @@ of derivative orders the functionals hold, and the owners' sums; a
 lengthscale sweep, the fit that follows it and every fit at a fixed
 lengthscale share one plan.
 
-An interpolant folds the table into the summed term coefficients once, as
-one (nodes x 3) weight matrix per basis on the distinct term locations,
-column d for order d. A read then computes orders 0, 1 and 2 of the map
-together from one gap array, one exp, in-place powers and five
-(points x 3) products, with no (points x terms) matrix, and keeps the last
-point set's three results, so a read of another order at the same points is
-a copy. A lone single-order read pays for all three orders' products.
-
-A saved interpolant (:func:`interpolant_to_config`) is column-oriented: each
-distinct term location once, in ``nodes``, and per term its index into
-``nodes``, its order and its weight, so loading one parses flat lists only.
+By the representer theorem a fitted map is K psi for the one functional
+psi = sum_i alpha_i phi_i. An interpolant folds its term table once into
+psi's order-0, 1 and 2 weights on the distinct term locations, then into
+one (nodes x 3) weight matrix per basis, column d for order d. A read
+computes orders 0, 1 and 2 together from one gap array, one exp, in-place
+powers and five (points x 3) products, with no (points x terms) matrix, and
+keeps the last point set's three results, so a read of another order at the
+same points is a copy. A lone single-order read pays for all three orders'
+products. A saved interpolant (:func:`interpolant_to_config`) is psi: the
+nodes and three weights per node, loaded as psi with coefficient 1.
 """
 
 from __future__ import annotations
@@ -167,8 +166,8 @@ def _flatten(functionals):
 
     ``(nodes, node, orders, weights, owners)``: the term locations are
     ``nodes[node]``, bit for bit, and the owners are sorted. A saved map
-    stores the same columns (:func:`interpolant_to_config`), so a loaded one
-    takes its nodes from the file.
+    keeps the nodes (:func:`interpolant_to_config`), so a loaded one reads
+    from the nodes it was fitted on.
     """
     locs, orders, weights, owner = [], [], [], []
     for i, f in enumerate(functionals):
@@ -362,8 +361,9 @@ class Interpolant:
     """Representer-theorem solution: D(u) = sum_i alpha_i [phi_i, K(u, .)].
 
     The phi_i are held as one term table, ``terms``, laid out as :func:`_flatten`
-    returns it: each distinct term location once, as a saved map stores it, so
-    that loading one makes no per-term objects and reads it as it was fitted.
+    returns it, with each distinct term location once. A loaded map holds one
+    functional, psi = sum_i alpha_i phi_i as it was saved, with coefficient 1:
+    one term per node and order (see :func:`interpolant_from_config`).
     """
 
     kernel: object
@@ -381,18 +381,29 @@ class Interpolant:
 
     @cached_property
     def functionals(self):
-        """The functionals phi_i as :class:`LinearFunctional` objects, rebuilt from the term table."""
+        """The functionals as :class:`LinearFunctional` objects, from the term table: the phi_i, or a loaded psi."""
         nodes, node, orders, weights, owners = self.terms
         rows = zip(owners.tolist(), nodes[node].tolist(), orders.tolist(), weights.tolist())
         return tuple(LinearFunctional.of_terms(*(row[1:] for row in group))
                      for _, group in groupby(rows, key=lambda row: row[0]))
 
     @cached_property
-    def _read_plan(self):
-        """``(s, s * nodes, w)``: the term table's nodes and their (5, nodes, 3) read weights.
+    def _folded(self):
+        """``(nodes, c)``: psi = sum_i alpha_i phi_i as weights on the nodes, c[j, b] its order-b weight at node j.
 
-        c[:, b] sums w_t * alpha[owner_t] over the order-b terms at a node, and
-        a read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c[:, b]. With
+        c[j, b] sums w_t * alpha[owner_t] over the order-b terms t at node j,
+        added in term order from 0.0, so it is never -0.0. The reads and the
+        saved map both use this one fold.
+        """
+        nodes, at, orders, weights, owner = self.terms
+        c = np.bincount(3 * at + orders, weights * self.coefficients[owner], minlength=3 * nodes.size)
+        return nodes, c.reshape(-1, 3)
+
+    @cached_property
+    def _read_plan(self):
+        """``(s, s * nodes, w)``: the nodes of :attr:`_folded` and their (5, nodes, 3) read weights.
+
+        A read of order d is sum_b (-1)^b P_(d+b)(u - nodes) @ c[:, b]. With
         g = s (u - node), sr = |g| and e = exp(-sr), every P_n is a combination
         of the five basis matrices g e, g sr e, e, sr e and sr^2 e
         (:data:`_PROFILE_BASIS`), so ``w[k][:, d]``, the weight of basis k in the
@@ -400,10 +411,9 @@ class Interpolant:
         (-1)^b s^(d+b).
         """
         s = math.sqrt(5.0) / self.kernel.theta
-        nodes, at, orders, weights, owner = self.terms
-        c = np.bincount(3 * at + orders, weights * self.coefficients[owner], minlength=3 * nodes.size)
+        nodes, c = self._folded
         table = _PROFILE_BASIS[_READ_POWERS] * (_READ_SIGNS * s ** _READ_POWERS)[:, :, None]  # (b, d, basis)
-        w = c.reshape(-1, 3) @ table.transpose(0, 2, 1).reshape(3, 15)
+        w = c @ table.transpose(0, 2, 1).reshape(3, 15)
         return s, s * nodes, np.ascontiguousarray(w.reshape(-1, 5, 3).transpose(1, 0, 2))
 
     def _read(self, u):
@@ -484,60 +494,42 @@ def rkhs_norm_sq(system, kernel, nugget=None):
 
 
 def interpolant_to_config(interp):
-    """JSON-ready dictionary, one column per key: the term table's columns (see :func:`_flatten`).
+    """JSON-ready dictionary of the map itself: the nodes and psi's weights of :attr:`Interpolant._folded`.
 
-    ``nodes`` holds the sorted distinct term locations; ``node``, ``order``
-    and ``weight`` hold one entry per term, in term order; ``sizes`` the
-    number of terms of each functional, in order; ``alpha`` one coefficient
-    per functional. The term locations are ``nodes[node]``, bit for bit.
+    ``nodes`` holds the sorted distinct term locations; ``weights`` holds
+    psi's order-0, 1 and 2 weights at each node in turn, zeros included, so
+    ``weights[3 j + b]`` is the order-b weight at ``nodes[j]``.
     """
-    nodes, node, orders, weights, owners = interp.terms
+    nodes, c = interp._folded
     return {
         "kernel": kernel_to_config(interp.kernel),
         "nodes": nodes.tolist(),
-        "node": node.tolist(),
-        "order": orders.tolist(),
-        "weight": weights.tolist(),
-        "sizes": np.bincount(owners).tolist(),
-        "alpha": interp.coefficients.tolist(),
+        "weights": c.ravel().tolist(),
         "nugget": interp.nugget,
     }
 
 
 def interpolant_from_config(cfg):
-    """Inverse of :func:`interpolant_to_config`: each column read into an array once and checked as a whole.
+    """Inverse of :func:`interpolant_to_config`: the map as the one functional psi, with coefficient 1.
 
-    The term table is ``(nodes, node, order, weight, owners)``, with the
-    owners repeated from ``sizes``, so the map reads from the file's nodes as
-    the map it was saved from reads from its own. Malformed input raises
-    :class:`InvalidInputError`: a missing key or a column that is not a flat
-    list of numbers, a file in the nested layout of earlier versions (a
-    ``functionals`` key in place of the columns), ``node``, ``order`` and
-    ``weight`` not one entry per term or ``sizes`` not summing to their
-    length, a functional without terms, a node index outside ``nodes``, an
-    order other than 0, 1 or 2, not one coefficient per functional, or a
-    location, weight, coefficient or nugget that is not finite (``json.load``
-    reads ``NaN`` and ``Infinity``).
+    psi has one term per node and order, so the read fold adds one weight
+    per bin and the loaded map reads bit for bit what the saved one read.
+    Malformed input raises :class:`InvalidInputError`: a missing key (a file
+    in an earlier layout has no ``weights``), a column that is not a flat
+    list of numbers, no node, not three weights per node, or a node, weight
+    or nugget that is not finite (``json.load`` reads ``NaN`` and
+    ``Infinity``).
     """
-    if isinstance(cfg, dict) and "functionals" in cfg:
-        raise InvalidInputError("interpolant config in the nested layout of earlier versions: refit the map to save it")
     try:
         kernel = kernel_from_config(cfg["kernel"])
-        nodes, node, order, weight, sizes, alpha = (
-            np.asarray(cfg[key], dtype=float) for key in ("nodes", "node", "order", "weight", "sizes", "alpha"))
+        nodes, weights = (np.asarray(cfg[key], dtype=float) for key in ("nodes", "weights"))
         nugget = float(cfg.get("nugget", 0.0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed interpolant config: {exc!r}") from exc
-    columns = (nodes, node, order, weight, sizes, alpha)
-    if any(a.ndim != 1 for a in columns) or not (np.isfinite(np.concatenate(columns)).all() and math.isfinite(nugget)):
-        raise InvalidInputError("interpolant columns must be flat lists of finite numbers, and its nugget finite")
-    if not (sizes.size == alpha.size and node.size == order.size == weight.size == sizes.sum()
-            and sizes.size and sizes.min() >= 1 and 0 <= node.min() and node.max() < nodes.size
-            and 0 <= order.min() and order.max() <= 2):
-        raise InvalidInputError("an interpolant needs one coefficient and at least one term per functional, "
-                                "one node, order and weight per term, node indices into nodes and orders 0-2")
-    at, orders, counts = (a.astype(int) for a in (node, order, sizes))  # bounded by the checks above
-    if not ((at == node).all() and (orders == order).all() and (counts == sizes).all()):
-        raise InvalidInputError("node indices, orders and sizes must be whole numbers")
-    return Interpolant(kernel, (nodes, at, orders, weight, np.repeat(np.arange(counts.size), counts)), alpha,
-                       nugget=nugget)
+    n = nodes.size
+    if not (nodes.ndim == weights.ndim == 1 and n and weights.size == 3 * n):
+        raise InvalidInputError("an interpolant needs flat lists of at least one node and three weights per node")
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all() and math.isfinite(nugget)):
+        raise InvalidInputError("an interpolant's nodes, weights and nugget must be finite")
+    terms = (nodes, np.repeat(np.arange(n), 3), np.tile(np.arange(3), n), weights, np.zeros(3 * n, dtype=int))
+    return Interpolant(kernel, terms, [1.0], nugget=nugget)

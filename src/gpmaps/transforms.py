@@ -287,12 +287,15 @@ def cole_hopf_discrete_problem(dx=0.01, h=1e-4, nu=0.5):
 def cole_hopf_multi_problem(ic_names=MULTI_IC_NAMES, points_per_ic=101, nu=0.5):
     """ODE constraints pooled over several initial conditions with one shared anchor pair.
 
-    Each IC is sampled once; the problem is evaluated on the full union.
+    Each IC is named once and sampled once; the problem is evaluated on the full union.
     """
     if points_per_ic < 1:
         raise InvalidInputError("points_per_ic must be >= 1")
     if len(ic_names) == 0:
         raise InvalidInputError("ic_names must name at least one initial condition")
+    repeated = sorted({name for name in ic_names if ic_names.count(name) > 1})
+    if repeated:  # a repeat pools exact twin constraints
+        raise InvalidInputError(f"ic_names must not repeat a condition: {', '.join(map(repr, repeated))}")
     samples = [get_initial_condition(name).sample(points_per_ic) for name in ic_names]
     xs = np.concatenate([x for x, _ in samples])
     us = np.concatenate([u for _, u in samples])

@@ -46,46 +46,59 @@ class TestRun:
         cfg = write_config(tmp_path, "c.json", {"experiment": "nope"})
         assert main(["run", cfg]) == 2
 
-    @pytest.mark.parametrize("cfg", [
-        {"experiment": "cole-hopf-multi", "ics": []},
-        {"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
+    # each case with a fragment of the message it must exit on, so that it cannot pass through another check
+    DEGENERATE = [
+        ({"experiment": "cole-hopf-multi", "ics": []}, "[] should be non-empty"),
+        ({"experiment": "brusselator-nf", "init_point": [0, 0], "n_samples": 20, "max_iters": 3},
+         "must differ from the fixed point (0, 0)"),
         # the diagnostic's sizes must grow strictly
-        {"experiment": "diagnose-norm", "N_list": [200, 100]},
+        ({"experiment": "diagnose-norm", "N_list": [200, 100]}, "sample_counts must be strictly increasing"),
         # a u = 0 sample breaks the 1/u^2 precondition of the first-order equation
-        {"experiment": "cgc-pde", "ic": "multi-2"},
+        ({"experiment": "cgc-pde", "ic": "multi-2"}, "u_data entries must be nonzero"),
         # json.load reads NaN and Infinity, and the schema's bounds let them through
-        {"experiment": "cole-hopf-discrete", "dx": float("nan")},
-        {"experiment": "brusselator-nf", "dt": float("nan"), "n_samples": 20, "max_iters": 3},
-        {"experiment": "brusselator-nf", "A": float("nan"), "n_samples": 20, "max_iters": 3},
-        {"experiment": "brusselator-nf", "init_point": [0.1, float("nan")], "n_samples": 20, "max_iters": 3},
-        {"experiment": "cole-hopf", "theta": float("inf")},
-        {"experiment": "cole-hopf-discrete", "h": float("inf")},
+        ({"experiment": "cole-hopf-discrete", "dx": float("nan")}, "dx must be finite, got nan"),
+        ({"experiment": "brusselator-nf", "dt": float("nan"), "n_samples": 20, "max_iters": 3},
+         "dt must be finite, got nan"),
+        ({"experiment": "brusselator-nf", "A": float("nan"), "n_samples": 20, "max_iters": 3},
+         "A must be finite, got nan"),
+        ({"experiment": "brusselator-nf", "init_point": [0.1, float("nan")], "n_samples": 20, "max_iters": 3},
+         "init_point must be finite, got nan"),
+        ({"experiment": "cole-hopf", "theta": float("inf")}, "theta must be finite, got inf"),
+        ({"experiment": "cole-hopf-discrete", "h": float("inf")}, "h must be finite, got inf"),
         # burgers-paper is built from nu, so the registry of fixed conditions does not hold it
-        {"experiment": "cole-hopf-multi", "ics": ["burgers-paper"]},
+        ({"experiment": "cole-hopf-multi", "ics": ["burgers-paper"]}, "unknown initial condition 'burgers-paper'"),
         # 4A^2 - (B - A^2 - 1)^2 overflows to -inf
-        {"experiment": "brusselator-nf", "B": 1e200},
+        ({"experiment": "brusselator-nf", "B": 1e200}, "4A^2 - (B - A^2 - 1)^2 = -inf must be positive"),
         # the grid's last node would sit at x = 1.005, outside the interval [0, 1]
-        {"experiment": "cole-hopf-discrete", "dx": 0.015},
+        ({"experiment": "cole-hopf-discrete", "dx": 0.015}, "does not divide the interval [0.0, 1.0]"),
         # gen_dt has no effect, and the schema still bounds it
-        {"experiment": "brusselator-nf", "gen_dt": 0.0},
+        ({"experiment": "brusselator-nf", "gen_dt": 0.0}, "0.0 is less than or equal to the minimum of 0"),
+        # the heat-side data grow with nu: at nu = 1e17 the discrete grid's smallest datum is 1.4e14 (and its
+        # explicit heat step warns that it is unstable)
+        pytest.param({"experiment": "cole-hopf-discrete", "nu": 1e17},
+                     "no datum lies in the anchored interval [0, 1] at nu=1e+17",
+                     marks=pytest.mark.filterwarnings("ignore::gpmaps.dynamics.CflWarning")),
         # 1 - exp(-1/(2 nu)) rounds to 0, so the Cole-Hopf truth is 0/0 at every evaluation point
-        pytest.param({"experiment": "cole-hopf", "nu": 1e17},
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "theta": 1.0},
+                     "truth is not finite at every evaluation point",
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         # no datum lies in the anchored interval [0, 1], where the error is measured
-        {"experiment": "cole-hopf", "nu": 50},
+        ({"experiment": "cole-hopf", "nu": 50}, "no datum lies in the anchored interval [0, 1] at nu=50"),
         # lam is no schema key: the map fits take the automatic nugget
-        {"experiment": "first-order", "lam": 1e-7},
+        ({"experiment": "first-order", "lam": 1e-7}, "'lam' was unexpected"),
         # first-order fits firstorder-paper, the one condition it can
-        {"experiment": "first-order", "ic": "firstorder-paper"},
+        ({"experiment": "first-order", "ic": "firstorder-paper"}, "first-order does not read ic"),
         # twin constraints make the Gram exactly singular, and leaving one out would change nothing
-        {"experiment": "cole-hopf-multi", "ics": ["multi-2", "multi-2"]},
-    ])
-    def test_degenerate_input_exits_2(self, tmp_path, cfg):
+        ({"experiment": "cole-hopf-multi", "ics": ["multi-2", "multi-2"]}, "has non-unique elements"),
+    ]
+
+    @pytest.mark.parametrize("cfg, fragment", DEGENERATE, ids=[f"cfg{i}" for i in range(len(DEGENERATE))])
+    def test_degenerate_input_exits_2(self, tmp_path, capsys, cfg, fragment):
         out = tmp_path / "o"
         assert main(["run", write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 2
         assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and fragment in err, err
 
     @pytest.mark.parametrize("case", ["config a directory", "config not UTF-8", "output dir a file",
                                       "interpolant a directory"])
@@ -407,6 +420,25 @@ class TestEvaluate:
 
         assert deriv == pytest.approx(1.3**2 * first_order_truth(1.3), rel=1e-2)
 
+    @pytest.mark.parametrize("experiment, column", [("cole-hopf", "w_learned"), ("cole-hopf-discrete", "w_learned"),
+                                                    ("cole-hopf-multi", "w_learned"), ("first-order", "w_learned"),
+                                                    ("cgc-pde", "G_learned")])
+    def test_saved_map_reproduces_the_run_csv(self, tmp_path, experiment, column):
+        # run -> interpolant.json -> evaluate: the saved map, read at the CSV's u column in one call as the run
+        # read it, writes the run's own column, string for string
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, "c.json", {"experiment": experiment, "output_dir": str(out)})]) == 0
+        artifacts = read_summary(out)["artifacts"]
+        header, *rows = Path(artifacts["csv"]).read_text().splitlines()
+        names, cells = header.split(","), [row.split(",") for row in rows]
+        pts = tmp_path / "pts.csv"
+        pts.write_text("u\n" + "".join(c[names.index("u")] + "\n" for c in cells))
+        dest = tmp_path / "vals.csv"
+        assert main(["evaluate", artifacts["interpolant"], "--points", str(pts), "--output", str(dest)]) == 0
+        values = [line.split(",")[1] for line in dest.read_text().splitlines()[1:]]
+        assert len(values) == len(cells) > 1
+        assert values == [c[names.index(column)] for c in cells]
+
     def test_missing_interpolant(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "missing.json"), "--points", str(tmp_path / "p.csv")]) == 2
 
@@ -420,22 +452,29 @@ class TestEvaluate:
         assert main(["evaluate", str(interp), "--points", str(pts), "--deriv", deriv,
                      "--output", str(tmp_path / "vals.csv")]) == 2
 
-    @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "order x", "order 1.5", "theta inf",
-                                      "points nan", "nested layout", "points header only"])
-    def test_malformed_input_exits_2(self, tmp_path, case):
+    @pytest.mark.parametrize("case", ["points abc", "interpolant a list", "weights x", "weights short", "theta inf",
+                                      "points nan", "nested layout", "column layout", "points header only"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, case):
         system = gp.ConstraintSystem((gp.LinearFunctional.dirac(0.0), gp.LinearFunctional.dirac(1.0)), [1.0, 0.0])
-        cfg = gp.interpolant_to_config(gp.fit(system, Matern52(1.0)))
+        fitted = gp.fit(system, Matern52(1.0))
+        cfg = gp.interpolant_to_config(fitted)
+        alpha = fitted.coefficients.tolist()
         points = {"points abc": "u\nabc\n", "points nan": "u\n0.5\nnan\n", "points header only": "u\n"}.get(
             case, "u\n0.5\n")
         if case == "interpolant a list":
             cfg = [cfg]
-        elif case.startswith("order"):
-            cfg["order"][0] = "x" if case == "order x" else 1.5
+        elif case == "weights x":
+            cfg["weights"][0] = "x"
+        elif case == "weights short":  # five weights for two nodes
+            cfg["weights"].pop()
         elif case == "theta inf":
             cfg["kernel"]["theta"] = float("inf")
-        elif case == "nested layout":  # the layout of earlier versions: [location, order, weight] per term
+        elif case == "nested layout":  # earlier versions: [location, order, weight] per term, alpha per functional
             cfg = {"kernel": cfg["kernel"], "functionals": [[[0.0, 0, 1.0]], [[1.0, 0, 1.0]]],
-                   "alpha": cfg["alpha"], "nugget": cfg["nugget"]}
+                   "alpha": alpha, "nugget": cfg["nugget"]}
+        elif case == "column layout":  # earlier versions: the term table's columns, alpha per functional
+            cfg = {"kernel": cfg["kernel"], "nodes": [0.0, 1.0], "node": [0, 1], "order": [0, 0], "weight": [1.0, 1.0],
+                   "sizes": [1, 1], "alpha": alpha, "nugget": cfg["nugget"]}
         interp = tmp_path / "interpolant.json"
         interp.write_text(json.dumps(cfg))
         pts = tmp_path / "pts.csv"
@@ -444,6 +483,8 @@ class TestEvaluate:
             warnings.simplefilter("error")  # silent by default: a warning, such as numpy's on an empty file, raises
             assert main(["evaluate", str(interp), "--points", str(pts), "--output", str(tmp_path / "vals.csv")]) == 2
         assert not (tmp_path / "vals.csv").exists()
+        if case.endswith("layout"):  # an older file has no weights (nor nodes, when nested)
+            assert "KeyError" in capsys.readouterr().err
 
 
 class TestCgcExperiments:

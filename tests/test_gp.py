@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -494,28 +495,34 @@ def saved_kinds(fitted_systems):
 
 
 def per_term_config(interp, functionals):
-    """The config as a writer walking :class:`FunctionalTerm` objects lays it out."""
-    terms = [t for f in functionals for t in f.terms]
-    nodes = sorted({t.location for t in terms})
+    """The config as a writer walking :class:`FunctionalTerm` objects lays it out.
+
+    psi's weight at each node and order is summed term by term, in term
+    order, from 0.0: w_t * alpha of the term's functional.
+    """
+    terms = [(t, a) for f, a in zip(functionals, interp.coefficients.tolist()) for t in f.terms]
+    nodes = sorted({t.location for t, _ in terms})
     index = {x: i for i, x in enumerate(nodes)}
-    return {
-        "kernel": {"kind": "matern52", "theta": interp.kernel.theta},
-        "nodes": nodes,
-        "node": [index[t.location] for t in terms],
-        "order": [t.deriv_order for t in terms],
-        "weight": [t.weight for t in terms],
-        "sizes": [len(f.terms) for f in functionals],
-        "alpha": [float(a) for a in interp.coefficients],
-        "nugget": interp.nugget,
-    }
+    weights = [0.0] * (3 * len(nodes))
+    for t, a in terms:
+        weights[3 * index[t.location] + t.deriv_order] += t.weight * a
+    return {"kernel": {"kind": "matern52", "theta": interp.kernel.theta}, "nodes": nodes, "weights": weights,
+            "nugget": interp.nugget}
 
 
-def nested_config(cfg):
-    """``cfg`` in the nested layout of earlier versions: a list of ``[location, order, weight]`` per functional."""
-    rows = [[cfg["nodes"][i], a, w] for i, a, w in zip(cfg["node"], cfg["order"], cfg["weight"])]
-    cuts = np.cumsum([0, *cfg["sizes"]]).tolist()
-    return {"kernel": cfg["kernel"], "functionals": [rows[i:j] for i, j in zip(cuts, cuts[1:])],
-            "alpha": cfg["alpha"], "nugget": cfg["nugget"]}
+def column_layout(interp):
+    """``interp`` in the column layout of earlier versions: the term table's columns and one alpha per functional."""
+    nodes, node, orders, weights, owners = interp.terms
+    return {"kernel": {"kind": "matern52", "theta": interp.kernel.theta}, "nodes": nodes.tolist(),
+            "node": node.tolist(), "order": orders.tolist(), "weight": weights.tolist(),
+            "sizes": np.bincount(owners).tolist(), "alpha": interp.coefficients.tolist(), "nugget": interp.nugget}
+
+
+def nested_layout(interp):
+    """``interp`` in the nested layout of earlier versions: a list of ``[location, order, weight]`` per functional."""
+    return {"kernel": {"kind": "matern52", "theta": interp.kernel.theta},
+            "functionals": [[[t.location, t.deriv_order, t.weight] for t in f.terms] for f in interp.functionals],
+            "alpha": interp.coefficients.tolist(), "nugget": interp.nugget}
 
 
 class TestSerialization:
@@ -542,7 +549,9 @@ class TestSerialization:
         assert interp.functionals == system.functionals
         expected = json.dumps(per_term_config(interp, system.functionals))
         assert json.dumps(interpolant_to_config(interp)) == expected
-        assert json.dumps(interpolant_to_config(interpolant_from_config(json.loads(expected)))) == expected
+        loaded = interpolant_from_config(json.loads(expected))
+        assert json.dumps(interpolant_to_config(loaded)) == expected
+        assert len(loaded.functionals) == 1 and loaded.coefficients.tolist() == [1.0]  # the one functional psi
 
     def test_is_json_serializable(self):
         interp = fit(ConstraintSystem((LinearFunctional((FunctionalTerm(0.0, 1, 2.0),)),), [0.5]), K1)
@@ -550,14 +559,13 @@ class TestSerialization:
         assert interpolant_from_config(json.loads(doc)).evaluate(0.3, 1) == interp.evaluate(0.3, 1)
 
 
-def malformed(cfg):
-    """Copies of a valid config, each broken in one way.
+def malformed(interp):
+    """Copies of ``interp``'s config, each broken in one way, with a fragment of the error each must raise.
 
-    The config holds the terms (0.5, 0, 1), (0.5, 1, 2) and (1, 0, 1) on the
-    nodes [0.5, 1], in two functionals of sizes [2, 1]. The cases named after
-    a term of the nested layout of earlier versions break a term's columns
-    the same way.
+    The config holds the nodes [0.5, 1] and six weights, three per node.
     """
+    cfg = interpolant_to_config(interp)
+
     def edit(change):
         doc = json.loads(json.dumps(cfg))
         change(doc)
@@ -566,51 +574,35 @@ def malformed(cfg):
     def set_first(key, value):
         return edit(lambda doc: doc[key].__setitem__(0, value))
 
+    parse, shape, finite = "malformed interpolant config", "three weights per node", "must be finite"
     return {
-        "a list": [cfg],
-        "order x": set_first("order", "x"),
-        "order 1.5": set_first("order", 1.5),
-        "order 3": set_first("order", 3),
-        "order -1": set_first("order", -1),
-        "infinite location": set_first("nodes", float("inf")),
-        "nan weight": set_first("weight", float("nan")),
-        "two-entry term": edit(lambda doc: doc["weight"].pop()),  # the last term has no weight
-        "four-entry term": set_first("weight", [1.0, 2.0]),  # the first term has two weights
-        "three-character term": edit(lambda doc: doc.update(order="100")),
-        "empty functional": edit(lambda doc: (doc["sizes"].append(0), doc["alpha"].append(1.0))),
-        "no functionals": edit(lambda doc: doc.update(nodes=[], node=[], order=[], weight=[], sizes=[], alpha=[])),
-        "extra coefficient": edit(lambda doc: doc["alpha"].append(1.0)),
-        "missing alpha": edit(lambda doc: doc.pop("alpha")),
-        "nan alpha": set_first("alpha", float("nan")),
-        "infinite alpha": set_first("alpha", float("inf")),
-        "nan nugget": edit(lambda doc: doc.update(nugget=float("nan"))),
-        "infinite theta": edit(lambda doc: doc["kernel"].update(theta=float("inf"))),
-        "functionals not a list": edit(lambda doc: doc.update(sizes=3)),
-        "node out of range": set_first("node", 2),
-        "negative node": set_first("node", -1),
-        "non-integral node": set_first("node", 0.5),
-        "size zero": edit(lambda doc: doc.update(sizes=[3, 0])),
-        "negative size": edit(lambda doc: doc.update(sizes=[4, -1])),
-        "non-integral sizes": edit(lambda doc: doc.update(sizes=[1.5, 1.5])),
-        "sizes short of the terms": edit(lambda doc: doc.update(sizes=[1, 1])),
-        "order column longer": edit(lambda doc: doc["order"].append(0)),
-        "nested layout": nested_config(cfg),
+        "a list": ([cfg], parse),
+        "missing weights": (edit(lambda doc: doc.pop("weights")), "KeyError('weights')"),
+        "weights not a list": (edit(lambda doc: doc.update(weights=3)), shape),
+        "weights a string": (edit(lambda doc: doc.update(weights="100")), shape),
+        "nested weights": (set_first("weights", [1.0, 2.0]), parse),
+        "two weights per node": (edit(lambda doc: doc.update(weights=doc["weights"][:4])), shape),
+        "one weight too many": (edit(lambda doc: doc["weights"].append(0.0)), shape),
+        "no nodes": (edit(lambda doc: doc.update(nodes=[], weights=[])), shape),
+        "infinite location": (set_first("nodes", float("inf")), finite),
+        "nan weight": (set_first("weights", float("nan")), finite),
+        "infinite weight": (set_first("weights", float("inf")), finite),
+        "nan nugget": (edit(lambda doc: doc.update(nugget=float("nan"))), finite),
+        "infinite theta": (edit(lambda doc: doc["kernel"].update(theta=float("inf"))), "lengthscale must be"),
+        "nested layout": (nested_layout(interp), "KeyError('nodes')"),
+        "column layout": (column_layout(interp), "KeyError('weights')"),
     }
 
 
 class TestLoaderValidation:
-    CFG = interpolant_to_config(fit(ConstraintSystem(
-        (LinearFunctional.of_terms((0.5, 0, 1.0), (0.5, 1, 2.0)), LinearFunctional.dirac(1.0)), [0.0, 1.0]), K1))
+    INTERP = fit(ConstraintSystem(
+        (LinearFunctional.of_terms((0.5, 0, 1.0), (0.5, 1, 2.0)), LinearFunctional.dirac(1.0)), [0.0, 1.0]), K1)
 
-    @pytest.mark.parametrize("case", sorted(malformed(CFG)))
+    @pytest.mark.parametrize("case", sorted(malformed(INTERP)))
     def test_malformed_config_rejected(self, case):
-        with pytest.raises(InvalidInputError):
-            interpolant_from_config(malformed(self.CFG)[case])
-
-    def test_integral_float_orders_accepted(self):
-        doc = json.loads(json.dumps(self.CFG))
-        doc["order"][1] = 1.0
-        assert interpolant_from_config(doc).evaluate(0.3, 1) == interpolant_from_config(self.CFG).evaluate(0.3, 1)
+        doc, fragment = malformed(self.INTERP)[case]
+        with pytest.raises(InvalidInputError, match=re.escape(fragment)):
+            interpolant_from_config(doc)
 
 
 def fresh(interp):

@@ -188,6 +188,11 @@ class TestMulti:
         with pytest.raises(InvalidInputError, match="points_per_ic"):
             cole_hopf_multi_problem(points_per_ic=0)
 
+    def test_repeated_ic_rejected(self):
+        # a repeat would pool exact twin constraints: a singular Gram and a leave-one-out loss of rounding size
+        with pytest.raises(InvalidInputError, match="'multi-2'"):
+            cole_hopf_multi_problem(("multi-3", "multi-2", "multi-2"))
+
     def test_pooled_fit_accuracy(self):
         prob = cole_hopf_multi_problem()
         theta, _ = learn_theta(prob.system, prob.interior)
