@@ -41,7 +41,7 @@ from .gp import (
     rkhs_norm_sq,
 )
 from .kernel_learning import learn_theta, rho_loo
-from .kernels import HomogeneousPolynomial, Matern52, k_deriv
+from .kernels import Matern52, k_deriv
 from .transforms import (
     build_cole_hopf_discrete,
     build_cole_hopf_ode,

@@ -6,10 +6,12 @@ Two instances are provided:
   coefficient ``a`` of the linear first-order target equation, by minimizing
   a loss combining G's RKHS norm, the standard Gaussian prior a^2 on ``a``,
   the equation residual on the data, and an anchor pinning G(1) = 1.
-* :func:`nf_solve` learns a homogeneous-quartic map H from a planar
-  oscillator trajectory to the radius r of its rotation normal form, with r
-  on the closed form of the radial law from an unknown initial radius r0,
-  coupling them through a data-fit term, the decay law and an anchor.
+* :func:`nf_solve` learns a map H from a planar oscillator trajectory to
+  the radius r of its rotation normal form, with r on the closed form of
+  the radial law from an unknown initial radius r0, coupling them through a
+  data-fit term, the decay law and an anchor. H is a combination of the
+  five quartic monomials, the RKHS of the kernel (s . t)^4, whose norm is
+  exact in its coefficients (:func:`gpmaps.kernels.homogeneous_norm_sq`).
 
 Both are exact in the map, so the loss profiles to a function of one
 scalar, which :func:`gpmaps.optim.slope_search` minimizes from its exact
@@ -37,7 +39,7 @@ import numpy as np
 from .dynamics import _fd_transpose, _radius_law, first_difference
 from .exceptions import DivergedError, InvalidInputError
 from .gp import ConstraintSystem, Interpolant, LinearFunctional, _cholesky, _factor_inverse, _flatten, fit
-from .kernels import HomogeneousPolynomial, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
+from .kernels import QUARTIC_BINOMIALS, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 from .optim import DescentConfig, slope_search
 
 __all__ = [
@@ -69,9 +71,6 @@ _WEIGHT_NAMES = ("lambda1", "lambda2", "lambda3")
 
 #: Names of the weighted terms whose sum is the :func:`cgc_pde_solve` loss, in the order summed.
 _PDE_TERM_NAMES = ("norm_g", "a_prior", "l1_weighted", "l2_weighted", "anchor_weighted")
-
-#: Kernel of the radius map H learned by :func:`nf_solve`.
-NF_KERNEL = HomogeneousPolynomial(4)
 
 
 def _balanced(factor, norm, term):
@@ -316,7 +315,7 @@ class NfProblem:
     @cached_property
     def _features(self):
         """Quartic features of the trajectory states, and those of the first state (the anchor)."""
-        phi = homogeneous_features(NF_KERNEL, self.trajectory.states)
+        phi = homogeneous_features(self.trajectory.states)
         return phi, phi[0]
 
 
@@ -345,7 +344,7 @@ def _nf_loss_at(problem, coeffs, weights, residuals):
     """Weighted terms (norm_h, fit, decay law, anchor) from the residuals at ``coeffs``, and their sum."""
     fit, ode, anchor = residuals
     lam1, lam2, lam3 = weights
-    terms = (homogeneous_norm_sq(NF_KERNEL, coeffs), lam1 * float(fit @ fit), lam2 * float(ode @ ode),
+    terms = (homogeneous_norm_sq(coeffs), lam1 * float(fit @ fit), lam2 * float(ode @ ode),
              lam3 * anchor**2)
     return terms, terms[0] + terms[1] + terms[2] + terms[3]
 
@@ -355,7 +354,7 @@ def _nf_gradient(problem, coeffs, r, weights, residuals):
     lam1, lam2, lam3 = weights
     phi, phi0 = problem._features
     fit, ode, anchor = residuals
-    grad_c = 2.0 * coeffs / NF_KERNEL.binomials + lam1 * 2.0 * (phi.T @ fit) + lam3 * 2.0 * anchor * phi0
+    grad_c = 2.0 * coeffs / QUARTIC_BINOMIALS + lam1 * 2.0 * (phi.T @ fit) + lam3 * 2.0 * anchor * phi0
     grad_r = -lam1 * 2.0 * fit + lam2 * 2.0 * (_fd_transpose(ode, problem.dt) - (problem.mu - 3.0 * r**2) * ode)
     return grad_c, grad_r
 
@@ -428,7 +427,7 @@ def _nf_profile(problem, weights):
     """
     lam1, _, lam3 = weights
     phi, phi0 = problem._features
-    system = lam1 * (phi.T @ phi) + lam3 * np.outer(phi0, phi0) + np.diag(1.0 / NF_KERNEL.binomials)
+    system = lam1 * (phi.T @ phi) + lam3 * np.outer(phi0, phi0) + np.diag(1.0 / QUARTIC_BINOMIALS)
     inverse = _factor_inverse(_cholesky(system, 0.0, "quartic coefficient system"))
     t = problem.trajectory.times
     decay = np.exp(-2.0 * problem.mu * t)
@@ -466,8 +465,12 @@ class NfResult:
 
 
 def nf_h_values(problem, coeffs, points):
-    """Evaluate the quartic map at the given (u, v) points."""
-    return homogeneous_features(NF_KERNEL, points) @ np.asarray(coeffs, dtype=float)
+    """Evaluate the quartic map with coefficients ``coeffs`` at the given (u, v) points.
+
+    The map depends on its coefficients alone, so ``problem`` is not read; it
+    stays in the signature, which the benchmark's worker calls.
+    """
+    return homogeneous_features(points) @ np.asarray(coeffs, dtype=float)
 
 
 def nf_solve(problem, config=None):

@@ -53,6 +53,7 @@ nodes and three weights per node, loaded as psi with coefficient 1.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -61,7 +62,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
 from .exceptions import InvalidInputError, SingularSystemError, UnsupportedDerivativeError
-from .kernels import _MATERN_PROFILE_COEFFS, Matern52, kernel_from_config, kernel_to_config
+from .kernels import _MATERN_PROFILE_COEFFS, Matern52
 
 __all__ = [
     "FunctionalTerm",
@@ -227,8 +228,6 @@ class _GramPlan:
         before the even part is made; e is made last, in sr's memory. The
         owners' ``reduceat`` and (G + G^T) / 2 finish the Gram.
         """
-        if not isinstance(kernel, Matern52):
-            raise UnsupportedDerivativeError(f"Gram assembly takes a Matern52 spec, got {kernel!r}")
         s = math.sqrt(5.0) / kernel.theta
         scaled, w = self.tables * s ** self.powers, self.weights
 
@@ -366,7 +365,7 @@ class Interpolant:
     one term per node and order (see :func:`interpolant_from_config`).
     """
 
-    kernel: object
+    kernel: Matern52
     terms: tuple
     coefficients: np.ndarray
     nugget: float = 0.0
@@ -453,8 +452,8 @@ class Interpolant:
         whose coefficients reach 1.1e5 and cancel (OpenBLAS 0.3.31, Haswell
         kernels).
         """
-        if deriv_order not in (0, 1, 2) or not isinstance(self.kernel, Matern52):
-            raise UnsupportedDerivativeError(f"reads take orders 0-2 of a Matern52: {deriv_order}, {self.kernel!r}")
+        if deriv_order not in (0, 1, 2):
+            raise UnsupportedDerivativeError(f"reads take derivative orders 0-2, got {deriv_order}")
         u = np.asarray(u, dtype=float)
         if u.ndim > 1:
             raise InvalidInputError(f"reads take a scalar or a 1-D array of points, got shape {u.shape}")
@@ -502,7 +501,7 @@ def interpolant_to_config(interp):
     """
     nodes, c = interp._folded
     return {
-        "kernel": kernel_to_config(interp.kernel),
+        "kernel": {"kind": "matern52", "theta": interp.kernel.theta},
         "nodes": nodes.tolist(),
         "weights": c.ravel().tolist(),
         "nugget": interp.nugget,
@@ -516,20 +515,24 @@ def interpolant_from_config(cfg):
     per bin and the loaded map reads bit for bit what the saved one read.
     Malformed input raises :class:`InvalidInputError`: a missing key (a file
     in an earlier layout has no ``weights``), a column that is not a flat
-    list of numbers, no node, not three weights per node, or a node, weight
-    or nugget that is not finite (``json.load`` reads ``NaN`` and
-    ``Infinity``).
+    list of numbers, a nugget that is not a number, a kernel kind other than
+    ``matern52``, a lengthscale :class:`~gpmaps.kernels.Matern52` refuses, no
+    node, not three weights per node, or a node, weight or nugget that is not
+    finite (``json.load`` reads ``NaN`` and ``Infinity``).
     """
     try:
-        kernel = kernel_from_config(cfg["kernel"])
-        nodes, weights = (np.asarray(cfg[key], dtype=float) for key in ("nodes", "weights"))
-        nugget = float(cfg.get("nugget", 0.0))
+        kind, theta = cfg["kernel"]["kind"], cfg["kernel"]["theta"]
+        # array("d", ...) takes numbers only: a string, None or a nested list raises TypeError
+        nodes, weights = (np.asarray(array("d", cfg[key])) for key in ("nodes", "weights"))
+        nugget = array("d", [cfg.get("nugget", 0.0)])[0]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed interpolant config: {exc!r}") from exc
+    if kind != "matern52":
+        raise InvalidInputError(f"unknown kernel kind {kind!r}")
     n = nodes.size
-    if not (nodes.ndim == weights.ndim == 1 and n and weights.size == 3 * n):
-        raise InvalidInputError("an interpolant needs flat lists of at least one node and three weights per node")
+    if not (n and weights.size == 3 * n):
+        raise InvalidInputError("an interpolant needs at least one node and three weights per node")
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all() and math.isfinite(nugget)):
         raise InvalidInputError("an interpolant's nodes, weights and nugget must be finite")
     terms = (nodes, np.repeat(np.arange(n), 3), np.tile(np.arange(3), n), weights, np.zeros(3 * n, dtype=int))
-    return Interpolant(kernel, terms, [1.0], nugget=nugget)
+    return Interpolant(Matern52(theta), terms, [1.0], nugget=nugget)

@@ -1,14 +1,15 @@
 """Kernel definitions with closed-form mixed derivatives.
 
-Two kernels cover every regression problem in this package:
+:class:`Matern52`, the single-lengthscale Matern-2.5 kernel on scalars, is
+the kernel of every regression problem in this package. Its radial profile
+is four times continuously differentiable at zero lag, so mixed partials up
+to order (2, 2) exist in closed form; these are what derivative-constraint
+Gram matrices are built from.
 
-* :class:`Matern52` -- the single-lengthscale Matern-2.5 kernel on scalars.
-  Its radial profile is four times continuously differentiable at zero lag,
-  so mixed partials up to order (2, 2) exist in closed form; these are what
-  derivative-constraint Gram matrices are built from.
-* :class:`HomogeneousPolynomial` -- K(s, t) = (s . t)^d on planar vectors.
-  Its RKHS is the span of the degree-d homogeneous monomials, which makes an
-  explicit feature-space treatment possible (see :func:`homogeneous_features`).
+The normal form's radius map lives in the RKHS of the homogeneous quartic
+kernel (s . t)^4 on planar vectors, which is exactly the span of the five
+quartic monomials; :func:`homogeneous_features` and
+:func:`homogeneous_norm_sq` are that feature map and its exact norm.
 
 One coefficient table, ``_MATERN_PROFILE_COEFFS``, checked against central
 finite differences, defines every Matern profile derivative; :func:`k_deriv`
@@ -21,8 +22,6 @@ the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
 from numbers import Real
 
 import numpy as np
@@ -31,12 +30,10 @@ from .exceptions import InvalidInputError, UnsupportedDerivativeError
 
 __all__ = [
     "Matern52",
-    "HomogeneousPolynomial",
     "k_deriv",
+    "QUARTIC_BINOMIALS",
     "homogeneous_features",
     "homogeneous_norm_sq",
-    "kernel_to_config",
-    "kernel_from_config",
 ]
 
 
@@ -51,21 +48,8 @@ class Matern52:
             raise InvalidInputError(f"lengthscale must be a positive finite real number, got {self.theta!r}")
 
 
-@dataclass(frozen=True)
-class HomogeneousPolynomial:
-    """K(s, t) = (s . t)^degree on vectors of length 2."""
-
-    degree: int = 4
-
-    def __post_init__(self):
-        if self.degree < 1 or int(self.degree) != self.degree:
-            raise InvalidInputError(f"degree must be a positive integer, got {self.degree}")
-
-    @cached_property
-    def binomials(self):
-        """binom(d, k) for the monomials u^(d-k) v^k; the squared norm of coefficients c is sum c_k^2 / binom(d, k)."""
-        return np.array([comb(self.degree, k) for k in range(self.degree + 1)])
-
+#: binom(4, k) for the quartic monomials u^(4-k) v^k; the squared norm of coefficients c is sum c_k^2 / binom(4, k).
+QUARTIC_BINOMIALS = np.array([1, 4, 6, 4, 1])
 
 #: Row n: (c0, c1, c2) with P_n(gap) = s^n sign(gap)^(n mod 2) (c0 + c1 sr + c2 sr^2) exp(-sr), sr = s|gap|,
 #: s = sqrt(5) / theta: the n-th derivative of the Matern-5/2 profile, n = 0..4; odd rows have c0 = 0.
@@ -80,13 +64,10 @@ def k_deriv(spec, x, y, a, b):
     n = a + b: row n of :data:`_MATERN_PROFILE_COEFFS` times s^n on one basis
     g = s gap, sr = |g|, e = exp(-sr), that is (c0 + c1 sr + c2 sr^2) e for
     even n and (c1 + c2 sr) g e for odd n, exactly odd in the gap since
-    sign(gap) sr is g. The polynomial kernel is handled in feature space
-    (:func:`homogeneous_features`) and has no entry here.
+    sign(gap) sr is g.
     """
     if a not in (0, 1, 2) or b not in (0, 1, 2):
         raise UnsupportedDerivativeError(f"derivative orders must lie in {{0,1,2}}, got {(a, b)}")
-    if not isinstance(spec, Matern52):
-        raise UnsupportedDerivativeError(f"k_deriv takes a Matern52 spec, got {spec!r}")
     n = a + b
     s = np.sqrt(5.0) / spec.theta
     g = s * (np.asarray(x, float) - np.asarray(y, float))
@@ -106,12 +87,12 @@ def k_deriv(spec, x, y, a, b):
     return (-1) ** b * p
 
 
-def homogeneous_features(spec, points):
-    """Monomial features of a 2-D homogeneous polynomial kernel.
+def homogeneous_features(points):
+    """Quartic monomial features: each point (u, v) maps to (u^4, u^3 v, u^2 v^2, u v^3, v^4).
 
-    For degree d, maps each point (u, v) to (u^d, u^(d-1) v, ..., v^d); with
-    coefficient vector c the function H(u, v) = sum_k c_k u^(d-k) v^k carries
-    the exact RKHS norm of :func:`homogeneous_norm_sq`.
+    With coefficient vector c the function H(u, v) = sum_k c_k u^(4-k) v^k
+    carries the exact RKHS norm of :func:`homogeneous_norm_sq` under the
+    kernel (s . t)^4.
 
     Parameters
     ----------
@@ -119,39 +100,22 @@ def homogeneous_features(spec, points):
 
     Returns
     -------
-    array of shape (n, d + 1)
+    array of shape (n, 5)
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != 2:
         raise InvalidInputError(f"expected points of dimension 2, got {pts.shape[1]}")
-    d = spec.degree
     u, v = pts[:, 0], pts[:, 1]
-    return np.stack([u ** (d - k) * v ** k for k in range(d + 1)], axis=1)
+    return np.stack([u ** (4 - k) * v ** k for k in range(5)], axis=1)
 
 
-def homogeneous_norm_sq(spec, coeffs):
-    """Exact squared RKHS norm of H = sum_k c_k u^(d-k) v^k under (s.t)^d.
+def homogeneous_norm_sq(coeffs):
+    """Exact squared RKHS norm of H = sum_k c_k u^(4-k) v^k under (s.t)^4.
 
-    The monomials u^(d-k) v^k have squared norm 1/binom(d, k); the norm of a
+    The monomials u^(4-k) v^k have squared norm 1/binom(4, k); the norm of a
     combination is the weighted coefficient sum since they are orthogonal.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    d = spec.degree
-    if coeffs.shape != (d + 1,):
-        raise InvalidInputError(f"expected {d + 1} coefficients, got shape {coeffs.shape}")
-    return float(np.sum(coeffs ** 2 / spec.binomials))
-
-
-def kernel_to_config(spec):
-    """Serialize a Matern52 spec (the kernel of every saved interpolant) to its config form."""
-    if isinstance(spec, Matern52):
-        return {"kind": "matern52", "theta": spec.theta}
-    raise InvalidInputError(f"unknown kernel spec {spec!r}")
-
-
-def kernel_from_config(cfg):
-    """Inverse of :func:`kernel_to_config`."""
-    kind = cfg.get("kind")
-    if kind == "matern52":
-        return Matern52(theta=float(cfg["theta"]))
-    raise InvalidInputError(f"unknown kernel kind {kind!r}")
+    if coeffs.shape != (5,):
+        raise InvalidInputError(f"expected 5 coefficients, got shape {coeffs.shape}")
+    return float(np.sum(coeffs ** 2 / QUARTIC_BINOMIALS))

@@ -132,19 +132,24 @@ def build_cole_hopf_discrete(v0, nu, h):
     at h = 1e-6, dx = 0.01, nu = 0.5), so it over-regularizes every interior
     constraint: the error is 1.45e-5 at h = 1e-4 but 2.1e-2 at h = 1e-6 (2.0e-5
     with a nugget of 1e-8 times that median). With the stability bound
-    h*nu/dx^2 <= 0.5 this leaves about 1e-5 <= h <= 1e-4 there.
+    h*nu/dx^2 <= 0.5 this leaves about 1e-5 <= h <= 1e-4 there. A diffusion
+    number h*nu/dx^2 above 0.5 raises :class:`InvalidInputError`, since the
+    explicit heat step is unstable there.
     """
     if not isinstance(v0, Field1D):
         raise InvalidInputError("v0 must be a Field1D")
     n = v0.grid.n
     if n < 5:
         raise InvalidInputError(f"need at least 5 grid nodes, got {n}")
+    dx = v0.grid.dx
+    c = h * nu / dx**2
+    if c > 0.5:
+        raise InvalidInputError(f"the diffusion number h*nu/dx^2 = {c:.3g} exceeds 0.5, where the explicit heat "
+                                f"step is unstable; take h <= {0.5 * dx**2 / nu:.3g}")
     u0 = antiderivative(v0).values
     v1 = burgers_step(v0, nu, h)
     drift = h * (nu * diff(v0, 1).values[0] - 0.5 * v0.values[0] ** 2)
     u1 = antiderivative(v1, drift).values
-    dx = v0.grid.dx
-    c = h * nu / dx**2
     interior = []
     for i in range(1, n - 1):
         interior.append(

@@ -415,9 +415,9 @@ class TestNfSolve:
         calls = []
         original = cgc_module.homogeneous_features
 
-        def counting(kernel, points):
+        def counting(points):
             calls.append(np.shape(points))
-            return original(kernel, points)
+            return original(points)
 
         monkeypatch.setattr(cgc_module, "homogeneous_features", counting)
         counts = []

@@ -73,11 +73,9 @@ class TestRun:
         ({"experiment": "cole-hopf-discrete", "dx": 0.015}, "does not divide the interval [0.0, 1.0]"),
         # gen_dt has no effect, and the schema still bounds it
         ({"experiment": "brusselator-nf", "gen_dt": 0.0}, "0.0 is less than or equal to the minimum of 0"),
-        # the heat-side data grow with nu: at nu = 1e17 the discrete grid's smallest datum is 1.4e14 (and its
-        # explicit heat step warns that it is unstable)
-        pytest.param({"experiment": "cole-hopf-discrete", "nu": 1e17},
-                     "no datum lies in the anchored interval [0, 1] at nu=1e+17",
-                     marks=pytest.mark.filterwarnings("ignore::gpmaps.dynamics.CflWarning")),
+        # the explicit heat step is stable only while h*nu/dx^2 <= 0.5: the defaults sit at 0.5
+        ({"experiment": "cole-hopf-discrete", "nu": 5}, "h*nu/dx^2 = 5 exceeds 0.5"),
+        ({"experiment": "cole-hopf-discrete", "nu": 1e17}, "h*nu/dx^2 = 1e+17 exceeds 0.5"),
         # 1 - exp(-1/(2 nu)) rounds to 0, so the Cole-Hopf truth is 0/0 at every evaluation point
         pytest.param({"experiment": "cole-hopf-multi", "nu": 1e17, "theta": 1.0},
                      "truth is not finite at every evaluation point",
@@ -123,18 +121,22 @@ class TestRun:
         assert main(["run", cfg]) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # each case with a fragment of the message it must exit on, so that it cannot pass through another failure
         configs = [
             # a state whose square overflows makes the trajectory's Taylor coefficients non-finite
-            {"experiment": "brusselator-nf", "init_point": [1e200, 1e200], "n_samples": 20},
+            ({"experiment": "brusselator-nf", "init_point": [1e200, 1e200], "n_samples": 20},
+             "non-finite Taylor coefficients at t = 0.0"),
             # s^4 = (sqrt(5) / theta)^4 overflows, so the Gram and its factor hold NaN
-            {"experiment": "cole-hopf", "theta": 1e-100},
+            ({"experiment": "cole-hopf", "theta": 1e-100}, "constraint Gram has a non-finite trace"),
         ]
-        for i, cfg in enumerate(configs):
+        for i, (cfg, fragment) in enumerate(configs):
             out = tmp_path / f"o{i}"
             assert main(["run", write_config(tmp_path, "c.json", {**cfg, "output_dir": str(out)})]) == 3, cfg
             assert not (out / "summary.json").exists()
             assert not (out / "interpolant.json").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: ") and fragment in err, err
 
     def test_gen_dt_has_no_effect(self, tmp_path):
         # the key is still declared and validated; the trajectory takes its steps from its Taylor coefficients

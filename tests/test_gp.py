@@ -25,7 +25,7 @@ from gpmaps.gp import (
     interpolant_to_config,
     rkhs_norm_sq,
 )
-from gpmaps.kernels import _MATERN_PROFILE_COEFFS, HomogeneousPolynomial, Matern52, k_deriv
+from gpmaps.kernels import _MATERN_PROFILE_COEFFS, Matern52, k_deriv
 from gpmaps.optim import DescentConfig
 from gpmaps.transforms import (
     cole_hopf_discrete_problem,
@@ -461,11 +461,6 @@ class TestReadValidation:
         with pytest.raises(UnsupportedDerivativeError):
             interp.evaluate(0.5, order)
 
-    def test_non_matern_kernel_rejected(self):
-        interp = Interpolant(HomogeneousPolynomial(4), _flatten((LinearFunctional.dirac(0.0),)), [1.0])
-        with pytest.raises(UnsupportedDerivativeError):
-            interp.evaluate(0.5)
-
     @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1, 1)])
     def test_two_dimensional_points_rejected(self, shape):
         interp = fit(cole_hopf_problem(10).system, K1)
@@ -578,8 +573,14 @@ def malformed(interp):
     return {
         "a list": ([cfg], parse),
         "missing weights": (edit(lambda doc: doc.pop("weights")), "KeyError('weights')"),
-        "weights not a list": (edit(lambda doc: doc.update(weights=3)), shape),
-        "weights a string": (edit(lambda doc: doc.update(weights="100")), shape),
+        "weights not a list": (edit(lambda doc: doc.update(weights=3)), parse),
+        "weights a string": (edit(lambda doc: doc.update(weights="100")), parse),
+        "string node": (set_first("nodes", "0.5"), parse),
+        "string weight": (set_first("weights", "1"), parse),
+        "string nugget": (edit(lambda doc: doc.update(nugget="1e-8")), parse),
+        "string theta": (edit(lambda doc: doc["kernel"].update(theta="2.5")), "lengthscale must be"),
+        "unknown kernel kind": (edit(lambda doc: doc["kernel"].update(kind="polynomial")),
+                                "unknown kernel kind 'polynomial'"),
         "nested weights": (set_first("weights", [1.0, 2.0]), parse),
         "two weights per node": (edit(lambda doc: doc.update(weights=doc["weights"][:4])), shape),
         "one weight too many": (edit(lambda doc: doc["weights"].append(0.0)), shape),

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from gpmaps.exceptions import InvalidInputError, UnsupportedDerivativeError
-from gpmaps.kernels import (
-    HomogeneousPolynomial,
-    Matern52,
-    homogeneous_features,
-    homogeneous_norm_sq,
-    k_deriv,
-    kernel_from_config,
-    kernel_to_config,
-)
+from gpmaps.kernels import QUARTIC_BINOMIALS, Matern52, homogeneous_features, homogeneous_norm_sq, k_deriv
 
 RNG = np.random.default_rng(7)
 
@@ -154,49 +146,36 @@ class TestMatern:
 
 class TestPolynomial:
     @staticmethod
-    def kernel_value(spec, x, y):
-        # K(x, y) = (x . y)^d through the features: sum_k binom(d, k) phi_k(x) phi_k(y)
-        phi = homogeneous_features(spec, np.array([x, y]))
-        return phi[0] @ (spec.binomials * phi[1])
+    def kernel_value(x, y):
+        # K(x, y) = (x . y)^4 through the features: sum_k binom(4, k) phi_k(x) phi_k(y)
+        phi = homogeneous_features(np.array([x, y]))
+        return phi[0] @ (QUARTIC_BINOMIALS * phi[1])
 
     def test_orthogonal_inputs(self):
-        assert self.kernel_value(HomogeneousPolynomial(4), [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert self.kernel_value([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_parallel_inputs(self):
-        assert self.kernel_value(HomogeneousPolynomial(4), [1.0, 1.0], [1.0, 1.0]) == 16.0
+        assert self.kernel_value([1.0, 1.0], [1.0, 1.0]) == 16.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            homogeneous_features(HomogeneousPolynomial(4), np.array([[1.0, 2.0, 3.0]]))
-
-    def test_derivatives_unsupported(self):
-        # the polynomial kernel is handled through its feature expansion only
-        for a, b in ((0, 0), (1, 0)):
-            with pytest.raises(UnsupportedDerivativeError):
-                k_deriv(HomogeneousPolynomial(4), np.array([1.0, 0.0]), np.array([0.0, 1.0]), a, b)
+            homogeneous_features(np.array([[1.0, 2.0, 3.0]]))
 
     def test_features_reproduce_kernel(self):
-        spec = HomogeneousPolynomial(4)
         pts = RNG.uniform(-1, 1, (12, 2))
-        phi = homogeneous_features(spec, pts)
+        phi = homogeneous_features(pts)
         binoms = np.array([1, 4, 6, 4, 1], dtype=float)
         gram_feat = phi @ np.diag(binoms) @ phi.T
         for i in range(12):
             for j in range(12):
-                assert gram_feat[i, j] == pytest.approx((pts[i] @ pts[j]) ** spec.degree, rel=1e-12, abs=1e-14)
+                assert gram_feat[i, j] == pytest.approx((pts[i] @ pts[j]) ** 4, rel=1e-12, abs=1e-14)
 
     def test_norm_matches_pseudoinverse_quadratic_form(self):
         # RKHS norm of H via features equals g^T K^+ g on 5 independent points
-        spec = HomogeneousPolynomial(4)
         angles = np.array([0.2, 0.9, 1.7, 2.3, 2.9])
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         coeffs = RNG.normal(size=5)
-        gvals = homogeneous_features(spec, pts) @ coeffs
-        gram = np.array([[(p @ q) ** spec.degree for q in pts] for p in pts])
+        gvals = homogeneous_features(pts) @ coeffs
+        gram = np.array([[(p @ q) ** 4 for q in pts] for p in pts])
         quad = gvals @ np.linalg.pinv(gram) @ gvals
-        assert homogeneous_norm_sq(spec, coeffs) == pytest.approx(quad, rel=1e-8)
-
-
-def test_config_round_trip():
-    spec = Matern52(3.2)
-    assert kernel_from_config(kernel_to_config(spec)) == spec
+        assert homogeneous_norm_sq(coeffs) == pytest.approx(quad, rel=1e-8)
